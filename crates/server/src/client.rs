@@ -14,6 +14,7 @@
 //! stream is exactly what the rest of this workspace measures.
 
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -24,8 +25,10 @@ use freqdedup_trace::par::{par_map, ParConfig};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
 use crate::fault::SplitMix64;
-use crate::frame::{read_frame, write_frame, WireError};
-use crate::proto::{ChunkStatus, Message, ResumeState, ServerStats, WIRE_VERSION};
+use crate::frame::{read_frame, write_frame, WireError, READ_BUFFER_BYTES};
+use crate::proto::{
+    ChunkStatus, Message, ResumeState, ServerStats, MAX_BATCH_CHUNKS, WIRE_VERSION,
+};
 
 /// A ciphertext-payload provider: maps a chunk record to its exact
 /// `record.size` ciphertext bytes.
@@ -127,7 +130,9 @@ pub struct RestoredBackup {
 /// One client session against a [`crate::server::Server`].
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through the buffer; requests are written straight
+    /// to the socket under it, one `write` per frame.
+    conn: BufReader<TcpStream>,
     /// Negotiated protocol version.
     version: u16,
     next_seq: u32,
@@ -146,7 +151,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut client = Client {
-            stream,
+            conn: BufReader::with_capacity(READ_BUFFER_BYTES, stream),
             version: WIRE_VERSION,
             next_seq: 0,
             batch: DEFAULT_BATCH,
@@ -218,8 +223,8 @@ impl Client {
     ///
     /// Propagates the socket error.
     pub fn set_op_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        self.conn.get_ref().set_read_timeout(timeout)?;
+        self.conn.get_ref().set_write_timeout(timeout)
     }
 
     /// Declares an idempotent upload (RESUME): asks the server what it
@@ -349,8 +354,10 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Server`] with [`crate::proto::code::UNKNOWN_LABEL`]
-    /// for unknown manifests; [`ClientError::Protocol`] if the stream
-    /// contains missing chunks.
+    /// for unknown manifests and [`crate::proto::code::MISSING_CHUNK`]
+    /// when the store lost a chunk of the backup;
+    /// [`ClientError::Protocol`] when the batches do not add up to
+    /// exactly the announced record count.
     pub fn restore(&mut self, label: &str) -> Result<RestoredBackup, ClientError> {
         check_label(label)?;
         let count = match self.call(&Message::RestoreBackup {
@@ -359,33 +366,40 @@ impl Client {
             Message::RestoreHeader { count, .. } => count,
             other => return Err(unexpected("RestoreHeader", &other)),
         };
-        let mut backup = Backup::new(label);
+        // `count` is the server's claim: reserve for at most one batch of
+        // it up front, and grow as records actually arrive.
+        let mut records: Vec<ChunkRecord> =
+            Vec::with_capacity(count.min(MAX_BATCH_CHUNKS as u64) as usize);
         let mut payloads: Option<Vec<Vec<u8>>> = None;
-        for i in 0..count {
-            match self.recv()? {
-                Message::ChunkResp {
-                    fp,
-                    status,
-                    size,
-                    payload,
-                } => match status {
-                    ChunkStatus::Missing => {
-                        return Err(ClientError::Protocol(format!(
-                            "restore {label:?}: chunk {i} (fp {fp:016x}) missing from store"
-                        )))
-                    }
-                    ChunkStatus::Payload => {
-                        backup.push(ChunkRecord::new(Fingerprint(fp), size));
-                        payloads.get_or_insert_with(Vec::new).push(payload);
-                    }
-                    ChunkStatus::Metadata => {
-                        backup.push(ChunkRecord::new(Fingerprint(fp), size));
-                    }
-                },
-                other => return Err(unexpected("ChunkResp", &other)),
+        while (records.len() as u64) < count {
+            let (chunks, batch_payloads) = match self.recv()? {
+                Message::RestoreBatch { chunks, payloads } => (chunks, payloads),
+                other => return Err(unexpected("RestoreBatch", &other)),
+            };
+            let violation = if chunks.is_empty() {
+                Some("an empty batch")
+            } else if (records.len() + chunks.len()) as u64 > count {
+                Some("more records than announced")
+            } else if !records.is_empty() && batch_payloads.is_some() != payloads.is_some() {
+                Some("payload and metadata batches mixed")
+            } else {
+                None
+            };
+            if let Some(what) = violation {
+                return Err(ClientError::Protocol(format!(
+                    "restore {label:?}: {what} after {} of {count} records",
+                    records.len()
+                )));
+            }
+            records.extend(chunks);
+            if let Some(batch) = batch_payloads {
+                payloads.get_or_insert_with(Vec::new).extend(batch);
             }
         }
-        Ok(RestoredBackup { backup, payloads })
+        Ok(RestoredBackup {
+            backup: Backup::from_chunks(label, records),
+            payloads,
+        })
     }
 
     /// Restores `original.label` and verifies it: record stream equal to
@@ -535,14 +549,14 @@ impl Client {
     }
 
     fn send(&mut self, msg: &Message) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &msg.encode())?;
+        write_frame(self.conn.get_mut(), &msg.encode())?;
         Ok(())
     }
 
     /// Receives one message, surfacing server-side errors as
     /// [`ClientError::Server`].
     fn recv(&mut self) -> Result<Message, ClientError> {
-        let payload = read_frame(&mut self.stream)?.ok_or(WireError::Truncated)?;
+        let payload = read_frame(&mut self.conn)?.ok_or(WireError::Truncated)?;
         match Message::decode(&payload)? {
             Message::ErrorResp { code, message } => Err(ClientError::Server { code, message }),
             msg => Ok(msg),

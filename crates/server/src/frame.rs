@@ -14,6 +14,13 @@
 //! decoder. The CRC implementation is the workspace-wide
 //! [`freqdedup_trace::io::Crc32`] — the same polynomial the trace format
 //! and the durable store use.
+//!
+//! **One write per frame, buffered reads.** [`write_frame`] hands the
+//! writer header and payload as one buffer — on a `TCP_NODELAY` socket
+//! two writes are two syscalls and two segments — so there is no flush
+//! to forget. Both ends of a connection read through a
+//! 64 KiB [`std::io::BufReader`] over the socket, so a header and its
+//! payload, and many small frames, arrive per `read`.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -24,6 +31,11 @@ use freqdedup_trace::io::crc32;
 /// generously sized chunk batch, small enough that a corrupted length
 /// prefix cannot drive an absurd allocation.
 pub const MAX_FRAME_BYTES: usize = 32 << 20;
+
+/// Capacity of the `BufReader` each end of a connection reads its socket
+/// through: room for several metadata-mode batches per `read`; larger
+/// frames bypass it for the part that does not fit.
+pub(crate) const READ_BUFFER_BYTES: usize = 64 << 10;
 
 /// Errors produced by the wire layer (framing and message codec).
 #[derive(Debug)]
@@ -85,7 +97,8 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame around `payload`.
+/// Writes one frame around `payload`: header and payload leave in a
+/// single `write_all` of one assembled buffer.
 ///
 /// # Errors
 ///
@@ -97,11 +110,11 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
             len: payload.len() as u64,
         });
     }
-    let mut header = [0u8; 8];
-    header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
-    writer.write_all(&header)?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     Ok(())
 }
 
@@ -122,7 +135,7 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
 /// or [`WireError::Io`].
 pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, WireError> {
     let mut header = [0u8; 8];
-    if !read_full(reader, &mut header)? {
+    if !read_full(reader, &mut header, false)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
@@ -131,9 +144,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, WireError>
         return Err(WireError::Oversize { len: len as u64 });
     }
     let mut payload = vec![0u8; len];
-    if !read_body(reader, &mut payload)? {
-        return Err(WireError::Truncated);
-    }
+    read_full(reader, &mut payload, true)?;
     let actual = crc32(&payload);
     if actual != expected {
         return Err(WireError::BadCrc { expected, actual });
@@ -149,65 +160,32 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, WireError>
 /// (the client side) never hit this path.
 const MAX_MID_FRAME_STALLS: u32 = 1200;
 
-/// Fills `buf` completely. `Ok(false)` = clean EOF before the first byte;
-/// EOF after at least one byte = [`WireError::Truncated`]. A timeout
-/// before the first byte is surfaced as `Io`; after the first byte it is
-/// retried (mid-frame data is in flight) up to [`MAX_MID_FRAME_STALLS`]
-/// consecutive stalls, after which the read fails with the typed
-/// [`WireError::Timeout`] (a half-open connection, not a torn frame).
-fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<bool, WireError> {
+/// Fills `buf` completely. `mid_frame` says whether earlier bytes of the
+/// same frame were already read (the body follows its header). At a frame
+/// boundary, clean EOF before the first byte is `Ok(false)` and a timeout
+/// before the first byte surfaces as `Io`; once the frame has started,
+/// EOF is [`WireError::Truncated`] and timeouts are retried (the rest is
+/// in flight) up to [`MAX_MID_FRAME_STALLS`] consecutive stalls, after
+/// which the read fails with the typed [`WireError::Timeout`] (a
+/// half-open connection, not a torn frame).
+fn read_full<R: Read>(reader: &mut R, buf: &mut [u8], mid_frame: bool) -> Result<bool, WireError> {
     let mut got = 0;
     let mut stalls = 0u32;
     while got < buf.len() {
         match reader.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(false)
-                } else {
-                    Err(WireError::Truncated)
-                }
-            }
+            Ok(0) if got == 0 && !mid_frame => return Ok(false),
+            Ok(0) => return Err(WireError::Truncated),
             Ok(n) => {
                 got += n;
                 stalls = 0;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e)
-                if got > 0
+                if (got > 0 || mid_frame)
                     && matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
-            {
-                stalls += 1;
-                if stalls >= MAX_MID_FRAME_STALLS {
-                    return Err(WireError::Timeout);
-                }
-            }
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
-/// [`read_full`] for the body: a clean EOF here is always a tear, and
-/// the same stall cap applies from the first byte.
-fn read_body<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<bool, WireError> {
-    let mut got = 0;
-    let mut stalls = 0u32;
-    while got < buf.len() {
-        match reader.read(&mut buf[got..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => {
-                got += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
             {
                 stalls += 1;
                 if stalls >= MAX_MID_FRAME_STALLS {
@@ -291,6 +269,83 @@ mod tests {
         assert!(write_frame(&mut Vec::new(), &[]).is_err());
     }
 
+    /// Accepts everything, counting the `write` calls it sees.
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        let mut w = CountingWriter {
+            calls: 0,
+            bytes: Vec::new(),
+        };
+        for (i, payload) in [&b"x"[..], &[7u8; 100_000][..]].into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.calls, i + 1, "header and payload leave in one write");
+        }
+        let mut cursor = &w.bytes[..];
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"x");
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap().len(), 100_000);
+    }
+
+    /// Hands out one byte per `read` — the worst segmentation a socket
+    /// can produce.
+    struct ByteAtATime<'a>(&'a [u8]);
+
+    impl Read for ByteAtATime<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_reader_reassembles_dribbled_frames() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first").unwrap();
+        write_frame(&mut wire, &[9u8; 300]).unwrap();
+        let mut reader = std::io::BufReader::with_capacity(64, ByteAtATime(&wire));
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"first");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), [9u8; 300]);
+        assert!(read_frame(&mut reader).unwrap().is_none());
+        // Clean EOF only at a frame boundary; anywhere inside, a tear.
+        for cut in 1..wire.len() {
+            let mut reader = std::io::BufReader::with_capacity(64, ByteAtATime(&wire[..cut]));
+            let mut end = read_frame(&mut reader);
+            while matches!(end, Ok(Some(_))) {
+                end = read_frame(&mut reader);
+            }
+            if cut == 8 + b"first".len() {
+                assert!(matches!(end, Ok(None)), "cut at boundary: {end:?}");
+            } else {
+                assert!(
+                    matches!(end, Err(WireError::Truncated)),
+                    "cut at {cut}: {end:?}"
+                );
+            }
+        }
+    }
+
     /// Yields its bytes, then stalls forever with `WouldBlock` — the shape
     /// of a half-open connection under a socket read timeout.
     struct StallingReader {
@@ -325,13 +380,27 @@ mod tests {
                 matches!(read_frame(&mut r), Err(WireError::Timeout)),
                 "stall after {keep} bytes"
             );
+            // The same through the buffered reader both ends use.
+            r.pos = 0;
+            assert!(
+                matches!(
+                    read_frame(&mut std::io::BufReader::new(r)),
+                    Err(WireError::Timeout)
+                ),
+                "buffered stall after {keep} bytes"
+            );
         }
-        // A stall before the first byte is Io (the idle-poll contract).
+        // A stall before the first byte is Io (the idle-poll contract),
+        // raw and buffered alike.
         let mut r = StallingReader {
             data: Vec::new(),
             pos: 0,
         };
         assert!(matches!(read_frame(&mut r), Err(WireError::Io(_))));
+        assert!(matches!(
+            read_frame(&mut std::io::BufReader::new(r)),
+            Err(WireError::Io(_))
+        ));
     }
 
     #[test]

@@ -15,20 +15,24 @@ use freqdedup_trace::{ChunkRecord, Fingerprint};
 
 use crate::frame::{WireError, MAX_FRAME_BYTES};
 
-/// Current wire protocol version. Version 2 added the session-resume
-/// handshake ([`Message::Resume`] / [`Message::ResumeAck`]), the
-/// idempotent-commit id on [`Message::CommitManifest`], and the
-/// `tap_warnings` counter in [`ServerStats`]. Version 3 added the
-/// storage-lifecycle messages ([`Message::DeleteBackup`],
-/// [`Message::Gc`], [`Message::Rekey`] and their acks) and the
-/// [`code::STALE_EPOCH`] refusal for readers that negotiated before a
-/// rekey.
-pub const WIRE_VERSION: u16 = 3;
-/// Oldest wire protocol version this implementation still accepts.
-pub const MIN_WIRE_VERSION: u16 = 2;
+/// The wire protocol version — the only one this implementation speaks.
+/// Version 2 added the session-resume handshake ([`Message::Resume`] /
+/// [`Message::ResumeAck`]), the idempotent-commit id on
+/// [`Message::CommitManifest`], and the `tap_warnings` counter in
+/// [`ServerStats`]. Version 3 added the storage-lifecycle messages
+/// ([`Message::DeleteBackup`], [`Message::Gc`], [`Message::Rekey`] and
+/// their acks) and the [`code::STALE_EPOCH`] refusal for readers that
+/// negotiated before a rekey. Version 4 streams a restore as
+/// [`Message::RestoreBatch`] frames and ends it with
+/// [`code::MISSING_CHUNK`] when the store lost a chunk.
+pub const WIRE_VERSION: u16 = 4;
+/// Oldest wire protocol version this implementation accepts: the
+/// current one (a v2/v3 peer would wait for per-chunk restore frames
+/// that no longer exist).
+pub const MIN_WIRE_VERSION: u16 = WIRE_VERSION;
 
-/// Upper bound on chunks per PUT batch (keeps frames well under
-/// [`MAX_FRAME_BYTES`] even with payloads).
+/// Upper bound on chunks per PUT or RESTORE batch (keeps frames well
+/// under [`MAX_FRAME_BYTES`] even with payloads).
 pub const MAX_BATCH_CHUNKS: usize = 65_536;
 
 const TAG_HELLO: u8 = 0x01;
@@ -54,6 +58,7 @@ const TAG_GC: u8 = 0x14;
 const TAG_GC_ACK: u8 = 0x15;
 const TAG_REKEY: u8 = 0x16;
 const TAG_REKEY_ACK: u8 = 0x17;
+const TAG_RESTORE_BATCH: u8 = 0x18;
 
 /// Protocol error codes carried by [`Message::ErrorResp`].
 pub mod code {
@@ -71,6 +76,9 @@ pub mod code {
     /// negotiated; reads under the old epoch are refused — reconnect to
     /// pick up the current epoch.
     pub const STALE_EPOCH: u16 = 6;
+    /// A restore stream ended early: the manifest names a chunk the
+    /// store no longer holds.
+    pub const MISSING_CHUNK: u16 = 7;
 }
 
 /// How a [`Message::ChunkResp`] relates to stored payload bytes.
@@ -175,9 +183,9 @@ pub enum Message {
         /// Client name (diagnostics / server log only).
         client: String,
     },
-    /// Server → client: session accepted at the given version
-    /// (`min(client, server)`; the server rejects versions below
-    /// [`MIN_WIRE_VERSION`] with [`code::BAD_VERSION`]).
+    /// Server → client: session accepted at [`WIRE_VERSION`] (the server
+    /// rejects clients below [`MIN_WIRE_VERSION`] with
+    /// [`code::BAD_VERSION`]).
     HelloAck {
         /// Negotiated protocol version.
         version: u16,
@@ -245,8 +253,7 @@ pub enum Message {
         /// Fingerprint to fetch.
         fp: u64,
     },
-    /// Server → client: one chunk (also the per-chunk unit of a
-    /// RESTORE-BACKUP stream).
+    /// Server → client: the answer to [`Message::GetChunk`].
     ChunkResp {
         /// Fingerprint of the chunk.
         fp: u64,
@@ -262,13 +269,25 @@ pub enum Message {
         /// Manifest label to restore.
         label: String,
     },
-    /// Server → client: restore accepted; exactly `count`
-    /// [`Message::ChunkResp`] frames follow, in logical stream order.
+    /// Server → client: restore accepted; [`Message::RestoreBatch`]
+    /// frames totalling exactly `count` records follow, in logical stream
+    /// order (none for an empty backup). A chunk the store no longer
+    /// holds ends the stream early with [`code::MISSING_CHUNK`].
     RestoreHeader {
         /// Echo of the label.
         label: String,
-        /// Number of chunk frames that follow.
+        /// Number of records the batches that follow add up to.
         count: u64,
+    },
+    /// Server → client: the next records of a restore stream, in the
+    /// record-list encoding of [`Message::PutChunkBatch`]. `payloads` is
+    /// present on every batch of a content-mode store and on none of a
+    /// metadata-only one.
+    RestoreBatch {
+        /// `(fingerprint, size)` records in stream order (never empty).
+        chunks: Vec<ChunkRecord>,
+        /// Ciphertext payloads, parallel to `chunks` (content mode).
+        payloads: Option<Vec<Vec<u8>>>,
     },
     /// Client → server: delete a committed backup manifest. Deletion is
     /// logical — chunk references are released and the manifest stops
@@ -368,6 +387,23 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
+/// The record list shared by [`Message::PutChunkBatch`] and
+/// [`Message::RestoreBatch`]: payload flag, count, then per record
+/// fingerprint, size and (flag set) length-prefixed payload bytes.
+fn put_records(out: &mut Vec<u8>, chunks: &[ChunkRecord], payloads: Option<&[Vec<u8>]>) {
+    out.push(u8::from(payloads.is_some()));
+    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    for (i, rec) in chunks.iter().enumerate() {
+        out.extend_from_slice(&rec.fp.value().to_le_bytes());
+        out.extend_from_slice(&rec.size.to_le_bytes());
+        if let Some(p) = payloads {
+            let bytes: &[u8] = p.get(i).map_or(&[], Vec::as_slice);
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
+        }
+    }
+}
+
 impl Message {
     /// Encodes the message into one frame payload.
     #[must_use]
@@ -390,17 +426,7 @@ impl Message {
             } => {
                 out.push(TAG_PUT_BATCH);
                 out.extend_from_slice(&seq.to_le_bytes());
-                out.push(u8::from(payloads.is_some()));
-                out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-                for (i, rec) in chunks.iter().enumerate() {
-                    out.extend_from_slice(&rec.fp.value().to_le_bytes());
-                    out.extend_from_slice(&rec.size.to_le_bytes());
-                    if let Some(p) = payloads {
-                        let bytes: &[u8] = p.get(i).map_or(&[], Vec::as_slice);
-                        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                        out.extend_from_slice(bytes);
-                    }
-                }
+                put_records(&mut out, chunks, payloads.as_deref());
             }
             Message::PutAck {
                 seq,
@@ -461,6 +487,10 @@ impl Message {
                 out.push(TAG_RESTORE_HEADER);
                 put_str(&mut out, label);
                 out.extend_from_slice(&count.to_le_bytes());
+            }
+            Message::RestoreBatch { chunks, payloads } => {
+                out.push(TAG_RESTORE_BATCH);
+                put_records(&mut out, chunks, payloads.as_deref());
             }
             Message::DeleteBackup { label, commit_id } => {
                 out.push(TAG_DELETE_BACKUP);
@@ -560,27 +590,7 @@ impl Message {
             TAG_HELLO_ACK => Message::HelloAck { version: r.u16()? },
             TAG_PUT_BATCH => {
                 let seq = r.u32()?;
-                let has_payloads = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("payload flag")),
-                };
-                let count = r.u32()? as usize;
-                if count > MAX_BATCH_CHUNKS {
-                    return Err(WireError::Malformed("batch chunk count"));
-                }
-                let mut chunks = Vec::with_capacity(count);
-                let mut payloads = has_payloads.then(|| Vec::with_capacity(count));
-                for _ in 0..count {
-                    let fp = r.u64()?;
-                    let size = r.u32()?;
-                    chunks.push(ChunkRecord::new(Fingerprint(fp), size));
-                    if let Some(p) = &mut payloads {
-                        let n = r.u32()? as usize;
-                        p.push(r.bytes(n)?.to_vec());
-                    }
-                }
-                r.finish()?;
+                let (chunks, payloads) = r.records()?;
                 Message::PutChunkBatch {
                     seq,
                     chunks,
@@ -627,6 +637,10 @@ impl Message {
                 label: r.str()?,
                 count: r.u64()?,
             },
+            TAG_RESTORE_BATCH => {
+                let (chunks, payloads) = r.records()?;
+                Message::RestoreBatch { chunks, payloads }
+            }
             TAG_DELETE_BACKUP => Message::DeleteBackup {
                 label: r.str()?,
                 commit_id: r.u64()?,
@@ -679,14 +693,15 @@ impl Message {
             },
             _ => return Err(WireError::Malformed("unknown message tag")),
         };
-        // Batches already drained their cursor; for everything else,
-        // trailing garbage means a codec mismatch.
-        if !matches!(msg, Message::PutChunkBatch { .. }) {
-            r.finish()?;
-        }
+        // Trailing garbage means a codec mismatch.
+        r.finish()?;
         Ok(msg)
     }
 }
+
+/// The contents of a record-list message: the records and, in content
+/// mode, their payloads.
+pub(crate) type RecordList = (Vec<ChunkRecord>, Option<Vec<Vec<u8>>>);
 
 /// Bounds-checked little-endian reader over a frame payload.
 struct Cursor<'a> {
@@ -724,6 +739,37 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(self.bytes(len)?)
             .map(str::to_owned)
             .map_err(|_| WireError::Malformed("string not utf-8"))
+    }
+
+    /// Decodes a [`put_records`] list. The declared count is untrusted:
+    /// it is bounded by [`MAX_BATCH_CHUNKS`], and the vectors are sized
+    /// from what the remaining bytes could hold at most, so a lying count
+    /// cannot drive an allocation the frame does not back.
+    fn records(&mut self) -> Result<RecordList, WireError> {
+        let has_payloads = match self.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(WireError::Malformed("payload flag")),
+        };
+        let count = self.u32()? as usize;
+        if count > MAX_BATCH_CHUNKS {
+            return Err(WireError::Malformed("batch chunk count"));
+        }
+        // fp + size, plus the payload length prefix when flagged.
+        let min_record_bytes = if has_payloads { 16 } else { 12 };
+        let capacity = count.min(self.buf.len() / min_record_bytes);
+        let mut chunks = Vec::with_capacity(capacity);
+        let mut payloads = has_payloads.then(|| Vec::with_capacity(capacity));
+        for _ in 0..count {
+            let fp = self.u64()?;
+            let size = self.u32()?;
+            chunks.push(ChunkRecord::new(Fingerprint(fp), size));
+            if let Some(p) = &mut payloads {
+                let n = self.u32()? as usize;
+                p.push(self.bytes(n)?.to_vec());
+            }
+        }
+        Ok((chunks, payloads))
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -817,6 +863,14 @@ mod tests {
             label: "week-01".into(),
             count: 99,
         });
+        round_trip(Message::RestoreBatch {
+            chunks: vec![ChunkRecord::new(1u64, 100), ChunkRecord::new(2u64, 50)],
+            payloads: None,
+        });
+        round_trip(Message::RestoreBatch {
+            chunks: vec![ChunkRecord::new(9u64, 3), ChunkRecord::new(10u64, 0)],
+            payloads: Some(vec![vec![1, 2, 3], Vec::new()]),
+        });
         round_trip(Message::DeleteBackup {
             label: "week-01".into(),
             commit_id: 5,
@@ -902,24 +956,92 @@ mod tests {
         ));
     }
 
+    /// The bytes before the record list of each batch message.
+    fn batch_prefixes() -> [Vec<u8>; 2] {
+        let mut put = vec![TAG_PUT_BATCH];
+        put.extend_from_slice(&0u32.to_le_bytes());
+        [put, vec![TAG_RESTORE_BATCH]]
+    }
+
     #[test]
     fn rejects_oversize_batch_count() {
-        let mut bytes = vec![TAG_PUT_BATCH];
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(Message::decode(&bytes).is_err());
+        for mut bytes in batch_prefixes() {
+            bytes.push(0);
+            bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
+            assert!(matches!(
+                Message::decode(&bytes),
+                Err(WireError::Malformed("batch chunk count"))
+            ));
+        }
     }
 
     #[test]
     fn rejects_bad_payload_flag() {
-        let mut bytes = vec![TAG_PUT_BATCH];
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.push(7);
-        bytes.extend_from_slice(&0u32.to_le_bytes());
+        for mut bytes in batch_prefixes() {
+            bytes.push(7);
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            assert!(matches!(
+                Message::decode(&bytes),
+                Err(WireError::Malformed("payload flag"))
+            ));
+        }
+    }
+
+    #[test]
+    fn batch_count_that_outruns_the_frame_is_rejected_cheaply() {
+        // The largest legal count over one record's worth of bytes: the
+        // decoder must fail on the missing bytes, having reserved for
+        // what the frame could hold, not for what the count claims.
+        for flag in [0u8, 1] {
+            for mut bytes in batch_prefixes() {
+                bytes.push(flag);
+                bytes.extend_from_slice(&(MAX_BATCH_CHUNKS as u32).to_le_bytes());
+                bytes.extend_from_slice(&[0u8; 16]);
+                assert!(matches!(
+                    Message::decode(&bytes),
+                    Err(WireError::Malformed("field truncated"))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn restore_batch_rejects_every_truncation_and_overrun() {
+        let full = Message::RestoreBatch {
+            chunks: vec![ChunkRecord::new(9u64, 3), ChunkRecord::new(10u64, 2)],
+            payloads: Some(vec![vec![1, 2, 3], vec![4, 5]]),
+        }
+        .encode();
+        for cut in 1..full.len() {
+            assert!(
+                Message::decode(&full[..cut]).is_err(),
+                "cut at {cut} decoded"
+            );
+        }
+        let mut trailing = full.clone();
+        trailing.push(0);
         assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::Malformed("payload flag"))
+            Message::decode(&trailing),
+            Err(WireError::Malformed("trailing bytes"))
         ));
+        // A payload length that overruns the frame: tag, flag, count,
+        // fp, size, then the first payload's length prefix.
+        let len_at = 1 + 1 + 4 + 8 + 4;
+        let mut overrun = full.clone();
+        overrun[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Message::decode(&overrun),
+            Err(WireError::Malformed("field truncated"))
+        ));
+        // Any single-byte mutation either fails or decodes to a message
+        // that re-encodes to exactly the mutated bytes — never a panic,
+        // never a silently different frame.
+        for i in 0..full.len() {
+            let mut mutated = full.clone();
+            mutated[i] ^= 0x55;
+            if let Ok(msg) = Message::decode(&mutated) {
+                assert_eq!(msg.encode(), mutated, "mutation at {i}");
+            }
+        }
     }
 }

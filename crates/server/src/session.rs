@@ -16,15 +16,20 @@
 //! tail is *parked* under the client's name and a reconnecting session
 //! resumes it exactly where it broke (see `Parked` in `server.rs`).
 
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use freqdedup_store::engine::ChunkLookup;
 use freqdedup_store::lifecycle::LifecycleError;
+use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
-use crate::frame::{read_frame, write_frame, WireError};
-use crate::proto::{code, ChunkStatus, Message, ResumeState, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::frame::{read_frame, write_frame, WireError, READ_BUFFER_BYTES};
+use crate::proto::{
+    code, ChunkStatus, Message, RecordList, ResumeState, MIN_WIRE_VERSION, WIRE_VERSION,
+};
 use crate::server::{lock_unpoisoned, Parked, Shared};
 use crate::tap::AppliedCommit;
 
@@ -36,11 +41,23 @@ const IDLE_POLL: Duration = Duration::from_millis(25);
 /// of pinning the pool worker on a blocked `write`.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Most records one RESTORE-BATCH frame carries. A session takes the
+/// engine lock once per batch, and beside a writer that holds the lock
+/// for most of every PUT batch each acquisition waits one out — so the
+/// count of batches, not their size, is what a contended restore costs.
+const RESTORE_BATCH_CHUNKS: usize = 1024;
+
+/// Most payload bytes one RESTORE-BATCH frame carries (a single larger
+/// chunk still travels, alone): bounds what a session buffers per batch
+/// and how long it holds the engine lock copying it.
+const RESTORE_BATCH_BYTES: usize = 4 << 20;
+
 /// Runs one connection to completion. Never panics the worker on
 /// protocol or socket errors — they are logged and end the session.
-pub(crate) fn serve_connection(mut stream: TcpStream, shared: &Shared, id: u64) {
+pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared, id: u64) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let mut conn = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
     let mut session = Session {
         shared,
         id,
@@ -51,7 +68,7 @@ pub(crate) fn serve_connection(mut stream: TcpStream, shared: &Shared, id: u64) 
         pending: Vec::new(),
         epoch: 0,
     };
-    let outcome = session.run(&mut stream);
+    let outcome = session.run(&mut conn);
     if !session.pending.is_empty() {
         match session.resume_declared {
             // A resumable upload that lost its connection mid-commit is
@@ -110,9 +127,13 @@ struct Session<'a> {
 }
 
 impl Session<'_> {
-    fn run(&mut self, stream: &mut TcpStream) -> Result<(), WireError> {
+    /// Requests are read through `conn`'s buffer; replies are written
+    /// straight to the socket under it, one `write` per frame.
+    fn run(&mut self, conn: &mut BufReader<TcpStream>) -> Result<(), WireError> {
         loop {
-            let payload = match read_frame(stream) {
+            let frame = read_frame(conn);
+            let stream = conn.get_mut();
+            let payload = match frame {
                 Ok(Some(payload)) => payload,
                 Ok(None) => return Ok(()), // clean disconnect
                 Err(WireError::Io(e))
@@ -156,18 +177,17 @@ impl Session<'_> {
                         self.reply_err(stream, code::BAD_VERSION, "client version too old");
                         return Err(WireError::BadVersion(version));
                     }
-                    let negotiated = version.min(WIRE_VERSION);
                     self.hello_done = true;
                     self.epoch = self.current_epoch();
                     self.shared.log(&format!(
-                        "session {}: hello from {client:?} (v{negotiated})",
+                        "session {}: hello from {client:?} (v{WIRE_VERSION})",
                         self.id
                     ));
                     self.client = client;
                     self.reply(
                         stream,
                         &Message::HelloAck {
-                            version: negotiated,
+                            version: WIRE_VERSION,
                         },
                     )?;
                 }
@@ -211,6 +231,7 @@ impl Session<'_> {
                 | Message::CommitAck { .. }
                 | Message::ChunkResp { .. }
                 | Message::RestoreHeader { .. }
+                | Message::RestoreBatch { .. }
                 | Message::DeleteBackupAck { .. }
                 | Message::GcAck { .. }
                 | Message::RekeyAck { .. }
@@ -637,9 +658,9 @@ impl Session<'_> {
         )
     }
 
-    /// Streams a committed backup back: header, then one chunk frame per
-    /// record in logical order. Refused once the store's key epoch moved
-    /// past the one this session negotiated.
+    /// Streams a committed backup back: header, then RESTORE-BATCH frames
+    /// in logical order. Refused once the store's key epoch moved past
+    /// the one this session negotiated.
     fn handle_restore(&mut self, stream: &mut TcpStream, label: &str) -> Result<(), WireError> {
         if self.check_stale_epoch(stream) {
             return Ok(());
@@ -663,23 +684,35 @@ impl Session<'_> {
                 count: records.len() as u64,
             },
         )?;
-        // Stream in bounded batches: each batch's responses (payload
-        // clones included) are materialized under one short engine lock,
-        // then written with the lock released — a multi-GB restore never
-        // buffers the whole backup in memory nor starves other sessions
-        // of the engine for its full duration.
-        const RESTORE_BATCH: usize = 1024;
-        for batch in records.chunks(RESTORE_BATCH) {
-            let responses: Vec<Message> = {
+        // Stream in bounded batches: each batch (payload copies included)
+        // is materialized under one short engine lock, then written with
+        // the lock released — a multi-GB restore never buffers the whole
+        // backup in memory nor starves other sessions of the engine for
+        // its full duration.
+        let mut rest = &records[..];
+        while !rest.is_empty() {
+            let batch = {
                 let slot = lock_unpoisoned(&self.shared.slot);
                 let engine = slot.engine.as_ref().expect("engine open while serving");
-                batch
-                    .iter()
-                    .map(|rec| chunk_resp(engine, rec.fp, rec.size))
-                    .collect()
+                restore_batch(engine, slot.payload_mode == Some(true), rest)
             };
-            for resp in &responses {
-                self.reply(stream, resp)?;
+            match batch {
+                Ok((chunks, payloads)) => {
+                    rest = &rest[chunks.len()..];
+                    self.reply(stream, &Message::RestoreBatch { chunks, payloads })?;
+                }
+                Err(offset) => {
+                    self.reply_err(
+                        stream,
+                        code::MISSING_CHUNK,
+                        &format!(
+                            "restore {label:?}: chunk {} (fp {}) missing from store",
+                            records.len() - rest.len() + offset,
+                            rest[offset].fp
+                        ),
+                    );
+                    return Ok(());
+                }
             }
         }
         Ok(())
@@ -694,7 +727,7 @@ impl Session<'_> {
         let resp = {
             let slot = lock_unpoisoned(&self.shared.slot);
             let engine = slot.engine.as_ref().expect("engine open while serving");
-            chunk_resp(engine, fp, 0)
+            chunk_resp(engine, fp)
         };
         self.reply(stream, &resp)
     }
@@ -733,13 +766,12 @@ impl Session<'_> {
     fn reply_err(&self, stream: &mut TcpStream, code: u16, message: &str) {
         self.shared
             .log(&format!("session {}: error {code}: {message}", self.id));
-        let _ = write_frame(
+        let _ = self.reply(
             stream,
             &Message::ErrorResp {
                 code,
                 message: message.to_string(),
-            }
-            .encode(),
+            },
         );
     }
 }
@@ -757,33 +789,49 @@ pub(crate) fn label_backup_id(label: &str) -> u64 {
     hash
 }
 
-/// Builds the [`Message::ChunkResp`] for a fingerprint, distinguishing
-/// payload-bearing, metadata-only, and missing chunks. `known_size`
-/// carries the manifest's size for metadata-only stores (the engine does
-/// not retain per-chunk sizes without payloads).
-fn chunk_resp(
-    engine: &freqdedup_store::sharded::ShardedDedupEngine,
-    fp: Fingerprint,
-    known_size: u32,
-) -> Message {
-    match engine.read_chunk(fp) {
-        Some(bytes) => Message::ChunkResp {
-            fp: fp.value(),
-            status: ChunkStatus::Payload,
-            size: bytes.len() as u32,
-            payload: bytes.to_vec(),
-        },
-        None if engine.contains(fp) => Message::ChunkResp {
-            fp: fp.value(),
-            status: ChunkStatus::Metadata,
-            size: known_size,
-            payload: Vec::new(),
-        },
-        None => Message::ChunkResp {
-            fp: fp.value(),
-            status: ChunkStatus::Missing,
-            size: 0,
-            payload: Vec::new(),
-        },
+/// Builds the GET-CHUNK [`Message::ChunkResp`] for a fingerprint,
+/// distinguishing payload-bearing, metadata-only (size unknown: the
+/// engine keeps no per-chunk sizes without payloads) and missing chunks.
+fn chunk_resp(engine: &ShardedDedupEngine, fp: Fingerprint) -> Message {
+    let (status, payload) = match engine.lookup_chunk(fp) {
+        ChunkLookup::Payload(bytes) => (ChunkStatus::Payload, bytes.to_vec()),
+        ChunkLookup::Metadata => (ChunkStatus::Metadata, Vec::new()),
+        ChunkLookup::Missing => (ChunkStatus::Missing, Vec::new()),
+    };
+    Message::ChunkResp {
+        fp: fp.value(),
+        status,
+        size: payload.len() as u32,
+        payload,
     }
+}
+
+/// One restore batch: the records at the front of `rest` that fit
+/// [`RESTORE_BATCH_CHUNKS`] and [`RESTORE_BATCH_BYTES`] (always at least
+/// one), with their payloads when the service is in content mode. A
+/// record the store cannot serve in that mode — missing outright, or
+/// held without the bytes — fails the batch with its offset in `rest`.
+fn restore_batch(
+    engine: &ShardedDedupEngine,
+    content_mode: bool,
+    rest: &[ChunkRecord],
+) -> Result<RecordList, usize> {
+    let mut payloads: Option<Vec<Vec<u8>>> = content_mode.then(Vec::new);
+    let mut payload_bytes = 0usize;
+    let mut taken = 0usize;
+    for rec in rest.iter().take(RESTORE_BATCH_CHUNKS) {
+        match (engine.lookup_chunk(rec.fp), &mut payloads) {
+            (ChunkLookup::Payload(bytes), Some(batch)) => {
+                if taken > 0 && payload_bytes + bytes.len() > RESTORE_BATCH_BYTES {
+                    break;
+                }
+                payload_bytes += bytes.len();
+                batch.push(bytes.to_vec());
+            }
+            (ChunkLookup::Metadata, None) => {}
+            _ => return Err(taken),
+        }
+        taken += 1;
+    }
+    Ok((rest[..taken].to_vec(), payloads))
 }

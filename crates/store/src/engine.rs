@@ -166,6 +166,19 @@ impl ChunkOutcome {
     }
 }
 
+/// What the store holds for one fingerprint
+/// ([`DedupEngine::lookup_chunk`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChunkLookup<'a> {
+    /// Stored with payload bytes (content mode), borrowed straight from
+    /// the container extent.
+    Payload(&'a [u8]),
+    /// Stored metadata-only (trace mode): the store keeps no bytes.
+    Metadata,
+    /// Not stored.
+    Missing,
+}
+
 /// The live persistence handles of a durable engine.
 #[derive(Debug)]
 struct PersistState {
@@ -1213,19 +1226,44 @@ impl DedupEngine {
         self.loading_ops
     }
 
+    /// What the store holds for `fp`: one open-container check, then a
+    /// single unaccounted index probe (`peek` — reads are not part of the
+    /// paper's metadata-access model, so the lookup counters stay put).
+    /// The in-container position scan runs only when the container stores
+    /// payload bytes; a metadata-only container answers from the index
+    /// hit alone.
+    #[must_use]
+    pub fn lookup_chunk(&self, fp: Fingerprint) -> ChunkLookup<'_> {
+        if self.containers.open_contains(fp) {
+            return self
+                .containers
+                .open_payload_of(fp)
+                .map_or(ChunkLookup::Metadata, ChunkLookup::Payload);
+        }
+        let Some(container) = self.index.peek(fp).and_then(|id| self.containers.get(id)) else {
+            return ChunkLookup::Missing;
+        };
+        if !container.has_payload() {
+            return ChunkLookup::Metadata;
+        }
+        container
+            .fingerprints
+            .iter()
+            .position(|&f| f == fp)
+            .and_then(|position| container.chunk_payload(position))
+            .map_or(ChunkLookup::Missing, ChunkLookup::Payload)
+    }
+
     /// Reads back a stored chunk's payload (content mode only), borrowed
     /// straight from the container extent — no copy. Returns `None` for
     /// unknown fingerprints or metadata-only ingestion. Callers needing an
     /// owned buffer convert with `.map(<[u8]>::to_vec)`.
     #[must_use]
     pub fn read_chunk(&self, fp: Fingerprint) -> Option<&[u8]> {
-        if let Some(bytes) = self.containers.open_payload_of(fp) {
-            return Some(bytes);
+        match self.lookup_chunk(fp) {
+            ChunkLookup::Payload(bytes) => Some(bytes),
+            ChunkLookup::Metadata | ChunkLookup::Missing => None,
         }
-        let container_id = self.index.peek(fp)?;
-        let container = self.containers.get(container_id)?;
-        let position = container.fingerprints.iter().position(|&f| f == fp)?;
-        container.chunk_payload(position)
     }
 
     /// The fingerprint cache (inspection).

@@ -24,7 +24,7 @@
 use freqdedup_trace::par::{self, ParConfig};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
-use crate::engine::{ChunkOutcome, DedupConfig, DedupEngine};
+use crate::engine::{ChunkLookup, ChunkOutcome, DedupConfig, DedupEngine};
 use crate::lifecycle::{DeleteReport, GcReport, LifecycleError, RekeyReport, RetentionPolicy};
 use crate::persist::{self, MetaKind, PersistConfig, PersistError, StoreMeta};
 use crate::stats::{MetadataAccess, StoreStats};
@@ -166,12 +166,11 @@ impl ShardedDedupEngine {
         self.engines[shard].process_with_payload(record, payload)
     }
 
-    /// Whether `fp` is stored at all — in its owning shard's sealed index
-    /// or still in that shard's open container.
+    /// Whether `fp` is stored at all — in its owning shard's sealed
+    /// containers or still in that shard's open container.
     #[must_use]
     pub fn contains(&self, fp: Fingerprint) -> bool {
-        let engine = &self.engines[self.shard_of(fp)];
-        engine.index().peek(fp).is_some() || engine.containers().open_contains(fp)
+        self.lookup_chunk(fp) != ChunkLookup::Missing
     }
 
     /// Ingests a whole backup: the stream is partitioned by shard
@@ -334,6 +333,13 @@ impl ShardedDedupEngine {
         self.engines.iter().map(DedupEngine::loading_ops).sum()
     }
 
+    /// What the owning shard holds for `fp`
+    /// ([`DedupEngine::lookup_chunk`]: one unaccounted index probe).
+    #[must_use]
+    pub fn lookup_chunk(&self, fp: Fingerprint) -> ChunkLookup<'_> {
+        self.engines[self.shard_of(fp)].lookup_chunk(fp)
+    }
+
     /// Reads back a stored chunk's payload from its owning shard
     /// (content mode only; borrowed, like [`DedupEngine::read_chunk`]).
     #[must_use]
@@ -493,6 +499,35 @@ mod tests {
         e.finish();
         assert!(e.contains(a), "contains must survive sealing");
         assert_eq!(e.read_chunk(b), Some(&b"beta"[..]));
+    }
+
+    #[test]
+    fn lookup_chunk_answers_without_touching_access_counters() {
+        // Metadata mode: open and sealed containers both answer
+        // `Metadata`, and no read moves the metadata-access totals.
+        let mut e = ShardedDedupEngine::new(config(), 2).unwrap();
+        e.process(rec(7, 16));
+        assert_eq!(e.lookup_chunk(Fingerprint(7)), ChunkLookup::Metadata);
+        e.finish();
+        let before = (e.metadata_access(), e.stats());
+        assert_eq!(e.lookup_chunk(Fingerprint(7)), ChunkLookup::Metadata);
+        assert_eq!(e.lookup_chunk(Fingerprint(8)), ChunkLookup::Missing);
+        assert_eq!(e.read_chunk(Fingerprint(7)), None);
+        assert_eq!((e.metadata_access(), e.stats()), before);
+
+        // Payload mode: the bytes, from the open container and after seal.
+        let mut e = ShardedDedupEngine::new(config(), 2).unwrap();
+        e.process_with_payload(rec(9, 3), b"abc");
+        assert_eq!(
+            e.lookup_chunk(Fingerprint(9)),
+            ChunkLookup::Payload(&b"abc"[..])
+        );
+        e.finish();
+        assert_eq!(
+            e.lookup_chunk(Fingerprint(9)),
+            ChunkLookup::Payload(&b"abc"[..])
+        );
+        assert_eq!(e.lookup_chunk(Fingerprint(10)), ChunkLookup::Missing);
     }
 
     #[test]

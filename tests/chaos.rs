@@ -387,6 +387,174 @@ fn seeded_network_chaos_has_no_third_outcome() {
 }
 
 // ---------------------------------------------------------------------------
+// Batched restore under faults and under shutdown
+// ---------------------------------------------------------------------------
+
+/// A restore through a seeded fault proxy is whole or typed: when the
+/// schedule lets every frame of the exchange through, the backup comes
+/// back exactly; when it cuts or tears any of them — a RESTORE-BATCH
+/// frame in particular — the client fails with a typed wire error. Never
+/// a hang, never a `RestoredBackup` short of the announced count. The
+/// expected outcome of every connection is derived from the same
+/// [`FaultPlan`] the proxy runs, so the property is checked per case,
+/// not on aggregate.
+#[test]
+fn restore_through_cut_or_torn_batches_is_whole_or_typed() {
+    use freqdedup::server::fault::{FaultPlan, NetFault};
+
+    let dir = test_dir("restore-chaos");
+    let server = Server::bind(ServerConfig {
+        engine: small_engine(),
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let server_addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+
+    // 5 200 records: five full RESTORE-BATCH frames and a short sixth.
+    let backup = Backup::from_chunks(
+        "restore-chaos",
+        (0..5200u64)
+            .map(|j| ChunkRecord::new(j % 900, 32))
+            .collect(),
+    );
+    let mut direct = Client::connect(server_addr, "uploader").unwrap();
+    direct.upload_backup(&backup).unwrap();
+    direct.commit(&backup.label).unwrap();
+
+    // Frames of one proxied restore: HELLO + RESTORE-BACKUP upstream;
+    // HELLO-ACK + RESTORE-HEADER + six batches downstream.
+    const UP_FRAMES: usize = 2;
+    const DOWN_FRAMES: usize = 2 + 6;
+    let breaks = |fault: NetFault| matches!(fault, NetFault::Reset | NetFault::PartialThenReset(_));
+    let (mut whole, mut cut_batches, mut torn_batches) = (0, 0, 0);
+    for seed in [0x00C0_FFEEu64, 7, 0xDEAD_BEEF] {
+        let spec = FaultSpec::new(seed).resets(60).partials(60);
+        let proxy = FaultProxy::start(server_addr, spec).unwrap();
+        for conn in 0..8u64 {
+            let mut up = FaultPlan::for_connection(spec, conn, 0);
+            let mut down = FaultPlan::for_connection(spec, conn, 1);
+            let up_broken = (0..UP_FRAMES).any(|_| breaks(up.next_event(64)));
+            let down_fault = (0..DOWN_FRAMES)
+                .map(|_| down.next_event(64))
+                .position(breaks);
+            let tag = format!("seed {seed:#x} conn {conn}");
+
+            let result = Client::connect(proxy.local_addr(), "restorer").and_then(|mut c| {
+                c.set_op_timeout(Some(Duration::from_secs(5)))?;
+                c.restore(&backup.label)
+            });
+            match result {
+                Ok(restored) => {
+                    assert!(!up_broken && down_fault.is_none(), "{tag}: survived a cut");
+                    assert_eq!(restored.backup, backup, "{tag}: short or altered restore");
+                    whole += 1;
+                }
+                Err(ClientError::Wire(_)) => {
+                    assert!(
+                        up_broken || down_fault.is_some(),
+                        "{tag}: failed unprovoked"
+                    );
+                    if let (false, Some(frame @ 2..)) = (up_broken, down_fault) {
+                        let mut replay = FaultPlan::for_connection(spec, conn, 1);
+                        match (0..=frame).map(|_| replay.next_event(64)).last() {
+                            Some(NetFault::Reset) => cut_batches += 1,
+                            _ => torn_batches += 1,
+                        }
+                    }
+                }
+                Err(other) => panic!("{tag}: untyped outcome {other:?}"),
+            }
+        }
+        proxy.stop();
+    }
+    // Non-vacuity: the pinned seeds exercise all three outcomes.
+    assert!(
+        whole > 0 && cut_batches > 0 && torn_batches > 0,
+        "whole {whole}, cut batches {cut_batches}, torn batches {torn_batches}"
+    );
+
+    direct.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// Graceful shutdown drains a session that is mid-restore: a reader that
+/// has only taken the header when SHUTDOWN lands still receives every
+/// announced record before the server closes the connection.
+#[test]
+fn shutdown_drains_a_session_mid_restore() {
+    use freqdedup::server::client::synthetic_payload;
+    use freqdedup::server::frame::{read_frame, write_frame};
+    use freqdedup::server::proto::{Message, WIRE_VERSION};
+
+    let dir = test_dir("restore-drain");
+    let server = Server::bind(ServerConfig {
+        engine: DedupConfig {
+            container_bytes: 4 << 20,
+            ..small_engine()
+        },
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+
+    // 480 records over 8 distinct 100 000-byte chunks: under 1 MiB in
+    // the store, a 48 MB restore stream — far more than the loopback socket
+    // buffers hold, so the session is blocked mid-stream, not finished,
+    // while the reader sits on the header.
+    let backup = Backup::from_chunks(
+        "drain",
+        (0..480u64)
+            .map(|j| ChunkRecord::new(j % 8, 100_000))
+            .collect(),
+    );
+    let mut writer = Client::connect(addr, "writer").unwrap().batch(64);
+    writer
+        .upload_backup_payloads(&backup, |rec| synthetic_payload(rec.fp, rec.size))
+        .unwrap();
+    writer.commit("drain").unwrap();
+
+    let mut reader = std::net::TcpStream::connect(addr).unwrap();
+    let mut call = |msg: Message| {
+        write_frame(&mut reader, &msg.encode()).unwrap();
+        Message::decode(&read_frame(&mut reader).unwrap().unwrap()).unwrap()
+    };
+    call(Message::Hello {
+        version: WIRE_VERSION,
+        client: "reader".into(),
+    });
+    let header = call(Message::RestoreBackup {
+        label: "drain".into(),
+    });
+    assert!(matches!(header, Message::RestoreHeader { count: 480, .. }));
+
+    writer.shutdown().unwrap();
+
+    let mut records = Vec::new();
+    while records.len() < backup.len() {
+        match Message::decode(&read_frame(&mut reader).unwrap().unwrap()).unwrap() {
+            Message::RestoreBatch { chunks, payloads } => {
+                let payloads = payloads.expect("content-mode store");
+                for (rec, bytes) in chunks.iter().zip(&payloads) {
+                    assert_eq!(*bytes, synthetic_payload(rec.fp, rec.size));
+                }
+                records.extend(chunks);
+            }
+            other => panic!("mid-restore session was not drained: {other:?}"),
+        }
+    }
+    assert_eq!(records, backup.chunks);
+    // Drained, then closed at a frame boundary.
+    assert!(read_frame(&mut reader).unwrap().is_none());
+    handle.join().unwrap();
+    done(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // Crash-point matrix: every persist site, both failure modes
 // ---------------------------------------------------------------------------
 

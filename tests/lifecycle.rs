@@ -421,6 +421,10 @@ proptest! {
                 prop_assert!(!engine.contains(*fp), "threads {threads}: stale entry {fp:?}");
                 for shard in engine.shards() {
                     prop_assert!(
+                        shard.index().peek(*fp).is_none(),
+                        "threads {threads}: stale index entry {fp:?}"
+                    );
+                    prop_assert!(
                         !shard.cache().peek(*fp),
                         "threads {threads}: stale cache entry {fp:?}"
                     );

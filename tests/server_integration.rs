@@ -104,6 +104,11 @@ fn protocol_round_trip_every_message_type() {
 
     let mut client = Client::connect(addr, "round-trip").unwrap();
     assert_eq!(client.version(), freqdedup::server::proto::WIRE_VERSION);
+    assert_eq!(
+        freqdedup::server::proto::MIN_WIRE_VERSION,
+        freqdedup::server::proto::WIRE_VERSION,
+        "one wire version"
+    );
 
     // PUT (payload mode) + COMMIT.
     let backup = Backup::from_chunks(
@@ -189,6 +194,24 @@ fn hello_is_required_and_versions_negotiate() {
         .unwrap();
         let reply = Message::decode(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
         assert!(matches!(reply, Message::HelloAck { .. }));
+    }
+
+    // An older client version is refused with BAD_VERSION and dropped:
+    // there is one wire version, no per-chunk restore fallback.
+    {
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        write_frame(
+            &mut raw,
+            &Message::Hello {
+                version: freqdedup::server::proto::WIRE_VERSION - 1,
+                client: "antique".into(),
+            }
+            .encode(),
+        )
+        .unwrap();
+        let reply = Message::decode(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
+        assert!(matches!(reply, Message::ErrorResp { code: c, .. } if c == code::BAD_VERSION));
+        assert!(matches!(read_frame(&mut raw), Ok(None) | Err(_)));
     }
 
     // A future client version negotiates down to the server's version.
@@ -283,6 +306,206 @@ fn torn_and_corrupt_frames_are_rejected() {
     }
 
     let mut client = Client::connect(addr, "closer").unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Batched restore
+// ---------------------------------------------------------------------------
+
+/// A raw v4 session (HELLO done) for tests that must see the frames a
+/// restore is made of, not just the reassembled backup.
+fn raw_session(addr: SocketAddr, name: &str) -> std::net::TcpStream {
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let reply = raw_call(
+        &mut raw,
+        &Message::Hello {
+            version: freqdedup::server::proto::WIRE_VERSION,
+            client: name.into(),
+        },
+    );
+    assert!(matches!(reply, Message::HelloAck { .. }));
+    raw
+}
+
+fn raw_recv(raw: &mut std::net::TcpStream) -> Message {
+    Message::decode(&read_frame(raw).unwrap().unwrap()).unwrap()
+}
+
+fn raw_call(raw: &mut std::net::TcpStream, msg: &Message) -> Message {
+    write_frame(raw, &msg.encode()).unwrap();
+    raw_recv(raw)
+}
+
+/// Restores `label` frame by frame: the announced count and every
+/// batch's `(records, payload bytes)`. A STATS round trip afterwards
+/// proves the stream ended exactly where the count said it would.
+fn raw_restore_shape(raw: &mut std::net::TcpStream, label: &str) -> (u64, Vec<(usize, usize)>) {
+    let Message::RestoreHeader { count, .. } = raw_call(
+        raw,
+        &Message::RestoreBackup {
+            label: label.into(),
+        },
+    ) else {
+        panic!("no RestoreHeader for {label:?}");
+    };
+    let mut batches = Vec::new();
+    let mut seen = 0u64;
+    while seen < count {
+        let Message::RestoreBatch { chunks, payloads } = raw_recv(raw) else {
+            panic!("restore {label:?}: not a RestoreBatch after {seen} records");
+        };
+        seen += chunks.len() as u64;
+        let bytes = payloads.map_or(0, |p| p.iter().map(Vec::len).sum());
+        batches.push((chunks.len(), bytes));
+    }
+    assert!(matches!(
+        raw_call(raw, &Message::StatsReq),
+        Message::StatsResp(_)
+    ));
+    (count, batches)
+}
+
+#[test]
+fn restore_batches_equal_upload_at_every_cap_boundary() {
+    let dir = test_dir("restore-batches");
+
+    // Metadata mode: an empty backup is a header and nothing else; 1 024
+    // records are one batch, 1 025 spill one record into a second.
+    let (addr, handle) = start(ServerConfig {
+        engine: small_engine(),
+        log_file: Some(dir.join("metadata.log")),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr, "meta").unwrap();
+    let mut raw = raw_session(addr, "meta-raw");
+    for (n, shape) in [
+        (0u64, vec![]),
+        (1024, vec![(1024, 0)]),
+        (1025, vec![(1024, 0), (1, 0)]),
+    ] {
+        let backup = Backup::from_chunks(
+            format!("meta-{n}"),
+            (0..n)
+                .map(|i| freqdedup::trace::ChunkRecord::new(i % 300, 64 + (i % 7) as u32))
+                .collect(),
+        );
+        client.upload_backup(&backup).unwrap();
+        assert_eq!(client.commit(&backup.label).unwrap(), n);
+        let restored = client.restore(&backup.label).unwrap();
+        assert_eq!(restored.backup, backup, "{n} records");
+        assert!(restored.payloads.is_none());
+        assert_eq!(raw_restore_shape(&mut raw, &backup.label), (n, shape));
+    }
+    drop(raw);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+
+    // Payload mode: 100 chunks of 100 000 bytes — 41 fit under the 4 MiB
+    // byte cap, the 42nd would cross it — so the byte cap, not the record
+    // cap, splits the stream; the bytes still come back exact.
+    let (addr, handle) = start(ServerConfig {
+        engine: DedupConfig {
+            container_bytes: 4 << 20,
+            ..small_engine()
+        },
+        log_file: Some(dir.join("payload.log")),
+        ..ServerConfig::default()
+    });
+    let payload = |rec: &freqdedup::trace::ChunkRecord| synthetic_payload(rec.fp, rec.size);
+    let big = Backup::from_chunks(
+        "big",
+        (0..100u64)
+            .map(|i| freqdedup::trace::ChunkRecord::new(1000 + i % 35, 100_000))
+            .collect(),
+    );
+    let mut client = Client::connect(addr, "payload").unwrap();
+    client.upload_backup_payloads(&big, payload).unwrap();
+    client.commit("big").unwrap();
+    client.verify_restore(&big, Some(&payload)).unwrap();
+    let (count, batches) = raw_restore_shape(&mut raw_session(addr, "payload-raw"), "big");
+    assert_eq!(count, 100);
+    assert_eq!(
+        batches,
+        vec![(41, 4_100_000), (41, 4_100_000), (18, 1_800_000)]
+    );
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// A store that lost chunks its catalog still names (here: the catalog
+/// of a longer-lived store laid over a store that only ever held a
+/// prefix) ends the restore stream with the typed MISSING_CHUNK error
+/// after the batches it could serve — and the session stays usable.
+#[test]
+fn restore_of_a_lost_chunk_fails_typed_mid_stream() {
+    use freqdedup::server::server::{CIDS_FILE, STREAM_FILE, TAP_FILE};
+
+    let dir = test_dir("restore-missing");
+    let full = Backup::from_chunks(
+        "full",
+        (0..2500u64)
+            .map(|i| freqdedup::trace::ChunkRecord::new(i, 32))
+            .collect(),
+    );
+    let prefix = Backup::from_chunks("prefix", full.chunks[..1600].to_vec());
+    let serve = |store: &str, log: &str| {
+        start(ServerConfig {
+            engine: DedupConfig {
+                persist: Some(PersistConfig::new(dir.join(store)).fsync(FsyncPolicy::Never)),
+                ..small_engine()
+            },
+            log_file: Some(dir.join(log)),
+            ..ServerConfig::default()
+        })
+    };
+    for (store, backup) in [("whole", &full), ("holed", &prefix)] {
+        let (addr, handle) = serve(store, "setup.log");
+        let mut c = Client::connect(addr, "setup").unwrap();
+        c.upload_backup(backup).unwrap();
+        c.commit(&backup.label).unwrap();
+        c.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+    std::fs::copy(
+        dir.join("whole").join(TAP_FILE),
+        dir.join("holed").join(TAP_FILE),
+    )
+    .unwrap();
+    for stale in [STREAM_FILE, CIDS_FILE] {
+        let _ = std::fs::remove_file(dir.join("holed").join(stale));
+    }
+
+    let (addr, handle) = serve("holed", "holed.log");
+    let mut client = Client::connect(addr, "reader").unwrap();
+    match client.restore("full") {
+        Err(ClientError::Server { code: c, message }) => {
+            assert_eq!(c, code::MISSING_CHUNK);
+            assert!(message.contains("chunk 1600"), "{message}");
+        }
+        other => panic!("expected MISSING_CHUNK, got {other:?}"),
+    }
+    // On the wire: the header, the one batch the store could serve, then
+    // the error in place of the second batch.
+    let mut raw = raw_session(addr, "reader-raw");
+    let header = raw_call(
+        &mut raw,
+        &Message::RestoreBackup {
+            label: "full".into(),
+        },
+    );
+    assert!(matches!(header, Message::RestoreHeader { count: 2500, .. }));
+    assert!(
+        matches!(raw_recv(&mut raw), Message::RestoreBatch { chunks, .. } if chunks.len() == 1024)
+    );
+    assert!(
+        matches!(raw_recv(&mut raw), Message::ErrorResp { code: c, .. } if c == code::MISSING_CHUNK)
+    );
+    // The stream is still aligned: the same session keeps serving.
+    assert!(client.stats().is_ok());
     client.shutdown().unwrap();
     handle.join().unwrap();
     done(&dir);
