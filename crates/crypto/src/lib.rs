@@ -9,17 +9,26 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (streaming and one-shot).
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104, tested against RFC 4231).
-//! * [`aes`] — the AES-128 / AES-256 block cipher (FIPS-197).
+//! * [`aes`] — the AES-128 / AES-256 block cipher (FIPS-197), encryption
+//!   direction (all CTR needs).
 //! * [`ctr`] — CTR-mode stream encryption (NIST SP 800-38A).
 //! * [`kdf`] — HKDF-SHA256-style key derivation (RFC 5869).
 //!
 //! # Security note
 //!
-//! The implementations favour clarity over side-channel hardening (table-based
-//! AES, non-constant-time comparisons unless [`constant_time_eq`] is used).
-//! They are intended for the trace-driven research workloads in this
-//! repository, matching how the original paper's artifact used OpenSSL purely
-//! as a deterministic building block.
+//! AES is **table-based and kept so on purpose** (four 1 KiB tables and
+//! the S-box, indexed by key- and data-dependent bytes), and comparisons
+//! are not constant-time unless [`constant_time_eq`] is used. The
+//! adversary of the paper, and of this repository, is the storage provider
+//! observing ciphertext fingerprints, sizes and order — not a process
+//! co-resident with the *client* that can time the client's data cache, so
+//! the cache-timing channel of table lookups is outside the threat model
+//! and the tables buy 4× over the byte-wise cipher (`DESIGN.md` §1). A
+//! deployment that does put such a process in scope replaces
+//! [`aes::Aes`]'s core with a constant-time one (fixsliced AES in safe
+//! Rust) behind the same interface; nothing above `ctr` changes. Otherwise
+//! the implementations favour clarity, matching how the original paper's
+//! artifact used OpenSSL purely as a deterministic building block.
 //!
 //! # Example
 //!

@@ -2,9 +2,9 @@
 //! instantiation where the key is the cryptographic hash of the chunk
 //! (paper §2.2).
 
-use freqdedup_crypto::{ctr::Aes256Ctr, sha256};
+use freqdedup_crypto::sha256;
 
-use crate::{ChunkKey, Mle, MleError};
+use crate::{ctr_append, ChunkKey, Mle, MleError};
 
 /// Convergent encryption: `key = SHA-256(chunk)`, ciphertext =
 /// AES-256-CTR(key, zero IV, chunk).
@@ -42,14 +42,18 @@ impl Mle for Convergent {
     }
 
     fn encrypt_with_key(&self, key: &ChunkKey, plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        Aes256Ctr::new(&key.0, &[0u8; 16]).apply_keystream(&mut out);
+        let mut out = Vec::with_capacity(plaintext.len());
+        ctr_append(key, plaintext, &mut out);
         out
     }
 
     fn decrypt_with_key(&self, key: &ChunkKey, ciphertext: &[u8]) -> Vec<u8> {
         // CTR is an involution under the same key/IV.
         self.encrypt_with_key(key, ciphertext)
+    }
+
+    fn decrypt_into(&self, key: &ChunkKey, ciphertext: &[u8], out: &mut Vec<u8>) {
+        ctr_append(key, ciphertext, out);
     }
 }
 
@@ -80,6 +84,17 @@ mod tests {
         let (key, ct) = mle.encrypt(&data).unwrap();
         assert_ne!(ct, data);
         assert_eq!(mle.decrypt_with_key(&key, &ct), data);
+    }
+
+    #[test]
+    fn decrypt_into_appends_the_plaintext() {
+        let mle = Convergent::new();
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let (key, ct) = mle.encrypt(&data).unwrap();
+        let mut out = b"already here".to_vec();
+        mle.decrypt_into(&key, &ct, &mut out);
+        assert_eq!(&out[..12], b"already here");
+        assert_eq!(&out[12..], &data[..]);
     }
 
     #[test]

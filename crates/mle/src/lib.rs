@@ -33,6 +33,8 @@ pub mod trace_enc;
 
 use std::fmt;
 
+use freqdedup_crypto::ctr::Aes256Ctr;
+
 /// A 256-bit chunk encryption key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkKey(pub [u8; 32]);
@@ -87,6 +89,12 @@ pub trait Mle {
     /// Decrypts `ciphertext` under `key`.
     fn decrypt_with_key(&self, key: &ChunkKey, ciphertext: &[u8]) -> Vec<u8>;
 
+    /// Decrypts `ciphertext` under `key` onto the end of `out` — how a
+    /// restore reassembles a file without a buffer per chunk.
+    fn decrypt_into(&self, key: &ChunkKey, ciphertext: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.decrypt_with_key(key, ciphertext));
+    }
+
     /// Convenience: derive the key and encrypt in one call.
     ///
     /// # Errors
@@ -97,6 +105,16 @@ pub trait Mle {
         let ct = self.encrypt_with_key(&key, plaintext);
         Ok((key, ct))
     }
+}
+
+/// AES-256-CTR under `key` with a zero IV — the cipher of every scheme in
+/// this crate — of `input` onto the end of `out`: one copy, then the
+/// keystream in place. CTR is an involution, so this both encrypts and
+/// decrypts.
+pub(crate) fn ctr_append(key: &ChunkKey, input: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(input);
+    Aes256Ctr::new(&key.0, &[0u8; 16]).apply_keystream(&mut out[start..]);
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 
 use std::sync::Mutex;
 
-use freqdedup_crypto::{ctr::Aes256Ctr, hmac, sha256};
+use freqdedup_crypto::{hmac, sha256};
 
-use crate::{ChunkKey, Mle, MleError};
+use crate::{ctr_append, ChunkKey, Mle, MleError};
 
 /// A deterministic token-bucket rate limiter.
 ///
@@ -169,13 +169,18 @@ impl Mle for ServerAidedMle {
     }
 
     fn encrypt_with_key(&self, key: &ChunkKey, plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        Aes256Ctr::new(&key.0, &[0u8; 16]).apply_keystream(&mut out);
+        let mut out = Vec::with_capacity(plaintext.len());
+        ctr_append(key, plaintext, &mut out);
         out
     }
 
     fn decrypt_with_key(&self, key: &ChunkKey, ciphertext: &[u8]) -> Vec<u8> {
+        // CTR is an involution under the same key/IV.
         self.encrypt_with_key(key, ciphertext)
+    }
+
+    fn decrypt_into(&self, key: &ChunkKey, ciphertext: &[u8], out: &mut Vec<u8>) {
+        ctr_append(key, ciphertext, out);
     }
 }
 

@@ -27,7 +27,8 @@ use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 use crate::fault::SplitMix64;
 use crate::frame::{read_frame, write_frame, WireError, READ_BUFFER_BYTES};
 use crate::proto::{
-    ChunkStatus, Message, ResumeState, ServerStats, MAX_BATCH_CHUNKS, WIRE_VERSION,
+    append_restore_batch, ChunkStatus, Message, RecordListEncoder, ResumeState, ServerStats,
+    MAX_BATCH_CHUNKS, WIRE_VERSION,
 };
 
 /// A ciphertext-payload provider: maps a chunk record to its exact
@@ -245,36 +246,41 @@ impl Client {
         }
     }
 
-    fn upload_inner(
+    fn upload_inner<P: AsRef<[u8]>>(
         &mut self,
         backup: &Backup,
-        payload_of: Option<impl Fn(&ChunkRecord) -> Vec<u8>>,
+        payload_of: Option<impl Fn(&ChunkRecord) -> P>,
     ) -> Result<UploadSummary, ClientError> {
         self.upload_from(backup, payload_of, 0)
     }
 
     /// [`Self::upload_inner`] starting at batch index `skip` (resume
     /// path: the server already ingested the first `skip` batches of the
-    /// deterministic `self.batch`-sized split).
-    fn upload_from(
+    /// deterministic `self.batch`-sized split). `payload_of` may lend the
+    /// bytes (`&[u8]`) or make them (`Vec<u8>`); either way they are
+    /// copied once, into the PUT frame's body.
+    fn upload_from<P: AsRef<[u8]>>(
         &mut self,
         backup: &Backup,
-        payload_of: Option<impl Fn(&ChunkRecord) -> Vec<u8>>,
+        payload_of: Option<impl Fn(&ChunkRecord) -> P>,
         skip: u32,
     ) -> Result<UploadSummary, ClientError> {
         let mut summary = UploadSummary::default();
         let mut inflight: u32 = 0;
+        let mut body = Vec::new();
         for chunk_batch in backup.chunks.chunks(self.batch).skip(skip as usize) {
             let seq = self.next_seq;
             self.next_seq = self.next_seq.wrapping_add(1);
-            let payloads = payload_of
-                .as_ref()
-                .map(|f| chunk_batch.iter().map(f).collect());
-            self.send(&Message::PutChunkBatch {
-                seq,
-                chunks: chunk_batch.to_vec(),
-                payloads,
-            })?;
+            body.clear();
+            let mut list = RecordListEncoder::put_batch(&mut body, seq, payload_of.is_some());
+            for rec in chunk_batch {
+                match &payload_of {
+                    Some(payload_of) => list.push(*rec, payload_of(rec).as_ref()),
+                    None => list.push(*rec, &[]),
+                }
+            }
+            list.finish();
+            write_frame(self.conn.get_mut(), &body)?;
             summary.batches += 1;
             summary.chunks += chunk_batch.len() as u64;
             inflight += 1;
@@ -370,35 +376,37 @@ impl Client {
         // it up front, and grow as records actually arrive.
         let mut records: Vec<ChunkRecord> =
             Vec::with_capacity(count.min(MAX_BATCH_CHUNKS as u64) as usize);
-        let mut payloads: Option<Vec<Vec<u8>>> = None;
+        let mut payloads: Vec<Vec<u8>> = Vec::new();
+        let mut content_mode = false;
         while (records.len() as u64) < count {
-            let (chunks, batch_payloads) = match self.recv()? {
-                Message::RestoreBatch { chunks, payloads } => (chunks, payloads),
-                other => return Err(unexpected("RestoreBatch", &other)),
+            let frame = self.recv_frame()?;
+            let before = records.len();
+            let Some(has_payloads) = append_restore_batch(&frame, &mut records, &mut payloads)?
+            else {
+                return Err(match decode_reply(&frame) {
+                    Ok(other) => unexpected("RestoreBatch", &other),
+                    Err(e) => e,
+                });
             };
-            let violation = if chunks.is_empty() {
+            let violation = if records.len() == before {
                 Some("an empty batch")
-            } else if (records.len() + chunks.len()) as u64 > count {
+            } else if records.len() as u64 > count {
                 Some("more records than announced")
-            } else if !records.is_empty() && batch_payloads.is_some() != payloads.is_some() {
+            } else if before > 0 && has_payloads != content_mode {
                 Some("payload and metadata batches mixed")
             } else {
                 None
             };
             if let Some(what) = violation {
                 return Err(ClientError::Protocol(format!(
-                    "restore {label:?}: {what} after {} of {count} records",
-                    records.len()
+                    "restore {label:?}: {what} after {before} of {count} records"
                 )));
             }
-            records.extend(chunks);
-            if let Some(batch) = batch_payloads {
-                payloads.get_or_insert_with(Vec::new).extend(batch);
-            }
+            content_mode = has_payloads;
         }
         Ok(RestoredBackup {
             backup: Backup::from_chunks(label, records),
-            payloads,
+            payloads: content_mode.then_some(payloads),
         })
     }
 
@@ -553,14 +561,14 @@ impl Client {
         Ok(())
     }
 
+    fn recv_frame(&mut self) -> Result<Vec<u8>, ClientError> {
+        Ok(read_frame(&mut self.conn)?.ok_or(WireError::Truncated)?)
+    }
+
     /// Receives one message, surfacing server-side errors as
     /// [`ClientError::Server`].
     fn recv(&mut self) -> Result<Message, ClientError> {
-        let payload = read_frame(&mut self.conn)?.ok_or(WireError::Truncated)?;
-        match Message::decode(&payload)? {
-            Message::ErrorResp { code, message } => Err(ClientError::Server { code, message }),
-            msg => Ok(msg),
-        }
+        decode_reply(&self.recv_frame()?)
     }
 
     fn call(&mut self, msg: &Message) -> Result<Message, ClientError> {
@@ -784,6 +792,15 @@ impl ResilientClient {
     }
 }
 
+/// Decodes a reply frame; a server-side error becomes
+/// [`ClientError::Server`].
+fn decode_reply(frame: &[u8]) -> Result<Message, ClientError> {
+    match Message::decode(frame)? {
+        Message::ErrorResp { code, message } => Err(ClientError::Server { code, message }),
+        msg => Ok(msg),
+    }
+}
+
 fn unexpected(wanted: &str, got: &Message) -> ClientError {
     ClientError::Protocol(format!("expected {wanted}, got {got:?}"))
 }
@@ -878,10 +895,14 @@ impl EncodedStream {
     /// Panics when `rec` is not part of this stream.
     #[must_use]
     pub fn payload(&self, rec: &ChunkRecord) -> Vec<u8> {
+        self.ciphertext(rec.fp.value()).to_vec()
+    }
+
+    /// The stored ciphertext with fingerprint `fp`.
+    fn ciphertext(&self, fp: u64) -> &[u8] {
         self.payloads
-            .get(&rec.fp.value())
+            .get(&fp)
             .expect("record belongs to this stream")
-            .clone()
     }
 
     /// Distinct ciphertext chunks in this stream.
@@ -917,16 +938,16 @@ impl EncodedStream {
                     restored.backup.label, rec.fp
                 )));
             };
-            let plaintext = mle.decrypt_with_key(key, ciphertext);
-            if plaintext.len() != rec.size as usize {
+            let before = out.len();
+            mle.decrypt_into(key, ciphertext, &mut out);
+            if out.len() - before != rec.size as usize {
                 return Err(ClientError::Protocol(format!(
                     "decode {:?}: chunk {i} decrypts to {} bytes, recorded {}",
                     restored.backup.label,
-                    plaintext.len(),
+                    out.len() - before,
                     rec.size
                 )));
             }
-            out.extend_from_slice(&plaintext);
         }
         Ok(out)
     }
@@ -991,15 +1012,15 @@ impl DefendedStream<'_> {
     /// Panics when `rec` is not part of this defended stream.
     #[must_use]
     pub fn payload(&self, rec: &ChunkRecord) -> Vec<u8> {
+        self.ciphertext(rec).to_vec()
+    }
+
+    fn ciphertext(&self, rec: &ChunkRecord) -> &[u8] {
         let inner_fp = self
             .recipe
             .get(&rec.fp.value())
             .expect("record belongs to this defended stream");
-        self.inner
-            .payloads
-            .get(inner_fp)
-            .expect("recipe resolves to an encoded chunk")
-            .clone()
+        self.inner.ciphertext(*inner_fp)
     }
 
     /// Measured storage blowup of the defense on this stream: unique
@@ -1064,15 +1085,15 @@ impl DefendedStream<'_> {
                     rec.fp
                 )));
             };
-            let plaintext = mle.decrypt_with_key(key, ciphertext);
-            if plaintext.len() != rec.size as usize {
+            let before = out.len();
+            mle.decrypt_into(key, ciphertext, &mut out);
+            if out.len() - before != rec.size as usize {
                 return Err(ClientError::Protocol(format!(
                     "decode {label:?}: chunk {i} decrypts to {} bytes, recorded {}",
-                    plaintext.len(),
+                    out.len() - before,
                     rec.size
                 )));
             }
-            out.extend_from_slice(&plaintext);
         }
         Ok(out)
     }
@@ -1086,7 +1107,10 @@ impl Client {
     ///
     /// Any [`ClientError`]; the session should be dropped afterwards.
     pub fn upload_bytes(&mut self, stream: &EncodedStream) -> Result<UploadSummary, ClientError> {
-        self.upload_backup_payloads(&stream.backup, |rec| stream.payload(rec))
+        self.upload_inner(
+            &stream.backup,
+            Some(|rec: &ChunkRecord| stream.ciphertext(rec.fp.value())),
+        )
     }
 
     /// Uploads a [`DefendedStream`] with its ciphertext payloads — the
@@ -1099,7 +1123,10 @@ impl Client {
         &mut self,
         stream: &DefendedStream<'_>,
     ) -> Result<UploadSummary, ClientError> {
-        self.upload_backup_payloads(&stream.backup, |rec| stream.payload(rec))
+        self.upload_inner(
+            &stream.backup,
+            Some(|rec: &ChunkRecord| stream.ciphertext(rec)),
+        )
     }
 }
 

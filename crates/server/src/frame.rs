@@ -413,4 +413,32 @@ mod tests {
         .to_string()
         .contains("checksum"));
     }
+
+    /// The bytes `write_frame` produced for this message before the CRC
+    /// went slicing-by-8 (generated at commit 06fbb93): a kernel change
+    /// that alters a sent byte fails here, not at a peer.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let msg = crate::proto::Message::PutChunkBatch {
+            seq: 7,
+            chunks: vec![
+                freqdedup_trace::ChunkRecord::new(0x1122_3344_5566_7788u64, 5),
+                freqdedup_trace::ChunkRecord::new(9u64, 11),
+            ],
+            payloads: Some(vec![b"hello".to_vec(), b"wire frames".to_vec()]),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &msg.encode()).unwrap();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "3a00000050c63af9030700000001020000008877665544332211050000000500",
+                "000068656c6c6f09000000000000000b0000000b00000077697265206672616d",
+                "6573",
+            )
+        );
+        let payload = read_frame(&mut &wire[..]).unwrap().unwrap();
+        assert_eq!(crate::proto::Message::decode(&payload).unwrap(), msg);
+    }
 }

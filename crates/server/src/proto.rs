@@ -387,21 +387,130 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
-/// The record list shared by [`Message::PutChunkBatch`] and
-/// [`Message::RestoreBatch`]: payload flag, count, then per record
-/// fingerprint, size and (flag set) length-prefixed payload bytes.
-fn put_records(out: &mut Vec<u8>, chunks: &[ChunkRecord], payloads: Option<&[Vec<u8>]>) {
-    out.push(u8::from(payloads.is_some()));
-    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    for (i, rec) in chunks.iter().enumerate() {
-        out.extend_from_slice(&rec.fp.value().to_le_bytes());
-        out.extend_from_slice(&rec.size.to_le_bytes());
-        if let Some(p) = payloads {
-            let bytes: &[u8] = p.get(i).map_or(&[], Vec::as_slice);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
+/// Writes the record list shared by [`Message::PutChunkBatch`] and
+/// [`Message::RestoreBatch`] — payload flag, count, then per record
+/// fingerprint, size and (flag set) length-prefixed payload bytes — one
+/// record at a time from borrowed payload bytes. A sender that holds the
+/// bytes elsewhere (the client's ciphertext map, the store's containers)
+/// copies them once, into the frame body, without building a [`Message`].
+pub(crate) struct RecordListEncoder<'a> {
+    out: &'a mut Vec<u8>,
+    /// Offset of the record count, written by [`Self::finish`].
+    count_at: usize,
+    count: u32,
+    has_payloads: bool,
+}
+
+impl<'a> RecordListEncoder<'a> {
+    /// Starts a [`Message::PutChunkBatch`] body in `out`.
+    pub(crate) fn put_batch(out: &'a mut Vec<u8>, seq: u32, has_payloads: bool) -> Self {
+        out.push(TAG_PUT_BATCH);
+        out.extend_from_slice(&seq.to_le_bytes());
+        Self::begin(out, has_payloads)
+    }
+
+    /// Starts a [`Message::RestoreBatch`] body in `out`.
+    pub(crate) fn restore_batch(out: &'a mut Vec<u8>, has_payloads: bool) -> Self {
+        out.push(TAG_RESTORE_BATCH);
+        Self::begin(out, has_payloads)
+    }
+
+    fn begin(out: &'a mut Vec<u8>, has_payloads: bool) -> Self {
+        out.push(u8::from(has_payloads));
+        let count_at = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        RecordListEncoder {
+            out,
+            count_at,
+            count: 0,
+            has_payloads,
         }
     }
+
+    /// Appends one record; `payload` is ignored by a list without payloads.
+    #[inline]
+    pub(crate) fn push(&mut self, rec: ChunkRecord, payload: &[u8]) {
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&rec.fp.value().to_le_bytes());
+        head[8..12].copy_from_slice(&rec.size.to_le_bytes());
+        if self.has_payloads {
+            head[12..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            self.out.extend_from_slice(&head);
+            self.out.extend_from_slice(payload);
+        } else {
+            self.out.extend_from_slice(&head[..12]);
+        }
+        self.count += 1;
+    }
+
+    /// Records appended so far.
+    pub(crate) fn records(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Completes the list and returns its record count.
+    pub(crate) fn finish(self) -> usize {
+        self.out[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_le_bytes());
+        self.records()
+    }
+
+    /// The whole list of an owned message.
+    fn put_all(mut self, chunks: &[ChunkRecord], payloads: Option<&[Vec<u8>]>) {
+        match payloads {
+            Some(payloads) => {
+                let mut payloads = payloads.iter();
+                for rec in chunks {
+                    self.push(*rec, payloads.next().map_or(&[], Vec::as_slice));
+                }
+            }
+            None => {
+                for rec in chunks {
+                    self.push(*rec, &[]);
+                }
+            }
+        }
+        self.finish();
+    }
+}
+
+/// Writes a [`Message::ChunkResp`] body from borrowed payload bytes (the
+/// GET-CHUNK reply is encoded straight from the store's container).
+pub(crate) fn put_chunk_resp(
+    out: &mut Vec<u8>,
+    fp: u64,
+    status: ChunkStatus,
+    size: u32,
+    payload: &[u8],
+) {
+    out.push(TAG_CHUNK_RESP);
+    out.extend_from_slice(&fp.to_le_bytes());
+    out.push(status.to_byte());
+    out.extend_from_slice(&size.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Decodes an encoded [`Message::RestoreBatch`] onto the end of `chunks`
+/// and `payloads` — a restore accumulates its batches without a pair of
+/// vectors per frame — and says whether the batch carried payloads.
+/// `None` when `frame` holds some other message (decode it as one).
+///
+/// # Errors
+///
+/// [`WireError::Malformed`] as [`Message::decode`]; records decoded before
+/// the fault stay appended.
+pub(crate) fn append_restore_batch(
+    frame: &[u8],
+    chunks: &mut Vec<ChunkRecord>,
+    payloads: &mut Vec<Vec<u8>>,
+) -> Result<Option<bool>, WireError> {
+    let mut r = Cursor { buf: frame };
+    if r.u8()? != TAG_RESTORE_BATCH {
+        return Ok(None);
+    }
+    let has_payloads = r.records_into(chunks, payloads)?;
+    r.finish()?;
+    Ok(Some(has_payloads))
 }
 
 impl Message {
@@ -424,9 +533,8 @@ impl Message {
                 chunks,
                 payloads,
             } => {
-                out.push(TAG_PUT_BATCH);
-                out.extend_from_slice(&seq.to_le_bytes());
-                put_records(&mut out, chunks, payloads.as_deref());
+                RecordListEncoder::put_batch(&mut out, *seq, payloads.is_some())
+                    .put_all(chunks, payloads.as_deref());
             }
             Message::PutAck {
                 seq,
@@ -471,14 +579,7 @@ impl Message {
                 status,
                 size,
                 payload,
-            } => {
-                out.push(TAG_CHUNK_RESP);
-                out.extend_from_slice(&fp.to_le_bytes());
-                out.push(status.to_byte());
-                out.extend_from_slice(&size.to_le_bytes());
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(payload);
-            }
+            } => put_chunk_resp(&mut out, *fp, *status, *size, payload),
             Message::RestoreBackup { label } => {
                 out.push(TAG_RESTORE);
                 put_str(&mut out, label);
@@ -489,8 +590,8 @@ impl Message {
                 out.extend_from_slice(&count.to_le_bytes());
             }
             Message::RestoreBatch { chunks, payloads } => {
-                out.push(TAG_RESTORE_BATCH);
-                put_records(&mut out, chunks, payloads.as_deref());
+                RecordListEncoder::restore_batch(&mut out, payloads.is_some())
+                    .put_all(chunks, payloads.as_deref());
             }
             Message::DeleteBackup { label, commit_id } => {
                 out.push(TAG_DELETE_BACKUP);
@@ -701,7 +802,7 @@ impl Message {
 
 /// The contents of a record-list message: the records and, in content
 /// mode, their payloads.
-pub(crate) type RecordList = (Vec<ChunkRecord>, Option<Vec<Vec<u8>>>);
+type RecordList = (Vec<ChunkRecord>, Option<Vec<Vec<u8>>>);
 
 /// Bounds-checked little-endian reader over a frame payload.
 struct Cursor<'a> {
@@ -741,11 +842,23 @@ impl<'a> Cursor<'a> {
             .map_err(|_| WireError::Malformed("string not utf-8"))
     }
 
-    /// Decodes a [`put_records`] list. The declared count is untrusted:
-    /// it is bounded by [`MAX_BATCH_CHUNKS`], and the vectors are sized
-    /// from what the remaining bytes could hold at most, so a lying count
-    /// cannot drive an allocation the frame does not back.
     fn records(&mut self) -> Result<RecordList, WireError> {
+        let (mut chunks, mut payloads) = (Vec::new(), Vec::new());
+        let has_payloads = self.records_into(&mut chunks, &mut payloads)?;
+        Ok((chunks, has_payloads.then_some(payloads)))
+    }
+
+    /// Decodes a [`RecordListEncoder`] list onto the end of `chunks` and
+    /// (when the list is flagged as carrying them, which is returned)
+    /// `payloads`. The declared count is untrusted: it is bounded by
+    /// [`MAX_BATCH_CHUNKS`], and the vectors grow by what the remaining
+    /// bytes could hold at most, so a lying count cannot drive an
+    /// allocation the frame does not back.
+    fn records_into(
+        &mut self,
+        chunks: &mut Vec<ChunkRecord>,
+        payloads: &mut Vec<Vec<u8>>,
+    ) -> Result<bool, WireError> {
         let has_payloads = match self.u8()? {
             0 => false,
             1 => true,
@@ -758,18 +871,20 @@ impl<'a> Cursor<'a> {
         // fp + size, plus the payload length prefix when flagged.
         let min_record_bytes = if has_payloads { 16 } else { 12 };
         let capacity = count.min(self.buf.len() / min_record_bytes);
-        let mut chunks = Vec::with_capacity(capacity);
-        let mut payloads = has_payloads.then(|| Vec::with_capacity(capacity));
+        chunks.reserve(capacity);
+        if has_payloads {
+            payloads.reserve(capacity);
+        }
         for _ in 0..count {
             let fp = self.u64()?;
             let size = self.u32()?;
             chunks.push(ChunkRecord::new(Fingerprint(fp), size));
-            if let Some(p) = &mut payloads {
+            if has_payloads {
                 let n = self.u32()? as usize;
-                p.push(self.bytes(n)?.to_vec());
+                payloads.push(self.bytes(n)?.to_vec());
             }
         }
-        Ok((chunks, payloads))
+        Ok(has_payloads)
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -1043,5 +1158,76 @@ mod tests {
                 assert_eq!(msg.encode(), mutated, "mutation at {i}");
             }
         }
+    }
+
+    #[test]
+    fn borrowed_encoders_write_the_owned_messages_bytes() {
+        let chunks = vec![ChunkRecord::new(9u64, 3), ChunkRecord::new(10u64, 2)];
+        let bytes: [&[u8]; 2] = [&[1, 2, 3], &[4, 5]];
+        for has_payloads in [false, true] {
+            let payloads = has_payloads.then(|| bytes.iter().map(|b| b.to_vec()).collect());
+            let mut put = Vec::new();
+            let mut restore = Vec::new();
+            let mut lists = [
+                RecordListEncoder::put_batch(&mut put, 41, has_payloads),
+                RecordListEncoder::restore_batch(&mut restore, has_payloads),
+            ];
+            for list in &mut lists {
+                assert_eq!(list.records(), 0);
+                for (rec, payload) in chunks.iter().zip(bytes) {
+                    list.push(*rec, payload);
+                }
+            }
+            assert_eq!(lists.map(RecordListEncoder::finish), [2, 2]);
+            let owned = Message::PutChunkBatch {
+                seq: 41,
+                chunks: chunks.clone(),
+                payloads: payloads.clone(),
+            };
+            assert_eq!(put, owned.encode());
+            let owned = Message::RestoreBatch {
+                chunks: chunks.clone(),
+                payloads,
+            };
+            assert_eq!(restore, owned.encode());
+        }
+    }
+
+    #[test]
+    fn append_restore_batch_accumulates_and_passes_other_messages_by() {
+        let first = Message::RestoreBatch {
+            chunks: vec![ChunkRecord::new(9u64, 3), ChunkRecord::new(10u64, 2)],
+            payloads: Some(vec![vec![1, 2, 3], vec![4, 5]]),
+        };
+        let second = Message::RestoreBatch {
+            chunks: vec![ChunkRecord::new(11u64, 1)],
+            payloads: Some(vec![vec![6]]),
+        };
+        let (mut chunks, mut payloads) = (Vec::new(), Vec::new());
+        for batch in [&first, &second] {
+            let flagged = append_restore_batch(&batch.encode(), &mut chunks, &mut payloads);
+            assert_eq!(flagged.unwrap(), Some(true));
+        }
+        assert_eq!(chunks.iter().map(|r| r.fp.value()).sum::<u64>(), 30);
+        assert_eq!(payloads, [vec![1, 2, 3], vec![4, 5], vec![6]]);
+
+        let metadata = Message::RestoreBatch {
+            chunks: vec![ChunkRecord::new(12u64, 8)],
+            payloads: None,
+        };
+        let flagged = append_restore_batch(&metadata.encode(), &mut chunks, &mut payloads);
+        assert_eq!(flagged.unwrap(), Some(false));
+        assert_eq!((chunks.len(), payloads.len()), (4, 3));
+
+        let other = Message::ErrorResp {
+            code: code::MISSING_CHUNK,
+            message: "gone".into(),
+        };
+        let passed = append_restore_batch(&other.encode(), &mut chunks, &mut payloads);
+        assert_eq!(passed.unwrap(), None);
+        let mut trailing = second.encode();
+        trailing.push(0);
+        assert!(append_restore_batch(&trailing, &mut chunks, &mut payloads).is_err());
+        assert!(append_restore_batch(&[], &mut chunks, &mut payloads).is_err());
     }
 }

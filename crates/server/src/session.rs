@@ -28,7 +28,8 @@ use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
 use crate::frame::{read_frame, write_frame, WireError, READ_BUFFER_BYTES};
 use crate::proto::{
-    code, ChunkStatus, Message, RecordList, ResumeState, MIN_WIRE_VERSION, WIRE_VERSION,
+    code, put_chunk_resp, ChunkStatus, Message, RecordListEncoder, ResumeState, MIN_WIRE_VERSION,
+    WIRE_VERSION,
 };
 use crate::server::{lock_unpoisoned, Parked, Shared};
 use crate::tap::AppliedCommit;
@@ -684,22 +685,23 @@ impl Session<'_> {
                 count: records.len() as u64,
             },
         )?;
-        // Stream in bounded batches: each batch (payload copies included)
-        // is materialized under one short engine lock, then written with
-        // the lock released — a multi-GB restore never buffers the whole
+        // Stream in bounded batches: each batch is encoded, payload bytes
+        // included, under one short engine lock, then written with the
+        // lock released — a multi-GB restore never buffers the whole
         // backup in memory nor starves other sessions of the engine for
         // its full duration.
         let mut rest = &records[..];
+        let mut body = Vec::new();
         while !rest.is_empty() {
             let batch = {
                 let slot = lock_unpoisoned(&self.shared.slot);
                 let engine = slot.engine.as_ref().expect("engine open while serving");
-                restore_batch(engine, slot.payload_mode == Some(true), rest)
+                restore_batch(engine, slot.payload_mode == Some(true), rest, &mut body)
             };
             match batch {
-                Ok((chunks, payloads)) => {
-                    rest = &rest[chunks.len()..];
-                    self.reply(stream, &Message::RestoreBatch { chunks, payloads })?;
+                Ok(taken) => {
+                    rest = &rest[taken..];
+                    write_frame(stream, &body)?;
                 }
                 Err(offset) => {
                     self.reply_err(
@@ -724,12 +726,12 @@ impl Session<'_> {
         if self.check_stale_epoch(stream) {
             return Ok(());
         }
-        let resp = {
+        let body = {
             let slot = lock_unpoisoned(&self.shared.slot);
             let engine = slot.engine.as_ref().expect("engine open while serving");
             chunk_resp(engine, fp)
         };
-        self.reply(stream, &resp)
+        write_frame(stream, &body)
     }
 
     /// The store's current key epoch (max across shards).
@@ -789,49 +791,49 @@ pub(crate) fn label_backup_id(label: &str) -> u64 {
     hash
 }
 
-/// Builds the GET-CHUNK [`Message::ChunkResp`] for a fingerprint,
-/// distinguishing payload-bearing, metadata-only (size unknown: the
-/// engine keeps no per-chunk sizes without payloads) and missing chunks.
-fn chunk_resp(engine: &ShardedDedupEngine, fp: Fingerprint) -> Message {
-    let (status, payload) = match engine.lookup_chunk(fp) {
-        ChunkLookup::Payload(bytes) => (ChunkStatus::Payload, bytes.to_vec()),
-        ChunkLookup::Metadata => (ChunkStatus::Metadata, Vec::new()),
-        ChunkLookup::Missing => (ChunkStatus::Missing, Vec::new()),
+/// Encodes the GET-CHUNK [`Message::ChunkResp`] for a fingerprint straight
+/// from the store's bytes, distinguishing payload-bearing, metadata-only
+/// (size unknown: the engine keeps no per-chunk sizes without payloads)
+/// and missing chunks.
+fn chunk_resp(engine: &ShardedDedupEngine, fp: Fingerprint) -> Vec<u8> {
+    let (status, payload): (_, &[u8]) = match engine.lookup_chunk(fp) {
+        ChunkLookup::Payload(bytes) => (ChunkStatus::Payload, bytes),
+        ChunkLookup::Metadata => (ChunkStatus::Metadata, &[]),
+        ChunkLookup::Missing => (ChunkStatus::Missing, &[]),
     };
-    Message::ChunkResp {
-        fp: fp.value(),
-        status,
-        size: payload.len() as u32,
-        payload,
-    }
+    let mut body = Vec::with_capacity(21 + payload.len());
+    put_chunk_resp(&mut body, fp.value(), status, payload.len() as u32, payload);
+    body
 }
 
-/// One restore batch: the records at the front of `rest` that fit
+/// Encodes one [`Message::RestoreBatch`] into `body` (cleared first) and
+/// returns its record count: the records at the front of `rest` that fit
 /// [`RESTORE_BATCH_CHUNKS`] and [`RESTORE_BATCH_BYTES`] (always at least
-/// one), with their payloads when the service is in content mode. A
-/// record the store cannot serve in that mode — missing outright, or
-/// held without the bytes — fails the batch with its offset in `rest`.
+/// one), with their payloads, copied from the store into the frame body,
+/// when the service is in content mode. A record the store cannot serve
+/// in that mode — missing outright, or held without the bytes — fails the
+/// batch with its offset in `rest`.
 fn restore_batch(
     engine: &ShardedDedupEngine,
     content_mode: bool,
     rest: &[ChunkRecord],
-) -> Result<RecordList, usize> {
-    let mut payloads: Option<Vec<Vec<u8>>> = content_mode.then(Vec::new);
+    body: &mut Vec<u8>,
+) -> Result<usize, usize> {
+    body.clear();
+    let mut list = RecordListEncoder::restore_batch(body, content_mode);
     let mut payload_bytes = 0usize;
-    let mut taken = 0usize;
     for rec in rest.iter().take(RESTORE_BATCH_CHUNKS) {
-        match (engine.lookup_chunk(rec.fp), &mut payloads) {
-            (ChunkLookup::Payload(bytes), Some(batch)) => {
-                if taken > 0 && payload_bytes + bytes.len() > RESTORE_BATCH_BYTES {
+        match (engine.lookup_chunk(rec.fp), content_mode) {
+            (ChunkLookup::Payload(bytes), true) => {
+                if list.records() > 0 && payload_bytes + bytes.len() > RESTORE_BATCH_BYTES {
                     break;
                 }
                 payload_bytes += bytes.len();
-                batch.push(bytes.to_vec());
+                list.push(*rec, bytes);
             }
-            (ChunkLookup::Metadata, None) => {}
-            _ => return Err(taken),
+            (ChunkLookup::Metadata, false) => list.push(*rec, &[]),
+            _ => return Err(list.records()),
         }
-        taken += 1;
     }
-    Ok((rest[..taken].to_vec(), payloads))
+    Ok(list.finish())
 }

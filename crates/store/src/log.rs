@@ -591,4 +591,68 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// The log files the byte-wise CRC and AES wrote for this container
+    /// (generated at commit 06fbb93), unwrapped and wrapped under a rekey
+    /// key: a kernel change that alters a stored byte fails here, not at a
+    /// reopen.
+    #[test]
+    fn container_log_bytes_are_pinned() {
+        let dir = tmp_dir("pin");
+        let a: Vec<u8> = (0..40u8).collect();
+        let b: Vec<u8> = (0..70u8)
+            .map(|i| i.wrapping_mul(7).wrapping_add(3))
+            .collect();
+        let mut store = ContainerStore::new(256);
+        store.append(ChunkRecord::new(11u64, 40), Some(&a)).unwrap();
+        store.append(ChunkRecord::new(22u64, 70), Some(&b)).unwrap();
+        let id = store.flush().unwrap();
+        let c = store.get(id).unwrap().clone();
+        let key = epoch_key(b"pin-secret", 1);
+        let pins = [
+            (
+                0,
+                None,
+                concat!(
+                    "4651434c0200010000000000020000006e000000000000000000000000000000",
+                    "0000000000000000340000000b00000000000000280000000001020304050607",
+                    "08090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324252627",
+                    "52000000160000000000000046000000030a11181f262d343b424950575e656c",
+                    "737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c",
+                    "535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6e279a912",
+                ),
+            ),
+            (
+                1,
+                Some(&key),
+                concat!(
+                    "4651434c0200010000000000020000006e000000000000000100000000000000",
+                    "ae20e6de31e0c5a1340000000b0000000000000028000000e5437ab76f247b11",
+                    "1a0911f4bc694193efedcfe7f30c9063fbb32a3a48fe25a481edd2e1e53dfa95",
+                    "520000001600000000000000460000008586623dc0383dcf32a705e554d9e004",
+                    "01713dba332f879ed811063f26b497ebc6c5fe12d21da0467fb8169c7df74abb",
+                    "5ebb8cc4331d34d56c277e246aafe28de25619db792f2a0975e1",
+                ),
+            ),
+        ];
+        for (epoch, key, pinned) in pins {
+            write_container(
+                &dir,
+                &c,
+                epoch,
+                key,
+                FsyncPolicy::Never,
+                &IoPolicyHandle::none(),
+            )
+            .unwrap();
+            let raw = std::fs::read(container_path(&dir, c.id)).unwrap();
+            let hex: String = raw.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "epoch {epoch}");
+            let keys = key.map(|k| (epoch, *k)).into_iter().collect();
+            let back = read_container(&dir, c.id, &keys).unwrap();
+            assert_eq!(back.chunk_payload(0), Some(&a[..]), "epoch {epoch}");
+            assert_eq!(back.chunk_payload(1), Some(&b[..]), "epoch {epoch}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -82,8 +82,12 @@ pub struct Crc32 {
     state: u32,
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC state after byte `b` followed
+/// by `k` zero bytes — so eight message bytes are folded with eight
+/// independent loads instead of eight dependent ones.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -96,13 +100,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 impl Default for Crc32 {
     fn default() -> Self {
@@ -119,10 +133,25 @@ impl Crc32 {
 
     /// Absorbs bytes.
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            let idx = ((self.state ^ u32::from(b)) & 0xff) as usize;
-            self.state = CRC_TABLE[idx] ^ (self.state >> 8);
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ u64::from(crc);
+            let [b0, b1, b2, b3, b4, b5, b6, b7] = word.to_le_bytes().map(usize::from);
+            crc = t[7][b0]
+                ^ t[6][b1]
+                ^ t[5][b2]
+                ^ t[4][b3]
+                ^ t[3][b4]
+                ^ t[2][b5]
+                ^ t[1][b6]
+                ^ t[0][b7];
         }
+        for &b in words.remainder() {
+            crc = t[0][usize::from(crc as u8 ^ b)] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Returns the checksum.
@@ -330,6 +359,33 @@ mod tests {
         // Classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition: one table step per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in data {
+            crc = CRC_TABLES[0][usize::from(crc as u8 ^ b)] ^ (crc >> 8);
+        }
+        crc ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn slicing_equals_bytewise_at_every_length_offset_and_split() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=67 {
+                let data = &buf[offset..offset + len];
+                let want = crc32_bytewise(data);
+                assert_eq!(crc32(data), want, "offset {offset} len {len}");
+                for cut in 0..=len {
+                    let mut c = Crc32::new();
+                    c.update(&data[..cut]);
+                    c.update(&data[cut..]);
+                    assert_eq!(c.finalize(), want, "offset {offset} len {len} cut {cut}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -293,6 +293,40 @@ fn rekey_preserves_dedup_ratio_and_restores() {
     done(&dir);
 }
 
+/// `tests/fixtures/rekeyed-store-06fbb93` is a store directory written at
+/// commit 06fbb93 — by the byte-at-a-time AES, CTR and CRC-32 that
+/// `crates/crypto` keeps as its test oracle — through a REKEY: backup 1
+/// (fingerprints 100..=120) went in at epoch 0 and was rewrapped, backup 2
+/// (115..=130) was sealed at epoch 1. The word-oriented kernels must open
+/// it and restore every byte.
+#[test]
+fn store_rekeyed_by_the_bytewise_cipher_opens_and_restores() {
+    let dir = test_dir("lc-fixture");
+    let fixture = PathBuf::from("tests/fixtures/rekeyed-store-06fbb93");
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let cfg = DedupConfig {
+        persist: Some(
+            PersistConfig::new(&dir)
+                .fsync(FsyncPolicy::Never)
+                .epoch_secret(1, b"fixture-epoch-one".to_vec()),
+        ),
+        bloom_expected: 1_000,
+        ..config()
+    };
+    let engine = DedupEngine::open(cfg).unwrap();
+    assert_eq!(engine.epoch(), 1);
+    assert_eq!(engine.committed_backups(), vec![(1, 1), (2, 2)]);
+    let stored: Vec<ChunkRecord> = (100..=130u64)
+        .map(|fp| ChunkRecord::new(Fingerprint(fp), 16 + (fp % 7) as u32 * 13))
+        .collect();
+    assert_eq!(engine.stats().unique_chunks, stored.len() as u64);
+    assert_restores!(&engine, &stored, "fixture written through REKEY at 06fbb93");
+    done(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: cache/Bloom coherence after deletion (both engines,
 // sharded ingest at threads 1 and auto).
