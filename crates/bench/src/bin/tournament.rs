@@ -23,152 +23,66 @@
 //!   the same budgets.
 //!
 //! Per row the tournament records the measured storage blowup (unique
-//! ciphertexts / unique plaintexts), encryption wall-clock and
-//! throughput, and the inference rate per attack × policy; it asserts
+//! ciphertexts / unique plaintexts), encryption wall-clock, and the
+//! inference rate per attack × policy; it asserts
 //! streaming ≡ batch for every cell and — the acceptance bar — that TED
 //! and PFSE at ≤2× blowup infer **strictly less** than `none` under the
-//! locality attack on both policies. The frontier lands in a `defense`
-//! section merged into `BENCH_attack.json` (guarded by
-//! `ci/bench_guard.py`: encryption throughput at the drop threshold,
-//! leakage rates at exact equality — the sweep is deterministic, so any
-//! drift is a correctness bug).
+//! locality attack on both policies.
 //!
-//! Usage: `tournament [--quick] [--chunks N] [--threads T] [--out PATH]`
+//! The sweep is deterministic end to end, so at the `--quick` size the
+//! ten rows — blowup and all six rates — are additionally compared at
+//! exact equality against [`QUICK_PINS`]: any drift is a correctness bug
+//! in an attack or a defense, never noise, and exits non-zero naming the
+//! scheme and the cell. Other sizes carry no pins (rates do not
+//! normalize across chunk counts) and run the structural checks only.
 //!
-//! * `--quick` — CI-sized run (~60k logical chunks per backup);
-//! * `--chunks N` — logical chunks per backup (default 1,000,000);
-//! * `--threads T` — attack worker threads (default 0 = auto);
-//! * `--out PATH` — JSON artifact to merge the `defense` section into
-//!   (default `BENCH_attack.json`; other sections are preserved).
+//! Flags: see [`USAGE`].
 
-use std::time::Instant;
-
-use freqdedup_bench::harness;
+use freqdedup_bench::cli;
+use freqdedup_bench::harness::{self, build_pair, store_config, timed};
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::counting::TiePolicy;
 use freqdedup_core::defense::prelude::*;
 use freqdedup_core::metrics::{self, Inference};
-use freqdedup_core::par::ParConfig;
-use freqdedup_datasets::fsl::{self, FslConfig};
 use freqdedup_mle::trace_enc::{DeterministicTraceEncryptor, EncryptedBackup};
 use freqdedup_server::client::Client;
 use freqdedup_server::server::{Server, ServerConfig, TapView};
-use freqdedup_store::engine::DedupConfig;
 use freqdedup_trace::{Backup, Fingerprint};
 
-const USAGE: &str = "usage: tournament [--quick] [--chunks N] [--threads T] [--out PATH]
+const USAGE: &str = "usage: tournament [--quick] [--chunks N]
+  --quick     CI-sized run (~60k logical chunks per backup), pinned
+  --chunks N  logical chunks per backup (default 1,000,000)
 Runs every attack (basic/locality/advanced x both tie-break policies,
 batch + streaming) against every defense scheme through the real
-client -> server -> adversary-tap route and merges the resulting
-leakage-vs-overhead frontier into BENCH_attack.json as a `defense`
-section. Asserts the NoDefense stream bit-identical to the plain MLE
-pipeline, streaming == batch everywhere, and TED/PFSE at <=2x blowup
-strictly below NoDefense under the locality attack.";
+client -> server -> adversary-tap route and prints the leakage-vs-overhead
+frontier. Exits non-zero unless NoDefense == plain MLE, streaming == batch,
+budgets hold, TED/PFSE leak less than none under the locality attack and,
+at the --quick size, every blowup and rate equals its pinned value.";
 
-const DEFAULT_CHUNKS: usize = 1_000_000;
-const QUICK_CHUNKS: usize = 60_000;
 /// Commits per defended upload: enough boundaries to exercise the
 /// streaming fold without drowning the run in connection setup.
 const EPOCHS: usize = 8;
-const KINDS: [AttackKind; 3] = [
-    AttackKind::Basic,
-    AttackKind::Locality,
-    AttackKind::Advanced,
-];
 /// The tunable budgets swept for TED and PFSE (all within the 2x
 /// acceptance ceiling).
 const BUDGETS: [f64; 3] = [1.25, 1.5, 2.0];
 /// PFSE partition count (the paper-shaped default).
 const PARTITIONS: usize = 8;
-
-struct Args {
-    chunks: usize,
-    quick: bool,
-    threads: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        chunks: DEFAULT_CHUNKS,
-        quick: false,
-        threads: 0,
-        out: "BENCH_attack.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => {
-                args.quick = true;
-                args.chunks = QUICK_CHUNKS;
-            }
-            "--chunks" => {
-                let v = it.next().unwrap_or_else(|| die("--chunks needs a value"));
-                args.chunks = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--chunks must be an integer"));
-                if args.chunks == 0 {
-                    die("--chunks must be positive");
-                }
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| die("--threads needs a value"));
-                args.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--threads must be an integer (0 = auto)"));
-            }
-            "--out" => {
-                args.out = it.next().unwrap_or_else(|| die("--out needs a value"));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
-    }
-    args
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("tournament: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Milliseconds spent in `f`, plus its result.
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64() * 1e3, out)
-}
+/// Names of the cells [`Row::cells`] holds and [`QUICK_PINS`] pins.
+const COLUMNS: [&str; 7] = [
+    "blowup",
+    "basic_stream",
+    "basic_key",
+    "locality_stream",
+    "locality_key",
+    "advanced_stream",
+    "advanced_key",
+];
 
 fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
     let mut v: Vec<_> = inf.iter().collect();
     v.sort_unstable();
     v
-}
-
-/// The benchmark pair, identical to `perf_report`'s: two consecutive
-/// FSL-like monthly backups; the older is the plaintext aux, the newer
-/// the encryption target.
-fn build_pair(chunks: usize) -> (Backup, Backup) {
-    let cfg = FslConfig {
-        backups: 2,
-        ..FslConfig::scaled((chunks / 6).max(100))
-    };
-    let series = fsl::generate(&cfg);
-    let aux = series.get(0).expect("two backups generated").clone();
-    let target = series.get(1).expect("two backups generated").clone();
-    (aux, target)
-}
-
-fn store_config(unique: usize) -> DedupConfig {
-    DedupConfig {
-        cache_entries: unique / 4,
-        bloom_expected: (unique as u64).max(1024),
-        ..DedupConfig::default()
-    }
 }
 
 /// One frontier row: a scheme configuration with its measured overhead
@@ -178,8 +92,7 @@ struct Row {
     budget: Option<f64>,
     blowup: f64,
     encrypt_ms: f64,
-    enc_chunks_per_ms: f64,
-    /// `rates[kind][policy]`, kinds in [`KINDS`] order, policies in
+    /// `rates[kind][policy]`, kinds in [`AttackKind::ALL`] order, policies in
     /// `[StreamOrder, KeyOrder]` order.
     rates: [[f64; 2]; 3],
 }
@@ -189,28 +102,65 @@ impl Row {
         self.rates[1]
     }
 
-    fn json(&self) -> String {
-        let budget = self
-            .budget
-            .map_or("null".to_string(), |b| format!("{b:.2}"));
-        format!(
-            "{{ \"scheme\": \"{}\", \"budget\": {budget}, \"blowup\": {:.4}, \
-             \"encrypt_ms\": {:.1}, \"enc_chunks_per_ms\": {:.1}, \
-             \"basic_stream\": {:.6}, \"basic_key\": {:.6}, \
-             \"locality_stream\": {:.6}, \"locality_key\": {:.6}, \
-             \"advanced_stream\": {:.6}, \"advanced_key\": {:.6} }}",
-            self.label,
-            self.blowup,
-            self.encrypt_ms,
-            self.enc_chunks_per_ms,
-            self.rates[0][0],
-            self.rates[0][1],
-            self.rates[1][0],
-            self.rates[1][1],
-            self.rates[2][0],
-            self.rates[2][1],
-        )
+    fn cells(&self) -> Cells<'_> {
+        let mut cells = [(self.blowup * 1e4).round() as i64; 7];
+        for (cell, rate) in cells[1..].iter_mut().zip(self.rates.as_flattened()) {
+            *cell = (rate * 1e6).round() as i64;
+        }
+        (&self.label, cells)
     }
+}
+
+/// A row's scheme and its [`COLUMNS`] as integers: blowup in units of
+/// 1e-4, the six inference rates in units of 1e-6 — the digits a pin
+/// holds, so equality on them is exact.
+type Cells<'a> = (&'a str, [i64; 7]);
+
+/// The frontier at [`cli::QUICK_CHUNKS`], roster order. Recorded by this
+/// binary; a change here is a change to an attack, a defense, the dataset
+/// generator or the wire route, and has to be explained as one.
+const QUICK_PINS: [Cells; 10] = [
+    ("none", [10000, 374, 374, 186635, 31472, 691054, 690189]),
+    ("minhash", [10927, 107, 107, 1883, 1220, 578759, 582269]),
+    ("scramble", [10000, 374, 374, 23, 23, 75103, 75056]),
+    (
+        "minhash-scramble",
+        [10927, 107, 107, 193, 813, 54396, 54396],
+    ),
+    ("ted@1.25", [11952, 39, 39, 802, 567, 593974, 596948]),
+    ("pfse@1.25", [11153, 42, 42, 734, 2055, 618755, 630600]),
+    ("ted@1.5", [14609, 16, 16, 544, 544, 457659, 457579]),
+    ("pfse@1.5", [11153, 42, 42, 734, 2055, 618755, 630600]),
+    ("ted@2", [14609, 16, 16, 544, 544, 457659, 457579]),
+    ("pfse@2", [11153, 42, 42, 734, 2055, 618755, 630600]),
+];
+
+/// Every way `measured` differs from `pins`: one message per differing
+/// cell, naming scheme and column, or per missing, extra or misplaced row.
+fn pin_mismatches(measured: &[Cells], pins: &[Cells]) -> Vec<String> {
+    let mut out = Vec::new();
+    let (m, p) = (measured.len(), pins.len());
+    if m != p {
+        out.push(format!("{m} rows measured, {p} pinned"));
+    }
+    for ((scheme, cells), (pinned_scheme, pinned)) in measured.iter().zip(pins) {
+        if scheme != pinned_scheme {
+            out.push(format!(
+                "row {scheme} measured where {pinned_scheme} is pinned"
+            ));
+            continue;
+        }
+        for (c, column) in COLUMNS.into_iter().enumerate() {
+            if cells[c] != pinned[c] {
+                let unit = if c == 0 { "e-4" } else { "e-6" };
+                out.push(format!(
+                    "{scheme} {column}: measured {}{unit}, pinned {}{unit}",
+                    cells[c], pinned[c]
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// Uploads the defended ciphertext stream through the real wire stack —
@@ -273,7 +223,7 @@ fn run_scheme(
     let (tap, tape) = serve_and_tap(&enc.backup);
 
     let mut rates = [[0.0f64; 2]; 3];
-    for (k, kind) in KINDS.iter().enumerate() {
+    for (k, kind) in AttackKind::ALL.iter().enumerate() {
         let streamed = tap.with_tap(|t| t.streaming_inference_both_policies(*kind, aux, params));
         for (policy, inferred) in streamed {
             let per_policy = params.clone().tie_policy(policy);
@@ -297,48 +247,19 @@ fn run_scheme(
         budget: scheme.blowup_budget(),
         blowup,
         encrypt_ms,
-        enc_chunks_per_ms: target.len() as f64 / encrypt_ms.max(1e-9),
         rates,
     };
     (row, enc)
 }
 
-/// Splices `section` (a complete `  "defense": {...}` block, no trailing
-/// comma) into the JSON artifact at `path` as its **last** key,
-/// replacing any defense section a previous run left there and
-/// preserving every other section. The artifact is hand-formatted (the
-/// repo vendors no JSON serializer), so the merge is textual: the
-/// defense block is always appended before the closing brace, and an
-/// existing one is recognized by its `,\n  "defense":` marker.
-fn merge_into_artifact(path: &str, section: &str) -> String {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .filter(|s| s.trim_end().ends_with('}'))
-        .unwrap_or_else(|| "{\n  \"bench\": \"defense_tournament\"\n}\n".to_string());
-    if let Some(i) = doc.find(",\n  \"defense\":") {
-        doc.truncate(i);
-        doc.push_str("\n}\n");
-    }
-    let body = doc
-        .trim_end()
-        .strip_suffix('}')
-        .expect("artifact ends with a closing brace")
-        .trim_end()
-        .to_string();
-    format!("{body},\n{section}\n}}\n")
-}
-
 fn main() {
-    let args = parse_args();
-    let threads = ParConfig::with_threads(args.threads).resolve();
-    let params = harness::co_params().threads(threads);
+    let chunks = cli::parse_chunks(std::env::args().skip(1), USAGE);
+    // Worker threads: auto. Every attack is bit-identical at any count.
+    let params = harness::co_params().threads(0);
     let ctx = harness::key_context();
 
-    eprintln!(
-        "tournament: generating pair (~{} chunks per backup), {threads} worker thread(s)...",
-        args.chunks
-    );
-    let (aux, target) = build_pair(args.chunks);
+    eprintln!("tournament: generating pair (~{chunks} chunks per backup)...");
+    let (aux, target) = build_pair(chunks);
 
     // The roster: every shipped scheme, tunables swept across BUDGETS.
     let mut roster: Vec<(String, Box<dyn DefenseScheme>)> = vec![
@@ -370,7 +291,7 @@ fn main() {
         ));
     }
 
-    let mut rows: Vec<Row> = Vec::with_capacity(roster.len());
+    let mut rows = Vec::new();
     for (label, scheme) in &roster {
         let (row, enc) = run_scheme(label, scheme.as_ref(), &aux, &target, &ctx, &params);
         if label == "none" {
@@ -397,14 +318,14 @@ fn main() {
     // Acceptance bar: every tunable row at <=2x blowup must leak strictly
     // less than NoDefense under the locality attack, on both policies.
     let baseline = rows[0].locality();
-    let mut violations = Vec::new();
+    let mut failures = Vec::new();
     for row in rows.iter().filter(|r| {
         (r.label.starts_with("ted@") || r.label.starts_with("pfse@"))
             && r.budget.is_some_and(|b| b <= 2.0)
     }) {
         for (p, policy) in ["stream", "key"].into_iter().enumerate() {
             if row.locality()[p] >= baseline[p] {
-                violations.push(format!(
+                failures.push(format!(
                     "{} locality/{policy} rate {:.4} not below none's {:.4}",
                     row.label,
                     row.locality()[p],
@@ -413,27 +334,19 @@ fn main() {
             }
         }
     }
+    if chunks == cli::QUICK_CHUNKS {
+        let measured: Vec<Cells> = rows.iter().map(Row::cells).collect();
+        failures.extend(pin_mismatches(&measured, &QUICK_PINS));
+    } else {
+        eprintln!("tournament: no pins at this size, structural checks only");
+    }
 
-    let row_json: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let section = format!(
-        "  \"defense\": {{ \"quick\": {}, \"chunks\": {}, \"unique_chunks_target\": {}, \
-         \"epochs\": {EPOCHS}, \"threads\": {threads}, \"rows\": [\n{}\n  ] }}",
-        args.quick,
-        target.len(),
-        target.unique_count(),
-        row_json.join(",\n"),
-    );
-    let json = merge_into_artifact(&args.out, &section);
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", args.out)));
-
-    eprintln!("tournament: frontier ({} rows):", rows.len());
-    eprintln!(
+    println!(
         "  {:<18} {:>6} {:>7} {:>9} {:>8} {:>8} {:>8}",
         "scheme", "budget", "blowup", "enc ms", "basic", "locality", "advanced"
     );
     for r in &rows {
-        eprintln!(
+        println!(
             "  {:<18} {:>6} {:>7.3} {:>9.1} {:>8.4} {:>8.4} {:>8.4}",
             r.label,
             r.budget.map_or("-".into(), |b| format!("{b:.2}")),
@@ -444,15 +357,74 @@ fn main() {
             r.rates[2][0].max(r.rates[2][1]),
         );
     }
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("tournament: FAIL — {v}");
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("tournament: FAIL — {f}");
         }
         std::process::exit(1);
     }
     eprintln!(
         "tournament: all schemes within budget, streaming == batch everywhere, \
-         TED/PFSE strictly below the undefended locality rate; merged into {}",
-        args.out
+         TED/PFSE strictly below the undefended locality rate"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_table_passes_against_itself() {
+        assert_eq!(pin_mismatches(&QUICK_PINS, &QUICK_PINS), [""; 0]);
+    }
+
+    #[test]
+    fn one_unit_in_the_last_digit_fails_naming_scheme_and_column() {
+        let mut measured = QUICK_PINS;
+        measured[6].1[4] += 1;
+        measured[1].1[0] -= 1;
+        assert_eq!(
+            pin_mismatches(&measured, &QUICK_PINS),
+            [
+                "minhash blowup: measured 10926e-4, pinned 10927e-4",
+                "ted@1.5 locality_key: measured 545e-6, pinned 544e-6"
+            ]
+        );
+    }
+
+    #[test]
+    fn missing_extra_or_misplaced_rows_fail() {
+        assert_eq!(
+            pin_mismatches(&QUICK_PINS[..9], &QUICK_PINS),
+            ["9 rows measured, 10 pinned"]
+        );
+        let mut extra = QUICK_PINS.to_vec();
+        extra.push(("ted@4", [0; 7]));
+        assert_eq!(
+            pin_mismatches(&extra, &QUICK_PINS),
+            ["11 rows measured, 10 pinned"]
+        );
+        let mut swapped = QUICK_PINS;
+        swapped.swap(0, 2);
+        assert_eq!(
+            pin_mismatches(&swapped, &QUICK_PINS),
+            [
+                "row scramble measured where none is pinned",
+                "row none measured where scramble is pinned"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_row_quantizes_to_the_digits_a_pin_holds() {
+        let row = Row {
+            label: "x".into(),
+            budget: None,
+            blowup: 1.092_74,
+            encrypt_ms: 0.0,
+            rates: [[0.000_374_1, 0.000_373_9], [0.5, 0.25], [1.0, 0.0]],
+        };
+        let cells = [10927, 374, 374, 500_000, 250_000, 1_000_000, 0];
+        assert_eq!(row.cells(), ("x", cells));
+    }
 }

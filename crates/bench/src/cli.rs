@@ -32,53 +32,78 @@ impl Default for CommonArgs {
 ///
 /// Exits the process (status 2) on malformed arguments.
 #[must_use]
-pub fn parse(args: impl Iterator<Item = String>, usage: &str) -> CommonArgs {
+pub fn parse(mut it: impl Iterator<Item = String>, usage: &str) -> CommonArgs {
     let mut out = CommonArgs::default();
-    let mut it = args.peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die(usage, "--scale needs a value"));
-                out.scale = v
-                    .parse()
-                    .unwrap_or_else(|_| die(usage, "--scale must be a number"));
+                out.scale = flag_value(&mut it, usage, "--scale", "a number");
                 if out.scale <= 0.0 {
-                    die::<f64>(usage, "--scale must be positive");
+                    die(usage, "--scale must be positive");
                 }
             }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die(usage, "--seed needs a value"));
-                out.seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| die(usage, "--seed must be an integer")),
-                );
-            }
+            "--seed" => out.seed = Some(flag_value(&mut it, usage, "--seed", "an integer")),
             "--threads" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die(usage, "--threads needs a value"));
-                out.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| die(usage, "--threads must be an integer (0 = auto)"));
+                out.threads = flag_value(&mut it, usage, "--threads", "an integer (0 = auto)");
             }
             "--csv" => out.csv = true,
             "--help" | "-h" => {
                 println!("{usage}");
                 std::process::exit(0);
             }
-            other => {
-                die::<()>(usage, &format!("unknown flag {other}"));
-            }
+            other => die(usage, &format!("unknown flag {other}")),
         }
     }
     out
 }
 
-fn die<T>(usage: &str, msg: &str) -> T {
+/// Logical chunks per backup under `--quick` (the CI size) of the two
+/// sized binaries, `tournament` and `fault_overhead`.
+pub const QUICK_CHUNKS: usize = 60_000;
+
+/// Parses the flags of the two sized binaries — `--quick` and
+/// `--chunks <usize>` — into logical chunks per backup (1,000,000 when
+/// neither is given); exits like [`parse`] on anything else.
+#[must_use]
+pub fn parse_chunks(mut it: impl Iterator<Item = String>, usage: &str) -> usize {
+    let mut chunks = 1_000_000;
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => chunks = QUICK_CHUNKS,
+            "--chunks" => {
+                chunks = flag_value(&mut it, usage, "--chunks", "a positive integer");
+                if chunks == 0 {
+                    die(usage, "--chunks must be a positive integer");
+                }
+            }
+            "--help" | "-h" => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            other => die(usage, &format!("unknown flag {other}")),
+        }
+    }
+    chunks
+}
+
+/// The value following `flag`, parsed as `T`; a missing value or one that
+/// does not parse exits through [`die`] ("`flag` must be `what`").
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    usage: &str,
+    flag: &str,
+    what: &str,
+) -> T {
+    let v = it
+        .next()
+        .unwrap_or_else(|| die(usage, &format!("{flag} needs a value")));
+    v.parse()
+        .unwrap_or_else(|_| die(usage, &format!("{flag} must be {what}")))
+}
+
+/// Prints `msg` and `usage` to stderr and exits with status 2 (the
+/// malformed-arguments exit of every binary in this crate).
+fn die(usage: &str, msg: &str) -> ! {
     eprintln!("error: {msg}\n{usage}");
     std::process::exit(2);
 }
@@ -113,6 +138,13 @@ mod tests {
         assert_eq!(a.seed, Some(7));
         assert!(a.csv);
         assert_eq!(a.threads, 8);
+    }
+
+    #[test]
+    fn chunks_flags() {
+        assert_eq!(parse_chunks(args(&[]), "u"), 1_000_000);
+        assert_eq!(parse_chunks(args(&["--quick"]), "u"), QUICK_CHUNKS);
+        assert_eq!(parse_chunks(args(&["--chunks", "123"]), "u"), 123);
     }
 
     #[test]

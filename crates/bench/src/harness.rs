@@ -1,11 +1,16 @@
-//! Attack/defense experiment drivers shared by the figure binaries.
+//! Attack/defense experiment drivers shared by the figure binaries, plus
+//! the backup pair and store sizing `tournament` and `fault_overhead` run on.
+
+use std::time::Instant;
 
 use freqdedup_chunking::segment::SegmentParams;
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::defense::{DefenseScheme, KeyContext};
 use freqdedup_core::metrics::{self, InferenceReport};
+use freqdedup_datasets::fsl::{self, FslConfig};
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
+use freqdedup_store::engine::DedupConfig;
 use freqdedup_trace::Backup;
 
 /// The system-wide MLE secret used by all experiments (arbitrary; the
@@ -98,6 +103,37 @@ pub fn run_defended(
 #[must_use]
 pub fn segment_params(avg_chunk_size: u32) -> SegmentParams {
     SegmentParams::paper_default(avg_chunk_size)
+}
+
+/// Two consecutive FSL-like monthly backups of ~`chunks` logical chunks
+/// each, as `(aux, target)`: the older is the adversary's plaintext
+/// auxiliary information, the newer the encryption target.
+#[must_use]
+pub fn build_pair(chunks: usize) -> (Backup, Backup) {
+    let cfg = FslConfig {
+        backups: 2,
+        ..FslConfig::scaled((chunks / 6).max(100))
+    };
+    let series = fsl::generate(&cfg);
+    let backup = |i| series.get(i).expect("two backups generated").clone();
+    (backup(0), backup(1))
+}
+
+/// Store configuration sized for a stream of `unique` distinct chunks.
+#[must_use]
+pub fn store_config(unique: usize) -> DedupConfig {
+    DedupConfig {
+        cache_entries: unique / 4,
+        bloom_expected: (unique as u64).max(1024),
+        ..DedupConfig::default()
+    }
+}
+
+/// Milliseconds spent in `f`, plus its result.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64() * 1e3, out)
 }
 
 #[cfg(test)]

@@ -287,10 +287,9 @@ impl LocalityAttack {
     // -----------------------------------------------------------------------
     // Reference implementation (pre-dense, fingerprint-keyed).
     //
-    // Retained on purpose: it is the baseline `perf_report` measures the
-    // dense layer against, and the oracle the `dense_equivalence` property
-    // tests compare with. Not deprecated — it is the readable, paper-shaped
-    // form of Algorithm 2.
+    // Retained on purpose: it is the oracle the `dense_equivalence` and
+    // `par_determinism` property tests compare the dense layer with. Not
+    // deprecated — it is the readable, paper-shaped form of Algorithm 2.
     // -----------------------------------------------------------------------
 
     /// Ciphertext-only mode over the fingerprint-keyed [`ChunkStats`]

@@ -27,8 +27,8 @@
 //! This module is the paper-faithful, fingerprint-keyed layout. The attack
 //! hot path runs on the dense-id/CSR layer of [`crate::dense`], which
 //! produces bit-identical statistics; [`ChunkStats`] remains the
-//! compatibility surface for figure binaries and tests (and the baseline
-//! the `perf_report` benchmark measures against).
+//! compatibility surface for figure binaries and the oracle of the
+//! `dense_equivalence` tests.
 
 use std::collections::HashMap;
 

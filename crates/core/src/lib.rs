@@ -83,7 +83,6 @@ pub mod attacks;
 pub mod counting;
 pub mod defense;
 pub mod dense;
-pub mod ext;
 pub mod freq_analysis;
 pub mod metrics;
 pub mod par;

@@ -271,8 +271,8 @@ impl StatsDelta {
 /// the stack downwards while the invariant "each segment is strictly
 /// smaller than the one below it" is violated — O(log n) segments, O(log
 /// n) amortized merge work per entry, with the worst single append
-/// rewriting the whole table (the compaction stall `perf_report
-/// --streaming` measures). Row reads k-way-merge the per-segment runs;
+/// rewriting the whole table (the compaction stall `fdbench` reports as
+/// `core.stream_commit_ms_max`). Row reads k-way-merge the per-segment runs;
 /// the merge algebra makes the result independent of segmentation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentedCsr {

@@ -1,6 +1,6 @@
 //! Deterministic network fault injection for the wire layer.
 //!
-//! The chaos suite (`tests/chaos.rs`, `perf_report --faults`) needs to
+//! The chaos suite (`tests/chaos.rs`) and the `fault_overhead` binary need to
 //! break connections *reproducibly*: the acceptance property is that for
 //! **any** seeded fault schedule, every client either completes with
 //! store and tap bit-identical to the fault-free run, or surfaces a

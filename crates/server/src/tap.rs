@@ -52,6 +52,10 @@ use freqdedup_trace::{Backup, BackupSeries};
 /// The two tie-break policies the tap tracks, in storage order.
 const POLICIES: [TiePolicy; 2] = [TiePolicy::StreamOrder, TiePolicy::KeyOrder];
 
+/// Commits whose update latency [`TapStreaming`] remembers: the log is
+/// diagnostic, so a long-lived server keeps the most recent ones only.
+const UPDATE_LOG_CAP: usize = 1024;
+
 /// The adversary's running attack state behind the tap: one
 /// [`IncrementalStats`] per [`TiePolicy`], plus the per-commit update
 /// latency log.
@@ -62,8 +66,9 @@ const POLICIES: [TiePolicy; 2] = [TiePolicy::StreamOrder, TiePolicy::KeyOrder];
 pub struct TapStreaming {
     /// `[StreamOrder, KeyOrder]` running states (see [`POLICIES`]).
     stats: [IncrementalStats; 2],
-    /// Wall-clock cost of each [`Self::commit`] (both policies), in
-    /// microseconds. Diagnostic only; not persisted.
+    /// Wall-clock cost of the last (at most [`UPDATE_LOG_CAP`])
+    /// [`Self::commit`]s (both policies), in microseconds, oldest first.
+    /// Diagnostic only; not persisted.
     update_micros: Vec<u64>,
 }
 
@@ -100,6 +105,9 @@ impl TapStreaming {
             stats.commit(backup);
         }
         let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        if self.update_micros.len() == UPDATE_LOG_CAP {
+            self.update_micros.remove(0);
+        }
         self.update_micros.push(micros);
         micros
     }
@@ -113,8 +121,9 @@ impl TapStreaming {
         }
     }
 
-    /// Per-commit update cost in microseconds since this state was
-    /// constructed or loaded (restarts reset the log, not the state).
+    /// Update cost in microseconds of the most recent commits (at most
+    /// 1 024, oldest first) since this state was constructed or loaded
+    /// (restarts reset the log, not the state).
     #[must_use]
     pub fn update_micros(&self) -> &[u64] {
         &self.update_micros
@@ -824,6 +833,17 @@ mod tests {
                 "{policy:?}"
             );
         }
+    }
+
+    #[test]
+    fn update_latency_log_keeps_the_most_recent_commits() {
+        let mut streaming = TapStreaming::new();
+        let empty = backup("e", &[]);
+        for _ in 0..=UPDATE_LOG_CAP {
+            streaming.commit(&empty);
+        }
+        assert_eq!(streaming.commits(), UPDATE_LOG_CAP as u64 + 1);
+        assert_eq!(streaming.update_micros().len(), UPDATE_LOG_CAP);
     }
 
     #[test]

@@ -154,6 +154,14 @@ fn delete_gc_reopen_equals_never_held_store() {
     never.finish();
 
     assert_eq!(reopened.committed_backups(), never.committed_backups());
+    // The GC rewrite moved shared chunks between containers; the
+    // survivors' recipes must still be the streams that were committed.
+    assert_eq!(reopened.backup_recipe(1).unwrap().chunks, b1, "recipe 1");
+    assert!(
+        reopened.backup_recipe(2).is_none(),
+        "deleted recipe survives"
+    );
+    assert_eq!(reopened.backup_recipe(3).unwrap().chunks, b3, "recipe 3");
     assert_restores!(&reopened, &b1, "held after delete+gc+reopen");
     assert_restores!(&reopened, &b3, "held after delete+gc+reopen");
     assert_restores!(&never, &b1, "never-held control");
@@ -244,6 +252,13 @@ fn rekey_preserves_dedup_ratio_and_restores() {
     // Rekeying changes the at-rest wrapping only — dedup structure,
     // counters and in-process reads are untouched.
     assert_eq!(engine.stats(), before, "rekey perturbed store stats");
+    for id in [1, 2] {
+        assert_eq!(
+            engine.backup_recipe(id).unwrap().chunks,
+            base,
+            "recipe {id}"
+        );
+    }
     assert_restores!(&engine, &base, "post-rekey in-process");
 
     // A third identical generation still fully deduplicates under the new
@@ -288,6 +303,13 @@ fn rekey_preserves_dedup_ratio_and_restores() {
         vec![(1, 1), (2, 2), (3, 3)],
         "recipe catalog"
     );
+    for id in [1, 2, 3] {
+        assert_eq!(
+            reopened.backup_recipe(id).unwrap().chunks,
+            base,
+            "recipe {id}"
+        );
+    }
     assert_restores!(&reopened, &base, "post-rekey reopen");
     assert_eq!(reopened.stats().unique_chunks, base.len() as u64);
     done(&dir);
