@@ -13,6 +13,7 @@
 
 use freqdedup_trace::Backup;
 
+use crate::counting::TiePolicy;
 use crate::dense::{DenseStats, StatsView};
 use crate::freq_analysis::freq_analysis_dense;
 use crate::metrics::Inference;
@@ -56,7 +57,10 @@ impl BasicAttack {
         let fps_c = sc.fingerprints();
         let fps_m = sm.fingerprints();
         let mut t = Inference::with_capacity(limit);
-        for (c, m) in freq_analysis_dense(&sc.global_rows(), &sm.global_rows(), limit, fps_c, fps_m)
+        // Global rows carry no order: both policies rank them alike.
+        let (rows_c, rows_m) = (sc.global_rows(), sm.global_rows());
+        for (c, m) in
+            freq_analysis_dense(&rows_c, &rows_m, limit, fps_c, fps_m, TiePolicy::KeyOrder)
         {
             t.insert(fps_c[c as usize], fps_m[m as usize]);
         }

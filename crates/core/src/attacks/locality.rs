@@ -58,7 +58,8 @@ pub struct LocalityParams {
     /// [`crate::attacks::advanced::AdvancedAttack`] over setting this
     /// directly.
     pub size_aware: bool,
-    /// Neighbour-table tie-break policy (see [`TiePolicy`]).
+    /// Neighbour-table tie-break policy (see [`TiePolicy`]), applied when
+    /// rows are ranked — the state an attack runs on is built without it.
     pub tie_policy: TiePolicy,
     /// Worker threads for the `COUNT` phase (`0` = auto-detect, `1` =
     /// sequential). The crawl itself is inherently sequential; inference
@@ -150,8 +151,8 @@ impl LocalityAttack {
     #[must_use]
     pub fn run_ciphertext_only(&self, cipher: &Backup, plain_aux: &Backup) -> Inference {
         let par = self.params.par_config();
-        let sc = DenseStats::full_with_policy_par(cipher, self.params.tie_policy, par);
-        let sm = DenseStats::full_with_policy_par(plain_aux, self.params.tie_policy, par);
+        let sc = DenseStats::full_par(cipher, par);
+        let sm = DenseStats::full_par(plain_aux, par);
         self.run_ciphertext_only_with_stats(&sc, &sm)
     }
 
@@ -183,8 +184,8 @@ impl LocalityAttack {
         leaked: &[(Fingerprint, Fingerprint)],
     ) -> Inference {
         let par = self.params.par_config();
-        let sc = DenseStats::full_with_policy_par(cipher, self.params.tie_policy, par);
-        let sm = DenseStats::full_with_policy_par(plain_aux, self.params.tie_policy, par);
+        let sc = DenseStats::full_par(cipher, par);
+        let sm = DenseStats::full_par(plain_aux, par);
         self.run_known_plaintext_with_stats(&sc, &sm, leaked)
     }
 
@@ -278,9 +279,10 @@ impl LocalityAttack {
         x: usize,
     ) -> Vec<DensePair> {
         if self.params.size_aware {
-            freq_analysis_sized_dense(yc, ym, x, sc, sm)
+            freq_analysis_sized_dense(yc, ym, x, sc, sm, self.params.tie_policy)
         } else {
-            freq_analysis_dense(yc, ym, x, sc.fingerprints(), sm.fingerprints())
+            let (fps_c, fps_m) = (sc.fingerprints(), sm.fingerprints());
+            freq_analysis_dense(yc, ym, x, fps_c, fps_m, self.params.tie_policy)
         }
     }
 

@@ -69,9 +69,9 @@ pub fn run_ciphertext_only(
     }
 }
 
-/// Ciphertext-only dispatch of `kind` over pre-built attack state on both
-/// sides (any [`StatsView`] each).
-fn run_ciphertext_only_with_stats_kind<SC: StatsView, SM: StatsView>(
+/// Runs `kind` in ciphertext-only mode over pre-built attack state on both
+/// sides (any [`StatsView`] each), ranking ties under `params.tie_policy`.
+fn run_ciphertext_only_with_stats<SC: StatsView, SM: StatsView>(
     kind: AttackKind,
     sc: &SC,
     sm: &SM,
@@ -87,19 +87,36 @@ fn run_ciphertext_only_with_stats_kind<SC: StatsView, SM: StatsView>(
     }
 }
 
+/// Runs `kind` in ciphertext-only mode over pre-built attack state on both
+/// sides (any [`StatsView`] each) under **both** tie-break policies
+/// (`params.tie_policy` is overridden per run), in `[StreamOrder,
+/// KeyOrder]` order: `COUNT` is policy-free, so one state per side serves
+/// both crawls.
+#[must_use]
+pub fn run_ciphertext_only_with_stats_both_policies<SC: StatsView, SM: StatsView>(
+    kind: AttackKind,
+    sc: &SC,
+    sm: &SM,
+    params: &locality::LocalityParams,
+) -> [(TiePolicy, Inference); 2] {
+    [TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
+        let per_policy = params.clone().tie_policy(policy);
+        (
+            policy,
+            run_ciphertext_only_with_stats(kind, sc, sm, &per_policy),
+        )
+    })
+}
+
 /// Runs `kind` in ciphertext-only mode under **both** neighbour-table
-/// tie-break policies (`params.tie_policy` is overridden per run).
+/// tie-break policies: one `COUNT` per side, two crawls.
 ///
 /// This is the attack entry point for provider-side tapped traces: the
 /// live-traffic equivalence criterion requires that an adversary tap's
 /// inference matches offline ingest under *either* [`TiePolicy`], so the
-/// tap consumers (service example, integration tests, serve bench) sweep
-/// the pair through this helper.
-///
-/// Each side's stream is interned and counted **once** and only the
-/// neighbour tables are built per policy
-/// ([`DenseStats::full_both_policies_par`]); the result is bit-identical
-/// to two independent [`run_ciphertext_only`] calls (pinned by
+/// tap consumers (service example, integration tests, `fdbench`) sweep the
+/// pair through this helper. The result is bit-identical to two
+/// independent [`run_ciphertext_only`] calls (pinned by
 /// `tests/streaming_equivalence.rs`).
 #[must_use]
 pub fn run_ciphertext_only_both_policies(
@@ -109,19 +126,9 @@ pub fn run_ciphertext_only_both_policies(
     params: &locality::LocalityParams,
 ) -> [(TiePolicy, Inference); 2] {
     let par = params.par_config();
-    let [sc_stream, sc_key] = DenseStats::full_both_policies_par(cipher, par);
-    let [sm_stream, sm_key] = DenseStats::full_both_policies_par(plain_aux, par);
-    [
-        (TiePolicy::StreamOrder, &sc_stream, &sm_stream),
-        (TiePolicy::KeyOrder, &sc_key, &sm_key),
-    ]
-    .map(|(policy, sc, sm)| {
-        let per_policy = params.clone().tie_policy(policy);
-        (
-            policy,
-            run_ciphertext_only_with_stats_kind(kind, sc, sm, &per_policy),
-        )
-    })
+    let sc = DenseStats::full_par(cipher, par);
+    let sm = DenseStats::full_par(plain_aux, par);
+    run_ciphertext_only_with_stats_both_policies(kind, &sc, &sm, params)
 }
 
 /// Runs `kind` in ciphertext-only mode against a **series** of tapped
@@ -137,18 +144,16 @@ pub fn run_ciphertext_only_series(
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> Inference {
-    let sc = DenseStats::full_series_with_policy(cipher_tape, params.tie_policy);
-    let sm = DenseStats::full_with_policy_par(plain_aux, params.tie_policy, params.par_config());
-    run_ciphertext_only_with_stats_kind(kind, &sc, &sm, params)
+    let sc = DenseStats::full_series(cipher_tape);
+    let sm = DenseStats::full_par(plain_aux, params.par_config());
+    run_ciphertext_only_with_stats(kind, &sc, &sm, params)
 }
 
 /// Runs `kind` in ciphertext-only mode against a **running**
 /// [`IncrementalStats`] maintained behind live traffic — the adversary's
 /// O(delta)-per-commit steady state. No ciphertext-side rebuild happens;
-/// the crawl reads the segmented tables directly. `params.tie_policy` is
-/// ignored in favour of the state's own policy (the tables were folded
-/// under it). Bit-identical to [`run_ciphertext_only_series`] over the
-/// committed tape.
+/// the crawl reads the segmented tables directly. Bit-identical to
+/// [`run_ciphertext_only_series`] over the committed tape.
 #[must_use]
 pub fn run_ciphertext_only_streaming(
     kind: AttackKind,
@@ -156,9 +161,8 @@ pub fn run_ciphertext_only_streaming(
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> Inference {
-    let per_policy = params.clone().tie_policy(cipher.policy());
-    let sm = DenseStats::full_with_policy_par(plain_aux, cipher.policy(), params.par_config());
-    run_ciphertext_only_with_stats_kind(kind, cipher, &sm, &per_policy)
+    let sm = DenseStats::full_par(plain_aux, params.par_config());
+    run_ciphertext_only_with_stats(kind, cipher, &sm, params)
 }
 
 /// Known-plaintext variant of [`run_ciphertext_only_streaming`]. The basic
@@ -171,13 +175,12 @@ pub fn run_known_plaintext_streaming(
     leaked: &[(Fingerprint, Fingerprint)],
     params: &locality::LocalityParams,
 ) -> Inference {
-    let per_policy = params.clone().tie_policy(cipher.policy());
-    let sm = DenseStats::full_with_policy_par(plain_aux, cipher.policy(), params.par_config());
+    let sm = DenseStats::full_par(plain_aux, params.par_config());
     match kind {
         AttackKind::Basic => basic::BasicAttack::new().run_with_stats(cipher, &sm),
-        AttackKind::Locality => locality::LocalityAttack::new(per_policy.clone().size_aware(false))
+        AttackKind::Locality => locality::LocalityAttack::new(params.clone().size_aware(false))
             .run_known_plaintext_with_stats(cipher, &sm, leaked),
-        AttackKind::Advanced => advanced::AdvancedAttack::new(per_policy)
+        AttackKind::Advanced => advanced::AdvancedAttack::new(params.clone())
             .run_known_plaintext_with_stats(cipher, &sm, leaked),
     }
 }

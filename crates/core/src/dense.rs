@@ -29,9 +29,13 @@
 //! sort key includes the position, so a run's first element carries the
 //! minimum, i.e. first-seen, position), and the final fingerprint tie-break
 //! resolves through the interner's id→fingerprint table rather than the id
-//! itself, so interning cannot reorder ties. The property tests in
+//! itself, so interning cannot reorder ties. `COUNT` here is policy-free:
+//! every row carries its first-seen position, and the
+//! [`TiePolicy`](crate::counting::TiePolicy) decides at rank time
+//! ([`crate::freq_analysis`]) whether to read it. The property tests in
 //! `tests/dense_equivalence.rs` verify identity against the fingerprint
-//! -keyed path on randomized backups under both [`TiePolicy`] variants.
+//! -keyed path — which still derives `KeyOrder` at build time — on
+//! randomized backups under both policies.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -39,7 +43,7 @@ use std::ops::Range;
 use freqdedup_trace::{Backup, Fingerprint};
 use rustc_hash::FxHashMap;
 
-use crate::counting::{ChunkStats, FreqEntry, TiePolicy};
+use crate::counting::{ChunkStats, FreqEntry};
 use crate::par::{self, ParConfig};
 
 /// A dense chunk id: index into the interner's fingerprint/size tables.
@@ -130,8 +134,9 @@ pub struct DenseEntry {
     pub id: ChunkId,
     /// Number of occurrences.
     pub count: u32,
-    /// Stream position of the first occurrence (tie-break key; 0 under
-    /// [`TiePolicy::KeyOrder`] and in the global table).
+    /// Stream position of the first occurrence (0 in the global table).
+    /// The tie-break key under `StreamOrder`; `KeyOrder` ranks without
+    /// reading it.
     pub order: u32,
 }
 
@@ -219,18 +224,13 @@ impl CooccurrenceCsr {
     /// per-range sorted runs reproduces exactly the globally sorted
     /// adjacency array — so the stitched table is bit-identical to
     /// [`Self::build`]'s at any thread count.
-    fn build_sharded(
-        num_ids: usize,
-        ids: &[ChunkId],
-        side: Side,
-        policy: TiePolicy,
-        threads: usize,
-    ) -> Self {
+    fn build_sharded(num_ids: usize, ids: &[ChunkId], side: Side, threads: usize) -> Self {
         let ranges = par::shard_ranges(num_ids, threads.max(1));
         if ranges.len() <= 1 {
-            // Degenerate stream: the bucketing pass would be the whole
-            // cost, so take the sequential build directly.
-            return Self::build(num_ids, adjacency_events(ids, side, policy));
+            // One range — one thread, or a degenerate stream: bucketing
+            // would be a wasted pass, so sort the events as they come.
+            let events = (1..ids.len()).map(|i| adjacency_event_at(ids, i, side, 0));
+            return Self::build(num_ids, events.collect());
         }
 
         // Bucket by owning id shard: `starts` is small (≤ threads entries),
@@ -238,7 +238,7 @@ impl CooccurrenceCsr {
         let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
         let mut work: Vec<CsrShard> = ranges.into_iter().map(CsrShard::new).collect();
         for i in 1..ids.len() {
-            let (key, order) = adjacency_event(ids, i, side, policy);
+            let (key, order) = adjacency_event_at(ids, i, side, 0);
             let chunk = (key >> 32) as usize;
             let shard = starts.partition_point(|&s| s <= chunk) - 1;
             work[shard].adjacencies.push((key, order));
@@ -313,56 +313,28 @@ impl CooccurrenceCsr {
     }
 }
 
-/// The tie-break order an adjacency event at stream position `i` carries.
-fn order_of(i: usize, policy: TiePolicy) -> u32 {
-    match policy {
-        TiePolicy::StreamOrder => i as u32,
-        TiePolicy::KeyOrder => 0,
-    }
-}
-
-/// The adjacency event for stream index `i ∈ 1..n` on `side`: the packed
-/// `(row chunk ≪ 32 | neighbour)` sort key plus its tie-break order.
+/// The adjacency event for stream index `i ∈ 1..n` on `side`, for a stream
+/// that starts at global position `base` within a larger tape: the packed
+/// `(row chunk ≪ 32 | neighbour)` sort key plus the event's **global**
+/// stream position, so per-backup deltas aggregate to exactly the orders a
+/// batch `COUNT` over the concatenated tape observes.
 ///
 /// For [`Side::Left`] the row chunk is `ids[i]` (its left neighbour is
 /// `ids[i-1]`, observed at position `i`); for [`Side::Right`] the row
 /// chunk is `ids[i-1]` (its right neighbour is `ids[i]`, observed at
 /// position `i-1`). This is the **only** place event derivation lives —
-/// the sequential build, the sharded build's degenerate path, the sharded
-/// bucketing loop, and the streaming delta builder all call it (the latter
-/// through [`adjacency_event_at`]), so the paths cannot drift.
+/// the sequential build, the sharded bucketing loop, the series build and
+/// the streaming delta builder all call it, so the paths cannot drift.
 #[inline]
-fn adjacency_event(ids: &[ChunkId], i: usize, side: Side, policy: TiePolicy) -> (u64, u32) {
-    adjacency_event_at(ids, i, side, policy, 0)
-}
-
-/// [`adjacency_event`] for a stream that starts at global position `base`
-/// within a larger tape: the tie-break order is the **global** stream
-/// position, so per-backup deltas aggregate to exactly the orders a batch
-/// `COUNT` over the concatenated tape observes.
-#[inline]
-pub(crate) fn adjacency_event_at(
-    ids: &[ChunkId],
-    i: usize,
-    side: Side,
-    policy: TiePolicy,
-    base: usize,
-) -> (u64, u32) {
+pub(crate) fn adjacency_event_at(ids: &[ChunkId], i: usize, side: Side, base: usize) -> (u64, u32) {
     let (chunk, neighbour, pos) = match side {
         Side::Left => (ids[i], ids[i - 1], i),
         Side::Right => (ids[i - 1], ids[i], i - 1),
     };
     (
         (u64::from(chunk) << 32) | u64::from(neighbour),
-        order_of(base + pos, policy),
+        (base + pos) as u32,
     )
-}
-
-/// All adjacency events of a stream on one side, in stream order.
-fn adjacency_events(ids: &[ChunkId], side: Side, policy: TiePolicy) -> Vec<(u64, u32)> {
-    (1..ids.len())
-        .map(|i| adjacency_event(ids, i, side, policy))
-        .collect()
 }
 
 /// Run-length-aggregates a **sorted** adjacency slice whose row chunks all
@@ -442,94 +414,45 @@ impl DenseStats {
         }
     }
 
-    /// Runs the full `COUNT` of Algorithm 2 with the default
-    /// [`TiePolicy::StreamOrder`].
+    /// Runs the full `COUNT` of Algorithm 2: interning, global frequencies
+    /// and both CSR neighbour tables.
     #[must_use]
     pub fn full(backup: &Backup) -> Self {
-        Self::full_with_policy(backup, TiePolicy::StreamOrder)
+        Self::full_par(backup, ParConfig::sequential())
     }
 
-    /// Runs the full `COUNT` of Algorithm 2: interning, global frequencies
-    /// and both CSR neighbour tables, with an explicit neighbour tie-break
-    /// policy.
+    /// Forwarder to [`Self::full`] for `benchmark/`, which calls this name
+    /// and is changed only by PRs of its own; `COUNT` reads no policy.
+    #[doc(hidden)]
     #[must_use]
-    pub fn full_with_policy(backup: &Backup, policy: TiePolicy) -> Self {
-        let (interner, ids) = intern_stream(backup);
-        let unique = interner.len();
-        let freq = count_ids(&ids, unique);
-        let left = CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Left, policy));
-        let right = CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Right, policy));
-        DenseStats {
-            interner,
-            freq,
-            left,
-            right,
-        }
+    pub fn full_with_policy(backup: &Backup, _policy: crate::counting::TiePolicy) -> Self {
+        Self::full(backup)
     }
 
-    /// The full `COUNT` of Algorithm 2 with the frequency pass and both
-    /// CSR neighbour-table builds sharded across worker threads.
+    /// [`Self::full`] with the frequency pass and both CSR neighbour-table
+    /// builds sharded across worker threads.
     ///
     /// Interning stays sequential — id assignment is first-seen order, an
     /// inherently serial definition — but it is one hash pass; the sorts
     /// dominate at scale. Frequencies shard by contiguous stream range and
     /// merge by elementwise sum; the neighbour tables shard **by chunk-id
     /// range** (see [`CooccurrenceCsr`] internals), so every merged
-    /// structure is bit-identical to [`Self::full_with_policy`]'s output
-    /// at any thread count. `par` resolving to 1 takes the sequential path
-    /// unchanged.
+    /// structure is bit-identical at any thread count. `par` resolving to
+    /// 1 spawns nothing: one range, one sort per side.
     #[must_use]
-    pub fn full_with_policy_par(backup: &Backup, policy: TiePolicy, par: ParConfig) -> Self {
+    pub fn full_par(backup: &Backup, par: ParConfig) -> Self {
         let threads = par.resolve();
-        if threads <= 1 {
-            return Self::full_with_policy(backup, policy);
-        }
         let (interner, ids) = intern_stream(backup);
         let unique = interner.len();
         let freq = count_ids_par(&ids, unique, threads);
-        let left = CooccurrenceCsr::build_sharded(unique, &ids, Side::Left, policy, threads);
-        let right = CooccurrenceCsr::build_sharded(unique, &ids, Side::Right, policy, threads);
+        let left = CooccurrenceCsr::build_sharded(unique, &ids, Side::Left, threads);
+        let right = CooccurrenceCsr::build_sharded(unique, &ids, Side::Right, threads);
         DenseStats {
             interner,
             freq,
             left,
             right,
         }
-    }
-
-    /// The full `COUNT` of Algorithm 2 with both frequency and CSR tables
-    /// built for **both** [`TiePolicy`] variants from **one** interning and
-    /// counting pass (returned in `[StreamOrder, KeyOrder]` order).
-    ///
-    /// The policy only affects the tie-break orders carried by adjacency
-    /// events, never the interner or the frequency array, so those are
-    /// shared and cloned — each returned stats value is bit-identical to
-    /// [`Self::full_with_policy_par`] under the same policy.
-    #[must_use]
-    pub fn full_both_policies_par(backup: &Backup, par: ParConfig) -> [Self; 2] {
-        let threads = par.resolve();
-        let (interner, ids) = intern_stream(backup);
-        let unique = interner.len();
-        let freq = count_ids_par(&ids, unique, threads);
-        [TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
-            let (left, right) = if threads <= 1 {
-                (
-                    CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Left, policy)),
-                    CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Right, policy)),
-                )
-            } else {
-                (
-                    CooccurrenceCsr::build_sharded(unique, &ids, Side::Left, policy, threads),
-                    CooccurrenceCsr::build_sharded(unique, &ids, Side::Right, policy, threads),
-                )
-            };
-            DenseStats {
-                interner: interner.clone(),
-                freq: freq.clone(),
-                left,
-                right,
-            }
-        })
     }
 
     /// Batch `COUNT` over a **tape** of backups — the full-recompute oracle
@@ -539,13 +462,12 @@ impl DenseStats {
     /// Tape semantics: ids are interned first-seen across the whole tape in
     /// tape order; frequencies sum over all backups; adjacency events exist
     /// only *within* each backup (the last chunk of one backup is not the
-    /// left neighbour of the next backup's first chunk); and under
-    /// [`TiePolicy::StreamOrder`] the tie-break order of an event is its
-    /// **global** stream position (the backup's cumulative chunk offset
-    /// plus the local position). For a single-backup tape this is exactly
-    /// [`Self::full_with_policy`].
+    /// left neighbour of the next backup's first chunk); and the order of
+    /// an event is its **global** stream position (the backup's cumulative
+    /// chunk offset plus the local position). For a single-backup tape
+    /// this is exactly [`Self::full`].
     #[must_use]
-    pub fn full_series_with_policy(tape: &[Backup], policy: TiePolicy) -> Self {
+    pub fn full_series(tape: &[Backup]) -> Self {
         let mut interner = ChunkInterner::new();
         let mut left_events = Vec::new();
         let mut right_events = Vec::new();
@@ -558,8 +480,8 @@ impl DenseStats {
                 .map(|rec| interner.intern(rec.fp, rec.size))
                 .collect();
             for i in 1..ids.len() {
-                left_events.push(adjacency_event_at(&ids, i, Side::Left, policy, base));
-                right_events.push(adjacency_event_at(&ids, i, Side::Right, policy, base));
+                left_events.push(adjacency_event_at(&ids, i, Side::Left, base));
+                right_events.push(adjacency_event_at(&ids, i, Side::Right, base));
             }
             base += ids.len();
             freq_ids.extend(ids);
@@ -835,16 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn key_order_policy_zeroes_orders() {
-        let s = DenseStats::full_with_policy(&backup(&[1, 2, 1, 2]), TiePolicy::KeyOrder);
-        for id in 0..s.unique_chunks() as u32 {
-            for e in s.left.row(id).iter().chain(s.right.row(id)) {
-                assert_eq!(e.order, 0);
-            }
-        }
-    }
-
-    #[test]
     fn boundary_chunks_have_one_sided_rows() {
         let s = DenseStats::full(&backup(&[1, 2]));
         let id1 = s.interner.get(fp(1)).unwrap();
@@ -893,12 +805,10 @@ mod tests {
         // neighbourhoods, and ids spanning several shard ranges.
         let fps: Vec<u64> = (0..500u64).map(|i| (i * i) % 37).collect();
         let b = backup(&fps);
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let seq = DenseStats::full_with_policy(&b, policy);
-            for t in [1usize, 2, 3, 8, 64] {
-                let par = DenseStats::full_with_policy_par(&b, policy, ParConfig::with_threads(t));
-                assert_eq!(par, seq, "threads {t} policy {policy:?}");
-            }
+        let seq = DenseStats::full(&b);
+        for t in [1usize, 2, 3, 8, 64] {
+            let par = DenseStats::full_par(&b, ParConfig::with_threads(t));
+            assert_eq!(par, seq, "threads {t}");
         }
     }
 
@@ -918,49 +828,16 @@ mod tests {
         for fps in [&[][..], &[42][..], &[7, 7, 7][..]] {
             let b = backup(fps);
             let seq = DenseStats::full(&b);
-            let par = DenseStats::full_with_policy_par(
-                &b,
-                TiePolicy::StreamOrder,
-                ParConfig::with_threads(8),
-            );
+            let par = DenseStats::full_par(&b, ParConfig::with_threads(8));
             assert_eq!(par, seq);
-        }
-    }
-
-    #[test]
-    fn both_policies_share_one_build_and_match_individual_builds() {
-        let fps: Vec<u64> = (0..400u64).map(|i| (i * 7) % 61).collect();
-        let b = backup(&fps);
-        for t in [1usize, 4] {
-            let [stream, key] = DenseStats::full_both_policies_par(&b, ParConfig::with_threads(t));
-            assert_eq!(
-                stream,
-                DenseStats::full_with_policy_par(
-                    &b,
-                    TiePolicy::StreamOrder,
-                    ParConfig::with_threads(t)
-                ),
-                "threads {t}"
-            );
-            assert_eq!(
-                key,
-                DenseStats::full_with_policy_par(
-                    &b,
-                    TiePolicy::KeyOrder,
-                    ParConfig::with_threads(t)
-                ),
-                "threads {t}"
-            );
         }
     }
 
     #[test]
     fn series_of_one_backup_equals_single_batch() {
         let b = backup(&[1, 2, 5, 2, 1, 2, 3, 4, 2, 3, 4, 4]);
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let series = DenseStats::full_series_with_policy(std::slice::from_ref(&b), policy);
-            assert_eq!(series, DenseStats::full_with_policy(&b, policy));
-        }
+        let series = DenseStats::full_series(std::slice::from_ref(&b));
+        assert_eq!(series, DenseStats::full(&b));
     }
 
     #[test]
@@ -969,7 +846,7 @@ mod tests {
         // boundary 2|2 contributes no adjacency — 2's right neighbour 3
         // comes only from the second backup's interior edge.
         let tape = [backup(&[1, 2]), backup(&[2, 3])];
-        let s = DenseStats::full_series_with_policy(&tape, TiePolicy::StreamOrder);
+        let s = DenseStats::full_series(&tape);
         let id1 = s.interner.get(fp(1)).unwrap();
         let id2 = s.interner.get(fp(2)).unwrap();
         let id3 = s.interner.get(fp(3)).unwrap();

@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use freqdedup_trace::Fingerprint;
 
-use crate::counting::{FreqEntry, FreqTable};
+use crate::counting::{FreqEntry, FreqTable, TiePolicy};
 use crate::dense::{ChunkId, DenseEntry, StatsView};
 
 /// An inferred ciphertext→plaintext pair.
@@ -151,19 +151,26 @@ pub type DensePair = (ChunkId, ChunkId);
 /// The canonical sort key of a dense row: ascending order = better rank
 /// (higher count, earlier first occurrence, smaller fingerprint).
 ///
-/// The fingerprint — not the dense id — is the final tie-break, so interning
-/// cannot perturb the canonical order.
+/// This is where the tie policy acts, and the only place: `COUNT` always
+/// records first-seen positions, and [`TiePolicy::KeyOrder`] ranks as if
+/// every one of them were 0, so equal counts fall through to the
+/// fingerprint. The fingerprint — not the dense id — is the final
+/// tie-break, so interning cannot perturb the canonical order.
 #[inline]
-fn dense_key(e: &DenseEntry, fps: &[Fingerprint]) -> (Reverse<u32>, u32, u64) {
-    (Reverse(e.count), e.order, fps[e.id as usize].0)
+fn dense_key(e: &DenseEntry, fps: &[Fingerprint], policy: TiePolicy) -> (Reverse<u32>, u32, u64) {
+    let order = match policy {
+        TiePolicy::StreamOrder => e.order,
+        TiePolicy::KeyOrder => 0,
+    };
+    (Reverse(e.count), order, fps[e.id as usize].0)
 }
 
 /// Sorts dense rows under the canonical order (best first). `fps` is the
 /// id→fingerprint table of the side the rows belong to.
 #[must_use]
-pub fn rank_dense(rows: &[DenseEntry], fps: &[Fingerprint]) -> Vec<DenseEntry> {
+pub fn rank_dense(rows: &[DenseEntry], fps: &[Fingerprint], policy: TiePolicy) -> Vec<DenseEntry> {
     let mut sorted = rows.to_vec();
-    sorted.sort_unstable_by_key(|e| dense_key(e, fps));
+    sorted.sort_unstable_by_key(|e| dense_key(e, fps, policy));
     sorted
 }
 
@@ -172,21 +179,26 @@ pub fn rank_dense(rows: &[DenseEntry], fps: &[Fingerprint]) -> Vec<DenseEntry> {
 /// common case in the locality crawl (`v = 15` against neighbour rows and
 /// `u = 1` against the global table).
 #[must_use]
-pub fn top_k_dense(rows: &[DenseEntry], k: usize, fps: &[Fingerprint]) -> Vec<DenseEntry> {
+pub fn top_k_dense(
+    rows: &[DenseEntry],
+    k: usize,
+    fps: &[Fingerprint],
+    policy: TiePolicy,
+) -> Vec<DenseEntry> {
     if k == 0 || rows.is_empty() {
         return Vec::new();
     }
     if k * 8 >= rows.len() {
-        let mut sorted = rank_dense(rows, fps);
+        let mut sorted = rank_dense(rows, fps, policy);
         sorted.truncate(k);
         return sorted;
     }
-    // Max-heap on the canonical key: the root is the *worst* of the k best
-    // rows kept so far, evicted whenever a better candidate arrives.
-    let mut heap: BinaryHeap<(Reverse<u32>, u32, u64, u32)> = BinaryHeap::with_capacity(k + 1);
-    for e in rows {
-        let (c, o, f) = dense_key(e, fps);
-        let key = (c, o, f, e.id);
+    // Max-heap on the canonical key (plus the row's index, to hand the row
+    // itself back): the root is the *worst* of the k best rows kept so far,
+    // evicted whenever a better candidate arrives.
+    let mut heap = BinaryHeap::with_capacity(k + 1);
+    for (i, e) in rows.iter().enumerate() {
+        let key = (dense_key(e, fps, policy), i);
         if heap.len() < k {
             heap.push(key);
         } else if key < *heap.peek().expect("non-empty heap") {
@@ -196,7 +208,7 @@ pub fn top_k_dense(rows: &[DenseEntry], k: usize, fps: &[Fingerprint]) -> Vec<De
     }
     heap.into_sorted_vec()
         .into_iter()
-        .map(|(Reverse(count), order, _fp, id)| DenseEntry { id, count, order })
+        .map(|(_, i)| rows[i])
         .collect()
 }
 
@@ -209,13 +221,14 @@ pub fn freq_analysis_dense(
     x: usize,
     fps_c: &[Fingerprint],
     fps_m: &[Fingerprint],
+    policy: TiePolicy,
 ) -> Vec<DensePair> {
     let take = x.min(yc.len()).min(ym.len());
     if take == 0 {
         return Vec::new();
     }
-    let rc = top_k_dense(yc, take, fps_c);
-    let rm = top_k_dense(ym, take, fps_m);
+    let rc = top_k_dense(yc, take, fps_c, policy);
+    let rm = top_k_dense(ym, take, fps_m, policy);
     rc.into_iter().zip(rm).map(|(c, m)| (c.id, m.id)).collect()
 }
 
@@ -234,6 +247,7 @@ pub fn freq_analysis_sized_dense<SC: StatsView, SM: StatsView>(
     x: usize,
     sc: &SC,
     sm: &SM,
+    policy: TiePolicy,
 ) -> Vec<DensePair> {
     if x == 0 || yc.is_empty() || ym.is_empty() {
         return Vec::new();
@@ -251,6 +265,7 @@ pub fn freq_analysis_sized_dense<SC: StatsView, SM: StatsView>(
             x,
             sc.fingerprints(),
             sm.fingerprints(),
+            policy,
         ));
     }
     pairs
@@ -441,11 +456,18 @@ mod tests {
             })
             .collect();
         let legacy: Vec<u64> = rank(&table).into_iter().map(|(f, _)| f.0).collect();
-        let dense: Vec<u64> = rank_dense(&entries, &fps)
+        let dense: Vec<u64> = rank_dense(&entries, &fps, TiePolicy::StreamOrder)
             .into_iter()
             .map(|e| fps[e.id as usize].0)
             .collect();
         assert_eq!(legacy, dense);
+        // `KeyOrder` ranks the same rows as if every order were 0: the
+        // three count-5 rows fall through to their fingerprints.
+        let by_key: Vec<u64> = rank_dense(&entries, &fps, TiePolicy::KeyOrder)
+            .into_iter()
+            .map(|e| fps[e.id as usize].0)
+            .collect();
+        assert_eq!(by_key, vec![2, 1, 3, 7]);
     }
 
     #[test]
@@ -457,31 +479,41 @@ mod tests {
             rows.push((i * 31 % 997, (x % 50) as u32, (x % 1000) as u32));
         }
         let (entries, fps) = dense_rows(&rows);
-        let full = rank_dense(&entries, &fps);
-        for k in [1usize, 3, 10, 100, 500] {
-            assert_eq!(
-                top_k_dense(&entries, k, &fps),
-                full[..k.min(full.len())].to_vec(),
-                "k={k}"
-            );
+        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
+            let full = rank_dense(&entries, &fps, policy);
+            for k in [1usize, 3, 10, 100, 500] {
+                assert_eq!(
+                    top_k_dense(&entries, k, &fps, policy),
+                    full[..k.min(full.len())].to_vec(),
+                    "k={k} {policy:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn dense_top_k_edge_cases() {
         let (entries, fps) = dense_rows(&[(1, 4, 0), (2, 2, 1)]);
-        assert!(top_k_dense(&entries, 0, &fps).is_empty());
-        assert!(top_k_dense(&[], 5, &fps).is_empty());
-        assert_eq!(top_k_dense(&entries, 10, &fps).len(), 2);
+        assert!(top_k_dense(&entries, 0, &fps, TiePolicy::StreamOrder).is_empty());
+        assert!(top_k_dense(&[], 5, &fps, TiePolicy::StreamOrder).is_empty());
+        assert_eq!(
+            top_k_dense(&entries, 10, &fps, TiePolicy::StreamOrder).len(),
+            2
+        );
     }
 
     #[test]
     fn dense_pairs_by_rank() {
         let (yc, fps_c) = dense_rows(&[(101, 10, 0), (102, 5, 1), (103, 1, 2)]);
         let (ym, fps_m) = dense_rows(&[(201, 8, 0), (202, 4, 1), (203, 2, 2)]);
-        let pairs = freq_analysis_dense(&yc, &ym, 10, &fps_c, &fps_m);
+        let pairs = freq_analysis_dense(&yc, &ym, 10, &fps_c, &fps_m, TiePolicy::StreamOrder);
         assert_eq!(pairs, vec![(0, 0), (1, 1), (2, 2)]);
-        assert_eq!(freq_analysis_dense(&yc, &ym, 1, &fps_c, &fps_m).len(), 1);
-        assert!(freq_analysis_dense(&yc, &[], 5, &fps_c, &fps_m).is_empty());
+        assert_eq!(
+            freq_analysis_dense(&yc, &ym, 1, &fps_c, &fps_m, TiePolicy::StreamOrder).len(),
+            1
+        );
+        assert!(
+            freq_analysis_dense(&yc, &[], 5, &fps_c, &fps_m, TiePolicy::StreamOrder).is_empty()
+        );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! What runs on them in this crate:
 //!
-//! * [`crate::dense::DenseStats::full_with_policy_par`] — dense `COUNT`:
+//! * [`crate::dense::DenseStats::full_par`] — dense `COUNT`:
 //!   per-shard frequency counting over contiguous stream ranges
 //!   (elementwise-summed in shard order) and the left/right CSR
 //!   neighbour-table build sharded **by chunk-id range** so per-shard

@@ -24,7 +24,7 @@
 //!   same bits.
 //! * [`IncrementalStats`] — the running attack state: interner, frequency
 //!   array, both segmented tables, and the logical-position cursor that
-//!   keeps [`TiePolicy::StreamOrder`] tie-breaks globally consistent.
+//!   keeps first-seen orders globally consistent.
 //!   [`IncrementalStats::commit`] folds one backup in O(delta · log
 //!   history); [`IncrementalStats::to_dense`] materializes the equivalent
 //!   [`DenseStats`] for table-level equivalence checks.
@@ -33,7 +33,7 @@
 //! ([`IncrementalStats::write_to`] / [`IncrementalStats::read_from`]) so a
 //! restarted adversary tap resumes **bit-identically** — segments and
 //! merge counters included — without replaying history. Equivalence with
-//! the batch oracle ([`DenseStats::full_series_with_policy`]) is pinned by
+//! the batch oracle ([`DenseStats::full_series`]) is pinned by
 //! `tests/streaming_equivalence.rs`.
 
 use std::io::{Read, Write};
@@ -42,7 +42,6 @@ use std::ops::Range;
 use freqdedup_trace::io::{Crc32, TraceIoError};
 use freqdedup_trace::{Backup, Fingerprint};
 
-use crate::counting::TiePolicy;
 use crate::dense::{
     adjacency_event_at, ChunkId, ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats, Side,
     StatsView,
@@ -141,7 +140,6 @@ fn aggregate_events(mut events: Vec<(u64, u32)>) -> Vec<AdjEntry> {
 /// in the batch tape semantics).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StatsDelta {
-    policy: TiePolicy,
     chunks: u64,
     /// Sparse frequency increments, sorted by id.
     freq: Vec<(ChunkId, u32)>,
@@ -152,21 +150,15 @@ pub struct StatsDelta {
 impl StatsDelta {
     /// Builds the delta of one backup: interns its stream into `interner`
     /// (assigning fresh ids to first-seen chunks), counts its frequencies,
-    /// and aggregates its within-backup adjacency events with tie-break
+    /// and aggregates its within-backup adjacency events with first-seen
     /// orders offset by `position_offset` — the number of logical chunks
-    /// committed before this backup (so [`TiePolicy::StreamOrder`] orders
-    /// are **global** tape positions, matching
-    /// [`DenseStats::full_series_with_policy`]).
+    /// committed before this backup (so orders are **global** tape
+    /// positions, matching [`DenseStats::full_series`]).
     ///
     /// Cost is O(delta · log delta): two sorts over the backup's own
     /// events, independent of total history.
     #[must_use]
-    pub fn build(
-        interner: &mut ChunkInterner,
-        backup: &Backup,
-        policy: TiePolicy,
-        position_offset: u64,
-    ) -> Self {
+    pub fn build(interner: &mut ChunkInterner, backup: &Backup, position_offset: u64) -> Self {
         let ids: Vec<ChunkId> = backup
             .chunks
             .iter()
@@ -188,16 +180,15 @@ impl StatsDelta {
         }
         let left = aggregate_events(
             (1..ids.len())
-                .map(|i| adjacency_event_at(&ids, i, Side::Left, policy, base))
+                .map(|i| adjacency_event_at(&ids, i, Side::Left, base))
                 .collect(),
         );
         let right = aggregate_events(
             (1..ids.len())
-                .map(|i| adjacency_event_at(&ids, i, Side::Right, policy, base))
+                .map(|i| adjacency_event_at(&ids, i, Side::Right, base))
                 .collect(),
         );
         StatsDelta {
-            policy,
             chunks: ids.len() as u64,
             freq,
             left,
@@ -208,13 +199,8 @@ impl StatsDelta {
     /// Merges two deltas built against the same interner: frequencies and
     /// adjacency counts add, first-seen orders take the minimum, logical
     /// chunk counts add. Commutative and associative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deltas were built under different [`TiePolicy`]s.
     #[must_use]
     pub fn merged(&self, other: &StatsDelta) -> StatsDelta {
-        assert_eq!(self.policy, other.policy, "tie policies differ");
         let mut freq = Vec::with_capacity(self.freq.len() + other.freq.len());
         let (mut i, mut j) = (0, 0);
         while i < self.freq.len() && j < other.freq.len() {
@@ -237,18 +223,11 @@ impl StatsDelta {
         freq.extend_from_slice(&self.freq[i..]);
         freq.extend_from_slice(&other.freq[j..]);
         StatsDelta {
-            policy: self.policy,
             chunks: self.chunks + other.chunks,
             freq,
             left: merge_adj(&self.left, &other.left),
             right: merge_adj(&self.right, &other.right),
         }
-    }
-
-    /// The tie-break policy the delta was built under.
-    #[must_use]
-    pub fn policy(&self) -> TiePolicy {
-        self.policy
     }
 
     /// Logical (pre-dedup) chunks the delta covers.
@@ -428,14 +407,13 @@ pub struct CommitReceipt {
 /// The running attack state: `COUNT` output maintained incrementally, one
 /// committed backup at a time.
 ///
-/// Equivalent at every commit point to
-/// [`DenseStats::full_series_with_policy`] over the committed prefix (the
+/// Equivalent at every commit point to [`DenseStats::full_series`] over
+/// the committed prefix (the
 /// property `tests/streaming_equivalence.rs` pins bit-for-bit), while
 /// each [`Self::commit`] costs O(delta · log history) instead of O(total
 /// history).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    policy: TiePolicy,
     interner: ChunkInterner,
     /// `F[x]` per dense id; always `interner.len()` long between commits.
     freq: Vec<u32>,
@@ -448,53 +426,43 @@ pub struct IncrementalStats {
 }
 
 impl IncrementalStats {
-    /// Creates an empty state under the given tie-break policy.
+    /// Forwarder to [`Self::default`] for `benchmark/`, which calls this
+    /// signature and is changed only by PRs of its own; the state has no
+    /// policy.
+    #[doc(hidden)]
     #[must_use]
-    pub fn new(policy: TiePolicy) -> Self {
-        IncrementalStats {
-            policy,
-            interner: ChunkInterner::new(),
-            freq: Vec::new(),
-            left: SegmentedCsr::default(),
-            right: SegmentedCsr::default(),
-            chunks: 0,
-            commits: 0,
-        }
+    pub fn new(_policy: crate::counting::TiePolicy) -> Self {
+        Self::default()
     }
 
-    /// Creates an empty state under `policy` that adopts a pre-populated
-    /// `interner` — for callers that build [`StatsDelta`]s directly via
+    /// Creates an empty state that adopts a pre-populated `interner` — for
+    /// callers that build [`StatsDelta`]s directly via
     /// [`StatsDelta::build`] against a shared interner (with explicit
     /// position offsets) and fold them in afterwards, e.g. batched or
     /// re-sharded ingestion. Applied deltas' dense ids must come from
     /// `interner`.
     #[must_use]
-    pub fn with_interner(policy: TiePolicy, interner: ChunkInterner) -> Self {
+    pub fn with_interner(interner: ChunkInterner) -> Self {
         IncrementalStats {
             interner,
-            ..IncrementalStats::new(policy)
+            ..Self::default()
         }
     }
 
     /// Builds (but does not fold) the delta of `backup` against this
     /// state: the backup's chunks are interned into this state's interner
-    /// and its tie-break orders are offset by the current logical-position
+    /// and its first-seen orders are offset by the current logical-position
     /// cursor. The returned delta must be [`Self::apply`]-ed (alone or
     /// [`StatsDelta::merged`] with deltas built after it) before the next
     /// [`Self::build_delta`] / [`Self::commit`], or position offsets
     /// drift.
     pub fn build_delta(&mut self, backup: &Backup) -> StatsDelta {
-        StatsDelta::build(&mut self.interner, backup, self.policy, self.chunks)
+        StatsDelta::build(&mut self.interner, backup, self.chunks)
     }
 
     /// Folds a delta built by [`Self::build_delta`] into the running
     /// state in O(delta · log history) amortized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta was built under a different [`TiePolicy`].
     pub fn apply(&mut self, delta: StatsDelta) -> CommitReceipt {
-        assert_eq!(delta.policy, self.policy, "tie policies differ");
         let old_unique = self.freq.len();
         let need = self
             .interner
@@ -532,12 +500,6 @@ impl IncrementalStats {
     pub fn compact(&mut self) {
         self.left.compact();
         self.right.compact();
-    }
-
-    /// The tie-break policy of this state.
-    #[must_use]
-    pub fn policy(&self) -> TiePolicy {
-        self.policy
     }
 
     /// Logical chunks folded so far.
@@ -578,8 +540,8 @@ impl IncrementalStats {
 
     /// Materializes the equivalent batch [`DenseStats`]: same interner,
     /// same frequencies, and both segment stacks fully merged into CSR
-    /// tables. Bit-identical to
-    /// [`DenseStats::full_series_with_policy`] over the committed tape.
+    /// tables. Bit-identical to [`DenseStats::full_series`] over the
+    /// committed tape.
     #[must_use]
     pub fn to_dense(&self) -> DenseStats {
         let unique = self.interner.len();
@@ -620,10 +582,6 @@ impl IncrementalStats {
         };
         w.write_all(STREAM_MAGIC)?;
         w.write_u16(STREAM_VERSION)?;
-        w.write_u8(match self.policy {
-            TiePolicy::StreamOrder => 0,
-            TiePolicy::KeyOrder => 1,
-        })?;
         w.write_u64(self.chunks)?;
         w.write_u64(self.commits)?;
         let unique = self.interner.len() as u32;
@@ -656,6 +614,9 @@ impl IncrementalStats {
     /// Deserializes a state written by [`Self::write_to`], verifying
     /// magic, version and CRC. Consumes exactly one state's bytes, so
     /// concatenated states can be read back to back from one reader.
+    /// The CRC trails the blob, so every length field is unverified while
+    /// it is being obeyed: reservations are capped (2^20 elements) and
+    /// memory grows only with bytes actually read.
     ///
     /// # Errors
     ///
@@ -675,11 +636,6 @@ impl IncrementalStats {
         if version != STREAM_VERSION {
             return Err(TraceIoError::BadVersion(version));
         }
-        let policy = match r.read_u8()? {
-            0 => TiePolicy::StreamOrder,
-            1 => TiePolicy::KeyOrder,
-            p => return Err(TraceIoError::LengthOverflow(u64::from(p))),
-        };
         let chunks = r.read_u64()?;
         let commits = r.read_u64()?;
         let unique = r.read_u32()? as usize;
@@ -695,7 +651,7 @@ impl IncrementalStats {
             return Err(TraceIoError::LengthOverflow(unique as u64));
         }
         let freq_len = r.read_u32()? as usize;
-        let mut freq = Vec::with_capacity(freq_len);
+        let mut freq = Vec::with_capacity(freq_len.min(RESERVE_CAP));
         for _ in 0..freq_len {
             freq.push(r.read_u32()?);
         }
@@ -703,13 +659,13 @@ impl IncrementalStats {
         for _ in 0..2 {
             let num_segments = r.read_u32()? as usize;
             let merges = r.read_u64()?;
-            let mut segments = Vec::with_capacity(num_segments);
+            let mut segments = Vec::with_capacity(num_segments.min(RESERVE_CAP));
             for _ in 0..num_segments {
                 let len = r.read_u64()?;
                 if len > 1 << 40 {
                     return Err(TraceIoError::LengthOverflow(len));
                 }
-                let mut segment = Vec::with_capacity(len as usize);
+                let mut segment = Vec::with_capacity((len as usize).min(RESERVE_CAP));
                 for _ in 0..len {
                     let key = r.read_u64()?;
                     let count = r.read_u32()?;
@@ -730,7 +686,6 @@ impl IncrementalStats {
         let right = sides.pop().expect("two sides read");
         let left = sides.pop().expect("two sides read");
         Ok(IncrementalStats {
-            policy,
             interner,
             freq,
             left,
@@ -782,7 +737,12 @@ impl StatsView for IncrementalStats {
 }
 
 const STREAM_MAGIC: &[u8; 4] = b"FQIS";
-const STREAM_VERSION: u16 = 1;
+/// Version 2 dropped the policy byte (and the tap its second blob); a
+/// version-1 file is [`TraceIoError::BadVersion`], which the tap answers
+/// with a catalog replay.
+const STREAM_VERSION: u16 = 2;
+/// Most elements a length field may reserve before its CRC is checked.
+const RESERVE_CAP: usize = 1 << 20;
 
 /// CRC-accumulating writer (mirror of the private helper in
 /// `freqdedup_trace::io`, which this format deliberately resembles).
@@ -796,10 +756,6 @@ impl<W: Write> BlobWriter<W> {
         self.crc.update(data);
         self.inner.write_all(data)?;
         Ok(())
-    }
-
-    fn write_u8(&mut self, v: u8) -> Result<(), TraceIoError> {
-        self.write_all(&[v])
     }
 
     fn write_u16(&mut self, v: u16) -> Result<(), TraceIoError> {
@@ -826,12 +782,6 @@ impl<R: Read> BlobReader<R> {
         self.inner.read_exact(buf)?;
         self.crc.update(buf);
         Ok(())
-    }
-
-    fn read_u8(&mut self) -> Result<u8, TraceIoError> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
-        Ok(b[0])
     }
 
     fn read_u16(&mut self) -> Result<u16, TraceIoError> {
@@ -880,21 +830,19 @@ mod tests {
 
     #[test]
     fn streaming_equals_series_batch_at_every_prefix() {
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let tape = tape();
-            let mut inc = IncrementalStats::new(policy);
-            for k in 0..tape.len() {
-                inc.commit(&tape[k]);
-                let oracle = DenseStats::full_series_with_policy(&tape[..=k], policy);
-                assert_eq!(inc.to_dense(), oracle, "prefix {} policy {policy:?}", k + 1);
-            }
+        let tape = tape();
+        let mut inc = IncrementalStats::default();
+        for k in 0..tape.len() {
+            inc.commit(&tape[k]);
+            let oracle = DenseStats::full_series(&tape[..=k]);
+            assert_eq!(inc.to_dense(), oracle, "prefix {}", k + 1);
         }
     }
 
     #[test]
     fn row_into_matches_materialized_rows() {
         let tape = tape();
-        let mut inc = IncrementalStats::new(TiePolicy::StreamOrder);
+        let mut inc = IncrementalStats::default();
         for b in &tape {
             inc.commit(b);
         }
@@ -911,8 +859,8 @@ mod tests {
     #[test]
     fn forced_compaction_is_invisible_in_rows() {
         let tape = tape();
-        let mut plain = IncrementalStats::new(TiePolicy::StreamOrder);
-        let mut compacted = IncrementalStats::new(TiePolicy::StreamOrder);
+        let mut plain = IncrementalStats::default();
+        let mut compacted = IncrementalStats::default();
         for b in &tape {
             plain.commit(b);
             compacted.commit(b);
@@ -924,7 +872,7 @@ mod tests {
 
     #[test]
     fn merge_stack_depth_stays_logarithmic() {
-        let mut inc = IncrementalStats::new(TiePolicy::StreamOrder);
+        let mut inc = IncrementalStats::default();
         for i in 0..200u64 {
             let fps: Vec<u64> = (0..20).map(|j| (i * 20 + j) % 97).collect();
             inc.commit(&backup("b", &fps));
@@ -946,7 +894,7 @@ mod tests {
         let deltas: Vec<StatsDelta> = tape
             .iter()
             .map(|b| {
-                let d = StatsDelta::build(&mut interner, b, TiePolicy::StreamOrder, offset);
+                let d = StatsDelta::build(&mut interner, b, offset);
                 offset += b.len() as u64;
                 d
             })
@@ -962,20 +910,15 @@ mod tests {
         // a time (the segment layout differs; the materialized state must
         // not).
         let tape = tape();
-        let mut one_by_one = IncrementalStats::new(TiePolicy::StreamOrder);
+        let mut one_by_one = IncrementalStats::default();
         for b in &tape[..2] {
             one_by_one.commit(b);
         }
         // Build both deltas against one state's interner (explicit
         // offsets), then fold them as a single merged delta.
-        let mut merged = IncrementalStats::new(TiePolicy::StreamOrder);
-        let d0 = StatsDelta::build(&mut merged.interner, &tape[0], TiePolicy::StreamOrder, 0);
-        let d1 = StatsDelta::build(
-            &mut merged.interner,
-            &tape[1],
-            TiePolicy::StreamOrder,
-            d0.chunks(),
-        );
+        let mut merged = IncrementalStats::default();
+        let d0 = StatsDelta::build(&mut merged.interner, &tape[0], 0);
+        let d1 = StatsDelta::build(&mut merged.interner, &tape[1], d0.chunks());
         merged.apply(d0.merged(&d1));
         assert_eq!(one_by_one.to_dense(), merged.to_dense());
     }
@@ -983,22 +926,20 @@ mod tests {
     #[test]
     fn serialization_round_trips_bit_identically() {
         let tape = tape();
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let mut inc = IncrementalStats::new(policy);
-            for b in &tape {
-                inc.commit(b);
-            }
-            let mut bytes = Vec::new();
-            inc.write_to(&mut bytes).unwrap();
-            let back = IncrementalStats::read_from(bytes.as_slice()).unwrap();
-            assert_eq!(back, inc);
+        let mut inc = IncrementalStats::default();
+        for b in &tape {
+            inc.commit(b);
         }
+        let mut bytes = Vec::new();
+        inc.write_to(&mut bytes).unwrap();
+        let back = IncrementalStats::read_from(bytes.as_slice()).unwrap();
+        assert_eq!(back, inc);
     }
 
     #[test]
     fn two_states_share_one_stream() {
-        let mut a = IncrementalStats::new(TiePolicy::StreamOrder);
-        let mut b = IncrementalStats::new(TiePolicy::KeyOrder);
+        let mut a = IncrementalStats::default();
+        let mut b = IncrementalStats::default();
         a.commit(&backup("x", &[1, 2, 3]));
         b.commit(&backup("x", &[4, 5]));
         let mut bytes = Vec::new();
@@ -1012,7 +953,7 @@ mod tests {
 
     #[test]
     fn serialization_rejects_corruption() {
-        let mut inc = IncrementalStats::new(TiePolicy::StreamOrder);
+        let mut inc = IncrementalStats::default();
         inc.commit(&backup("x", &[1, 2, 1]));
         let mut bytes = Vec::new();
         inc.write_to(&mut bytes).unwrap();
@@ -1026,6 +967,40 @@ mod tests {
     }
 
     #[test]
+    fn forged_lengths_fail_typed_without_driving_allocations() {
+        let mut inc = IncrementalStats::default();
+        for b in &tape() {
+            inc.commit(b);
+        }
+        let mut clean = Vec::new();
+        inc.write_to(&mut clean).unwrap();
+        // magic 4 + version 2 + chunks 8 + commits 8 + unique 4, then 12
+        // bytes per interned chunk, then the three length fields in turn.
+        let freq_len = 26 + 12 * inc.interner().len();
+        let num_segments = freq_len + 4 + 4 * inc.freq().len();
+        let segment_len = num_segments + 4 + 8;
+        let forge = |at: usize, field: &[u8]| {
+            let mut bad = clean.clone();
+            bad[at..at + field.len()].copy_from_slice(field);
+            IncrementalStats::read_from(bad.as_slice())
+        };
+        // Each forged count runs the reader off the end of the input: a
+        // typed error, having reserved at most `RESERVE_CAP` elements (at
+        // 57bf155 each of these aborted on a 16 GiB – 16 TiB reservation).
+        for (at, field) in [
+            (freq_len, &u32::MAX.to_le_bytes()[..]),
+            (num_segments, &u32::MAX.to_le_bytes()[..]),
+            (segment_len, &(1u64 << 40).to_le_bytes()[..]),
+        ] {
+            assert!(matches!(forge(at, field), Err(TraceIoError::Io(_))), "{at}");
+        }
+        assert!(matches!(
+            forge(segment_len, &u64::MAX.to_le_bytes()),
+            Err(TraceIoError::LengthOverflow(u64::MAX))
+        ));
+    }
+
+    #[test]
     fn empty_duplicate_and_singleton_deltas() {
         for (fps, label) in [
             (&[][..], "empty"),
@@ -1033,14 +1008,10 @@ mod tests {
             (&[42][..], "singleton"),
         ] {
             let b = backup(label, fps);
-            let mut inc = IncrementalStats::new(TiePolicy::StreamOrder);
+            let mut inc = IncrementalStats::default();
             let receipt = inc.commit(&b);
             assert_eq!(receipt.chunks, fps.len() as u64);
-            assert_eq!(
-                inc.to_dense(),
-                DenseStats::full_with_policy(&b, TiePolicy::StreamOrder),
-                "{label}"
-            );
+            assert_eq!(inc.to_dense(), DenseStats::full(&b), "{label}");
         }
     }
 }

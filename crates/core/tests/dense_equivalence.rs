@@ -9,15 +9,21 @@
 //! rate by an order of magnitude. These property tests pin the two paths
 //! together on randomized synthetic backups, across both `TiePolicy`
 //! variants, plain and size-classified analysis, and both attack modes.
+//!
+//! The two paths apply the policy at different times — the reference
+//! zeroes `KeyOrder` orders while it counts, the dense layer counts once
+//! and ignores them while it ranks — so agreement under `KeyOrder` is an
+//! independent check of the rank-time rule.
 
 use std::collections::HashMap;
 
 use freqdedup_core::attacks::basic::BasicAttack;
 use freqdedup_core::attacks::locality::{LocalityAttack, LocalityParams};
-use freqdedup_core::counting::{ChunkStats, TiePolicy};
+use freqdedup_core::counting::{ChunkStats, FreqTable, TiePolicy};
 use freqdedup_core::dense::DenseStats;
 use freqdedup_core::freq_analysis::{freq_analysis, rank, rank_dense};
 use freqdedup_core::metrics::Inference;
+use freqdedup_core::IncrementalStats;
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 use proptest::prelude::*;
@@ -45,22 +51,36 @@ fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
     v
 }
 
+/// Neighbour tables with the orders dropped: what a policy-free `COUNT`
+/// and a `KeyOrder` one must agree on.
+fn counts_only(
+    tables: &HashMap<Fingerprint, FreqTable>,
+) -> HashMap<Fingerprint, HashMap<Fingerprint, u64>> {
+    tables
+        .iter()
+        .map(|(&fp, row)| (fp, row.iter().map(|(&n, e)| (n, e.count)).collect()))
+        .collect()
+}
+
 proptest! {
     /// `COUNT` equivalence: exporting the dense statistics back to the
     /// fingerprint-keyed representation reproduces `ChunkStats` exactly —
-    /// frequencies, both neighbour tables (counts *and* tie-break orders),
-    /// and sizes — under both tie policies.
+    /// frequencies, both neighbour tables (counts *and* first-seen
+    /// orders), and sizes. The reference's `KeyOrder` tables are the same
+    /// tables with the orders zeroed, so they match on counts.
     #[test]
     fn count_tables_identical(fps in fp_stream()) {
         let b = backup(&fps);
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let legacy = ChunkStats::full_with_policy(&b, policy);
-            let dense = DenseStats::full_with_policy(&b, policy).to_chunk_stats();
-            prop_assert_eq!(&dense.freq, &legacy.freq);
-            prop_assert_eq!(&dense.left, &legacy.left);
-            prop_assert_eq!(&dense.right, &legacy.right);
-            prop_assert_eq!(&dense.sizes, &legacy.sizes);
-        }
+        let legacy = ChunkStats::full(&b);
+        let dense = DenseStats::full(&b).to_chunk_stats();
+        prop_assert_eq!(&dense.freq, &legacy.freq);
+        prop_assert_eq!(&dense.left, &legacy.left);
+        prop_assert_eq!(&dense.right, &legacy.right);
+        prop_assert_eq!(&dense.sizes, &legacy.sizes);
+        let by_key = ChunkStats::full_with_policy(&b, TiePolicy::KeyOrder);
+        prop_assert_eq!(&dense.freq, &by_key.freq);
+        prop_assert_eq!(counts_only(&dense.left), counts_only(&by_key.left));
+        prop_assert_eq!(counts_only(&dense.right), counts_only(&by_key.right));
     }
 
     /// Global-ranking equivalence: the dense canonical ranking, mapped back
@@ -72,7 +92,7 @@ proptest! {
         let dense = DenseStats::frequencies_only(&b);
         let legacy_order: Vec<u64> = rank(&legacy.freq).into_iter().map(|(f, _)| f.0).collect();
         let fps_tab = dense.interner.fingerprints();
-        let dense_order: Vec<u64> = rank_dense(&dense.global_rows(), fps_tab)
+        let dense_order: Vec<u64> = rank_dense(&dense.global_rows(), fps_tab, TiePolicy::StreamOrder)
             .into_iter()
             .map(|e| fps_tab[e.id as usize].0)
             .collect();
@@ -96,6 +116,9 @@ proptest! {
     /// Ciphertext-only locality attack: identical inference sets across
     /// both tie policies and both analysis flavours (plain and
     /// size-classified), on an encrypted random stream with a related aux.
+    /// The dense side is **one** batch state and one streaming state,
+    /// built before the policy is chosen; the reference rebuilds per
+    /// policy.
     #[test]
     fn locality_ciphertext_only_identical(
         fps in fp_stream(),
@@ -104,21 +127,29 @@ proptest! {
     ) {
         let plain = backup(&fps);
         let observed = DeterministicTraceEncryptor::new(b"eq").encrypt_backup(&plain);
+        let (sc, sm) = (DenseStats::full(&observed.backup), DenseStats::full(&plain));
+        let mut streamed = IncrementalStats::default();
+        streamed.commit(&observed.backup);
         for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
             for size_aware in [false, true] {
                 let params = LocalityParams::new(u, v, 100_000)
                     .tie_policy(policy)
                     .size_aware(size_aware);
                 let attack = LocalityAttack::new(params);
-                let dense = attack.run_ciphertext_only(&observed.backup, &plain);
                 let reference = attack.run_ciphertext_only_reference(&observed.backup, &plain);
-                prop_assert_eq!(
-                    sorted_pairs(&dense),
-                    sorted_pairs(&reference),
-                    "policy {:?} size_aware {}",
-                    policy,
-                    size_aware
-                );
+                for (dense, state) in [
+                    (attack.run_ciphertext_only_with_stats(&sc, &sm), "batch"),
+                    (attack.run_ciphertext_only_with_stats(&streamed, &sm), "streaming"),
+                ] {
+                    prop_assert_eq!(
+                        sorted_pairs(&dense),
+                        sorted_pairs(&reference),
+                        "policy {:?} size_aware {} {}",
+                        policy,
+                        size_aware,
+                        state
+                    );
+                }
             }
         }
     }
@@ -144,11 +175,32 @@ proptest! {
             .collect();
         // A foreign pair neither side knows: must be filtered by both paths.
         leaked.push((Fingerprint(u64::MAX), Fingerprint(u64::MAX - 1)));
-        let attack = LocalityAttack::new(LocalityParams::new(1, 5, w));
-        let dense = attack.run_known_plaintext(&observed.backup, &plain, &leaked);
-        let reference =
-            attack.run_known_plaintext_reference(&observed.backup, &plain, &leaked);
-        prop_assert_eq!(sorted_pairs(&dense), sorted_pairs(&reference));
+        let (sc, sm) = (DenseStats::full(&observed.backup), DenseStats::full(&plain));
+        let mut streamed = IncrementalStats::default();
+        streamed.commit(&observed.backup);
+        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
+            for size_aware in [false, true] {
+                let params = LocalityParams::new(1, 5, w)
+                    .tie_policy(policy)
+                    .size_aware(size_aware);
+                let attack = LocalityAttack::new(params);
+                let reference =
+                    attack.run_known_plaintext_reference(&observed.backup, &plain, &leaked);
+                for (dense, state) in [
+                    (attack.run_known_plaintext_with_stats(&sc, &sm, &leaked), "batch"),
+                    (attack.run_known_plaintext_with_stats(&streamed, &sm, &leaked), "streaming"),
+                ] {
+                    prop_assert_eq!(
+                        sorted_pairs(&dense),
+                        sorted_pairs(&reference),
+                        "policy {:?} size_aware {} {}",
+                        policy,
+                        size_aware,
+                        state
+                    );
+                }
+            }
+        }
     }
 
     /// The inferred *mapping* (not just the pair set) matches: per

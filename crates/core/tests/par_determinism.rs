@@ -53,16 +53,14 @@ fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
 proptest! {
     /// Parallel `COUNT` (frequencies + both CSR tables + interner) equals
     /// the sequential dense structures field-for-field at every thread
-    /// count, under both tie policies.
+    /// count.
     #[test]
     fn count_and_csr_bit_identical(fps in fp_stream()) {
         let b = backup(&fps);
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let seq = DenseStats::full_with_policy(&b, policy);
-            for t in THREADS {
-                let par = DenseStats::full_with_policy_par(&b, policy, ParConfig::with_threads(t));
-                prop_assert_eq!(&par, &seq, "threads {} policy {:?}", t, policy);
-            }
+        let seq = DenseStats::full(&b);
+        for t in THREADS {
+            let par = DenseStats::full_par(&b, ParConfig::with_threads(t));
+            prop_assert_eq!(&par, &seq, "threads {}", t);
         }
     }
 

@@ -24,8 +24,8 @@
 //! the provider needs in order to function *is* the leak.
 //!
 //! Since PR 6 the tap also keeps the adversary's **running attack
-//! state**: a [`TapStreaming`] pair of
-//! [`IncrementalStats`] (one per [`TiePolicy`])
+//! state**: a [`TapStreaming`] around one [`IncrementalStats`] — `COUNT`
+//! is policy-free, so the same state serves both [`TiePolicy`] rankings —
 //! folded forward on every [`AdversaryTap::record_commit`] in O(delta)
 //! amortized — the attacker never rebuilds `COUNT` from the full tape.
 //! The streaming state follows **commit order** (the order the provider
@@ -35,8 +35,8 @@
 //! resumes the exact same state without replaying history; when only the
 //! catalog survives, the state is rebuilt by replaying the label-sorted
 //! series (deterministic, but equal to the live state only when commit
-//! order matched label order — `StreamOrder` tie-breaks are
-//! position-dependent).
+//! order matched label order — first-seen positions, which `StreamOrder`
+//! ranks by, depend on it).
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -45,37 +45,27 @@ use std::time::Instant;
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::counting::TiePolicy;
-use freqdedup_core::{IncrementalStats, Inference};
+use freqdedup_core::{DenseStats, IncrementalStats, Inference};
 use freqdedup_trace::io::{self, TraceIoError};
 use freqdedup_trace::{Backup, BackupSeries};
-
-/// The two tie-break policies the tap tracks, in storage order.
-const POLICIES: [TiePolicy; 2] = [TiePolicy::StreamOrder, TiePolicy::KeyOrder];
 
 /// Commits whose update latency [`TapStreaming`] remembers: the log is
 /// diagnostic, so a long-lived server keeps the most recent ones only.
 const UPDATE_LOG_CAP: usize = 1024;
 
 /// The adversary's running attack state behind the tap: one
-/// [`IncrementalStats`] per [`TiePolicy`], plus the per-commit update
-/// latency log.
+/// [`IncrementalStats`], folded once per commit and ranked under either
+/// [`TiePolicy`], plus the per-commit update latency log.
 ///
 /// Equality ([`PartialEq`]) compares the attack state only — the latency
 /// log is diagnostic, is not persisted, and resets on restart.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TapStreaming {
-    /// `[StreamOrder, KeyOrder]` running states (see [`POLICIES`]).
-    stats: [IncrementalStats; 2],
+    stats: IncrementalStats,
     /// Wall-clock cost of the last (at most [`UPDATE_LOG_CAP`])
-    /// [`Self::commit`]s (both policies), in microseconds, oldest first.
+    /// [`Self::commit`]s (one fold each), in microseconds, oldest first.
     /// Diagnostic only; not persisted.
     update_micros: Vec<u64>,
-}
-
-impl Default for TapStreaming {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PartialEq for TapStreaming {
@@ -87,23 +77,18 @@ impl PartialEq for TapStreaming {
 impl Eq for TapStreaming {}
 
 impl TapStreaming {
-    /// Creates empty running state for both policies.
+    /// Creates empty running state.
     #[must_use]
     pub fn new() -> Self {
-        TapStreaming {
-            stats: POLICIES.map(IncrementalStats::new),
-            update_micros: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Folds one committed backup into both policy states; returns the
+    /// Folds one committed backup into the running state; returns the
     /// wall-clock cost in microseconds (also appended to
     /// [`Self::update_micros`]).
     pub fn commit(&mut self, backup: &Backup) -> u64 {
         let start = Instant::now();
-        for stats in &mut self.stats {
-            stats.commit(backup);
-        }
+        self.stats.commit(backup);
         let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         if self.update_micros.len() == UPDATE_LOG_CAP {
             self.update_micros.remove(0);
@@ -112,13 +97,10 @@ impl TapStreaming {
         micros
     }
 
-    /// The running state under `policy`.
+    /// The running state.
     #[must_use]
-    pub fn stats(&self, policy: TiePolicy) -> &IncrementalStats {
-        match policy {
-            TiePolicy::StreamOrder => &self.stats[0],
-            TiePolicy::KeyOrder => &self.stats[1],
-        }
+    pub fn stats(&self) -> &IncrementalStats {
+        &self.stats
     }
 
     /// Update cost in microseconds of the most recent commits (at most
@@ -132,13 +114,13 @@ impl TapStreaming {
     /// Backups folded in so far.
     #[must_use]
     pub fn commits(&self) -> u64 {
-        self.stats[0].commits()
+        self.stats.commits()
     }
 
     /// Logical chunks folded in so far.
     #[must_use]
     pub fn logical_chunks(&self) -> u64 {
-        self.stats[0].logical_chunks()
+        self.stats.logical_chunks()
     }
 
     /// Rebuilds running state by replaying `committed` in the given
@@ -152,8 +134,7 @@ impl TapStreaming {
         streaming
     }
 
-    /// Persists both policy states (two self-delimiting blobs in one
-    /// file).
+    /// Persists the running state (one CRC-checked blob).
     ///
     /// # Errors
     ///
@@ -161,9 +142,7 @@ impl TapStreaming {
     pub fn save(&self, path: &Path) -> Result<(), TraceIoError> {
         let file = std::fs::File::create(path)?;
         let mut writer = std::io::BufWriter::new(file);
-        for stats in &self.stats {
-            stats.write_to(&mut writer)?;
-        }
+        self.stats.write_to(&mut writer)?;
         use std::io::Write;
         writer.flush()?;
         Ok(())
@@ -175,18 +154,13 @@ impl TapStreaming {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceIoError`] on read failure, corruption, or when the
-    /// file's policy pair is not `[StreamOrder, KeyOrder]`.
+    /// Returns [`TraceIoError`] on read failure, corruption, or a file of
+    /// another format version (the two-blob version 1 included).
     pub fn load(path: &Path) -> Result<Self, TraceIoError> {
         let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
-        let first = IncrementalStats::read_from(&mut reader)?;
-        let second = IncrementalStats::read_from(&mut reader)?;
-        if first.policy() != TiePolicy::StreamOrder || second.policy() != TiePolicy::KeyOrder {
-            return Err(TraceIoError::BadMagic);
-        }
+        let stats = IncrementalStats::read_from(std::io::BufReader::new(file))?;
         Ok(TapStreaming {
-            stats: [first, second],
+            stats,
             update_micros: Vec::new(),
         })
     }
@@ -482,8 +456,9 @@ impl AdversaryTap {
     /// Runs `kind` in ciphertext-only mode against the **running** state
     /// under both tie-break policies — the live mirror of
     /// [`attacks::run_ciphertext_only_both_policies`], with no
-    /// ciphertext-side rebuild. Bit-identical to a batch recompute over
-    /// [`Self::committed`] at this commit point.
+    /// ciphertext-side rebuild: one `COUNT` of `plain_aux`, two crawls.
+    /// Bit-identical to a batch recompute over [`Self::committed`] at this
+    /// commit point.
     #[must_use]
     pub fn streaming_inference_both_policies(
         &self,
@@ -491,17 +466,13 @@ impl AdversaryTap {
         plain_aux: &Backup,
         params: &LocalityParams,
     ) -> [(TiePolicy, Inference); 2] {
-        POLICIES.map(|policy| {
-            (
-                policy,
-                attacks::run_ciphertext_only_streaming(
-                    kind,
-                    self.streaming.stats(policy),
-                    plain_aux,
-                    params,
-                ),
-            )
-        })
+        let sm = DenseStats::full_par(plain_aux, params.par_config());
+        attacks::run_ciphertext_only_with_stats_both_policies(
+            kind,
+            self.streaming.stats(),
+            &sm,
+            params,
+        )
     }
 
     /// The deterministic adversary view: committed backups **sorted by
@@ -686,8 +657,9 @@ impl AdversaryTap {
     /// replay. Falls back to a replay rebuild when the persisted state
     /// does not cover the catalog (e.g. the two files are from different
     /// shutdowns), and — counting a [`Self::warnings`] degradation — when
-    /// the state file is corrupt or truncated: the catalog is the source
-    /// of truth, so a bad `tap.fqis` costs a replay, never an error.
+    /// the state file is corrupt, truncated or of an older format version:
+    /// the catalog is the source of truth, so a bad `tap.fqis` costs a
+    /// replay, never an error.
     ///
     /// # Errors
     ///
@@ -824,15 +796,11 @@ mod tests {
         assert_eq!(tap.streaming().logical_chunks(), 7);
         assert_eq!(tap.streaming().update_micros().len(), 2);
         // The running state equals a batch recompute over the committed
-        // tape, per policy.
-        use freqdedup_core::DenseStats;
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            assert_eq!(
-                tap.streaming().stats(policy).to_dense(),
-                DenseStats::full_series_with_policy(tap.committed(), policy),
-                "{policy:?}"
-            );
-        }
+        // tape.
+        assert_eq!(
+            tap.streaming().stats().to_dense(),
+            DenseStats::full_series(tap.committed())
+        );
     }
 
     #[test]
@@ -865,15 +833,16 @@ mod tests {
         assert!(resumed.streaming_consistent());
 
         // Fallback path: consistent, but rebuilt from the label-sorted
-        // catalog (KeyOrder state matches exactly; StreamOrder may
-        // differ from the live commit order — here it does, since the
-        // labels were committed out of order).
+        // catalog (same chunks and counts; first-seen orders differ from
+        // the live state's here, since the labels were committed out of
+        // order).
         let rebuilt = AdversaryTap::load(&tap_path).unwrap();
         assert!(rebuilt.streaming_consistent());
         assert_eq!(
-            rebuilt.streaming().stats(TiePolicy::KeyOrder).freq().len(),
-            tap.streaming().stats(TiePolicy::KeyOrder).freq().len()
+            rebuilt.streaming().stats().freq().len(),
+            tap.streaming().stats().freq().len()
         );
+        assert_ne!(rebuilt.streaming(), tap.streaming());
 
         // A stale state file (one commit behind) triggers the replay
         // fallback instead of resuming inconsistent state.
@@ -944,13 +913,27 @@ mod tests {
         tap.streaming().save(&stream_path).unwrap();
         let clean = std::fs::read(&stream_path).unwrap();
 
-        // Corrupt the state file at several offsets (plus truncation):
-        // every variant must fall back to a catalog replay whose state is
-        // bit-identical to a fresh rebuild, with the warning counted.
+        // Corrupt the state file at several offsets (plus truncation, plus
+        // each length field forged to its maximum — see the blob layout in
+        // `IncrementalStats::write_to`): every variant must fall back to a
+        // catalog replay whose state is bit-identical to a fresh rebuild,
+        // with the warning counted.
         let mut variants: Vec<Vec<u8>> = vec![clean[..clean.len() / 3].to_vec(), b"junk".to_vec()];
         for at in [0, clean.len() / 2, clean.len() - 1] {
             let mut bad = clean.clone();
             bad[at] ^= 0xff;
+            variants.push(bad);
+        }
+        let stats = tap.streaming().stats();
+        let freq_len = 26 + 12 * stats.interner().len();
+        let num_segments = freq_len + 4 + 4 * stats.freq().len();
+        for (at, field) in [
+            (freq_len, &u32::MAX.to_le_bytes()[..]),
+            (num_segments, &u32::MAX.to_le_bytes()[..]),
+            (num_segments + 12, &(1u64 << 40).to_le_bytes()[..]),
+        ] {
+            let mut bad = clean.clone();
+            bad[at..at + field.len()].copy_from_slice(field);
             variants.push(bad);
         }
         for (i, bad) in variants.iter().enumerate() {
@@ -960,7 +943,7 @@ mod tests {
             assert!(fell_back.streaming_consistent(), "variant {i}");
             assert_eq!(
                 fell_back.streaming(),
-                AdversaryTap::load(&tap_path).unwrap().streaming(),
+                &TapStreaming::rebuild(fell_back.committed()),
                 "variant {i}"
             );
         }

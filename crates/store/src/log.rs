@@ -283,8 +283,10 @@ fn read_container_inner<R: std::io::Read>(
     } else {
         None
     };
-    let mut fingerprints = Vec::with_capacity(count);
-    let mut sizes = Vec::with_capacity(count);
+    // `count` is unverified until the trailing CRC: it bounds the loop, not
+    // the reservation.
+    let mut fingerprints = Vec::with_capacity(count.min(1 << 20));
+    let mut sizes = Vec::with_capacity(count.min(1 << 20));
     let mut payload = has_payload.then(Vec::new);
     for _ in 0..count {
         let rec_len = r.read_u32("record length")?;
@@ -513,6 +515,32 @@ mod tests {
                 other => panic!("cut at {cut}: expected Torn, got {other:?}"),
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forged_chunk_count_fails_typed_without_driving_an_allocation() {
+        let dir = tmp_dir("forged-count");
+        let c = sealed_metadata_container();
+        write_container(
+            &dir,
+            &c,
+            0,
+            None,
+            FsyncPolicy::Never,
+            &IoPolicyHandle::none(),
+        )
+        .unwrap();
+        let path = container_path(&dir, c.id);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // magic 4 + version 2 + flags 1 + reserved 1 + id 4, then the count:
+        // at 57bf155 this reserved 32 GiB before reading a record.
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_container(&dir, c.id, &no_keys()),
+            Err(PersistError::Torn { .. } | PersistError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -143,3 +143,41 @@ fn defense_keeps_storage_saving_close_to_mle() {
         "saving dropped from {mle_saving} to {comb_saving}"
     );
 }
+
+/// `ablation_tiebreak`'s loop at `--scale 0.1` (FSL and VM × the two
+/// auxiliary backups before the target × both tie policies), pinned as
+/// exact `(correct, total_unique)` pairs: the §4.1 tie-break gap is a
+/// number, not a shape.
+#[test]
+fn tie_policy_ablation_is_pinned() {
+    use freqdedup::core::attacks::locality::LocalityAttack;
+    use freqdedup::core::counting::TiePolicy;
+    use freqdedup::datasets::vm::{self, VmConfig};
+
+    // Recorded at 57bf155, before COUNT became policy-free.
+    const PINS: [[(usize, usize); 2]; 4] = [
+        [(433, 14_967), (188, 14_967)],
+        [(664, 14_967), (239, 14_967)],
+        [(2_798, 6_151), (1_271, 6_151)],
+        [(3_973, 6_151), (1_037, 6_151)],
+    ];
+    let mut rows = Vec::new();
+    for series in [
+        generate(&FslConfig::scaled(2_000)),
+        vm::generate(&VmConfig::scaled(1_200, 300)),
+    ] {
+        // The binary's MLE secret: `KeyOrder` ranks by ciphertext fingerprint.
+        let observed = DeterministicTraceEncryptor::new(b"freqdedup-experiment-secret")
+            .encrypt_backup(series.latest().unwrap());
+        for aux_idx in [series.len() - 3, series.len() - 2] {
+            let aux = series.get(aux_idx).unwrap();
+            rows.push([TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
+                let inferred = LocalityAttack::new(LocalityParams::default().tie_policy(policy))
+                    .run_ciphertext_only(&observed.backup, aux);
+                let report = metrics::score(&inferred, &observed.backup, &observed.truth);
+                (report.correct, report.total_unique)
+            }));
+        }
+    }
+    assert_eq!(rows, PINS);
+}

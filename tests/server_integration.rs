@@ -18,7 +18,9 @@
 //!   the tap's running incremental inference snapshotted after **every**
 //!   commit equals a batch recompute of the committed prefix, and a
 //!   restarted server resumes the incremental state from `tap.fqis`
-//!   bit-identically and keeps folding further commits.
+//!   bit-identically and keeps folding further commits; a `tap.fqis` of
+//!   the previous format version (a committed fixture) costs one catalog
+//!   replay and is rewritten in the current one.
 //!
 //! Test directories (store dirs, server logs, tap traces) live under
 //! `target/server-test/` so CI can upload them when a test fails; they
@@ -1012,6 +1014,146 @@ fn corrupt_stream_state_degrades_to_catalog_replay() {
         ..ServerConfig::default()
     });
     let mut c = Client::connect(addr, "clean").unwrap();
+    assert_eq!(c.stats().unwrap().tap_warnings, 0);
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// Generation `g` of the tap fixture's plaintext: 160 chunks over a
+/// 53-fingerprint pool with a few per-generation edits, sizes in five
+/// block classes.
+fn fixture_plain(g: u64) -> Backup {
+    Backup::from_chunks(
+        format!("gen-{g}"),
+        (0..160u64)
+            .map(|i| {
+                let fp = if i % 17 == g {
+                    100 + i
+                } else {
+                    (i * i + 3 * i) % 53 + 1
+                };
+                freqdedup::trace::ChunkRecord::new(fp, 64 + (fp % 5) as u32 * 16)
+            })
+            .collect(),
+    )
+}
+
+/// `tests/fixtures/tap-v1-57bf155` is the `tap.fqdt` + `tap.fqis` pair a
+/// tap wrote at commit 57bf155 after committing the ciphertexts of
+/// [`fixture_plain`] generations 0–2 (fingerprint × 0x9E37_79B9_7F4A_7C15)
+/// in label order: a version-1 state file, two blobs, a policy byte each.
+/// A server bound on it must replay the catalog — never fail, never trust
+/// the old blobs — arrive at the state a never-restarted tap holds, and
+/// write a one-blob version-2 file at shutdown that the next bind resumes
+/// from without replay.
+#[test]
+fn v1_stream_state_upgrades_by_catalog_replay() {
+    use freqdedup::core::IncrementalStats;
+    use freqdedup::server::server::{STREAM_FILE, TAP_FILE};
+    use freqdedup::server::tap::AdversaryTap;
+
+    let dir = test_dir("fqis-upgrade");
+    let store_dir = dir.join("store");
+    std::fs::create_dir_all(&store_dir).unwrap();
+    let fixture = PathBuf::from("tests/fixtures/tap-v1-57bf155");
+    for file in [TAP_FILE, STREAM_FILE] {
+        std::fs::copy(fixture.join(file), store_dir.join(file)).unwrap();
+    }
+    let v1 = std::fs::read(store_dir.join(STREAM_FILE)).unwrap();
+    assert_eq!(&v1[..6], b"FQIS\x01\x00", "the fixture is a version-1 file");
+    let bind = |log: &str| {
+        Server::bind(ServerConfig {
+            engine: DedupConfig {
+                persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
+                ..small_engine()
+            },
+            log_file: Some(dir.join(log)),
+            ..ServerConfig::default()
+        })
+        .expect("an old tap.fqis must not prevent binding")
+    };
+
+    // What was committed, and the tap that never restarted.
+    let cipher = |g: u64| {
+        let plain = fixture_plain(g);
+        let chunks = plain.chunks.iter().map(|rec| {
+            freqdedup::trace::ChunkRecord::new(
+                rec.fp.0.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                rec.size,
+            )
+        });
+        Backup::from_chunks(plain.label.clone(), chunks.collect())
+    };
+    let mut live = AdversaryTap::new();
+    for g in 0..3 {
+        live.record_commit(cipher(g));
+    }
+    let aux = fixture_plain(3);
+    let params = LocalityParams::new(1, 3, 1000);
+
+    // ---- First bind: version 1 is refused, the catalog is replayed.
+    let server = bind("server-v1.log");
+    let addr = server.local_addr().unwrap();
+    let tap = server.tap_handle();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    tap.with_tap(|t| {
+        assert_eq!(t.warnings(), 1, "the replay is a counted degradation");
+        assert_eq!(t.committed(), live.committed());
+        assert_eq!(t.streaming(), live.streaming());
+        let mut differ = Vec::new();
+        for (policy, inferred) in
+            t.streaming_inference_both_policies(AttackKind::Locality, &aux, &params)
+        {
+            let batch = attacks::run_ciphertext_only_series(
+                AttackKind::Locality,
+                t.committed(),
+                &aux,
+                &params.clone().tie_policy(policy),
+            );
+            let mut a: Vec<_> = inferred.iter().collect();
+            let mut b: Vec<_> = batch.iter().collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "{policy:?}");
+            differ.push(a);
+        }
+        assert_ne!(differ[0], differ[1], "the fixture tells the policies apart");
+    });
+    // One more commit whose label sorts first: from here on a catalog
+    // replay (label order) and the live state (commit order) differ.
+    let mut c = Client::connect(addr, "upgrader").unwrap();
+    let late = Backup::from_chunks("first", cipher(4).chunks);
+    c.upload_backup(&late).unwrap();
+    c.commit(&late.label).unwrap();
+    let pre_restart = tap.with_tap(|t| t.streaming().clone());
+    assert!(c.stats().unwrap().tap_warnings >= 1);
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+
+    // ---- Shutdown wrote one version-2 blob.
+    let v2 = std::fs::read(store_dir.join(STREAM_FILE)).unwrap();
+    assert_eq!(&v2[..6], b"FQIS\x02\x00");
+    let mut rest = v2.as_slice();
+    assert_eq!(
+        &IncrementalStats::read_from(&mut rest).unwrap(),
+        pre_restart.stats()
+    );
+    assert!(rest.is_empty(), "one blob, nothing after it");
+
+    // ---- Second bind resumes that blob: no warning, and the commit-order
+    // state a replay could not have produced.
+    let server = bind("server-v2.log");
+    let addr = server.local_addr().unwrap();
+    let tap = server.tap_handle();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    tap.with_tap(|t| {
+        assert_eq!(t.warnings(), 0);
+        assert_eq!(t.streaming(), &pre_restart);
+        let replayed = AdversaryTap::load(&store_dir.join(TAP_FILE)).unwrap();
+        assert_ne!(t.streaming(), replayed.streaming());
+    });
+    let mut c = Client::connect(addr, "checker").unwrap();
     assert_eq!(c.stats().unwrap().tap_warnings, 0);
     c.shutdown().unwrap();
     handle.join().unwrap();

@@ -5,22 +5,22 @@
 //! neighbour tables, and the interner, folded one [`StatsDelta`] per
 //! committed backup — is **bit-identical** to a from-scratch batch
 //! recompute of the same tape at every commit point: identical COUNT
-//! structures (`to_dense` equals [`DenseStats::full_series_with_policy`]),
+//! structures (`to_dense` equals [`DenseStats::full_series`]),
 //! identical top-k frequency ranks, and identical inference sets from the
 //! attacks crawling the segmented tables directly. These property tests
 //! pin that promise on randomized backup sequences for
-//! `threads ∈ {1, 2, 8}`, both [`TiePolicy`] variants, both attack modes
-//! (ciphertext-only and known-plaintext), and arbitrary interleaved
-//! compaction points (compaction is a pure representation change and must
-//! be invisible in every observable).
+//! `threads ∈ {1, 2, 8}`, both [`TiePolicy`] variants (one state, ranked
+//! twice — `COUNT` is policy-free), both attack modes (ciphertext-only
+//! and known-plaintext), and arbitrary interleaved compaction points
+//! (compaction is a pure representation change and must be invisible in
+//! every observable).
 //!
 //! Alongside the streaming properties, the suite pins the delta algebra
 //! itself — [`StatsDelta::merged`] is a commutative, associative monoid
 //! action on the state — and the shared-build guarantee of
-//! [`attacks::run_ciphertext_only_both_policies`]: one interning pass
-//! serving both tie policies must equal two independent single-policy
-//! runs (a regression test — the pre-streaming implementation interned
-//! once *per policy*).
+//! [`attacks::run_ciphertext_only_both_policies`]: one `COUNT` per side
+//! crawled under both tie policies must equal two independent
+//! single-policy runs.
 
 use freqdedup::core::attacks::locality::{LocalityAttack, LocalityParams};
 use freqdedup::core::attacks::{self, AttackKind};
@@ -67,8 +67,8 @@ fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
 
 proptest! {
     /// Streaming COUNT + CSR + top-k equal the batch recompute at **every
-    /// prefix** of the tape, under both tie policies, with compaction
-    /// interleaved at arbitrary commit points.
+    /// prefix** of the tape, with compaction interleaved at arbitrary
+    /// commit points.
     #[test]
     fn count_csr_and_topk_bit_identical_at_every_prefix(
         fps in tape_strategy(),
@@ -76,23 +76,24 @@ proptest! {
         k in 1usize..20,
     ) {
         let tape = build_tape(&fps);
-        for policy in POLICIES {
-            let mut inc = IncrementalStats::new(policy);
-            for (i, b) in tape.iter().enumerate() {
-                inc.commit(b);
-                if compact_mask[i] {
-                    inc.compact();
-                }
-                let batch = DenseStats::full_series_with_policy(&tape[..=i], policy);
-                prop_assert_eq!(
-                    &inc.to_dense(), &batch,
-                    "prefix {} policy {:?} compacted {}", i, policy, compact_mask[i]
-                );
-                // Top-k frequency ranking straight off the streaming view.
-                let inc_top = top_k_dense(&StatsView::global_rows(&inc), k, inc.fingerprints());
-                let batch_top = top_k_dense(&batch.global_rows(), k, batch.interner.fingerprints());
-                prop_assert_eq!(inc_top, batch_top, "top-{} prefix {} policy {:?}", k, i, policy);
+        let mut inc = IncrementalStats::default();
+        for (i, b) in tape.iter().enumerate() {
+            inc.commit(b);
+            if compact_mask[i] {
+                inc.compact();
             }
+            let batch = DenseStats::full_series(&tape[..=i]);
+            prop_assert_eq!(
+                &inc.to_dense(), &batch,
+                "prefix {} compacted {}", i, compact_mask[i]
+            );
+            // Top-k frequency ranking straight off the streaming view
+            // (global rows carry no order, so the policy is moot).
+            let policy = TiePolicy::StreamOrder;
+            let inc_top = top_k_dense(&StatsView::global_rows(&inc), k, inc.fingerprints(), policy);
+            let batch_top =
+                top_k_dense(&batch.global_rows(), k, batch.interner.fingerprints(), policy);
+            prop_assert_eq!(inc_top, batch_top, "top-{} prefix {}", k, i);
         }
     }
 
@@ -116,12 +117,13 @@ proptest! {
             .step_by(leak_every)
             .map(|c| (c.fp, c.fp))
             .collect();
+        let mut inc = IncrementalStats::default();
+        for b in &tape {
+            inc.commit(b);
+        }
+        let sc = DenseStats::full_series(&tape);
+        let sm = DenseStats::full(&aux);
         for policy in POLICIES {
-            let mut inc = IncrementalStats::new(policy);
-            for b in &tape {
-                inc.commit(b);
-            }
-            let sc = DenseStats::full_series_with_policy(&tape, policy);
             for kind in [AttackKind::Locality, AttackKind::Advanced] {
                 for t in THREADS {
                     let params = LocalityParams::new(1, 5, 1000)
@@ -130,7 +132,6 @@ proptest! {
                     let streamed = attacks::run_known_plaintext_streaming(
                         kind, &inc, &aux, &leaked, &params,
                     );
-                    let sm = DenseStats::full_with_policy(&aux, policy);
                     let batch = LocalityAttack::new(
                         params.size_aware(kind == AttackKind::Advanced),
                     )
@@ -146,12 +147,9 @@ proptest! {
         }
     }
 
-    /// `run_ciphertext_only_both_policies` — one shared interning/count
-    /// build serving both tie policies — equals two independent
-    /// single-policy runs for every attack kind. Regression test: the
-    /// pre-streaming implementation rebuilt the interner once per policy,
-    /// so a drift between the shared and per-policy builds would surface
-    /// here.
+    /// `run_ciphertext_only_both_policies` — one `COUNT` per side, crawled
+    /// under both tie policies — equals two independent single-policy
+    /// runs for every attack kind.
     #[test]
     fn both_policies_shared_build_matches_single_policy_runs(
         cipher_fps in prop::collection::vec(1u64..60, 1..200),
@@ -182,50 +180,44 @@ proptest! {
     /// the algebra that makes batching and re-sharding of commits safe.
     #[test]
     fn delta_merge_is_a_commutative_monoid_action(fps in tape_strategy()) {
-        for policy in POLICIES {
-            let tape = build_tape(&fps);
-            // One shared interner, exactly as a sequential committer would
-            // intern the tape; offsets track the logical stream position.
-            let mut interner = ChunkInterner::new();
-            let mut offset = 0u64;
-            let deltas: Vec<StatsDelta> = tape
+        let tape = build_tape(&fps);
+        // One shared interner, exactly as a sequential committer would
+        // intern the tape; offsets track the logical stream position.
+        let mut interner = ChunkInterner::new();
+        let mut offset = 0u64;
+        let deltas: Vec<StatsDelta> = tape
+            .iter()
+            .map(|b| {
+                let d = StatsDelta::build(&mut interner, b, offset);
+                offset += b.len() as u64;
+                d
+            })
+            .collect();
+        if deltas.len() >= 2 {
+            let (a, b) = (&deltas[0], &deltas[1]);
+            prop_assert_eq!(a.merged(b), b.merged(a), "commutativity");
+        }
+        if deltas.len() >= 3 {
+            let (a, b, c) = (&deltas[0], &deltas[1], &deltas[2]);
+            prop_assert_eq!(
+                a.merged(b).merged(c),
+                a.merged(&b.merged(c)),
+                "associativity"
+            );
+        }
+        // Folding all deltas into one and applying it to an empty
+        // state equals committing them one by one.
+        if let Some(first) = deltas.first() {
+            let folded = deltas[1..]
                 .iter()
-                .map(|b| {
-                    let d = StatsDelta::build(&mut interner, b, policy, offset);
-                    offset += b.len() as u64;
-                    d
-                })
-                .collect();
-            if deltas.len() >= 2 {
-                let (a, b) = (&deltas[0], &deltas[1]);
-                prop_assert_eq!(a.merged(b), b.merged(a), "commutativity {:?}", policy);
+                .fold(first.clone(), |acc, d| acc.merged(d));
+            let mut merged_state = IncrementalStats::with_interner(interner.clone());
+            merged_state.apply(folded);
+            let mut stepped = IncrementalStats::default();
+            for b in &tape {
+                stepped.commit(b);
             }
-            if deltas.len() >= 3 {
-                let (a, b, c) = (&deltas[0], &deltas[1], &deltas[2]);
-                prop_assert_eq!(
-                    a.merged(b).merged(c),
-                    a.merged(&b.merged(c)),
-                    "associativity {:?}", policy
-                );
-            }
-            // Folding all deltas into one and applying it to an empty
-            // state equals committing them one by one.
-            if let Some(first) = deltas.first() {
-                let folded = deltas[1..]
-                    .iter()
-                    .fold(first.clone(), |acc, d| acc.merged(d));
-                let mut merged_state = IncrementalStats::with_interner(policy, interner.clone());
-                merged_state.apply(folded);
-                let mut stepped = IncrementalStats::new(policy);
-                for b in &tape {
-                    stepped.commit(b);
-                }
-                prop_assert_eq!(
-                    merged_state.to_dense(),
-                    stepped.to_dense(),
-                    "fold-vs-step {:?}", policy
-                );
-            }
+            prop_assert_eq!(merged_state.to_dense(), stepped.to_dense(), "fold-vs-step");
         }
     }
 }
@@ -242,13 +234,13 @@ proptest! {
     ) {
         let tape = build_tape(&fps);
         let aux = backup("aux", &aux_fps);
-        for policy in POLICIES {
-            let mut inc = IncrementalStats::new(policy);
-            for (i, b) in tape.iter().enumerate() {
-                inc.commit(b);
-                if compact_mask[i] {
-                    inc.compact();
-                }
+        let mut inc = IncrementalStats::default();
+        for (i, b) in tape.iter().enumerate() {
+            inc.commit(b);
+            if compact_mask[i] {
+                inc.compact();
+            }
+            for policy in POLICIES {
                 for kind in AttackKind::ALL {
                     for t in THREADS {
                         let params = LocalityParams::new(2, 3, 1000)
@@ -276,74 +268,57 @@ proptest! {
 /// the commit counter.
 #[test]
 fn empty_backup_delta_is_identity() {
-    for policy in POLICIES {
-        let mut inc = IncrementalStats::new(policy);
-        inc.commit(&backup("seed", &[1, 2, 1, 3]));
-        let before = inc.to_dense();
-        let mut probe = inc.clone();
-        let delta = probe.build_delta(&backup("empty", &[]));
-        assert!(delta.is_empty(), "empty backup must build an empty delta");
-        let receipt = inc.commit(&backup("empty", &[]));
-        assert_eq!(receipt.chunks, 0);
-        assert_eq!(receipt.new_unique, 0);
-        assert_eq!(inc.to_dense(), before, "empty commit must be a no-op");
-        assert_eq!(inc.commits(), 2, "but it still counts as a commit");
-    }
+    let mut inc = IncrementalStats::default();
+    inc.commit(&backup("seed", &[1, 2, 1, 3]));
+    let before = inc.to_dense();
+    let mut probe = inc.clone();
+    let delta = probe.build_delta(&backup("empty", &[]));
+    assert!(delta.is_empty(), "empty backup must build an empty delta");
+    let receipt = inc.commit(&backup("empty", &[]));
+    assert_eq!(receipt.chunks, 0);
+    assert_eq!(receipt.new_unique, 0);
+    assert_eq!(inc.to_dense(), before, "empty commit must be a no-op");
+    assert_eq!(inc.commits(), 2, "but it still counts as a commit");
 }
 
 /// Duplicate-only backup: one fingerprint repeated — frequency is the run
 /// length and the only adjacency edge is the self-edge.
 #[test]
 fn duplicate_only_backup_matches_batch() {
-    for policy in POLICIES {
-        let tape = vec![backup("dups", &[7; 12])];
-        let mut inc = IncrementalStats::new(policy);
-        inc.commit(&tape[0]);
-        assert_eq!(
-            inc.to_dense(),
-            DenseStats::full_series_with_policy(&tape, policy)
-        );
-        assert_eq!(inc.freq(), &[12]);
-        let mut row = Vec::new();
-        let left: Vec<_> = StatsView::left_row(&inc, 0, &mut row).to_vec();
-        assert_eq!(left.len(), 1, "self-edge only");
-        assert_eq!((left[0].id, left[0].count), (0, 11));
-    }
+    let tape = vec![backup("dups", &[7; 12])];
+    let mut inc = IncrementalStats::default();
+    inc.commit(&tape[0]);
+    assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
+    assert_eq!(inc.freq(), &[12]);
+    let mut row = Vec::new();
+    let left: Vec<_> = StatsView::left_row(&inc, 0, &mut row).to_vec();
+    assert_eq!(left.len(), 1, "self-edge only");
+    assert_eq!((left[0].id, left[0].count), (0, 11));
 }
 
 /// Single-chunk backup: frequency one, no adjacency events at all.
 #[test]
 fn single_chunk_backup_matches_batch() {
-    for policy in POLICIES {
-        let tape = vec![backup("one", &[42])];
-        let mut inc = IncrementalStats::new(policy);
-        inc.commit(&tape[0]);
-        assert_eq!(
-            inc.to_dense(),
-            DenseStats::full_series_with_policy(&tape, policy)
-        );
-        assert_eq!(inc.freq(), &[1]);
-        assert_eq!(inc.left().num_entries() + inc.right().num_entries(), 0);
-    }
+    let tape = vec![backup("one", &[42])];
+    let mut inc = IncrementalStats::default();
+    inc.commit(&tape[0]);
+    assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
+    assert_eq!(inc.freq(), &[1]);
+    assert_eq!(inc.left().num_entries() + inc.right().num_entries(), 0);
 }
 
 /// A delta merged into an empty state reproduces a fresh batch build of
 /// the same backup.
 #[test]
 fn delta_merged_into_empty_state_equals_batch() {
-    for policy in POLICIES {
-        let tape = vec![backup("a", &[1, 2, 1, 2, 3]), backup("b", &[3, 1, 3, 4])];
-        let mut interner = ChunkInterner::new();
-        let d0 = StatsDelta::build(&mut interner, &tape[0], policy, 0);
-        let d1 = StatsDelta::build(&mut interner, &tape[1], policy, tape[0].len() as u64);
-        let mut inc = IncrementalStats::with_interner(policy, interner);
-        inc.apply(d0.merged(&d1));
-        assert_eq!(
-            inc.to_dense(),
-            DenseStats::full_series_with_policy(&tape, policy)
-        );
-        assert_eq!(inc.logical_chunks(), 9);
-    }
+    let tape = vec![backup("a", &[1, 2, 1, 2, 3]), backup("b", &[3, 1, 3, 4])];
+    let mut interner = ChunkInterner::new();
+    let d0 = StatsDelta::build(&mut interner, &tape[0], 0);
+    let d1 = StatsDelta::build(&mut interner, &tape[1], tape[0].len() as u64);
+    let mut inc = IncrementalStats::with_interner(interner);
+    inc.apply(d0.merged(&d1));
+    assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
+    assert_eq!(inc.logical_chunks(), 9);
 }
 
 /// Commit-boundary adjacency: chunks that touch only across a commit
@@ -351,24 +326,19 @@ fn delta_merged_into_empty_state_equals_batch() {
 /// segments and a leaked cross-boundary edge is the classic bug.
 #[test]
 fn no_adjacency_across_commit_boundaries() {
-    for policy in POLICIES {
-        let tape = vec![backup("a", &[1, 2]), backup("b", &[3, 4])];
-        let mut inc = IncrementalStats::new(policy);
-        for b in &tape {
-            inc.commit(b);
-        }
-        let id2 = inc.interner().get(Fingerprint(2)).unwrap();
-        let id3 = inc.interner().get(Fingerprint(3)).unwrap();
-        let mut row = Vec::new();
-        assert!(
-            !StatsView::right_row(&inc, id2, &mut row)
-                .iter()
-                .any(|e| e.id == id3),
-            "2 -> 3 spans the commit boundary and must not be an edge"
-        );
-        assert_eq!(
-            inc.to_dense(),
-            DenseStats::full_series_with_policy(&tape, policy)
-        );
+    let tape = vec![backup("a", &[1, 2]), backup("b", &[3, 4])];
+    let mut inc = IncrementalStats::default();
+    for b in &tape {
+        inc.commit(b);
     }
+    let id2 = inc.interner().get(Fingerprint(2)).unwrap();
+    let id3 = inc.interner().get(Fingerprint(3)).unwrap();
+    let mut row = Vec::new();
+    assert!(
+        !StatsView::right_row(&inc, id2, &mut row)
+            .iter()
+            .any(|e| e.id == id3),
+        "2 -> 3 spans the commit boundary and must not be an edge"
+    );
+    assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
 }
