@@ -46,7 +46,6 @@ pub fn ingest(series: &BackupSeries, cache_entries: usize) -> MetadataRun {
         entry_bytes: 32,
         bloom_expected: (total_unique as u64).max(1024),
         bloom_fp_rate: 0.01,
-        index_shards: 1,
         persist: None,
     })
     .expect("valid config");

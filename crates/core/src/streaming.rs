@@ -39,7 +39,7 @@
 use std::io::{Read, Write};
 use std::ops::Range;
 
-use freqdedup_trace::io::{Crc32, TraceIoError};
+use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter, TraceIoError};
 use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::dense::{
@@ -576,115 +576,82 @@ impl IncrementalStats {
     ///
     /// Returns [`TraceIoError::Io`] on write failure.
     pub fn write_to<W: Write>(&self, writer: W) -> Result<(), TraceIoError> {
-        let mut w = BlobWriter {
-            inner: writer,
-            crc: Crc32::new(),
-        };
-        w.write_all(STREAM_MAGIC)?;
-        w.write_u16(STREAM_VERSION)?;
-        w.write_u64(self.chunks)?;
-        w.write_u64(self.commits)?;
+        let mut w = CrcWriter::new(writer);
+        w.header(STREAM_MAGIC, STREAM_VERSION)?;
+        w.u64(self.chunks)?;
+        w.u64(self.commits)?;
         let unique = self.interner.len() as u32;
-        w.write_u32(unique)?;
+        w.u32(unique)?;
         for id in 0..unique {
-            w.write_u64(self.interner.fingerprint(id).value())?;
-            w.write_u32(self.interner.size(id))?;
+            w.u64(self.interner.fingerprint(id).value())?;
+            w.u32(self.interner.size(id))?;
         }
-        w.write_u32(self.freq.len() as u32)?;
+        w.u32(self.freq.len() as u32)?;
         for &f in &self.freq {
-            w.write_u32(f)?;
+            w.u32(f)?;
         }
         for side in [&self.left, &self.right] {
-            w.write_u32(side.segments.len() as u32)?;
-            w.write_u64(side.merges)?;
+            w.u32(side.segments.len() as u32)?;
+            w.u64(side.merges)?;
             for segment in &side.segments {
-                w.write_u64(segment.len() as u64)?;
+                w.u64(segment.len() as u64)?;
                 for e in segment {
-                    w.write_u64(e.key)?;
-                    w.write_u32(e.count)?;
-                    w.write_u32(e.order)?;
+                    w.u64(e.key)?;
+                    w.u32(e.count)?;
+                    w.u32(e.order)?;
                 }
             }
         }
-        let crc = w.crc.finalize();
-        w.inner.write_all(&crc.to_le_bytes())?;
+        w.finish()?;
         Ok(())
     }
 
     /// Deserializes a state written by [`Self::write_to`], verifying
     /// magic, version and CRC. Consumes exactly one state's bytes, so
     /// concatenated states can be read back to back from one reader.
-    /// The CRC trails the blob, so every length field is unverified while
-    /// it is being obeyed: reservations are capped (2^20 elements) and
-    /// memory grows only with bytes actually read.
+    /// Every length field is obeyed under the codec's length rule
+    /// ([`freqdedup_trace::io::RESERVE_CAP`]) before the CRC vouches for it.
     ///
     /// # Errors
     ///
     /// Returns the corresponding [`TraceIoError`] variant on malformed
     /// input.
     pub fn read_from<R: Read>(reader: R) -> Result<Self, TraceIoError> {
-        let mut r = BlobReader {
-            inner: reader,
-            crc: Crc32::new(),
-        };
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != STREAM_MAGIC {
-            return Err(TraceIoError::BadMagic);
-        }
-        let version = r.read_u16()?;
-        if version != STREAM_VERSION {
-            return Err(TraceIoError::BadVersion(version));
-        }
-        let chunks = r.read_u64()?;
-        let commits = r.read_u64()?;
-        let unique = r.read_u32()? as usize;
+        let mut r = CrcReader::new(reader, "stream state");
+        r.expect_header(STREAM_MAGIC, STREAM_VERSION)?;
+        let chunks = r.u64("chunk count")?;
+        let commits = r.u64("commit count")?;
+        let unique = r.u32("unique count")?;
         let mut interner = ChunkInterner::new();
         for _ in 0..unique {
-            let fp = Fingerprint(r.read_u64()?);
-            let size = r.read_u32()?;
-            interner.intern(fp, size);
+            let fp = Fingerprint(r.u64("interned fingerprint")?);
+            interner.intern(fp, r.u32("interned size")?);
         }
-        if interner.len() != unique {
+        if interner.len() != unique as usize {
             // Duplicate fingerprints collapse under interning: the blob
             // was not produced by `write_to`.
-            return Err(TraceIoError::LengthOverflow(unique as u64));
+            return Err(TraceIoError::LengthOverflow(u64::from(unique)));
         }
-        let freq_len = r.read_u32()? as usize;
-        let mut freq = Vec::with_capacity(freq_len.min(RESERVE_CAP));
-        for _ in 0..freq_len {
-            freq.push(r.read_u32()?);
-        }
-        let mut sides = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let num_segments = r.read_u32()? as usize;
-            let merges = r.read_u64()?;
-            let mut segments = Vec::with_capacity(num_segments.min(RESERVE_CAP));
-            for _ in 0..num_segments {
-                let len = r.read_u64()?;
-                if len > 1 << 40 {
-                    return Err(TraceIoError::LengthOverflow(len));
-                }
-                let mut segment = Vec::with_capacity((len as usize).min(RESERVE_CAP));
-                for _ in 0..len {
-                    let key = r.read_u64()?;
-                    let count = r.read_u32()?;
-                    let order = r.read_u32()?;
-                    segment.push(AdjEntry { key, count, order });
-                }
-                segments.push(segment);
-            }
-            sides.push(SegmentedCsr { segments, merges });
-        }
-        let actual = r.crc.finalize();
-        let mut crc_bytes = [0u8; 4];
-        r.inner.read_exact(&mut crc_bytes)?;
-        let expected = u32::from_le_bytes(crc_bytes);
-        if expected != actual {
-            return Err(TraceIoError::BadChecksum { expected, actual });
-        }
-        let right = sides.pop().expect("two sides read");
-        let left = sides.pop().expect("two sides read");
+        let freq_len = r.u32("frequency count")?;
+        let freq = r.seq(u64::from(freq_len), |r| r.u32("frequency"))?;
+        let mut side = || -> Result<SegmentedCsr, CodecError> {
+            let num_segments = r.u32("segment count")?;
+            let merges = r.u64("merge count")?;
+            let segments = r.seq(u64::from(num_segments), |r| {
+                let len = r.u64("segment length")?;
+                r.seq(len, |r| {
+                    Ok(AdjEntry {
+                        key: r.u64("entry key")?,
+                        count: r.u32("entry count")?,
+                        order: r.u32("entry order")?,
+                    })
+                })
+            })?;
+            Ok(SegmentedCsr { segments, merges })
+        };
+        let left = side()?;
+        let right = side()?;
+        r.expect_crc()?;
         Ok(IncrementalStats {
             interner,
             freq,
@@ -741,67 +708,6 @@ const STREAM_MAGIC: &[u8; 4] = b"FQIS";
 /// version-1 file is [`TraceIoError::BadVersion`], which the tap answers
 /// with a catalog replay.
 const STREAM_VERSION: u16 = 2;
-/// Most elements a length field may reserve before its CRC is checked.
-const RESERVE_CAP: usize = 1 << 20;
-
-/// CRC-accumulating writer (mirror of the private helper in
-/// `freqdedup_trace::io`, which this format deliberately resembles).
-struct BlobWriter<W> {
-    inner: W,
-    crc: Crc32,
-}
-
-impl<W: Write> BlobWriter<W> {
-    fn write_all(&mut self, data: &[u8]) -> Result<(), TraceIoError> {
-        self.crc.update(data);
-        self.inner.write_all(data)?;
-        Ok(())
-    }
-
-    fn write_u16(&mut self, v: u16) -> Result<(), TraceIoError> {
-        self.write_all(&v.to_le_bytes())
-    }
-
-    fn write_u32(&mut self, v: u32) -> Result<(), TraceIoError> {
-        self.write_all(&v.to_le_bytes())
-    }
-
-    fn write_u64(&mut self, v: u64) -> Result<(), TraceIoError> {
-        self.write_all(&v.to_le_bytes())
-    }
-}
-
-/// CRC-accumulating reader.
-struct BlobReader<R> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> BlobReader<R> {
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), TraceIoError> {
-        self.inner.read_exact(buf)?;
-        self.crc.update(buf);
-        Ok(())
-    }
-
-    fn read_u16(&mut self) -> Result<u16, TraceIoError> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn read_u32(&mut self) -> Result<u32, TraceIoError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn read_u64(&mut self) -> Result<u64, TraceIoError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -991,13 +897,10 @@ mod tests {
             (freq_len, &u32::MAX.to_le_bytes()[..]),
             (num_segments, &u32::MAX.to_le_bytes()[..]),
             (segment_len, &(1u64 << 40).to_le_bytes()[..]),
+            (segment_len, &u64::MAX.to_le_bytes()[..]),
         ] {
             assert!(matches!(forge(at, field), Err(TraceIoError::Io(_))), "{at}");
         }
-        assert!(matches!(
-            forge(segment_len, &u64::MAX.to_le_bytes()),
-            Err(TraceIoError::LengthOverflow(u64::MAX))
-        ));
     }
 
     #[test]

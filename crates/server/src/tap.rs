@@ -46,7 +46,7 @@ use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::counting::TiePolicy;
 use freqdedup_core::{DenseStats, IncrementalStats, Inference};
-use freqdedup_trace::io::{self, TraceIoError};
+use freqdedup_trace::io::{self, CodecError, CrcReader, CrcWriter, TraceIoError};
 use freqdedup_trace::{Backup, BackupSeries};
 
 /// Commits whose update latency [`TapStreaming`] remembers: the log is
@@ -236,9 +236,6 @@ const CIDS_MAGIC: &[u8; 4] = b"FQCI";
 /// ack slots per entry (lifecycle-operation replays); version-1 files are
 /// rejected, which the server degrades to "no replay-suppression window".
 const CIDS_VERSION: u16 = 2;
-/// Sanity bound on a registry label length (matches the wire layer's
-/// attitude: a corrupted length field must not drive an allocation).
-const CIDS_MAX_LABEL: u64 = 1 << 20;
 
 /// Per-session observed ciphertext streams, segmented by commit.
 #[derive(Clone, Debug, Default)]
@@ -544,88 +541,52 @@ impl AdversaryTap {
     ///
     /// Returns [`TraceIoError`] on write failure.
     pub fn save_commit_ids(&self, path: &Path) -> Result<(), TraceIoError> {
-        let mut body = Vec::with_capacity(16 + self.applied.len() * 44);
-        body.extend_from_slice(CIDS_MAGIC);
-        body.extend_from_slice(&CIDS_VERSION.to_le_bytes());
-        body.extend_from_slice(&(self.applied.len() as u32).to_le_bytes());
+        let mut w = CrcWriter::new(Vec::with_capacity(16 + self.applied.len() * 44));
+        w.header(CIDS_MAGIC, CIDS_VERSION)?;
+        w.u32(self.applied.len() as u32)?;
         // Sorted so the file is byte-deterministic for a given registry.
         let mut ids: Vec<_> = self.applied.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
             let entry = &self.applied[&id];
-            body.extend_from_slice(&id.to_le_bytes());
-            body.extend_from_slice(&entry.chunks.to_le_bytes());
-            body.extend_from_slice(&entry.extra.to_le_bytes());
-            body.extend_from_slice(&entry.extra2.to_le_bytes());
-            body.extend_from_slice(&(entry.label.len() as u32).to_le_bytes());
-            body.extend_from_slice(entry.label.as_bytes());
+            w.u64(id)?;
+            w.u64(entry.chunks)?;
+            w.u64(entry.extra)?;
+            w.u64(entry.extra2)?;
+            w.str(&entry.label)?;
         }
-        let crc = io::crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(path, body)?;
+        std::fs::write(path, w.finish()?)?;
         Ok(())
     }
 
     /// Merges a registry saved by [`Self::save_commit_ids`] into this
-    /// tap; returns the number of entries loaded.
+    /// tap; returns the number of entries loaded. Nothing is merged
+    /// unless the whole file verifies.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on read failure, bad magic/version, CRC
     /// mismatch, or a malformed entry.
     pub fn load_commit_ids(&mut self, path: &Path) -> Result<usize, TraceIoError> {
-        let bytes = std::fs::read(path)?;
-        if bytes.len() < CIDS_MAGIC.len() + 2 + 4 + 4 {
-            return Err(TraceIoError::BadMagic);
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let expected = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-        let actual = io::crc32(body);
-        if actual != expected {
-            return Err(TraceIoError::BadChecksum { expected, actual });
-        }
-        if &body[..4] != CIDS_MAGIC {
-            return Err(TraceIoError::BadMagic);
-        }
-        let version = u16::from_le_bytes(body[4..6].try_into().expect("2 bytes"));
-        if version != CIDS_VERSION {
-            return Err(TraceIoError::BadVersion(version));
-        }
-        let count = u32::from_le_bytes(body[6..10].try_into().expect("4 bytes")) as usize;
-        let mut at = 10;
+        let file = std::fs::File::open(path)?;
+        let mut r = CrcReader::new(std::io::BufReader::new(file), "tap.cids");
+        r.expect_header(CIDS_MAGIC, CIDS_VERSION)?;
+        let count = r.u32("entry count")?;
+        let entries = r.seq(u64::from(count), |r| {
+            let id = r.u64("commit id")?;
+            let entry = AppliedCommit {
+                chunks: r.u64("chunks")?,
+                extra: r.u64("extra")?,
+                extra2: r.u64("extra2")?,
+                label: r.str("label")?,
+            };
+            Ok::<_, CodecError>((id, entry))
+        })?;
+        r.expect_crc()?;
         let mut loaded = 0;
-        for _ in 0..count {
-            if body.len() < at + 36 {
-                return Err(TraceIoError::LengthOverflow(body.len() as u64));
-            }
-            let id = u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
-            let chunks = u64::from_le_bytes(body[at + 8..at + 16].try_into().expect("8 bytes"));
-            let extra = u64::from_le_bytes(body[at + 16..at + 24].try_into().expect("8 bytes"));
-            let extra2 = u64::from_le_bytes(body[at + 24..at + 32].try_into().expect("8 bytes"));
-            let label_len =
-                u32::from_le_bytes(body[at + 32..at + 36].try_into().expect("4 bytes")) as u64;
-            if label_len > CIDS_MAX_LABEL {
-                return Err(TraceIoError::LengthOverflow(label_len));
-            }
-            let label_len = label_len as usize;
-            at += 36;
-            if body.len() < at + label_len {
-                return Err(TraceIoError::LengthOverflow(body.len() as u64));
-            }
-            let label = std::str::from_utf8(&body[at..at + label_len])
-                .map_err(|_| TraceIoError::BadUtf8)?
-                .to_owned();
-            at += label_len;
+        for (id, entry) in entries {
             if id != 0 {
-                self.applied.insert(
-                    id,
-                    AppliedCommit {
-                        label,
-                        chunks,
-                        extra,
-                        extra2,
-                    },
-                );
+                self.applied.insert(id, entry);
                 loaded += 1;
             }
         }
@@ -783,6 +744,27 @@ mod tests {
         tap.save(&path).unwrap();
         let back = AdversaryTap::load(&path).unwrap();
         assert_eq!(back.length_sequences(), tap.length_sequences());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A catalog whose one backup claims 2^40 chunks fails typed on both
+    /// load paths instead of reserving 16 TiB.
+    #[test]
+    fn forged_catalog_chunk_count_fails_typed() {
+        let dir = std::env::temp_dir().join(format!("freqdedup-tapforged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tap.fqdt");
+        let mut tap = AdversaryTap::new();
+        tap.record_commit(backup("b", &[7]));
+        tap.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // magic 4, version 2, name "tap" 4 + 3, backup count 4, label 4 + 1.
+        let at = 22;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(AdversaryTap::load(&path).is_err());
+        assert!(AdversaryTap::load_resuming(&path, &dir.join("tap.fqis")).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -72,9 +72,6 @@ pub struct DedupConfig {
     pub bloom_expected: u64,
     /// Bloom filter target false-positive rate.
     pub bloom_fp_rate: f64,
-    /// Fingerprint-prefix shards of the on-disk index (1 = the paper's
-    /// single-map layout; see [`crate::index::FingerprintIndex`]).
-    pub index_shards: usize,
     /// Durable backing directory; `None` keeps the engine purely in-memory
     /// (the behaviour of every release before the persistence layer).
     pub persist: Option<PersistConfig>,
@@ -91,7 +88,6 @@ impl DedupConfig {
             entry_bytes: 32,
             bloom_expected,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         }
     }
@@ -121,9 +117,6 @@ impl DedupConfig {
         if !(self.bloom_fp_rate > 0.0 && self.bloom_fp_rate < 1.0) {
             return Err("bloom_fp_rate must be in (0, 1)".into());
         }
-        if self.index_shards == 0 {
-            return Err("index_shards must be positive".into());
-        }
         Ok(())
     }
 
@@ -133,7 +126,6 @@ impl DedupConfig {
             kind: MetaKind::Engine,
             shards: 1,
             entry_bytes: self.entry_bytes,
-            index_shards: self.index_shards as u32,
             container_bytes: self.container_bytes,
         }
     }
@@ -255,7 +247,7 @@ impl DedupEngine {
             bloom: BloomFilter::with_capacity(config.bloom_expected, config.bloom_fp_rate),
             cache: FingerprintCache::new(config.cache_entries),
             containers: ContainerStore::new(config.container_bytes),
-            index: FingerprintIndex::with_shards(config.entry_bytes, config.index_shards),
+            index: FingerprintIndex::with_entry_bytes(config.entry_bytes),
             loading_bytes: 0,
             loading_ops: 0,
             stats: StoreStats::default(),
@@ -489,19 +481,10 @@ impl DedupEngine {
         };
         let base_seq = match usable {
             Some(s) => {
-                if s.entry_bytes != engine.config.entry_bytes
-                    || s.index_shards as usize != engine.config.index_shards
-                {
+                if s.entry_bytes != engine.config.entry_bytes {
                     return Err(PersistError::ConfigMismatch(
                         "snapshot was written under a different index configuration".into(),
                     ));
-                }
-                if s.shard_counters.len() != engine.config.index_shards {
-                    return Err(PersistError::Corrupt(format!(
-                        "snapshot carries {} shard counter rows for {} shards",
-                        s.shard_counters.len(),
-                        engine.config.index_shards
-                    )));
                 }
                 engine.stats = StoreStats::from_array(s.stats);
                 engine.loading_bytes = s.loading_bytes;
@@ -511,7 +494,7 @@ impl DedupEngine {
                         .index
                         .restore_entry(Fingerprint(fp), ContainerId(cid));
                 }
-                engine.index.set_shard_counters(&s.shard_counters);
+                engine.index.set_counters(s.index_counters);
                 let lru: Vec<Fingerprint> = s.cache_lru.iter().map(|&fp| Fingerprint(fp)).collect();
                 engine
                     .cache
@@ -735,7 +718,11 @@ impl DedupEngine {
             )
             .unwrap_or_else(|e| panic!("persistent store: container write failed: {e}"));
             p.manifest
-                .append_seal(id.0, container.len() as u32, container.data_bytes)
+                .append(ManifestEvent::Seal {
+                    id: id.0,
+                    chunk_count: container.len() as u32,
+                    data_bytes: container.data_bytes,
+                })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
             p.seals_since_snapshot += 1;
@@ -840,16 +827,10 @@ impl DedupEngine {
         let snapshot = Snapshot {
             event_seq: p.events,
             entry_bytes: self.config.entry_bytes,
-            index_shards: self.config.index_shards as u32,
             stats: self.stats.to_array(),
             loading_bytes: self.loading_bytes,
             loading_ops: self.loading_ops,
-            shard_counters: self
-                .index
-                .shard_stats()
-                .iter()
-                .map(|s| [s.lookups, s.lookup_bytes, s.updates, s.update_bytes])
-                .collect(),
+            index_counters: self.index.counters(),
             index_entries: self
                 .index
                 .sorted_entries()
@@ -909,7 +890,12 @@ impl DedupEngine {
             lifecycle::write_recipe(&p.cfg.dir, id, &recipe, p.cfg.fsync, &p.cfg.io)
                 .unwrap_or_else(|e| panic!("persistent store: recipe write failed: {e}"));
             p.manifest
-                .append_backup(id, recipe.len() as u32, recipe.logical_bytes(), timestamp)
+                .append(ManifestEvent::Backup {
+                    id,
+                    chunk_count: recipe.len() as u32,
+                    logical_bytes: recipe.logical_bytes(),
+                    timestamp,
+                })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
         }
@@ -940,7 +926,11 @@ impl DedupEngine {
             // The journal record commits the deletion; removing the recipe
             // file afterwards is cleanup (recovery drops strays).
             p.manifest
-                .append_backup_delete(id, chunks_released as u32, logical_bytes)
+                .append(ManifestEvent::BackupDelete {
+                    id,
+                    chunk_count: chunks_released as u32,
+                    logical_bytes,
+                })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
             lifecycle::remove_recipe(&p.cfg.dir, id);
@@ -1071,13 +1061,13 @@ impl DedupEngine {
                 .collect();
             if let Some(p) = &mut self.persist {
                 p.manifest
-                    .append_gc_drop(
-                        v.id.0,
-                        v.chunk_count,
-                        v.data_bytes,
-                        dead_fps.len() as u32,
+                    .append(ManifestEvent::GcDrop {
+                        id: v.id.0,
+                        chunk_count: v.chunk_count,
+                        data_bytes: v.data_bytes,
+                        dead_chunks: dead_fps.len() as u32,
                         dead_bytes,
-                    )
+                    })
                     .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
                 p.events += 1;
                 let _ = std::fs::remove_file(log::container_path(&p.cfg.dir, v.id));
@@ -1150,7 +1140,7 @@ impl DedupEngine {
         if let Some(p) = &mut self.persist {
             self.pending_rekey = Some(target);
             p.manifest
-                .append_rekey_begin(target)
+                .append(ManifestEvent::RekeyBegin { epoch: target })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
             for c in self.containers.iter() {
@@ -1173,7 +1163,7 @@ impl DedupEngine {
             persist::maybe_sync_dir(&p.cfg.dir, p.cfg.fsync)
                 .unwrap_or_else(|e| panic!("persistent store: directory sync failed: {e}"));
             p.manifest
-                .append_rekey_commit(target)
+                .append(ManifestEvent::RekeyCommit { epoch: target })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
         }
@@ -1308,7 +1298,6 @@ mod tests {
             entry_bytes: 32,
             bloom_expected: 10_000,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         }
     }
@@ -1411,7 +1400,6 @@ mod tests {
             entry_bytes: 32,
             bloom_expected: 100,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
@@ -1482,7 +1470,6 @@ mod tests {
             entry_bytes: 32,
             bloom_expected: 10_000,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();

@@ -226,7 +226,7 @@ pub(crate) fn write_checked(
 }
 
 /// A `File` wrapper that consults the policy on every write, used by the
-/// buffered (`CrcSink` over `BufWriter`) persistence paths.
+/// buffered (`CrcWriter` over `BufWriter`) persistence paths.
 #[derive(Debug)]
 pub(crate) struct FaultFile {
     file: File,

@@ -6,13 +6,6 @@
 //! is accounted in bytes of metadata traffic (32 bytes per fingerprint entry
 //! by default), which is exactly the quantity Figures 13–14 report.
 //!
-//! The index is internally split into `N` **prefix shards**: a fingerprint's
-//! leading bits select its shard (range partitioning — shard `s` owns the
-//! fingerprints in `[s·2⁶⁴/N, (s+1)·2⁶⁴/N)`), so any fingerprint maps to
-//! exactly one shard regardless of insertion order. Each shard keeps its own
-//! map and access counters; the aggregate accessors sum over shards. With
-//! the default `N = 1` the behaviour is the classic single-map index.
-//!
 //! Lookup counters are [`Cell`]s so that [`FingerprintIndex::lookup`] takes
 //! `&self`: a read of an on-disk index mutates accounting, not the mapping,
 //! and read paths (and shard-parallel readers, which each own their engine)
@@ -25,36 +18,14 @@ use freqdedup_trace::Fingerprint;
 
 use crate::container::ContainerId;
 
-/// One prefix shard: a private map plus its own access counters.
-#[derive(Debug, Default)]
-struct IndexShard {
+/// The on-disk fingerprint index with byte-level access accounting.
+#[derive(Debug)]
+pub struct FingerprintIndex {
     map: HashMap<Fingerprint, ContainerId>,
     lookup_bytes: Cell<u64>,
     lookups: Cell<u64>,
     update_bytes: u64,
     updates: u64,
-}
-
-/// Per-shard counter snapshot (for observability and shard-balance checks).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IndexShardStats {
-    /// Fingerprints stored in the shard.
-    pub entries: usize,
-    /// Lookup operations served by the shard.
-    pub lookups: u64,
-    /// Bytes of on-disk reads charged to the shard.
-    pub lookup_bytes: u64,
-    /// Update operations applied to the shard.
-    pub updates: u64,
-    /// Bytes of on-disk writes charged to the shard.
-    pub update_bytes: u64,
-}
-
-/// The on-disk fingerprint index with byte-level access accounting,
-/// split into fingerprint-prefix shards.
-#[derive(Debug)]
-pub struct FingerprintIndex {
-    shards: Vec<IndexShard>,
     entry_bytes: u64,
 }
 
@@ -65,77 +36,52 @@ impl Default for FingerprintIndex {
 }
 
 impl FingerprintIndex {
-    /// Creates a single-shard index with the paper's 32-byte entries.
+    /// Creates an index with the paper's 32-byte entries.
     #[must_use]
     pub fn new() -> Self {
         Self::with_entry_bytes(32)
     }
 
-    /// Creates a single-shard index with a custom per-entry metadata size.
+    /// Creates an index with a custom per-entry metadata size.
     ///
     /// # Panics
     ///
     /// Panics if `entry_bytes` is zero.
     #[must_use]
     pub fn with_entry_bytes(entry_bytes: u64) -> Self {
-        Self::with_shards(entry_bytes, 1)
-    }
-
-    /// Creates an index split into `shards` fingerprint-prefix shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry_bytes` or `shards` is zero.
-    #[must_use]
-    pub fn with_shards(entry_bytes: u64, shards: usize) -> Self {
         assert!(entry_bytes > 0, "entry size must be positive");
-        assert!(shards > 0, "shard count must be positive");
         FingerprintIndex {
-            shards: (0..shards).map(|_| IndexShard::default()).collect(),
+            map: HashMap::new(),
+            lookup_bytes: Cell::new(0),
+            lookups: Cell::new(0),
+            update_bytes: 0,
+            updates: 0,
             entry_bytes,
         }
     }
 
-    /// The prefix shard owning `fp` ([`Fingerprint::prefix_shard`] over
-    /// this index's shard count).
-    #[must_use]
-    pub fn shard_of(&self, fp: Fingerprint) -> usize {
-        fp.prefix_shard(self.shards.len())
-    }
-
     /// Looks up the container holding `fp`, accounting one on-disk index
-    /// access (step S3) against the owning shard.
+    /// access (step S3).
     pub fn lookup(&self, fp: Fingerprint) -> Option<ContainerId> {
-        let shard = &self.shards[self.shard_of(fp)];
-        shard.lookups.set(shard.lookups.get() + 1);
-        shard
-            .lookup_bytes
-            .set(shard.lookup_bytes.get() + self.entry_bytes);
-        shard.map.get(&fp).copied()
+        self.lookups.set(self.lookups.get() + 1);
+        self.lookup_bytes
+            .set(self.lookup_bytes.get() + self.entry_bytes);
+        self.map.get(&fp).copied()
     }
 
     /// Inserts (or overwrites) the mapping for `fp`, accounting one on-disk
     /// update access (steps S2/S3, at container flush time).
     pub fn insert(&mut self, fp: Fingerprint, container: ContainerId) {
-        let entry_bytes = self.entry_bytes;
-        let shard_idx = self.shard_of(fp);
-        let shard = &mut self.shards[shard_idx];
-        shard.updates += 1;
-        shard.update_bytes += entry_bytes;
-        shard.map.insert(fp, container);
+        self.account_updates(1);
+        self.map.insert(fp, container);
     }
 
     /// Removes the mapping for `fp`, accounting one on-disk update access
-    /// against the owning shard (a delete of an on-disk entry is a write,
-    /// like an insert). Returns the removed mapping, if any; a miss is
-    /// still accounted — GC had to touch the shard to find out.
+    /// (a delete of an on-disk entry is a write, like an insert). Returns the removed mapping, if any; a miss is still accounted — GC
+    /// had to touch the index to find out.
     pub fn remove(&mut self, fp: Fingerprint) -> Option<ContainerId> {
-        let entry_bytes = self.entry_bytes;
-        let shard_idx = self.shard_of(fp);
-        let shard = &mut self.shards[shard_idx];
-        shard.updates += 1;
-        shard.update_bytes += entry_bytes;
-        shard.map.remove(&fp)
+        self.account_updates(1);
+        self.map.remove(&fp)
     }
 
     /// Removes every entry mapping to `container`, with per-entry update
@@ -143,76 +89,67 @@ impl FingerprintIndex {
     /// a GC drop record: the entries still pointing at a dropped container
     /// at that point in the journal are exactly its dead chunks).
     pub(crate) fn remove_container_entries(&mut self, container: ContainerId) -> Vec<Fingerprint> {
-        let entry_bytes = self.entry_bytes;
         let mut removed = Vec::new();
-        for shard in &mut self.shards {
-            let before = shard.map.len();
-            shard.map.retain(|&fp, &mut cid| {
-                if cid == container {
-                    removed.push(fp);
-                    false
-                } else {
-                    true
-                }
-            });
-            let n = (before - shard.map.len()) as u64;
-            shard.updates += n;
-            shard.update_bytes += n * entry_bytes;
-        }
+        self.map.retain(|&fp, &mut cid| {
+            if cid == container {
+                removed.push(fp);
+                false
+            } else {
+                true
+            }
+        });
+        self.account_updates(removed.len() as u64);
         removed.sort_unstable();
         removed
     }
 
-    /// Charges `n` update accesses to shard 0 without touching the mapping.
-    /// Recovery uses this when replaying the seal of a container that a
-    /// later journal record drops: the file is gone, so the per-fingerprint
+    /// Charges `n` update accesses without touching the mapping. Recovery
+    /// uses this when replaying the seal of a container that a later
+    /// journal record drops: the file is gone, so the per-fingerprint
     /// inserts cannot be reproduced, but their accounted cost can.
     pub(crate) fn account_updates(&mut self, n: u64) {
-        let entry_bytes = self.entry_bytes;
-        let shard = &mut self.shards[0];
-        shard.updates += n;
-        shard.update_bytes += n * entry_bytes;
+        self.updates += n;
+        self.update_bytes += n * self.entry_bytes;
     }
 
     /// Re-inserts a recovered mapping **without** accounting: recovery
     /// rebuilds the in-memory map from the snapshot, whose counters already
     /// include the original accounted insertions.
     pub(crate) fn restore_entry(&mut self, fp: Fingerprint, container: ContainerId) {
-        let shard_idx = self.shard_of(fp);
-        self.shards[shard_idx].map.insert(fp, container);
+        self.map.insert(fp, container);
     }
 
-    /// Overwrites the per-shard access counters with recovered values
-    /// (`[lookups, lookup_bytes, updates, update_bytes]` per shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `counters` does not cover every shard exactly once —
-    /// recovery validates the shard count before calling.
-    pub(crate) fn set_shard_counters(&mut self, counters: &[[u64; 4]]) {
-        assert_eq!(counters.len(), self.shards.len(), "shard count mismatch");
-        for (shard, c) in self.shards.iter_mut().zip(counters) {
-            shard.lookups.set(c[0]);
-            shard.lookup_bytes.set(c[1]);
-            shard.updates = c[2];
-            shard.update_bytes = c[3];
-        }
+    /// The access counters as `[lookups, lookup_bytes, updates,
+    /// update_bytes]` (the snapshot's form).
+    #[must_use]
+    pub fn counters(&self) -> [u64; 4] {
+        [
+            self.lookups.get(),
+            self.lookup_bytes.get(),
+            self.updates,
+            self.update_bytes,
+        ]
     }
 
-    /// All `(fingerprint, container)` entries sorted by fingerprint.
-    ///
-    /// Prefix shards own contiguous fingerprint ranges, so sorting each
-    /// shard and concatenating in shard order yields the global order —
-    /// this is the snapshot serialization order, and a deterministic basis
-    /// for index-content comparisons.
+    /// Overwrites the access counters with recovered values (the form of
+    /// [`Self::counters`]).
+    pub(crate) fn set_counters(
+        &mut self,
+        [lookups, lookup_bytes, updates, update_bytes]: [u64; 4],
+    ) {
+        self.lookups.set(lookups);
+        self.lookup_bytes.set(lookup_bytes);
+        self.updates = updates;
+        self.update_bytes = update_bytes;
+    }
+
+    /// All `(fingerprint, container)` entries sorted by fingerprint — the
+    /// snapshot serialization order, and a deterministic basis for
+    /// index-content comparisons.
     #[must_use]
     pub fn sorted_entries(&self) -> Vec<(Fingerprint, ContainerId)> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let start = out.len();
-            out.extend(shard.map.iter().map(|(&fp, &cid)| (fp, cid)));
-            out[start..].sort_unstable_by_key(|&(fp, _)| fp);
-        }
+        let mut out: Vec<_> = self.map.iter().map(|(&fp, &cid)| (fp, cid)).collect();
+        out.sort_unstable_by_key(|&(fp, _)| fp);
         out
     }
 
@@ -220,64 +157,43 @@ impl FingerprintIndex {
     /// never bypasses accounting).
     #[must_use]
     pub fn peek(&self, fp: Fingerprint) -> Option<ContainerId> {
-        self.shards[self.shard_of(fp)].map.get(&fp).copied()
+        self.map.get(&fp).copied()
     }
 
-    /// Number of indexed fingerprints (all shards).
+    /// Number of indexed fingerprints.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.len()).sum()
+        self.map.len()
     }
 
     /// Whether the index is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.map.is_empty())
+        self.map.is_empty()
     }
 
-    /// Number of prefix shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<IndexShardStats> {
-        self.shards
-            .iter()
-            .map(|s| IndexShardStats {
-                entries: s.map.len(),
-                lookups: s.lookups.get(),
-                lookup_bytes: s.lookup_bytes.get(),
-                updates: s.updates,
-                update_bytes: s.update_bytes,
-            })
-            .collect()
-    }
-
-    /// Bytes of on-disk index reads so far ("index access", all shards).
+    /// Bytes of on-disk index reads so far ("index access").
     #[must_use]
     pub fn lookup_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lookup_bytes.get()).sum()
+        self.lookup_bytes.get()
     }
 
-    /// Bytes of on-disk index writes so far ("update access", all shards).
+    /// Bytes of on-disk index writes so far ("update access").
     #[must_use]
     pub fn update_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.update_bytes).sum()
+        self.update_bytes
     }
 
-    /// Count of lookup operations (all shards).
+    /// Count of lookup operations.
     #[must_use]
     pub fn lookups(&self) -> u64 {
-        self.shards.iter().map(|s| s.lookups.get()).sum()
+        self.lookups.get()
     }
 
-    /// Count of update operations (all shards).
+    /// Count of update operations.
     #[must_use]
     pub fn updates(&self) -> u64 {
-        self.shards.iter().map(|s| s.updates).sum()
+        self.updates
     }
 
     /// The configured per-entry metadata size in bytes.
@@ -351,63 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sharding_is_stable_and_total() {
-        let idx = FingerprintIndex::with_shards(32, 4);
-        assert_eq!(idx.num_shards(), 4);
-        // Leading bits select the shard: quarter boundaries of u64 space.
-        assert_eq!(idx.shard_of(Fingerprint(0)), 0);
-        assert_eq!(idx.shard_of(Fingerprint(1 << 62)), 1);
-        assert_eq!(idx.shard_of(Fingerprint(1 << 63)), 2);
-        assert_eq!(idx.shard_of(Fingerprint(u64::MAX)), 3);
-        for v in [0u64, 1, 42, 1 << 40, u64::MAX] {
-            let s = idx.shard_of(Fingerprint(v));
-            assert!(s < 4);
-            assert_eq!(s, idx.shard_of(Fingerprint(v)), "stable");
-        }
-    }
-
-    #[test]
-    fn sharded_counters_aggregate() {
-        let mut idx = FingerprintIndex::with_shards(32, 4);
-        // One fingerprint per quarter of the space.
-        let fps = [0u64, 1 << 62, 1 << 63, (1 << 63) | (1 << 62)];
-        for (i, &v) in fps.iter().enumerate() {
-            idx.insert(Fingerprint(v), ContainerId(i as u32));
-            let _ = idx.lookup(Fingerprint(v));
-        }
-        assert_eq!(idx.len(), 4);
-        assert_eq!(idx.lookups(), 4);
-        assert_eq!(idx.updates(), 4);
-        assert_eq!(idx.lookup_bytes(), 4 * 32);
-        let per_shard = idx.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        for s in per_shard {
-            assert_eq!(s.entries, 1);
-            assert_eq!(s.lookups, 1);
-            assert_eq!(s.updates, 1);
-            assert_eq!(s.lookup_bytes, 32);
-            assert_eq!(s.update_bytes, 32);
-        }
-    }
-
-    #[test]
-    fn sharded_index_behaves_like_single_shard() {
-        let mut one = FingerprintIndex::with_shards(32, 1);
-        let mut many = FingerprintIndex::with_shards(32, 7);
-        for v in 0..1000u64 {
-            let fp = Fingerprint(v.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            one.insert(fp, ContainerId((v % 13) as u32));
-            many.insert(fp, ContainerId((v % 13) as u32));
-            assert_eq!(one.lookup(fp), many.lookup(fp));
-        }
-        assert_eq!(one.len(), many.len());
-        assert_eq!(one.lookup_bytes(), many.lookup_bytes());
-        assert_eq!(one.update_bytes(), many.update_bytes());
-    }
-
-    #[test]
     fn sorted_entries_global_order() {
-        let mut idx = FingerprintIndex::with_shards(32, 4);
+        let mut idx = FingerprintIndex::new();
         let fps = [u64::MAX, 3, 1 << 63, 1 << 62, 0, (1 << 63) | 7];
         for (i, &v) in fps.iter().enumerate() {
             idx.insert(Fingerprint(v), ContainerId(i as u32));
@@ -421,14 +282,15 @@ mod tests {
 
     #[test]
     fn restore_entry_bypasses_accounting() {
-        let mut idx = FingerprintIndex::with_shards(32, 2);
+        let mut idx = FingerprintIndex::new();
         idx.restore_entry(Fingerprint(1), ContainerId(3));
         assert_eq!(idx.peek(Fingerprint(1)), Some(ContainerId(3)));
         assert_eq!(idx.updates(), 0);
         assert_eq!(idx.update_bytes(), 0);
-        idx.set_shard_counters(&[[1, 32, 2, 64], [0, 0, 0, 0]]);
+        idx.set_counters([1, 32, 2, 64]);
         assert_eq!(idx.lookups(), 1);
         assert_eq!(idx.update_bytes(), 64);
+        assert_eq!(idx.counters(), [1, 32, 2, 64]);
     }
 
     #[test]
@@ -443,8 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn remove_container_entries_sweeps_all_shards() {
-        let mut idx = FingerprintIndex::with_shards(32, 4);
+    fn remove_container_entries_accounts_each_entry() {
+        let mut idx = FingerprintIndex::new();
         let fps = [0u64, 1 << 62, 1 << 63, (1 << 63) | (1 << 62)];
         for &v in &fps {
             idx.insert(Fingerprint(v), ContainerId(7));
@@ -465,11 +327,5 @@ mod tests {
     #[should_panic(expected = "entry size")]
     fn zero_entry_bytes_rejected() {
         let _ = FingerprintIndex::with_entry_bytes(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_rejected() {
-        let _ = FingerprintIndex::with_shards(32, 0);
     }
 }

@@ -26,10 +26,11 @@ use std::path::{Path, PathBuf};
 
 use freqdedup_crypto::ctr::Aes256Ctr;
 use freqdedup_crypto::{hmac, kdf};
+use freqdedup_trace::io::{CrcReader, CrcWriter};
 use freqdedup_trace::{ChunkRecord, Fingerprint};
 
 use crate::fault::{FaultFile, IoPolicyHandle, PersistSite};
-use crate::persist::{maybe_sync_dir, CrcSink, CrcSource, FsyncPolicy, PersistError};
+use crate::persist::{maybe_sync_dir, FsyncPolicy, PersistError};
 
 const RECIPE_MAGIC: &[u8; 4] = b"FQRC";
 const RECIPE_VERSION: u16 = 1;
@@ -223,15 +224,14 @@ pub fn write_recipe(
         io.clone(),
         PersistSite::RecipeWrite,
     );
-    let mut w = CrcSink::new(BufWriter::new(file));
-    w.write_all(RECIPE_MAGIC)?;
-    w.write_u16(RECIPE_VERSION)?;
-    w.write_u64(id)?;
-    w.write_u64(recipe.timestamp)?;
-    w.write_u32(recipe.chunks.len() as u32)?;
+    let mut w = CrcWriter::new(BufWriter::new(file));
+    w.header(RECIPE_MAGIC, RECIPE_VERSION)?;
+    w.u64(id)?;
+    w.u64(recipe.timestamp)?;
+    w.u32(recipe.chunks.len() as u32)?;
     for c in &recipe.chunks {
-        w.write_u64(c.fp.value())?;
-        w.write_u32(c.size)?;
+        w.u64(c.fp.value())?;
+        w.u32(c.size)?;
     }
     let mut buf = w.finish()?;
     buf.flush()?;
@@ -252,35 +252,23 @@ pub fn write_recipe(
 ///   different backup.
 pub fn read_recipe(dir: &Path, id: u64) -> Result<Recipe, PersistError> {
     let file = File::open(recipe_path(dir, id))?;
-    let mut r = CrcSource::new(BufReader::new(file), "recipe file");
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic, "magic")?;
-    if &magic != RECIPE_MAGIC {
-        return Err(PersistError::BadMagic {
-            file: "recipe file".to_string(),
-        });
-    }
-    let version = r.read_u16("version")?;
-    if version != RECIPE_VERSION {
-        return Err(PersistError::BadVersion {
-            file: "recipe file".to_string(),
-            version,
-        });
-    }
-    let file_id = r.read_u64("backup id")?;
+    let mut r = CrcReader::new(BufReader::new(file), "recipe file");
+    r.expect_header(RECIPE_MAGIC, RECIPE_VERSION)?;
+    let file_id = r.u64("backup id")?;
     if file_id != id {
         return Err(PersistError::Corrupt(format!(
             "recipe file for backup {id} claims backup id {file_id}"
         )));
     }
-    let timestamp = r.read_u64("timestamp")?;
-    let count = r.read_u32("chunk count")? as usize;
-    let mut chunks = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let fp = Fingerprint(r.read_u64("record fingerprint")?);
-        let size = r.read_u32("record size")?;
-        chunks.push(ChunkRecord { fp, size });
-    }
+    let timestamp = r.u64("timestamp")?;
+    let count = r.u32("chunk count")?;
+    let chunks = r.seq(u64::from(count), |r| {
+        let fp = Fingerprint(r.u64("record fingerprint")?);
+        Ok::<_, PersistError>(ChunkRecord {
+            fp,
+            size: r.u32("record size")?,
+        })
+    })?;
     r.expect_crc()?;
     Ok(Recipe { timestamp, chunks })
 }

@@ -46,12 +46,13 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use freqdedup_trace::io::{CrcReader, CrcWriter};
 use freqdedup_trace::Fingerprint;
 
 use crate::container::{Container, ContainerId};
 use crate::fault::{FaultFile, IoPolicyHandle, PersistSite};
 use crate::lifecycle::{apply_epoch_keystream, key_check_value};
-use crate::persist::{maybe_sync_dir, CrcSink, CrcSource, FsyncPolicy, PersistError};
+use crate::persist::{maybe_sync_dir, FsyncPolicy, PersistError};
 
 const LOG_MAGIC: &[u8; 4] = b"FQCL";
 const LOG_VERSION: u16 = 2;
@@ -94,7 +95,7 @@ pub fn write_container(
         io.clone(),
         PersistSite::ContainerWrite,
     );
-    let mut w = CrcSink::new(BufWriter::new(file));
+    let mut w = CrcWriter::new(BufWriter::new(file));
     write_body(&mut w, container, epoch, key)?;
     let mut buf = w.finish()?;
     buf.flush()?;
@@ -132,7 +133,7 @@ fn write_rekey_body(
     key: Option<&[u8; 32]>,
     policy: FsyncPolicy,
 ) -> Result<(), PersistError> {
-    let mut w = CrcSink::new(BufWriter::new(file));
+    let mut w = CrcWriter::new(BufWriter::new(file));
     write_body(&mut w, container, epoch, key)?;
     let mut buf = w.finish()?;
     buf.flush()?;
@@ -141,7 +142,7 @@ fn write_rekey_body(
 }
 
 fn write_body(
-    w: &mut CrcSink<BufWriter<FaultFile>>,
+    w: &mut CrcWriter<BufWriter<FaultFile>>,
     container: &Container,
     epoch: u64,
     key: Option<&[u8; 32]>,
@@ -158,15 +159,14 @@ fn write_body(
     } else {
         0
     };
-    w.write_all(LOG_MAGIC)?;
-    w.write_u16(LOG_VERSION)?;
-    w.write_u8(flags)?;
-    w.write_u8(0)?;
-    w.write_u32(container.id.0)?;
-    w.write_u32(container.len() as u32)?;
-    w.write_u64(container.data_bytes)?;
-    w.write_u64(epoch)?;
-    w.write_u64(kcv)?;
+    w.header(LOG_MAGIC, LOG_VERSION)?;
+    w.u8(flags)?;
+    w.u8(0)?;
+    w.u32(container.id.0)?;
+    w.u32(container.len() as u32)?;
+    w.u64(container.data_bytes)?;
+    w.u64(epoch)?;
+    w.u64(kcv)?;
     let mut scratch = Vec::new();
     for (i, (&fp, &size)) in container
         .fingerprints
@@ -176,17 +176,17 @@ fn write_body(
     {
         let payload = container.chunk_payload(i);
         let payload_len = payload.map_or(0, <[u8]>::len) as u32;
-        w.write_u32(RECORD_HEADER + payload_len)?;
-        w.write_u64(fp.value())?;
-        w.write_u32(size)?;
+        w.u32(RECORD_HEADER + payload_len)?;
+        w.u64(fp.value())?;
+        w.u32(size)?;
         match (payload, key) {
             (Some(bytes), Some(k)) => {
                 scratch.clear();
                 scratch.extend_from_slice(bytes);
                 apply_epoch_keystream(k, fp, &mut scratch);
-                w.write_all(&scratch)?;
+                w.bytes(&scratch)?;
             }
-            (Some(bytes), None) => w.write_all(bytes)?,
+            (Some(bytes), None) => w.bytes(bytes)?,
             (None, _) => {}
         }
     }
@@ -221,58 +221,20 @@ pub fn read_container(
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
-    let file = File::open(&path)?;
-    // The CrcSource error paths want a 'static file tag; keep the dynamic
-    // name for the structural errors and rewrite the torn/magic ones below.
-    let mut r = CrcSource::new(BufReader::new(file), "container log");
-    let rename = |e: PersistError| match e {
-        PersistError::Torn { detail, .. } => PersistError::Torn {
-            file: name.clone(),
-            detail,
-        },
-        PersistError::BadMagic { .. } => PersistError::BadMagic { file: name.clone() },
-        PersistError::BadVersion { version, .. } => PersistError::BadVersion {
-            file: name.clone(),
-            version,
-        },
-        other => other,
-    };
-    read_container_inner(&mut r, id, &name, keys).map_err(rename)
-}
-
-fn read_container_inner<R: std::io::Read>(
-    r: &mut CrcSource<R>,
-    id: ContainerId,
-    name: &str,
-    keys: &HashMap<u64, [u8; 32]>,
-) -> Result<Container, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic, "magic")?;
-    if &magic != LOG_MAGIC {
-        return Err(PersistError::BadMagic {
-            file: name.to_string(),
-        });
-    }
-    let version = r.read_u16("version")?;
-    if version != LOG_VERSION {
-        return Err(PersistError::BadVersion {
-            file: name.to_string(),
-            version,
-        });
-    }
-    let flags = r.read_u8("flags")?;
-    let _reserved = r.read_u8("reserved")?;
-    let has_payload = flags & FLAG_PAYLOAD != 0;
-    let file_id = r.read_u32("container id")?;
+    let mut r = CrcReader::new(BufReader::new(File::open(&path)?), &name);
+    r.expect_header(LOG_MAGIC, LOG_VERSION)?;
+    let has_payload = r.u8("flags")? & FLAG_PAYLOAD != 0;
+    let _reserved = r.u8("reserved")?;
+    let file_id = r.u32("container id")?;
     if file_id != id.0 {
         return Err(PersistError::Corrupt(format!(
             "{name}: header claims container id {file_id}"
         )));
     }
-    let count = r.read_u32("chunk count")? as usize;
-    let data_bytes = r.read_u64("data bytes")?;
-    let epoch = r.read_u64("key epoch")?;
-    let kcv = r.read_u64("key check value")?;
+    let count = r.u32("chunk count")?;
+    let data_bytes = r.u64("data bytes")?;
+    let epoch = r.u64("key epoch")?;
+    let kcv = r.u64("key check value")?;
     let key = if epoch > 0 && has_payload {
         // Refuse old or wrong keys *before* touching any payload bytes.
         let key = keys.get(&epoch).ok_or(PersistError::WrongKey { epoch })?;
@@ -283,47 +245,37 @@ fn read_container_inner<R: std::io::Read>(
     } else {
         None
     };
-    // `count` is unverified until the trailing CRC: it bounds the loop, not
-    // the reservation.
-    let mut fingerprints = Vec::with_capacity(count.min(1 << 20));
-    let mut sizes = Vec::with_capacity(count.min(1 << 20));
     let mut payload = has_payload.then(Vec::new);
-    for _ in 0..count {
-        let rec_len = r.read_u32("record length")?;
+    let records = r.seq(u64::from(count), |r| -> Result<_, PersistError> {
+        let rec_len = r.u32("record length")?;
         if rec_len < RECORD_HEADER {
             return Err(PersistError::Corrupt(format!(
                 "{name}: record length {rec_len} shorter than framing"
             )));
         }
-        let payload_len = (rec_len - RECORD_HEADER) as usize;
-        let fp = Fingerprint(r.read_u64("record fingerprint")?);
-        fingerprints.push(fp);
-        let size = r.read_u32("record size")?;
-        sizes.push(size);
+        let payload_len = rec_len - RECORD_HEADER;
+        let fp = Fingerprint(r.u64("record fingerprint")?);
+        let size = r.u32("record size")?;
         match &mut payload {
+            Some(_) if payload_len != size => Err(PersistError::Corrupt(format!(
+                "{name}: payload length {payload_len} disagrees with chunk size {size}"
+            ))),
             Some(buf) => {
-                if payload_len != size as usize {
-                    return Err(PersistError::Corrupt(format!(
-                        "{name}: payload length {payload_len} disagrees with chunk size {size}"
-                    )));
-                }
                 let start = buf.len();
-                buf.resize(start + payload_len, 0);
-                r.read_exact(&mut buf[start..], "record payload")?;
+                r.bytes_into(buf, u64::from(payload_len), "record payload")?;
                 if let Some(k) = &key {
                     apply_epoch_keystream(k, fp, &mut buf[start..]);
                 }
+                Ok((fp, size))
             }
-            None => {
-                if payload_len != 0 {
-                    return Err(PersistError::Corrupt(format!(
-                        "{name}: metadata-only container carries {payload_len} payload bytes"
-                    )));
-                }
-            }
+            None if payload_len != 0 => Err(PersistError::Corrupt(format!(
+                "{name}: metadata-only container carries {payload_len} payload bytes"
+            ))),
+            None => Ok((fp, size)),
         }
-    }
+    })?;
     r.expect_crc()?;
+    let (fingerprints, sizes): (Vec<Fingerprint>, Vec<u32>) = records.into_iter().unzip();
     let total: u64 = sizes.iter().map(|&s| u64::from(s)).sum();
     if total != data_bytes {
         return Err(PersistError::Corrupt(format!(
@@ -681,6 +633,42 @@ mod tests {
             assert_eq!(back.chunk_payload(0), Some(&a[..]), "epoch {epoch}");
             assert_eq!(back.chunk_payload(1), Some(&b[..]), "epoch {epoch}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One record claiming a `u32::MAX`-byte payload in a file of under
+    /// 200 bytes: the reader runs off the end of the input (torn) without
+    /// sizing a 4 GiB buffer from the unverified length.
+    #[test]
+    fn forged_payload_length_is_torn_without_a_4_gib_buffer() {
+        let dir = tmp_dir("forged-payload");
+        let mut store = ContainerStore::new(64);
+        store
+            .append(ChunkRecord::new(11u64, 5), Some(b"hello"))
+            .unwrap();
+        let id = store.flush().unwrap();
+        let c = store.get(id).unwrap();
+        write_container(
+            &dir,
+            c,
+            0,
+            None,
+            FsyncPolicy::Never,
+            &IoPolicyHandle::none(),
+        )
+        .unwrap();
+        let path = container_path(&dir, id);
+        let mut raw = std::fs::read(&path).unwrap();
+        assert!(raw.len() < 200);
+        // Header is 40 bytes; the record is length u32, fingerprint u64,
+        // size u32, payload.
+        raw[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        raw[52..56].copy_from_slice(&(u32::MAX - RECORD_HEADER).to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            read_container(&dir, id, &no_keys()),
+            Err(PersistError::Torn { .. } | PersistError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -41,13 +41,13 @@
 //! the manifest events beyond `event_seq` into the index.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use freqdedup_trace::io::Crc32;
+use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter};
 
 use crate::fault::{write_checked, FaultAction, FaultFile, IoPolicyHandle, PersistSite};
-use crate::persist::{maybe_sync, maybe_sync_dir, CrcSink, CrcSource, FsyncPolicy, PersistError};
+use crate::persist::{maybe_sync, maybe_sync_dir, FsyncPolicy, PersistError, LEGACY_INDEX_SHARDS};
 
 pub(crate) const MANIFEST_FILE: &str = "manifest.log";
 pub(crate) const SNAPSHOT_FILE: &str = "index.snap";
@@ -181,45 +181,33 @@ pub(crate) fn sync_manifest_files(dir: &Path) -> Result<(), PersistError> {
 /// header itself is foreign (a journal with a torn *header* is corrupt —
 /// the header is written at creation time, before any data is accepted).
 pub fn scan_manifest(dir: &Path) -> Result<ManifestScan, PersistError> {
-    let file = File::open(manifest_path(dir))?;
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 6];
-    r.read_exact(&mut header).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+    let mut r = BufReader::new(File::open(manifest_path(dir))?);
+    CrcReader::new(&mut r, MANIFEST_FILE)
+        .expect_header(MANIFEST_MAGIC, MANIFEST_VERSION)
+        .map_err(|e| match e {
             // The header is written at creation, before any data is
             // accepted — a short header is corruption, not a torn tail.
-            PersistError::Corrupt("manifest.log: truncated header".to_string())
-        } else {
-            PersistError::Io(e)
-        }
-    })?;
-    if &header[..4] != MANIFEST_MAGIC {
-        return Err(PersistError::BadMagic {
-            file: MANIFEST_FILE.to_string(),
-        });
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != MANIFEST_VERSION {
-        return Err(PersistError::BadVersion {
-            file: MANIFEST_FILE.to_string(),
-            version,
-        });
-    }
+            CodecError::Truncated { .. } => {
+                PersistError::Corrupt("manifest.log: truncated header".to_string())
+            }
+            e => e.into(),
+        })?;
     let mut events = Vec::new();
     let mut record_ends = Vec::new();
     let mut offset = 6u64;
-    loop {
+    while !r.fill_buf()?.is_empty() {
         match read_record(&mut r) {
-            Ok(Some((event, len))) => {
+            Ok((event, len)) => {
                 offset += len;
                 events.push(event);
                 record_ends.push(offset);
             }
-            Ok(None) => break,                 // clean end of journal
-            Err(RecordFailure::Torn) => break, // torn tail: drop it, keep the prefix
             // A real read error is NOT a torn tail: classifying it as one
             // would let recovery truncate away durably committed records.
-            Err(RecordFailure::Io(e)) => return Err(PersistError::Io(e)),
+            Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
+            // Truncation, CRC mismatch or tail garbage: drop the torn tail,
+            // keep the prefix.
+            Err(_) => break,
         }
     }
     Ok(ManifestScan {
@@ -229,84 +217,128 @@ pub fn scan_manifest(dir: &Path) -> Result<ManifestScan, PersistError> {
     })
 }
 
-/// Why one journal record could not be read.
-enum RecordFailure {
-    /// Truncation, CRC mismatch or tail garbage — the torn-write signature.
-    Torn,
-    /// A genuine I/O failure; the journal's true contents are unknown.
-    Io(std::io::Error),
-}
-
-fn classify(e: std::io::Error) -> RecordFailure {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        RecordFailure::Torn
-    } else {
-        RecordFailure::Io(e)
-    }
-}
-
-/// Reads one record; `Ok(None)` at clean EOF, `Err` on a torn/invalid tail
-/// record or a hard read failure.
-fn read_record<R: Read>(r: &mut R) -> Result<Option<(ManifestEvent, u64)>, RecordFailure> {
-    let mut kind = [0u8; 1];
-    match r.read_exact(&mut kind) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(RecordFailure::Io(e)),
-    }
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes).map_err(classify)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > 1 << 20 {
-        return Err(RecordFailure::Torn); // absurd length: tail garbage
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(classify)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes).map_err(classify)?;
-    let mut crc = Crc32::new();
-    crc.update(&kind);
-    crc.update(&len_bytes);
-    crc.update(&payload);
-    if crc.finalize() != u32::from_le_bytes(crc_bytes) {
-        return Err(RecordFailure::Torn);
-    }
-    let event = match kind[0] {
-        KIND_SEAL if payload.len() == 16 => ManifestEvent::Seal {
-            id: u32::from_le_bytes(payload[0..4].try_into().unwrap()),
-            chunk_count: u32::from_le_bytes(payload[4..8].try_into().unwrap()),
-            data_bytes: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
+/// Reads one record and its length in bytes. Any failure but
+/// [`PersistError::Io`] is the torn-write signature.
+fn read_record<R: Read>(r: R) -> Result<(ManifestEvent, u64), PersistError> {
+    let mut r = CrcReader::new(r, MANIFEST_FILE);
+    let kind = r.u8("record kind")?;
+    let len = r.u32("record length")?;
+    let event = match (kind, len) {
+        (KIND_SEAL, 16) => ManifestEvent::Seal {
+            id: r.u32("container id")?,
+            chunk_count: r.u32("chunk count")?,
+            data_bytes: r.u64("data bytes")?,
         },
-        KIND_DELETE if payload.len() == 4 => ManifestEvent::Delete {
-            id: u32::from_le_bytes(payload[0..4].try_into().unwrap()),
+        (KIND_DELETE, 4) => ManifestEvent::Delete {
+            id: r.u32("container id")?,
         },
-        KIND_BACKUP if payload.len() == 28 => ManifestEvent::Backup {
-            id: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
-            chunk_count: u32::from_le_bytes(payload[8..12].try_into().unwrap()),
-            logical_bytes: u64::from_le_bytes(payload[12..20].try_into().unwrap()),
-            timestamp: u64::from_le_bytes(payload[20..28].try_into().unwrap()),
+        (KIND_BACKUP, 28) => ManifestEvent::Backup {
+            id: r.u64("backup id")?,
+            chunk_count: r.u32("chunk count")?,
+            logical_bytes: r.u64("logical bytes")?,
+            timestamp: r.u64("timestamp")?,
         },
-        KIND_BACKUP_DELETE if payload.len() == 20 => ManifestEvent::BackupDelete {
-            id: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
-            chunk_count: u32::from_le_bytes(payload[8..12].try_into().unwrap()),
-            logical_bytes: u64::from_le_bytes(payload[12..20].try_into().unwrap()),
+        (KIND_BACKUP_DELETE, 20) => ManifestEvent::BackupDelete {
+            id: r.u64("backup id")?,
+            chunk_count: r.u32("chunk count")?,
+            logical_bytes: r.u64("logical bytes")?,
         },
-        KIND_GC_DROP if payload.len() == 28 => ManifestEvent::GcDrop {
-            id: u32::from_le_bytes(payload[0..4].try_into().unwrap()),
-            chunk_count: u32::from_le_bytes(payload[4..8].try_into().unwrap()),
-            data_bytes: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
-            dead_chunks: u32::from_le_bytes(payload[16..20].try_into().unwrap()),
-            dead_bytes: u64::from_le_bytes(payload[20..28].try_into().unwrap()),
+        (KIND_GC_DROP, 28) => ManifestEvent::GcDrop {
+            id: r.u32("container id")?,
+            chunk_count: r.u32("chunk count")?,
+            data_bytes: r.u64("data bytes")?,
+            dead_chunks: r.u32("dead chunks")?,
+            dead_bytes: r.u64("dead bytes")?,
         },
-        KIND_REKEY_BEGIN if payload.len() == 8 => ManifestEvent::RekeyBegin {
-            epoch: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
+        (KIND_REKEY_BEGIN, 8) => ManifestEvent::RekeyBegin {
+            epoch: r.u64("epoch")?,
         },
-        KIND_REKEY_COMMIT if payload.len() == 8 => ManifestEvent::RekeyCommit {
-            epoch: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
+        (KIND_REKEY_COMMIT, 8) => ManifestEvent::RekeyCommit {
+            epoch: r.u64("epoch")?,
         },
-        _ => return Err(RecordFailure::Torn), // unknown kind or malformed payload
+        _ => {
+            return Err(PersistError::Torn {
+                file: MANIFEST_FILE.to_string(),
+                detail: format!("record of kind {kind} and length {len}"),
+            })
+        }
     };
-    Ok(Some((event, 1 + 4 + u64::from(len) + 4)))
+    r.expect_crc()?;
+    Ok((event, 1 + 4 + u64::from(len) + 4))
+}
+
+impl ManifestEvent {
+    /// The event's journal record: kind, payload length, payload, and a
+    /// CRC over all three.
+    fn record(&self) -> std::io::Result<Vec<u8>> {
+        let mut p = CrcWriter::new(Vec::with_capacity(28));
+        let kind = match *self {
+            ManifestEvent::Seal {
+                id,
+                chunk_count,
+                data_bytes,
+            } => {
+                p.u32(id)?;
+                p.u32(chunk_count)?;
+                p.u64(data_bytes)?;
+                KIND_SEAL
+            }
+            ManifestEvent::Delete { id } => {
+                p.u32(id)?;
+                KIND_DELETE
+            }
+            ManifestEvent::Backup {
+                id,
+                chunk_count,
+                logical_bytes,
+                timestamp,
+            } => {
+                p.u64(id)?;
+                p.u32(chunk_count)?;
+                p.u64(logical_bytes)?;
+                p.u64(timestamp)?;
+                KIND_BACKUP
+            }
+            ManifestEvent::BackupDelete {
+                id,
+                chunk_count,
+                logical_bytes,
+            } => {
+                p.u64(id)?;
+                p.u32(chunk_count)?;
+                p.u64(logical_bytes)?;
+                KIND_BACKUP_DELETE
+            }
+            ManifestEvent::GcDrop {
+                id,
+                chunk_count,
+                data_bytes,
+                dead_chunks,
+                dead_bytes,
+            } => {
+                p.u32(id)?;
+                p.u32(chunk_count)?;
+                p.u64(data_bytes)?;
+                p.u32(dead_chunks)?;
+                p.u64(dead_bytes)?;
+                KIND_GC_DROP
+            }
+            ManifestEvent::RekeyBegin { epoch } => {
+                p.u64(epoch)?;
+                KIND_REKEY_BEGIN
+            }
+            ManifestEvent::RekeyCommit { epoch } => {
+                p.u64(epoch)?;
+                KIND_REKEY_COMMIT
+            }
+        };
+        let payload = p.into_inner();
+        let mut w = CrcWriter::new(Vec::with_capacity(9 + payload.len()));
+        w.u8(kind)?;
+        w.u32(payload.len() as u32)?;
+        w.bytes(&payload)?;
+        w.finish()
+    }
 }
 
 /// An open handle appending records to the manifest journal.
@@ -329,10 +361,14 @@ impl ManifestWriter {
         io: &IoPolicyHandle,
     ) -> Result<Self, PersistError> {
         let mut file = File::create(manifest_path(dir))?;
-        let mut header = [0u8; 6];
-        header[..4].copy_from_slice(MANIFEST_MAGIC);
-        header[4..].copy_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        write_checked(&mut file, &header, io, PersistSite::ManifestHeader)?;
+        let mut header = CrcWriter::new(Vec::with_capacity(6));
+        header.header(MANIFEST_MAGIC, MANIFEST_VERSION)?;
+        write_checked(
+            &mut file,
+            &header.into_inner(),
+            io,
+            PersistSite::ManifestHeader,
+        )?;
         io.check_sync(PersistSite::ManifestSync)?;
         maybe_sync(&file, policy)?;
         io.check_sync(PersistSite::DirSync)?;
@@ -375,134 +411,24 @@ impl ManifestWriter {
         })
     }
 
-    fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), PersistError> {
-        let len = payload.len() as u32;
-        let mut crc = Crc32::new();
-        crc.update(&[kind]);
-        crc.update(&len.to_le_bytes());
-        crc.update(payload);
-        let mut record = Vec::with_capacity(9 + payload.len());
-        record.push(kind);
-        record.extend_from_slice(&len.to_le_bytes());
-        record.extend_from_slice(payload);
-        record.extend_from_slice(&crc.finalize().to_le_bytes());
+    /// Appends (and per policy fsyncs) the record of `event`. Its
+    /// write-ahead precondition is the caller's: a seal's container file,
+    /// or a backup's recipe file, must already be durable. A
+    /// [`ManifestEvent::Delete`] is a legacy kind recovery refuses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Io`] on write failure.
+    pub fn append(&mut self, event: ManifestEvent) -> Result<(), PersistError> {
         write_checked(
             &mut self.file,
-            &record,
+            &event.record()?,
             &self.io,
             PersistSite::ManifestAppend,
         )?;
         self.io.check_sync(PersistSite::ManifestSync)?;
         maybe_sync(&self.file, self.policy)?;
         Ok(())
-    }
-
-    /// Appends (and per policy fsyncs) a seal record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn append_seal(
-        &mut self,
-        id: u32,
-        chunk_count: u32,
-        data_bytes: u64,
-    ) -> Result<(), PersistError> {
-        let mut payload = [0u8; 16];
-        payload[0..4].copy_from_slice(&id.to_le_bytes());
-        payload[4..8].copy_from_slice(&chunk_count.to_le_bytes());
-        payload[8..16].copy_from_slice(&data_bytes.to_le_bytes());
-        self.append(KIND_SEAL, &payload)
-    }
-
-    /// Appends (and per policy fsyncs) a delete record.
-    ///
-    /// Crate-private until garbage collection exists: engine recovery
-    /// rejects delete records today, so letting external callers write one
-    /// into a live journal would make the store unopenable.
-    #[allow(dead_code)] // exercised by tests; GC drops use append_gc_drop
-    pub(crate) fn append_delete(&mut self, id: u32) -> Result<(), PersistError> {
-        self.append(KIND_DELETE, &id.to_le_bytes())
-    }
-
-    /// Appends (and per policy fsyncs) a backup commit record. The
-    /// backup's recipe file must already be durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn append_backup(
-        &mut self,
-        id: u64,
-        chunk_count: u32,
-        logical_bytes: u64,
-        timestamp: u64,
-    ) -> Result<(), PersistError> {
-        let mut payload = [0u8; 28];
-        payload[0..8].copy_from_slice(&id.to_le_bytes());
-        payload[8..12].copy_from_slice(&chunk_count.to_le_bytes());
-        payload[12..20].copy_from_slice(&logical_bytes.to_le_bytes());
-        payload[20..28].copy_from_slice(&timestamp.to_le_bytes());
-        self.append(KIND_BACKUP, &payload)
-    }
-
-    /// Appends (and per policy fsyncs) a backup delete record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn append_backup_delete(
-        &mut self,
-        id: u64,
-        chunk_count: u32,
-        logical_bytes: u64,
-    ) -> Result<(), PersistError> {
-        let mut payload = [0u8; 20];
-        payload[0..8].copy_from_slice(&id.to_le_bytes());
-        payload[8..12].copy_from_slice(&chunk_count.to_le_bytes());
-        payload[12..20].copy_from_slice(&logical_bytes.to_le_bytes());
-        self.append(KIND_BACKUP_DELETE, &payload)
-    }
-
-    /// Appends (and per policy fsyncs) a GC drop record. The victim's
-    /// file is unlinked only after this record is durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn append_gc_drop(
-        &mut self,
-        id: u32,
-        chunk_count: u32,
-        data_bytes: u64,
-        dead_chunks: u32,
-        dead_bytes: u64,
-    ) -> Result<(), PersistError> {
-        let mut payload = [0u8; 28];
-        payload[0..4].copy_from_slice(&id.to_le_bytes());
-        payload[4..8].copy_from_slice(&chunk_count.to_le_bytes());
-        payload[8..16].copy_from_slice(&data_bytes.to_le_bytes());
-        payload[16..20].copy_from_slice(&dead_chunks.to_le_bytes());
-        payload[20..28].copy_from_slice(&dead_bytes.to_le_bytes());
-        self.append(KIND_GC_DROP, &payload)
-    }
-
-    /// Appends (and per policy fsyncs) a rekey begin record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn append_rekey_begin(&mut self, epoch: u64) -> Result<(), PersistError> {
-        self.append(KIND_REKEY_BEGIN, &epoch.to_le_bytes())
-    }
-
-    /// Appends (and per policy fsyncs) a rekey commit record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn append_rekey_commit(&mut self, epoch: u64) -> Result<(), PersistError> {
-        self.append(KIND_REKEY_COMMIT, &epoch.to_le_bytes())
     }
 }
 
@@ -521,16 +447,14 @@ pub struct Snapshot {
     pub event_seq: u64,
     /// Config echo: metadata entry size.
     pub entry_bytes: u64,
-    /// Config echo: fingerprint-index prefix shards.
-    pub index_shards: u32,
     /// [`crate::stats::StoreStats`] as its canonical array form.
     pub stats: [u64; 13],
     /// Engine-level container-prefetch byte counter.
     pub loading_bytes: u64,
     /// Engine-level container-prefetch op counter.
     pub loading_ops: u64,
-    /// Per-index-shard `(lookups, lookup_bytes, updates, update_bytes)`.
-    pub shard_counters: Vec<[u64; 4]>,
+    /// Index `[lookups, lookup_bytes, updates, update_bytes]`.
+    pub index_counters: [u64; 4],
     /// Fingerprint → container id entries, sorted by fingerprint.
     pub index_entries: Vec<(u64, u32)>,
     /// Cache hit counter.
@@ -574,34 +498,31 @@ pub fn write_snapshot(
 ) -> Result<(), PersistError> {
     let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
     let file = FaultFile::new(File::create(&tmp)?, io.clone(), PersistSite::SnapshotWrite);
-    let mut w = CrcSink::new(BufWriter::new(file));
-    w.write_all(SNAPSHOT_MAGIC)?;
-    w.write_u16(SNAPSHOT_VERSION)?;
-    w.write_u64(snapshot.event_seq)?;
-    w.write_u64(snapshot.entry_bytes)?;
-    w.write_u32(snapshot.index_shards)?;
+    let mut w = CrcWriter::new(BufWriter::new(file));
+    w.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    w.u64(snapshot.event_seq)?;
+    w.u64(snapshot.entry_bytes)?;
+    w.u32(LEGACY_INDEX_SHARDS)?;
     for &v in &snapshot.stats {
-        w.write_u64(v)?;
+        w.u64(v)?;
     }
-    w.write_u64(snapshot.loading_bytes)?;
-    w.write_u64(snapshot.loading_ops)?;
-    w.write_u32(snapshot.shard_counters.len() as u32)?;
-    for counters in &snapshot.shard_counters {
-        for &v in counters {
-            w.write_u64(v)?;
-        }
+    w.u64(snapshot.loading_bytes)?;
+    w.u64(snapshot.loading_ops)?;
+    w.u32(LEGACY_INDEX_SHARDS)?;
+    for &v in &snapshot.index_counters {
+        w.u64(v)?;
     }
-    w.write_u64(snapshot.index_entries.len() as u64)?;
+    w.u64(snapshot.index_entries.len() as u64)?;
     for &(fp, cid) in &snapshot.index_entries {
-        w.write_u64(fp)?;
-        w.write_u32(cid)?;
+        w.u64(fp)?;
+        w.u32(cid)?;
     }
-    w.write_u64(snapshot.cache_hits)?;
-    w.write_u64(snapshot.cache_misses)?;
-    w.write_u64(snapshot.cache_evictions)?;
-    w.write_u64(snapshot.cache_lru.len() as u64)?;
+    w.u64(snapshot.cache_hits)?;
+    w.u64(snapshot.cache_misses)?;
+    w.u64(snapshot.cache_evictions)?;
+    w.u64(snapshot.cache_lru.len() as u64)?;
     for &fp in &snapshot.cache_lru {
-        w.write_u64(fp)?;
+        w.u64(fp)?;
     }
     let mut buf = w.finish()?;
     buf.flush()?;
@@ -633,74 +554,41 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, PersistError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut r = CrcSource::new(BufReader::new(file), SNAPSHOT_FILE);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic, "magic")?;
-    if &magic != SNAPSHOT_MAGIC {
-        return Err(PersistError::BadMagic {
-            file: SNAPSHOT_FILE.to_string(),
-        });
-    }
-    let version = r.read_u16("version")?;
-    if version != SNAPSHOT_VERSION {
-        return Err(PersistError::BadVersion {
-            file: SNAPSHOT_FILE.to_string(),
-            version,
-        });
-    }
+    let mut r = CrcReader::new(BufReader::new(file), SNAPSHOT_FILE);
+    r.expect_header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
     let mut snapshot = Snapshot {
-        event_seq: r.read_u64("event_seq")?,
-        entry_bytes: r.read_u64("entry_bytes")?,
-        index_shards: r.read_u32("index_shards")?,
+        event_seq: r.u64("event_seq")?,
+        entry_bytes: r.u64("entry_bytes")?,
         ..Snapshot::default()
     };
+    let index_shards = r.u32("index_shards")?;
     for v in &mut snapshot.stats {
-        *v = r.read_u64("stats")?;
+        *v = r.u64("stats")?;
     }
-    snapshot.loading_bytes = r.read_u64("loading_bytes")?;
-    snapshot.loading_ops = r.read_u64("loading_ops")?;
-    let nshards = r.read_u32("shard counter count")? as usize;
-    if nshards > 1 << 20 {
+    snapshot.loading_bytes = r.u64("loading_bytes")?;
+    snapshot.loading_ops = r.u64("loading_ops")?;
+    // A store written while the index could be split carries one counter
+    // row per split; their sum is the one index's counters.
+    let rows = r.u32("index counter rows")?;
+    if rows != index_shards {
         return Err(PersistError::Corrupt(format!(
-            "index.snap: absurd shard count {nshards}"
+            "index.snap: {rows} counter rows for {index_shards} index shards"
         )));
     }
-    snapshot.shard_counters = (0..nshards)
-        .map(|_| -> Result<[u64; 4], PersistError> {
-            Ok([
-                r.read_u64("shard lookups")?,
-                r.read_u64("shard lookup bytes")?,
-                r.read_u64("shard updates")?,
-                r.read_u64("shard update bytes")?,
-            ])
-        })
-        .collect::<Result<_, _>>()?;
-    let entries = r.read_u64("index entry count")?;
-    if entries > 1 << 40 {
-        return Err(PersistError::Corrupt(format!(
-            "index.snap: absurd entry count {entries}"
-        )));
+    for _ in 0..rows {
+        for v in &mut snapshot.index_counters {
+            *v = v.wrapping_add(r.u64("index counters")?);
+        }
     }
-    snapshot.index_entries = (0..entries)
-        .map(|_| -> Result<(u64, u32), PersistError> {
-            Ok((
-                r.read_u64("entry fingerprint")?,
-                r.read_u32("entry container")?,
-            ))
-        })
-        .collect::<Result<_, _>>()?;
-    snapshot.cache_hits = r.read_u64("cache hits")?;
-    snapshot.cache_misses = r.read_u64("cache misses")?;
-    snapshot.cache_evictions = r.read_u64("cache evictions")?;
-    let cached = r.read_u64("cache entry count")?;
-    if cached > 1 << 40 {
-        return Err(PersistError::Corrupt(format!(
-            "index.snap: absurd cache count {cached}"
-        )));
-    }
-    snapshot.cache_lru = (0..cached)
-        .map(|_| r.read_u64("cache fingerprint"))
-        .collect::<Result<_, _>>()?;
+    let entries = r.u64("index entry count")?;
+    snapshot.index_entries = r.seq(entries, |r| {
+        Ok::<_, CodecError>((r.u64("entry fingerprint")?, r.u32("entry container")?))
+    })?;
+    snapshot.cache_hits = r.u64("cache hits")?;
+    snapshot.cache_misses = r.u64("cache misses")?;
+    snapshot.cache_evictions = r.u64("cache evictions")?;
+    let cached = r.u64("cache entry count")?;
+    snapshot.cache_lru = r.seq(cached, |r| r.u64("cache fingerprint"))?;
     r.expect_crc()?;
     Ok(Some(snapshot))
 }
@@ -722,52 +610,45 @@ mod tests {
         let dir = tmp_dir("journal-rt");
         let mut w =
             ManifestWriter::create(&dir, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
-        w.append_seal(0, 4, 64).unwrap();
-        w.append_seal(1, 2, 32).unwrap();
-        w.append_delete(0).unwrap();
-        w.append_backup(7, 6, 96, 1234).unwrap();
-        w.append_backup_delete(7, 6, 96).unwrap();
-        w.append_gc_drop(0, 4, 64, 3, 48).unwrap();
-        w.append_rekey_begin(1).unwrap();
-        w.append_rekey_commit(1).unwrap();
+        let events = vec![
+            ManifestEvent::Seal {
+                id: 0,
+                chunk_count: 4,
+                data_bytes: 64,
+            },
+            ManifestEvent::Seal {
+                id: 1,
+                chunk_count: 2,
+                data_bytes: 32,
+            },
+            ManifestEvent::Delete { id: 0 },
+            ManifestEvent::Backup {
+                id: 7,
+                chunk_count: 6,
+                logical_bytes: 96,
+                timestamp: 1234,
+            },
+            ManifestEvent::BackupDelete {
+                id: 7,
+                chunk_count: 6,
+                logical_bytes: 96,
+            },
+            ManifestEvent::GcDrop {
+                id: 0,
+                chunk_count: 4,
+                data_bytes: 64,
+                dead_chunks: 3,
+                dead_bytes: 48,
+            },
+            ManifestEvent::RekeyBegin { epoch: 1 },
+            ManifestEvent::RekeyCommit { epoch: 1 },
+        ];
+        for &event in &events {
+            w.append(event).unwrap();
+        }
         drop(w);
         let scan = scan_manifest(&dir).unwrap();
-        assert_eq!(
-            scan.events,
-            vec![
-                ManifestEvent::Seal {
-                    id: 0,
-                    chunk_count: 4,
-                    data_bytes: 64
-                },
-                ManifestEvent::Seal {
-                    id: 1,
-                    chunk_count: 2,
-                    data_bytes: 32
-                },
-                ManifestEvent::Delete { id: 0 },
-                ManifestEvent::Backup {
-                    id: 7,
-                    chunk_count: 6,
-                    logical_bytes: 96,
-                    timestamp: 1234
-                },
-                ManifestEvent::BackupDelete {
-                    id: 7,
-                    chunk_count: 6,
-                    logical_bytes: 96
-                },
-                ManifestEvent::GcDrop {
-                    id: 0,
-                    chunk_count: 4,
-                    data_bytes: 64,
-                    dead_chunks: 3,
-                    dead_bytes: 48
-                },
-                ManifestEvent::RekeyBegin { epoch: 1 },
-                ManifestEvent::RekeyCommit { epoch: 1 },
-            ]
-        );
+        assert_eq!(scan.events, events);
         assert_eq!(scan.record_ends.len(), 8);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -777,8 +658,18 @@ mod tests {
         let dir = tmp_dir("journal-torn");
         let mut w =
             ManifestWriter::create(&dir, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
-        w.append_seal(0, 4, 64).unwrap();
-        w.append_seal(1, 2, 32).unwrap();
+        w.append(ManifestEvent::Seal {
+            id: 0,
+            chunk_count: 4,
+            data_bytes: 64,
+        })
+        .unwrap();
+        w.append(ManifestEvent::Seal {
+            id: 1,
+            chunk_count: 2,
+            data_bytes: 32,
+        })
+        .unwrap();
         drop(w);
         let path = dir.join(MANIFEST_FILE);
         let full = std::fs::read(&path).unwrap();
@@ -803,7 +694,12 @@ mod tests {
             &IoPolicyHandle::none(),
         )
         .unwrap();
-        w.append_seal(1, 8, 128).unwrap();
+        w.append(ManifestEvent::Seal {
+            id: 1,
+            chunk_count: 8,
+            data_bytes: 128,
+        })
+        .unwrap();
         drop(w);
         let scan = scan_manifest(&dir).unwrap();
         assert_eq!(scan.events.len(), 2);
@@ -823,8 +719,18 @@ mod tests {
         let dir = tmp_dir("journal-bitflip");
         let mut w =
             ManifestWriter::create(&dir, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
-        w.append_seal(0, 4, 64).unwrap();
-        w.append_seal(1, 2, 32).unwrap();
+        w.append(ManifestEvent::Seal {
+            id: 0,
+            chunk_count: 4,
+            data_bytes: 64,
+        })
+        .unwrap();
+        w.append(ManifestEvent::Seal {
+            id: 1,
+            chunk_count: 2,
+            data_bytes: 32,
+        })
+        .unwrap();
         drop(w);
         let path = dir.join(MANIFEST_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -860,11 +766,10 @@ mod tests {
         let snapshot = Snapshot {
             event_seq: 3,
             entry_bytes: 32,
-            index_shards: 2,
             stats: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
             loading_bytes: 10,
             loading_ops: 11,
-            shard_counters: vec![[1, 32, 2, 64], [3, 96, 4, 128]],
+            index_counters: [1, 32, 2, 64],
             index_entries: vec![(5, 0), (9, 1), (u64::MAX, 2)],
             cache_hits: 12,
             cache_misses: 13,
@@ -880,6 +785,40 @@ mod tests {
         };
         write_snapshot(&dir, &newer, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap().unwrap().event_seq, 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot written while the index could be split carries one
+    /// counter row per split: they load as their sum, and a row count
+    /// that disagrees with the split count is corruption.
+    #[test]
+    fn legacy_split_index_counters_load_as_their_sum() {
+        let dir = tmp_dir("snap-legacy");
+        for (rows, want) in [(2u32, Some([3, 96, 6, 192])), (3, None)] {
+            let mut w = CrcWriter::new(Vec::new());
+            w.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+            w.u64(0).unwrap(); // event_seq
+            w.u64(32).unwrap(); // entry_bytes
+            w.u32(2).unwrap(); // index_shards
+            for _ in 0..13 + 2 {
+                w.u64(0).unwrap(); // stats, loading bytes and ops
+            }
+            w.u32(rows).unwrap();
+            for row in 0..u64::from(rows) {
+                for v in [1, 32, 2, 64] {
+                    w.u64(v * (row + 1)).unwrap();
+                }
+            }
+            for _ in 0..5 {
+                w.u64(0).unwrap(); // entries, cache counters, lru
+            }
+            std::fs::write(dir.join(SNAPSHOT_FILE), w.finish().unwrap()).unwrap();
+            match (read_snapshot(&dir), want) {
+                (Ok(Some(s)), Some(counters)) => assert_eq!(s.index_counters, counters),
+                (Err(PersistError::Corrupt(_)), None) => {}
+                (other, _) => panic!("{rows} rows: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,7 @@
-//! Durable-store plumbing: configuration, error type, store metadata file,
-//! and the little-endian framing helpers shared by the [container
-//! log](crate::log) and the [manifest journal + snapshot](crate::manifest).
+//! Durable-store plumbing: configuration, the error type (and its mapping
+//! from the shared codec's [`CodecError`]), and the store metadata file.
+//! Every store file is written and read with
+//! [`freqdedup_trace::io::CrcWriter`] / [`freqdedup_trace::io::CrcReader`].
 //!
 //! The on-disk layout of a persistent engine directory is:
 //!
@@ -20,10 +21,10 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use freqdedup_trace::io::Crc32;
+use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter};
 
 use crate::fault::{FaultFile, IoPolicy, IoPolicyHandle, PersistSite};
 
@@ -200,6 +201,34 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// A short read or a CRC mismatch is a torn write; a foreign header keeps
+/// its own variants; a real I/O error stays [`PersistError::Io`] and is
+/// never classified as torn.
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => PersistError::Io(e),
+            CodecError::Truncated { file, field } => PersistError::Torn {
+                file,
+                detail: format!("file ends inside {field}"),
+            },
+            CodecError::BadChecksum {
+                file,
+                expected,
+                actual,
+            } => PersistError::Torn {
+                file,
+                detail: format!(
+                    "checksum mismatch (expected {expected:#010x}, got {actual:#010x})"
+                ),
+            },
+            CodecError::BadMagic { file } => PersistError::BadMagic { file },
+            CodecError::BadVersion { file, version } => PersistError::BadVersion { file, version },
+            other @ CodecError::BadUtf8 { .. } => PersistError::Corrupt(other.to_string()),
+        }
+    }
+}
+
 /// `fsync`s `file` when the policy requires it.
 pub(crate) fn maybe_sync(file: &File, policy: FsyncPolicy) -> Result<(), PersistError> {
     if policy == FsyncPolicy::Always {
@@ -220,135 +249,6 @@ pub(crate) fn maybe_sync_dir(dir: &Path, policy: FsyncPolicy) -> Result<(), Pers
     Ok(())
 }
 
-/// A byte sink that CRCs everything written through it.
-pub(crate) struct CrcSink<W> {
-    inner: W,
-    crc: Crc32,
-}
-
-impl<W: Write> CrcSink<W> {
-    pub(crate) fn new(inner: W) -> Self {
-        CrcSink {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-
-    pub(crate) fn write_all(&mut self, data: &[u8]) -> Result<(), PersistError> {
-        self.crc.update(data);
-        self.inner.write_all(data)?;
-        Ok(())
-    }
-
-    pub(crate) fn write_u8(&mut self, v: u8) -> Result<(), PersistError> {
-        self.write_all(&[v])
-    }
-
-    pub(crate) fn write_u16(&mut self, v: u16) -> Result<(), PersistError> {
-        self.write_all(&v.to_le_bytes())
-    }
-
-    pub(crate) fn write_u32(&mut self, v: u32) -> Result<(), PersistError> {
-        self.write_all(&v.to_le_bytes())
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) -> Result<(), PersistError> {
-        self.write_all(&v.to_le_bytes())
-    }
-
-    /// Appends the CRC of everything written so far and returns the sink.
-    pub(crate) fn finish(mut self) -> Result<W, PersistError> {
-        let crc = self.crc.finalize();
-        self.inner.write_all(&crc.to_le_bytes())?;
-        Ok(self.inner)
-    }
-}
-
-/// A byte source that CRCs everything read through it.
-pub(crate) struct CrcSource<R> {
-    inner: R,
-    crc: Crc32,
-    file: &'static str,
-}
-
-impl<R: Read> CrcSource<R> {
-    pub(crate) fn new(inner: R, file: &'static str) -> Self {
-        CrcSource {
-            inner,
-            crc: Crc32::new(),
-            file,
-        }
-    }
-
-    /// Reads exactly `buf.len()` bytes; a short read is reported as a torn
-    /// write of `what`.
-    pub(crate) fn read_exact(&mut self, buf: &mut [u8], what: &str) -> Result<(), PersistError> {
-        self.inner.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                PersistError::Torn {
-                    file: self.file.to_string(),
-                    detail: format!("file ends inside {what}"),
-                }
-            } else {
-                PersistError::Io(e)
-            }
-        })?;
-        self.crc.update(buf);
-        Ok(())
-    }
-
-    pub(crate) fn read_u8(&mut self, what: &str) -> Result<u8, PersistError> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b, what)?;
-        Ok(b[0])
-    }
-
-    pub(crate) fn read_u16(&mut self, what: &str) -> Result<u16, PersistError> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b, what)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    pub(crate) fn read_u32(&mut self, what: &str) -> Result<u32, PersistError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b, what)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    pub(crate) fn read_u64(&mut self, what: &str) -> Result<u64, PersistError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b, what)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads the trailing CRC (not itself CRC'd) and verifies it against
-    /// everything read so far. A mismatch or a short read is a torn write.
-    pub(crate) fn expect_crc(&mut self) -> Result<(), PersistError> {
-        let actual = self.crc.finalize();
-        let mut b = [0u8; 4];
-        self.inner.read_exact(&mut b).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                PersistError::Torn {
-                    file: self.file.to_string(),
-                    detail: "file ends inside trailing checksum".to_string(),
-                }
-            } else {
-                PersistError::Io(e)
-            }
-        })?;
-        let expected = u32::from_le_bytes(b);
-        if expected != actual {
-            return Err(PersistError::Torn {
-                file: self.file.to_string(),
-                detail: format!(
-                    "checksum mismatch (expected {expected:#010x}, got {actual:#010x})"
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // store.meta — configuration echo written once at directory creation.
 // ---------------------------------------------------------------------------
@@ -356,6 +256,9 @@ impl<R: Read> CrcSource<R> {
 const META_MAGIC: &[u8; 4] = b"FQSM";
 const META_VERSION: u16 = 1;
 pub(crate) const META_FILE: &str = "store.meta";
+/// The `index_shards` field `store.meta` and `index.snap` still carry: the
+/// index is one map now, and is written as one shard.
+pub(crate) const LEGACY_INDEX_SHARDS: u32 = 1;
 
 /// What kind of engine owns a persistence directory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -377,8 +280,6 @@ pub struct StoreMeta {
     pub shards: u32,
     /// Configured metadata entry size in bytes.
     pub entry_bytes: u64,
-    /// Configured fingerprint-index prefix shards.
-    pub index_shards: u32,
     /// Configured container capacity in bytes.
     pub container_bytes: u64,
 }
@@ -395,17 +296,16 @@ pub(crate) fn write_meta(
         io.clone(),
         PersistSite::MetaWrite,
     );
-    let mut w = CrcSink::new(std::io::BufWriter::new(file));
-    w.write_all(META_MAGIC)?;
-    w.write_u16(META_VERSION)?;
-    w.write_u8(match meta.kind {
+    let mut w = CrcWriter::new(std::io::BufWriter::new(file));
+    w.header(META_MAGIC, META_VERSION)?;
+    w.u8(match meta.kind {
         MetaKind::Engine => 1,
         MetaKind::Sharded => 2,
     })?;
-    w.write_u32(meta.shards)?;
-    w.write_u64(meta.entry_bytes)?;
-    w.write_u32(meta.index_shards)?;
-    w.write_u64(meta.container_bytes)?;
+    w.u32(meta.shards)?;
+    w.u64(meta.entry_bytes)?;
+    w.u32(LEGACY_INDEX_SHARDS)?;
+    w.u64(meta.container_bytes)?;
     let mut buf = w.finish()?;
     buf.flush()?;
     buf.get_ref().maybe_sync(policy, PersistSite::MetaWrite)?;
@@ -440,22 +340,9 @@ pub(crate) fn ensure_meta(
 /// Reads and verifies `store.meta` from `dir`.
 pub(crate) fn read_meta(dir: &Path) -> Result<StoreMeta, PersistError> {
     let file = File::open(dir.join(META_FILE))?;
-    let mut r = CrcSource::new(std::io::BufReader::new(file), META_FILE);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic, "magic")?;
-    if &magic != META_MAGIC {
-        return Err(PersistError::BadMagic {
-            file: META_FILE.to_string(),
-        });
-    }
-    let version = r.read_u16("version")?;
-    if version != META_VERSION {
-        return Err(PersistError::BadVersion {
-            file: META_FILE.to_string(),
-            version,
-        });
-    }
-    let kind = match r.read_u8("kind")? {
+    let mut r = CrcReader::new(std::io::BufReader::new(file), META_FILE);
+    r.expect_header(META_MAGIC, META_VERSION)?;
+    let kind = match r.u8("kind")? {
         1 => MetaKind::Engine,
         2 => MetaKind::Sharded,
         other => {
@@ -464,16 +351,17 @@ pub(crate) fn read_meta(dir: &Path) -> Result<StoreMeta, PersistError> {
             )))
         }
     };
-    let shards = r.read_u32("shards")?;
-    let entry_bytes = r.read_u64("entry_bytes")?;
-    let index_shards = r.read_u32("index_shards")?;
-    let container_bytes = r.read_u64("container_bytes")?;
+    let shards = r.u32("shards")?;
+    let entry_bytes = r.u64("entry_bytes")?;
+    // Stores written while the index could be split carry their split
+    // count here; the layout of every other file is the same either way.
+    let _index_shards = r.u32("index_shards")?;
+    let container_bytes = r.u64("container_bytes")?;
     r.expect_crc()?;
     Ok(StoreMeta {
         kind,
         shards,
         entry_bytes,
-        index_shards,
         container_bytes,
     })
 }
@@ -499,7 +387,6 @@ mod tests {
             kind: MetaKind::Sharded,
             shards: 4,
             entry_bytes: 32,
-            index_shards: 2,
             container_bytes: 4096,
         };
         write_meta(&dir, &meta, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
@@ -514,7 +401,6 @@ mod tests {
             kind: MetaKind::Engine,
             shards: 1,
             entry_bytes: 32,
-            index_shards: 1,
             container_bytes: 64,
         };
         write_meta(&dir, &meta, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();

@@ -83,7 +83,6 @@ impl ShardedDedupEngine {
                 kind: MetaKind::Sharded,
                 shards: shards as u32,
                 entry_bytes: config.entry_bytes,
-                index_shards: config.index_shards as u32,
                 container_bytes: config.container_bytes,
             };
             persist::ensure_meta(&pcfg.dir, &meta, pcfg.fsync, &pcfg.io)?;
@@ -369,7 +368,6 @@ mod tests {
             entry_bytes: 32,
             bloom_expected: 10_000,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         }
     }

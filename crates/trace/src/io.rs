@@ -14,6 +14,13 @@
 //!
 //! The format exists so generated datasets can be cached on disk and reloaded
 //! by the experiment binaries without regeneration.
+//!
+//! [`CrcWriter`] / [`CrcReader`] are the workspace's one checksummed codec:
+//! every CRC-checked on-disk format (this one, the adversary tap's state and
+//! registry, and the store's meta, snapshot, journal, container and recipe
+//! files) is written and read through them. Readers obey unverified lengths
+//! only through [`CrcReader::seq`] and [`CrcReader::bytes_into`], which never
+//! reserve more than [`RESERVE_CAP`] ahead of the bytes actually read.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -169,76 +176,344 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finalize()
 }
 
-struct CrcWriter<W> {
+/// Most elements (or bytes) one length field may reserve before the data
+/// it announces has arrived. Every length in these formats is read before
+/// the trailing CRC can vouch for it, so it bounds a loop, never an
+/// allocation: past this cap a buffer grows only as its bytes are read.
+pub const RESERVE_CAP: usize = 1 << 20;
+
+/// A decode failure of the shared [`CrcReader`] codec. `file` names what
+/// was being read (a file name or format label) so each crate's error
+/// type can be built from it by `From`.
+#[derive(Debug)]
+pub enum CodecError {
+    /// Underlying I/O failure other than end of input.
+    Io(std::io::Error),
+    /// The input ended inside `field`.
+    Truncated {
+        /// What was being read.
+        file: String,
+        /// The field the input ended in.
+        field: &'static str,
+    },
+    /// The leading magic bytes did not match.
+    BadMagic {
+        /// What was being read.
+        file: String,
+    },
+    /// The format version is not the supported one.
+    BadVersion {
+        /// What was being read.
+        file: String,
+        /// The version found.
+        version: u16,
+    },
+    /// The trailing CRC does not match the bytes before it.
+    BadChecksum {
+        /// What was being read.
+        file: String,
+        /// Checksum stored in the input.
+        expected: u32,
+        /// Checksum computed over the bytes read.
+        actual: u32,
+    },
+    /// A string field was not valid UTF-8.
+    BadUtf8 {
+        /// What was being read.
+        file: String,
+        /// The offending field.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Io(e) => write!(f, "i/o error: {e}"),
+            CodecError::Truncated { file, field } => write!(f, "{file}: input ends inside {field}"),
+            CodecError::BadMagic { file } => write!(f, "{file}: bad magic"),
+            CodecError::BadVersion { file, version } => {
+                write!(f, "{file}: unsupported format version {version}")
+            }
+            CodecError::BadChecksum {
+                file,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "{file}: checksum mismatch (expected {expected:#010x}, got {actual:#010x})"
+            ),
+            CodecError::BadUtf8 { file, field } => write!(f, "{file}: {field} is not utf-8"),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CodecError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<CodecError> for TraceIoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => TraceIoError::Io(e),
+            CodecError::Truncated { file, field } => TraceIoError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("{file}: input ends inside {field}"),
+            )),
+            CodecError::BadMagic { .. } => TraceIoError::BadMagic,
+            CodecError::BadVersion { version, .. } => TraceIoError::BadVersion(version),
+            CodecError::BadChecksum {
+                expected, actual, ..
+            } => TraceIoError::BadChecksum { expected, actual },
+            CodecError::BadUtf8 { .. } => TraceIoError::BadUtf8,
+        }
+    }
+}
+
+/// The checksummed little-endian writer every on-disk format of the
+/// workspace is written with: fields go out in call order, and
+/// [`Self::finish`] appends the CRC-32 of all of them. Every method fails
+/// only with the inner writer's I/O error.
+#[derive(Debug)]
+pub struct CrcWriter<W> {
     inner: W,
     crc: Crc32,
 }
 
 impl<W: Write> CrcWriter<W> {
-    fn write_all(&mut self, data: &[u8]) -> Result<(), TraceIoError> {
+    /// Starts a checksummed stream over `inner`.
+    pub fn new(inner: W) -> Self {
+        CrcWriter {
+            inner,
+            crc: Crc32::new(),
+        }
+    }
+
+    /// Writes raw bytes.
+    pub fn bytes(&mut self, data: &[u8]) -> std::io::Result<()> {
         self.crc.update(data);
-        self.inner.write_all(data)?;
-        Ok(())
+        self.inner.write_all(data)
     }
 
-    fn write_u16(&mut self, v: u16) -> Result<(), TraceIoError> {
-        self.write_all(&v.to_le_bytes())
+    /// Writes a format header: four magic bytes and a `u16` version.
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) -> std::io::Result<()> {
+        self.bytes(magic)?;
+        self.u16(version)
     }
 
-    fn write_u32(&mut self, v: u32) -> Result<(), TraceIoError> {
-        self.write_all(&v.to_le_bytes())
+    /// Writes one byte.
+    pub fn u8(&mut self, v: u8) -> std::io::Result<()> {
+        self.bytes(&[v])
     }
 
-    fn write_u64(&mut self, v: u64) -> Result<(), TraceIoError> {
-        self.write_all(&v.to_le_bytes())
+    /// Writes a little-endian `u16`.
+    pub fn u16(&mut self, v: u16) -> std::io::Result<()> {
+        self.bytes(&v.to_le_bytes())
     }
 
-    fn write_str(&mut self, s: &str) -> Result<(), TraceIoError> {
-        let len =
-            u32::try_from(s.len()).map_err(|_| TraceIoError::LengthOverflow(s.len() as u64))?;
-        self.write_u32(len)?;
-        self.write_all(s.as_bytes())
+    /// Writes a little-endian `u32`.
+    pub fn u32(&mut self, v: u32) -> std::io::Result<()> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// Writes a little-endian `u64`.
+    pub fn u64(&mut self, v: u64) -> std::io::Result<()> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// Writes a string as a `u32` byte length and its UTF-8 bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidInput`] for a string of 4 GiB or more;
+    /// any write failure of the inner writer.
+    pub fn str(&mut self, s: &str) -> std::io::Result<()> {
+        let len = u32::try_from(s.len()).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "string exceeds 4 GiB")
+        })?;
+        self.u32(len)?;
+        self.bytes(s.as_bytes())
+    }
+
+    /// Returns the inner writer without a trailing CRC (for a bare header).
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
+
+    /// Appends the CRC-32 of everything written so far and returns the
+    /// inner writer.
+    pub fn finish(mut self) -> std::io::Result<W> {
+        let crc = self.crc.finalize();
+        self.inner.write_all(&crc.to_le_bytes())?;
+        Ok(self.inner)
     }
 }
 
-struct CrcReader<R> {
+/// The checksummed little-endian reader mirroring [`CrcWriter`]. Every
+/// read names its field: a short input is [`CodecError::Truncated`] at
+/// that field, any other read failure [`CodecError::Io`].
+#[derive(Debug)]
+pub struct CrcReader<'a, R> {
     inner: R,
     crc: Crc32,
+    file: &'a str,
 }
 
-impl<R: Read> CrcReader<R> {
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), TraceIoError> {
-        self.inner.read_exact(buf)?;
+impl<'a, R: Read> CrcReader<'a, R> {
+    /// Starts a checksummed read of `inner`; `file` names it in errors.
+    pub fn new(inner: R, file: &'a str) -> Self {
+        CrcReader {
+            inner,
+            crc: Crc32::new(),
+            file,
+        }
+    }
+
+    fn fill(&mut self, buf: &mut [u8], field: &'static str) -> Result<(), CodecError> {
+        self.inner.read_exact(buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                CodecError::Truncated {
+                    file: self.file.to_string(),
+                    field,
+                }
+            } else {
+                CodecError::Io(e)
+            }
+        })
+    }
+
+    /// Reads exactly `buf.len()` bytes of `field`.
+    pub fn bytes(&mut self, buf: &mut [u8], field: &'static str) -> Result<(), CodecError> {
+        self.fill(buf, field)?;
         self.crc.update(buf);
         Ok(())
     }
 
-    fn read_u16(&mut self) -> Result<u16, TraceIoError> {
+    /// Reads and checks a format header written by [`CrcWriter::header`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadMagic`] / [`CodecError::BadVersion`] for a foreign
+    /// header, or a read error.
+    pub fn expect_header(&mut self, magic: &[u8; 4], version: u16) -> Result<(), CodecError> {
+        let mut found = [0u8; 4];
+        self.bytes(&mut found, "magic")?;
+        if &found != magic {
+            return Err(CodecError::BadMagic {
+                file: self.file.to_string(),
+            });
+        }
+        match self.u16("version")? {
+            v if v == version => Ok(()),
+            v => Err(CodecError::BadVersion {
+                file: self.file.to_string(),
+                version: v,
+            }),
+        }
+    }
+
+    /// Reads one byte of `field`.
+    pub fn u8(&mut self, field: &'static str) -> Result<u8, CodecError> {
+        let mut b = [0u8; 1];
+        self.bytes(&mut b, field)?;
+        Ok(b[0])
+    }
+
+    /// Reads a little-endian `u16` of `field`.
+    pub fn u16(&mut self, field: &'static str) -> Result<u16, CodecError> {
         let mut b = [0u8; 2];
-        self.read_exact(&mut b)?;
+        self.bytes(&mut b, field)?;
         Ok(u16::from_le_bytes(b))
     }
 
-    fn read_u32(&mut self) -> Result<u32, TraceIoError> {
+    /// Reads a little-endian `u32` of `field`.
+    pub fn u32(&mut self, field: &'static str) -> Result<u32, CodecError> {
         let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
+        self.bytes(&mut b, field)?;
         Ok(u32::from_le_bytes(b))
     }
 
-    fn read_u64(&mut self) -> Result<u64, TraceIoError> {
+    /// Reads a little-endian `u64` of `field`.
+    pub fn u64(&mut self, field: &'static str) -> Result<u64, CodecError> {
         let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
+        self.bytes(&mut b, field)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    fn read_str(&mut self) -> Result<String, TraceIoError> {
-        let len = self.read_u32()? as usize;
-        if len > 1 << 20 {
-            return Err(TraceIoError::LengthOverflow(len as u64));
+    /// Reads a string written by [`CrcWriter::str`].
+    pub fn str(&mut self, field: &'static str) -> Result<String, CodecError> {
+        let len = self.u32(field)?;
+        let mut buf = Vec::new();
+        self.bytes_into(&mut buf, u64::from(len), field)?;
+        String::from_utf8(buf).map_err(|_| CodecError::BadUtf8 {
+            file: self.file.to_string(),
+            field,
+        })
+    }
+
+    /// The length rule for raw bytes: appends `len` bytes of `field` to
+    /// `buf`, growing it by at most [`RESERVE_CAP`] bytes ahead of what has
+    /// arrived — a forged length costs the input's length plus one step.
+    pub fn bytes_into(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: u64,
+        field: &'static str,
+    ) -> Result<(), CodecError> {
+        let mut left = len;
+        while left > 0 {
+            let step = left.min(RESERVE_CAP as u64) as usize;
+            let start = buf.len();
+            buf.resize(start + step, 0);
+            self.bytes(&mut buf[start..], field)?;
+            left -= step as u64;
         }
-        let mut buf = vec![0u8; len];
-        self.read_exact(&mut buf)?;
-        String::from_utf8(buf).map_err(|_| TraceIoError::BadUtf8)
+        Ok(())
+    }
+
+    /// The length rule for sequences: reads `count` items with `item`,
+    /// reserving at most [`RESERVE_CAP`] of them up front, so a forged
+    /// count grows the vector only as its items arrive.
+    ///
+    /// # Errors
+    ///
+    /// The first error `item` returns.
+    pub fn seq<T, E>(
+        &mut self,
+        count: u64,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let mut out = Vec::with_capacity(count.min(RESERVE_CAP as u64) as usize);
+        for _ in 0..count {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Reads the trailing CRC (not itself checksummed) and checks it
+    /// against everything read so far.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadChecksum`] on a mismatch, or a read error.
+    pub fn expect_crc(&mut self) -> Result<(), CodecError> {
+        let actual = self.crc.finalize();
+        let mut b = [0u8; 4];
+        self.fill(&mut b, "trailing checksum")?;
+        let expected = u32::from_le_bytes(b);
+        if expected != actual {
+            return Err(CodecError::BadChecksum {
+                file: self.file.to_string(),
+                expected,
+                actual,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -246,29 +521,25 @@ impl<R: Read> CrcReader<R> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Io`] on write failure or
-/// [`TraceIoError::LengthOverflow`] for absurd label lengths.
+/// Returns [`TraceIoError::Io`] on write failure (a label of 4 GiB or more
+/// included) or [`TraceIoError::LengthOverflow`] for more than `u32::MAX`
+/// backups.
 pub fn write_series<W: Write>(series: &BackupSeries, writer: W) -> Result<(), TraceIoError> {
-    let mut w = CrcWriter {
-        inner: writer,
-        crc: Crc32::new(),
-    };
-    w.write_all(MAGIC)?;
-    w.write_u16(VERSION)?;
-    w.write_str(&series.name)?;
+    let mut w = CrcWriter::new(writer);
+    w.header(MAGIC, VERSION)?;
+    w.str(&series.name)?;
     let count = u32::try_from(series.len())
         .map_err(|_| TraceIoError::LengthOverflow(series.len() as u64))?;
-    w.write_u32(count)?;
+    w.u32(count)?;
     for backup in series {
-        w.write_str(&backup.label)?;
-        w.write_u64(backup.len() as u64)?;
+        w.str(&backup.label)?;
+        w.u64(backup.len() as u64)?;
         for rec in backup {
-            w.write_u64(rec.fp.value())?;
-            w.write_u32(rec.size)?;
+            w.u64(rec.fp.value())?;
+            w.u32(rec.size)?;
         }
     }
-    let crc = w.crc.finalize();
-    w.inner.write_all(&crc.to_le_bytes())?;
+    w.finish()?;
     Ok(())
 }
 
@@ -278,44 +549,20 @@ pub fn write_series<W: Write>(series: &BackupSeries, writer: W) -> Result<(), Tr
 ///
 /// Returns the corresponding [`TraceIoError`] variant on malformed input.
 pub fn read_series<R: Read>(reader: R) -> Result<BackupSeries, TraceIoError> {
-    let mut r = CrcReader {
-        inner: reader,
-        crc: Crc32::new(),
-    };
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(TraceIoError::BadMagic);
-    }
-    let version = r.read_u16()?;
-    if version != VERSION {
-        return Err(TraceIoError::BadVersion(version));
-    }
-    let name = r.read_str()?;
-    let count = r.read_u32()?;
-    let mut series = BackupSeries::new(name);
+    let mut r = CrcReader::new(reader, "trace");
+    r.expect_header(MAGIC, VERSION)?;
+    let mut series = BackupSeries::new(r.str("series name")?);
+    let count = r.u32("backup count")?;
     for _ in 0..count {
-        let label = r.read_str()?;
-        let n = r.read_u64()?;
-        if n > 1 << 40 {
-            return Err(TraceIoError::LengthOverflow(n));
-        }
-        let mut backup = Backup::new(label);
-        backup.chunks.reserve(n as usize);
-        for _ in 0..n {
-            let fp = r.read_u64()?;
-            let size = r.read_u32()?;
-            backup.push(ChunkRecord::new(Fingerprint(fp), size));
-        }
-        series.push(backup);
+        let label = r.str("backup label")?;
+        let n = r.u64("chunk count")?;
+        let chunks = r.seq(n, |r| {
+            let fp = r.u64("chunk fingerprint")?;
+            Ok::<_, CodecError>(ChunkRecord::new(Fingerprint(fp), r.u32("chunk size")?))
+        })?;
+        series.push(Backup::from_chunks(label, chunks));
     }
-    let actual = r.crc.finalize();
-    let mut crc_bytes = [0u8; 4];
-    r.inner.read_exact(&mut crc_bytes)?;
-    let expected = u32::from_le_bytes(crc_bytes);
-    if expected != actual {
-        return Err(TraceIoError::BadChecksum { expected, actual });
-    }
+    r.expect_crc()?;
     Ok(series)
 }
 
@@ -439,6 +686,84 @@ mod tests {
         let bytes = to_bytes(&sample_series());
         let truncated = &bytes[..bytes.len() - 1];
         assert!(from_bytes(truncated).is_err());
+    }
+
+    /// A valid one-backup series whose chunk count is forged to 2^40:
+    /// typed error, no 16 TiB reservation.
+    #[test]
+    fn forged_chunk_count_is_a_typed_error() {
+        let mut s = BackupSeries::new("s");
+        s.push(Backup::from_chunks("b", vec![ChunkRecord::new(7u64, 64)]));
+        let mut bytes = to_bytes(&s);
+        // magic 4, version 2, name 4 + 1, backup count 4, label 4 + 1.
+        let at = 20;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(from_bytes(&bytes), Err(TraceIoError::Io(_))));
+    }
+
+    #[test]
+    fn short_read_grows_the_buffer_by_at_most_one_step() {
+        let input = [0xabu8; 100];
+        let mut r = CrcReader::new(&input[..], "unit");
+        let mut buf = Vec::new();
+        let err = r.bytes_into(&mut buf, u64::from(u32::MAX), "payload");
+        assert!(matches!(
+            err,
+            Err(CodecError::Truncated {
+                field: "payload",
+                ..
+            })
+        ));
+        assert!(
+            buf.capacity() <= input.len() + RESERVE_CAP,
+            "{}",
+            buf.capacity()
+        );
+
+        let mut r = CrcReader::new(&input[..], "unit");
+        let got = r.seq(u64::MAX, |r| r.u64("item"));
+        assert!(matches!(
+            got,
+            Err(CodecError::Truncated { field: "item", .. })
+        ));
+    }
+
+    #[test]
+    fn codec_round_trips_every_field_and_checks_header_and_crc() {
+        let mut w = CrcWriter::new(Vec::new());
+        w.header(b"TEST", 3).unwrap();
+        w.u8(1).unwrap();
+        w.u16(2).unwrap();
+        w.u32(3).unwrap();
+        w.u64(4).unwrap();
+        w.str("five").unwrap();
+        let bytes = w.finish().unwrap();
+        let mut r = CrcReader::new(&bytes[..], "unit");
+        r.expect_header(b"TEST", 3).unwrap();
+        assert_eq!(r.u8("a").unwrap(), 1);
+        assert_eq!(r.u16("b").unwrap(), 2);
+        assert_eq!(r.u32("c").unwrap(), 3);
+        assert_eq!(r.u64("d").unwrap(), 4);
+        assert_eq!(r.str("e").unwrap(), "five");
+        r.expect_crc().unwrap();
+
+        let mut r = CrcReader::new(&bytes[..], "unit");
+        assert!(matches!(
+            r.expect_header(b"TEST", 4),
+            Err(CodecError::BadVersion { version: 3, .. })
+        ));
+        let mut r = CrcReader::new(&bytes[..], "unit");
+        assert!(matches!(
+            r.expect_header(b"TESS", 3),
+            Err(CodecError::BadMagic { .. })
+        ));
+        let mut r = CrcReader::new(&bytes[..], "unit");
+        r.expect_header(b"TEST", 3).unwrap();
+        assert!(matches!(
+            r.expect_crc(),
+            Err(CodecError::BadChecksum { .. })
+        ));
     }
 
     #[test]

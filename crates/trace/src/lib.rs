@@ -65,8 +65,7 @@ impl Fingerprint {
     /// The prefix shard owning this fingerprint when the `u64` space is
     /// range-partitioned into `shards` equal intervals: the fingerprint's
     /// leading bits select the shard, for any shard count. This is the
-    /// single partition function shared by every prefix-sharded structure
-    /// (fingerprint index shards, sharded dedup engines).
+    /// partition function of the sharded dedup engine.
     ///
     /// # Panics
     ///

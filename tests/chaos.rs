@@ -581,7 +581,6 @@ fn crash_point_matrix_recovers_at_every_persist_site() {
         entry_bytes: 32,
         bloom_expected: 100_000,
         bloom_fp_rate: 0.01,
-        index_shards: 2,
         persist: None,
     };
     let clean = |run_dir: &PathBuf| DedupConfig {
@@ -763,7 +762,6 @@ fn lifecycle_crash_matrix_recovers_at_every_persist_site() {
         entry_bytes: 32,
         bloom_expected: 100_000,
         bloom_fp_rate: 0.01,
-        index_shards: 2,
         persist: None,
     };
     // Reopen config: fault-free, with the epoch-1 secret in the keychain

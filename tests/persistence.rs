@@ -46,7 +46,6 @@ fn config() -> DedupConfig {
         entry_bytes: 32,
         bloom_expected: 100_000,
         bloom_fp_rate: 0.01,
-        index_shards: 2,
         persist: None,
     }
 }

@@ -1160,6 +1160,98 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
     done(&dir);
 }
 
+/// `tests/fixtures/tap-v2-b7d3758` is the `tap.fqdt` + version-2
+/// `tap.fqis` + `tap.cids` a server wrote at commit b7d3758 after client
+/// "fixture" committed the ciphertexts of [`fixture_plain`] generations 2,
+/// 0 and 1 — in that order, not label order — under commit ids 0x102,
+/// 0x100 and 0x101, then ran GC under id 0x200 and REKEY (secret
+/// `fixture-secret`) under id 0x300. A server bound on it resumes the saved
+/// state without a replay and answers every recorded commit id with its
+/// recorded ack.
+#[test]
+fn tap_v2_fixture_resumes_without_replay_and_replays_recorded_acks() {
+    use freqdedup::server::client::GcSummary;
+    use freqdedup::server::server::{CIDS_FILE, STREAM_FILE, TAP_FILE};
+    use freqdedup::server::tap::{AdversaryTap, TapStreaming};
+
+    let dir = test_dir("fqis-v2-fixture");
+    let store_dir = dir.join("store");
+    std::fs::create_dir_all(&store_dir).unwrap();
+    let fixture = PathBuf::from("tests/fixtures/tap-v2-b7d3758");
+    for file in [TAP_FILE, STREAM_FILE, CIDS_FILE] {
+        std::fs::copy(fixture.join(file), store_dir.join(file)).unwrap();
+    }
+    let saved = TapStreaming::load(&fixture.join(STREAM_FILE)).unwrap();
+    let server = Server::bind(ServerConfig {
+        engine: DedupConfig {
+            persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
+            ..small_engine()
+        },
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let tap = server.tap_handle();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    tap.with_tap(|t| {
+        assert_eq!(t.warnings(), 0);
+        assert!(t.streaming_consistent());
+        assert_eq!(t.streaming(), &saved);
+        let replayed = AdversaryTap::load(&store_dir.join(TAP_FILE)).unwrap();
+        assert_ne!(
+            t.streaming(),
+            replayed.streaming(),
+            "a label-order replay could not have produced the resumed state"
+        );
+        assert_eq!(t.applied_commits().len(), 5);
+    });
+
+    let mut c = Client::connect(addr, "fixture").unwrap();
+    for g in 0..3u64 {
+        let label = format!("gen-{g}");
+        assert_eq!(c.commit_with_id(&label, 0x100 + g).unwrap(), 160, "{label}");
+    }
+    assert_eq!(c.gc(500, 0x200).unwrap(), GcSummary::default());
+    assert_eq!(c.rekey(b"fixture-secret", 0x300).unwrap(), (1, 8));
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.logical_chunks, 0, "replays ingest nothing");
+    assert_eq!(stats.tap_warnings, 0);
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// A `tap.fqdt` that is valid but for one backup's chunk count, forged to
+/// 2^40, is a typed bind failure: the count bounds a loop that runs off
+/// the end of the file, never a reservation (at b7d3758 this aborted the
+/// process on a 16 TiB allocation).
+#[test]
+fn forged_tap_catalog_fails_bind_typed() {
+    use freqdedup::server::server::{ServeError, TAP_FILE};
+    use freqdedup::trace::ChunkRecord;
+
+    let dir = test_dir("forged-fqdt");
+    let store_dir = dir.join("store");
+    std::fs::create_dir_all(&store_dir).unwrap();
+    let mut series = BackupSeries::new("s");
+    series.push(Backup::from_chunks("b", vec![ChunkRecord::new(7u64, 64)]));
+    let mut bytes = freqdedup::trace::io::to_bytes(&series);
+    // magic 4, version 2, name 4 + 1, backup count 4, label 4 + 1.
+    bytes[20..28].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    std::fs::write(store_dir.join(TAP_FILE), &bytes).unwrap();
+    let bound = Server::bind(ServerConfig {
+        engine: DedupConfig {
+            persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
+            ..small_engine()
+        },
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    });
+    assert!(matches!(bound, Err(ServeError::Tap(_))));
+    done(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Exactly-once commits (PR 7)
 // ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ fn loading_access_dominates_with_small_cache() {
         entry_bytes: 32,
         bloom_expected: unique as u64,
         bloom_fp_rate: 0.01,
-        index_shards: 1,
         persist: None,
     })
     .unwrap();
@@ -75,7 +74,6 @@ fn large_cache_reduces_loading_access() {
             entry_bytes: 32,
             bloom_expected: unique as u64,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
@@ -115,7 +113,6 @@ fn combined_scheme_metadata_overhead_is_bounded() {
             entry_bytes: 32,
             bloom_expected: 4 * unique as u64,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
