@@ -11,7 +11,7 @@
 use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::attacks::locality::{LocalityAttack, LocalityParams};
-use crate::dense::StatsView;
+use crate::dense::DenseStats;
 use crate::metrics::Inference;
 
 /// The advanced locality-based attack (Algorithm 3).
@@ -52,24 +52,20 @@ impl AdvancedAttack {
         self.inner.run_known_plaintext(cipher, plain_aux, leaked)
     }
 
-    /// Ciphertext-only mode over pre-built attack state (any
-    /// [`StatsView`]; size classification forced on).
+    /// Ciphertext-only mode over pre-built attack state (size
+    /// classification forced on).
     #[must_use]
-    pub fn run_ciphertext_only_with_stats<SC: StatsView, SM: StatsView>(
-        &self,
-        sc: &SC,
-        sm: &SM,
-    ) -> Inference {
+    pub fn run_ciphertext_only_with_stats(&self, sc: &DenseStats, sm: &DenseStats) -> Inference {
         self.inner.run_ciphertext_only_with_stats(sc, sm)
     }
 
-    /// Known-plaintext mode over pre-built attack state (any
-    /// [`StatsView`]; size classification forced on).
+    /// Known-plaintext mode over pre-built attack state (size
+    /// classification forced on).
     #[must_use]
-    pub fn run_known_plaintext_with_stats<SC: StatsView, SM: StatsView>(
+    pub fn run_known_plaintext_with_stats(
         &self,
-        sc: &SC,
-        sm: &SM,
+        sc: &DenseStats,
+        sm: &DenseStats,
         leaked: &[(Fingerprint, Fingerprint)],
     ) -> Inference {
         self.inner.run_known_plaintext_with_stats(sc, sm, leaked)

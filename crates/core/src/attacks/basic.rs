@@ -14,7 +14,7 @@
 use freqdedup_trace::Backup;
 
 use crate::counting::TiePolicy;
-use crate::dense::{DenseStats, StatsView};
+use crate::dense::DenseStats;
 use crate::freq_analysis::freq_analysis_dense;
 use crate::metrics::Inference;
 use crate::par::ParConfig;
@@ -47,15 +47,13 @@ impl BasicAttack {
         self.run_with_stats(&sc, &sm)
     }
 
-    /// Runs the attack over pre-built state on both sides — any
-    /// [`StatsView`]: batch [`DenseStats`] (with or without neighbour
-    /// tables; only global frequencies are read) or a streaming
-    /// [`crate::streaming::IncrementalStats`] mid-stream.
+    /// Runs the attack over pre-built state on both sides (with or without
+    /// neighbour tables; only global frequencies are read).
     #[must_use]
-    pub fn run_with_stats<SC: StatsView, SM: StatsView>(&self, sc: &SC, sm: &SM) -> Inference {
+    pub fn run_with_stats(&self, sc: &DenseStats, sm: &DenseStats) -> Inference {
         let limit = sc.unique_chunks().min(sm.unique_chunks());
-        let fps_c = sc.fingerprints();
-        let fps_m = sm.fingerprints();
+        let fps_c = sc.interner.fingerprints();
+        let fps_m = sm.interner.fingerprints();
         let mut t = Inference::with_capacity(limit);
         // Global rows carry no order: both policies rank them alike.
         let (rows_c, rows_m) = (sc.global_rows(), sm.global_rows());

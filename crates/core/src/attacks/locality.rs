@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::counting::{ChunkStats, FreqTable, TiePolicy};
-use crate::dense::{DenseEntry, DenseStats, StatsView};
+use crate::dense::{DenseEntry, DenseStats};
 use crate::freq_analysis::{
     freq_analysis, freq_analysis_dense, freq_analysis_sized, freq_analysis_sized_dense, DensePair,
     Pair,
@@ -156,19 +156,14 @@ impl LocalityAttack {
         self.run_ciphertext_only_with_stats(&sc, &sm)
     }
 
-    /// Ciphertext-only mode over pre-built attack state on both sides —
-    /// any [`StatsView`]: batch [`DenseStats`] or a streaming
-    /// [`crate::streaming::IncrementalStats`] mid-stream. This is the
-    /// entry the running adversary calls after each commit without
-    /// rebuilding anything.
+    /// Ciphertext-only mode over pre-built attack state on both sides: a
+    /// batch `COUNT`, or a running
+    /// [`crate::streaming::IncrementalStats`] flattened by
+    /// [`crate::streaming::IncrementalStats::to_dense`].
     #[must_use]
-    pub fn run_ciphertext_only_with_stats<SC: StatsView, SM: StatsView>(
-        &self,
-        sc: &SC,
-        sm: &SM,
-    ) -> Inference {
-        let seed = self.analyze_view(sc, sm, &sc.global_rows(), &sm.global_rows(), self.params.u);
-        self.run_from_seed_view(sc, sm, seed)
+    pub fn run_ciphertext_only_with_stats(&self, sc: &DenseStats, sm: &DenseStats) -> Inference {
+        let seed = self.analyze_dense(sc, sm, &sc.global_rows(), &sm.global_rows(), self.params.u);
+        self.run_from_seed_dense(sc, sm, seed)
     }
 
     /// Known-plaintext mode: `G` is seeded with the leaked pairs that appear
@@ -190,36 +185,31 @@ impl LocalityAttack {
     }
 
     /// Known-plaintext mode over pre-built attack state on both sides
-    /// (any [`StatsView`]; see [`Self::run_ciphertext_only_with_stats`]).
+    /// (see [`Self::run_ciphertext_only_with_stats`]).
     #[must_use]
-    pub fn run_known_plaintext_with_stats<SC: StatsView, SM: StatsView>(
+    pub fn run_known_plaintext_with_stats(
         &self,
-        sc: &SC,
-        sm: &SM,
+        sc: &DenseStats,
+        sm: &DenseStats,
         leaked: &[(Fingerprint, Fingerprint)],
     ) -> Inference {
         let seed: Vec<DensePair> = leaked
             .iter()
-            .filter_map(|&(c, m)| Some((sc.id_of(c)?, sm.id_of(m)?)))
+            .filter_map(|&(c, m)| Some((sc.interner.get(c)?, sm.interner.get(m)?)))
             .collect();
-        self.run_from_seed_view(sc, sm, seed)
+        self.run_from_seed_dense(sc, sm, seed)
     }
 
-    /// The main loop of Algorithm 2 (lines 9–23) over dense ids, generic
-    /// over the [`StatsView`] backing each side.
+    /// The main loop of Algorithm 2 (lines 9–23) over dense ids.
     ///
     /// The inferred set `T` is a flat id-indexed array (`u32::MAX` =
     /// uninferred), so the duplicate-ciphertext guard is one indexed load
-    /// instead of a hash probe. Neighbour rows are fetched through
-    /// [`StatsView::left_row`]/[`StatsView::right_row`] with two reused
-    /// scratch buffers per side: on [`DenseStats`] these are untouched
-    /// (the CSR row is returned directly), on
-    /// [`crate::streaming::IncrementalStats`] they hold the segment-merged
-    /// row — either way the crawl reads contiguous slices.
-    fn run_from_seed_view<SC: StatsView, SM: StatsView>(
+    /// instead of a hash probe, and each neighbour row is one contiguous
+    /// CSR slice per side.
+    fn run_from_seed_dense(
         &self,
-        sc: &SC,
-        sm: &SM,
+        sc: &DenseStats,
+        sm: &DenseStats,
         seed: Vec<DensePair>,
     ) -> Inference {
         const UNINFERRED: u32 = u32::MAX;
@@ -234,19 +224,9 @@ impl LocalityAttack {
             }
         }
 
-        let mut row_c: Vec<DenseEntry> = Vec::new();
-        let mut row_m: Vec<DenseEntry> = Vec::new();
         while let Some((c, m)) = g.pop_front() {
-            let tl = {
-                let yc = sc.left_row(c, &mut row_c);
-                let ym = sm.left_row(m, &mut row_m);
-                self.analyze_view(sc, sm, yc, ym, self.params.v)
-            };
-            let tr = {
-                let yc = sc.right_row(c, &mut row_c);
-                let ym = sm.right_row(m, &mut row_m);
-                self.analyze_view(sc, sm, yc, ym, self.params.v)
-            };
+            let tl = self.analyze_dense(sc, sm, sc.left.row(c), sm.left.row(m), self.params.v);
+            let tr = self.analyze_dense(sc, sm, sc.right.row(c), sm.right.row(m), self.params.v);
             for (c2, m2) in tl.into_iter().chain(tr) {
                 if inferred[c2 as usize] == UNINFERRED {
                     inferred[c2 as usize] = m2;
@@ -258,8 +238,8 @@ impl LocalityAttack {
             }
         }
 
-        let fps_c = sc.fingerprints();
-        let fps_m = sm.fingerprints();
+        let fps_c = sc.interner.fingerprints();
+        let fps_m = sm.interner.fingerprints();
         let mut t = Inference::with_capacity(total);
         for (c, &m) in inferred.iter().enumerate() {
             if m != UNINFERRED {
@@ -270,10 +250,10 @@ impl LocalityAttack {
     }
 
     /// Dispatches to plain or size-classified dense frequency analysis.
-    fn analyze_view<SC: StatsView, SM: StatsView>(
+    fn analyze_dense(
         &self,
-        sc: &SC,
-        sm: &SM,
+        sc: &DenseStats,
+        sm: &DenseStats,
         yc: &[DenseEntry],
         ym: &[DenseEntry],
         x: usize,
@@ -281,7 +261,7 @@ impl LocalityAttack {
         if self.params.size_aware {
             freq_analysis_sized_dense(yc, ym, x, sc, sm, self.params.tie_policy)
         } else {
-            let (fps_c, fps_m) = (sc.fingerprints(), sm.fingerprints());
+            let (fps_c, fps_m) = (sc.interner.fingerprints(), sm.interner.fingerprints());
             freq_analysis_dense(yc, ym, x, fps_c, fps_m, self.params.tie_policy)
         }
     }

@@ -7,7 +7,7 @@ pub mod locality;
 use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::counting::TiePolicy;
-use crate::dense::{DenseStats, StatsView};
+use crate::dense::DenseStats;
 use crate::metrics::Inference;
 use crate::streaming::IncrementalStats;
 
@@ -70,11 +70,11 @@ pub fn run_ciphertext_only(
 }
 
 /// Runs `kind` in ciphertext-only mode over pre-built attack state on both
-/// sides (any [`StatsView`] each), ranking ties under `params.tie_policy`.
-fn run_ciphertext_only_with_stats<SC: StatsView, SM: StatsView>(
+/// sides, ranking ties under `params.tie_policy`.
+fn run_ciphertext_only_with_stats(
     kind: AttackKind,
-    sc: &SC,
-    sm: &SM,
+    sc: &DenseStats,
+    sm: &DenseStats,
     params: &locality::LocalityParams,
 ) -> Inference {
     match kind {
@@ -88,15 +88,14 @@ fn run_ciphertext_only_with_stats<SC: StatsView, SM: StatsView>(
 }
 
 /// Runs `kind` in ciphertext-only mode over pre-built attack state on both
-/// sides (any [`StatsView`] each) under **both** tie-break policies
-/// (`params.tie_policy` is overridden per run), in `[StreamOrder,
-/// KeyOrder]` order: `COUNT` is policy-free, so one state per side serves
-/// both crawls.
+/// sides under **both** tie-break policies (`params.tie_policy` is
+/// overridden per run), in `[StreamOrder, KeyOrder]` order: `COUNT` is
+/// policy-free, so one state per side serves both crawls.
 #[must_use]
-pub fn run_ciphertext_only_with_stats_both_policies<SC: StatsView, SM: StatsView>(
+pub fn run_ciphertext_only_with_stats_both_policies(
     kind: AttackKind,
-    sc: &SC,
-    sm: &SM,
+    sc: &DenseStats,
+    sm: &DenseStats,
     params: &locality::LocalityParams,
 ) -> [(TiePolicy, Inference); 2] {
     [TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
@@ -151,8 +150,9 @@ pub fn run_ciphertext_only_series(
 
 /// Runs `kind` in ciphertext-only mode against a **running**
 /// [`IncrementalStats`] maintained behind live traffic — the adversary's
-/// O(delta)-per-commit steady state. No ciphertext-side rebuild happens;
-/// the crawl reads the segmented tables directly. Bit-identical to
+/// O(delta)-per-commit steady state. No ciphertext-side `COUNT` happens:
+/// the state is flattened once ([`IncrementalStats::to_dense`], O(entries))
+/// and crawled like a batch table. Bit-identical to
 /// [`run_ciphertext_only_series`] over the committed tape.
 #[must_use]
 pub fn run_ciphertext_only_streaming(
@@ -161,8 +161,9 @@ pub fn run_ciphertext_only_streaming(
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> Inference {
+    let sc = cipher.to_dense();
     let sm = DenseStats::full_par(plain_aux, params.par_config());
-    run_ciphertext_only_with_stats(kind, cipher, &sm, params)
+    run_ciphertext_only_with_stats(kind, &sc, &sm, params)
 }
 
 /// Known-plaintext variant of [`run_ciphertext_only_streaming`]. The basic
@@ -175,13 +176,14 @@ pub fn run_known_plaintext_streaming(
     leaked: &[(Fingerprint, Fingerprint)],
     params: &locality::LocalityParams,
 ) -> Inference {
+    let sc = cipher.to_dense();
     let sm = DenseStats::full_par(plain_aux, params.par_config());
     match kind {
-        AttackKind::Basic => basic::BasicAttack::new().run_with_stats(cipher, &sm),
+        AttackKind::Basic => basic::BasicAttack::new().run_with_stats(&sc, &sm),
         AttackKind::Locality => locality::LocalityAttack::new(params.clone().size_aware(false))
-            .run_known_plaintext_with_stats(cipher, &sm, leaked),
+            .run_known_plaintext_with_stats(&sc, &sm, leaked),
         AttackKind::Advanced => advanced::AdvancedAttack::new(params.clone())
-            .run_known_plaintext_with_stats(cipher, &sm, leaked),
+            .run_known_plaintext_with_stats(&sc, &sm, leaked),
     }
 }
 

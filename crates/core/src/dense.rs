@@ -284,32 +284,52 @@ impl CooccurrenceCsr {
     pub fn num_entries(&self) -> usize {
         self.entries.len()
     }
+}
 
-    /// Builds the table from **already aggregated** entries sorted by their
-    /// packed `(chunk ≪ 32 | neighbour)` key — the materialization path of
-    /// the streaming layer ([`crate::streaming`]), whose segment merges
-    /// produce exactly this form. No sort, no run detection: one linear
-    /// pass lays the rows out.
-    pub(crate) fn from_aggregated(
-        num_ids: usize,
-        aggregated: impl Iterator<Item = (u64, u32, u32)>,
-    ) -> Self {
-        let mut offsets = vec![0u32; num_ids + 1];
-        let mut entries = Vec::new();
-        for (key, count, order) in aggregated {
-            entries.push(DenseEntry {
-                id: key as u32,
-                count,
-                order,
-            });
-            offsets[(key >> 32) as usize + 1] = entries.len() as u32;
+/// Lays a table out from **already aggregated** entries arriving in packed
+/// `(chunk ≪ 32 | neighbour)` key order — the flatten of the streaming
+/// layer ([`crate::streaming`]), whose segment merge produces exactly this
+/// form. No sort, no run detection: each entry is written once, into
+/// arrays allocated up front.
+pub(crate) struct CsrWriter {
+    offsets: Vec<u32>,
+    entries: Vec<DenseEntry>,
+}
+
+impl CsrWriter {
+    /// A writer for a table over `num_ids` chunks holding at most
+    /// `max_entries` entries.
+    pub(crate) fn new(num_ids: usize, max_entries: usize) -> Self {
+        CsrWriter {
+            offsets: vec![0; num_ids + 1],
+            entries: Vec::with_capacity(max_entries),
         }
-        for k in 1..offsets.len() {
-            if offsets[k] < offsets[k - 1] {
-                offsets[k] = offsets[k - 1];
+    }
+
+    /// Appends the next entry; keys must arrive strictly increasing.
+    #[inline]
+    pub(crate) fn push(&mut self, key: u64, count: u32, order: u32) {
+        self.entries.push(DenseEntry {
+            id: key as u32,
+            count,
+            order,
+        });
+        self.offsets[(key >> 32) as usize + 1] = self.entries.len() as u32;
+    }
+
+    /// The finished table.
+    pub(crate) fn finish(mut self) -> CooccurrenceCsr {
+        // Chunks without entries left zero gaps; forward-fill so every row
+        // is a valid (possibly empty) range.
+        for k in 1..self.offsets.len() {
+            if self.offsets[k] < self.offsets[k - 1] {
+                self.offsets[k] = self.offsets[k - 1];
             }
         }
-        CooccurrenceCsr { offsets, entries }
+        CooccurrenceCsr {
+            offsets: self.offsets,
+            entries: self.entries,
+        }
     }
 }
 
@@ -375,6 +395,11 @@ fn aggregate_sorted(rows: Range<usize>, adjacencies: &[(u64, u32)]) -> (Vec<u32>
 
 /// The output of `COUNT` in dense form: the id-indexed analogue of
 /// [`ChunkStats`].
+///
+/// The one state the attack crawl reads: batch `COUNT` builds it, and the
+/// streaming layer flattens into it once per inference
+/// ([`crate::streaming::IncrementalStats::to_dense`]), so every crawl step
+/// reads a contiguous CSR row.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DenseStats {
     /// Fingerprint ⇄ id mapping plus per-id sizes.
@@ -563,73 +588,6 @@ impl DenseStats {
             }
         }
         stats
-    }
-}
-
-/// Read access to `COUNT` output in dense-id space — the surface the
-/// attack crawl runs on.
-///
-/// Two implementations exist: [`DenseStats`] (batch: rows are contiguous
-/// CSR slices, returned without touching the scratch buffer — zero cost
-/// over direct field access) and [`crate::streaming::IncrementalStats`]
-/// (streaming: rows are merged on the fly from CSR segments into the
-/// caller's scratch buffer). Both expose the *same* aggregated rows for
-/// the same observed stream, which is what makes streaming inference
-/// bit-identical to the batch path.
-pub trait StatsView {
-    /// Number of unique chunks counted.
-    fn unique_chunks(&self) -> usize;
-
-    /// The id→fingerprint table (for canonical tie-breaking).
-    fn fingerprints(&self) -> &[Fingerprint];
-
-    /// The dense id of `fp`, if it has been counted.
-    fn id_of(&self, fp: Fingerprint) -> Option<ChunkId>;
-
-    /// Size of a counted chunk in 16-byte cipher blocks (`ceil(size/16)`).
-    fn blocks_of(&self, id: ChunkId) -> u32;
-
-    /// The global frequency table materialized as dense rows (order always
-    /// 0 — global ties fall through to the fingerprint comparison).
-    fn global_rows(&self) -> Vec<DenseEntry>;
-
-    /// The aggregated left-neighbour row of `id`. `scratch` is merge space
-    /// for implementations without contiguous rows; callers must treat it
-    /// as invalidated by the next `*_row` call.
-    fn left_row<'a>(&'a self, id: ChunkId, scratch: &'a mut Vec<DenseEntry>) -> &'a [DenseEntry];
-
-    /// The aggregated right-neighbour row of `id` (same scratch contract
-    /// as [`Self::left_row`]).
-    fn right_row<'a>(&'a self, id: ChunkId, scratch: &'a mut Vec<DenseEntry>) -> &'a [DenseEntry];
-}
-
-impl StatsView for DenseStats {
-    fn unique_chunks(&self) -> usize {
-        DenseStats::unique_chunks(self)
-    }
-
-    fn fingerprints(&self) -> &[Fingerprint] {
-        self.interner.fingerprints()
-    }
-
-    fn id_of(&self, fp: Fingerprint) -> Option<ChunkId> {
-        self.interner.get(fp)
-    }
-
-    fn blocks_of(&self, id: ChunkId) -> u32 {
-        DenseStats::blocks_of(self, id)
-    }
-
-    fn global_rows(&self) -> Vec<DenseEntry> {
-        DenseStats::global_rows(self)
-    }
-
-    fn left_row<'a>(&'a self, id: ChunkId, _scratch: &'a mut Vec<DenseEntry>) -> &'a [DenseEntry] {
-        self.left.row(id)
-    }
-
-    fn right_row<'a>(&'a self, id: ChunkId, _scratch: &'a mut Vec<DenseEntry>) -> &'a [DenseEntry] {
-        self.right.row(id)
     }
 }
 
@@ -867,34 +825,19 @@ mod tests {
     }
 
     #[test]
-    fn from_aggregated_reproduces_built_table() {
+    fn csr_writer_reproduces_built_table() {
         let fps: Vec<u64> = (0..300u64).map(|i| (i * 13) % 41).collect();
         let b = backup(&fps);
         let s = DenseStats::full(&b);
         for csr in [&s.left, &s.right] {
-            let rebuilt = CooccurrenceCsr::from_aggregated(
-                csr.num_rows(),
-                (0..csr.num_rows() as u32).flat_map(|row| {
-                    csr.row(row)
-                        .iter()
-                        .map(move |e| ((u64::from(row) << 32) | u64::from(e.id), e.count, e.order))
-                }),
-            );
-            assert_eq!(&rebuilt, csr);
+            let mut writer = CsrWriter::new(csr.num_rows(), csr.num_entries());
+            for row in 0..csr.num_rows() as u32 {
+                for e in csr.row(row) {
+                    writer.push((u64::from(row) << 32) | u64::from(e.id), e.count, e.order);
+                }
+            }
+            assert_eq!(&writer.finish(), csr);
         }
-    }
-
-    #[test]
-    fn stats_view_rows_match_direct_access() {
-        let b = backup(&[1, 2, 1, 2, 3]);
-        let s = DenseStats::full(&b);
-        let mut scratch = Vec::new();
-        for id in 0..s.unique_chunks() as u32 {
-            assert_eq!(StatsView::left_row(&s, id, &mut scratch), s.left.row(id));
-            assert_eq!(StatsView::right_row(&s, id, &mut scratch), s.right.row(id));
-        }
-        assert_eq!(StatsView::id_of(&s, fp(3)), s.interner.get(fp(3)));
-        assert_eq!(StatsView::global_rows(&s), s.global_rows());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use freqdedup_trace::Fingerprint;
 
 use crate::counting::{FreqEntry, FreqTable, TiePolicy};
-use crate::dense::{ChunkId, DenseEntry, StatsView};
+use crate::dense::{ChunkId, DenseEntry, DenseStats};
 
 /// An inferred ciphertext→plaintext pair.
 pub type Pair = (Fingerprint, Fingerprint);
@@ -236,17 +236,13 @@ pub fn freq_analysis_dense(
 /// both sides by block count, then rank-matches the top `x` of every class
 /// present on both sides, classes in ascending order. Mirrors
 /// [`freq_analysis_sized`] bit-for-bit in fingerprint space.
-///
-/// Generic over [`StatsView`], so the same code path serves batch
-/// ([`crate::dense::DenseStats`]) and streaming
-/// ([`crate::streaming::IncrementalStats`]) state.
 #[must_use]
-pub fn freq_analysis_sized_dense<SC: StatsView, SM: StatsView>(
+pub fn freq_analysis_sized_dense(
     yc: &[DenseEntry],
     ym: &[DenseEntry],
     x: usize,
-    sc: &SC,
-    sm: &SM,
+    sc: &DenseStats,
+    sm: &DenseStats,
     policy: TiePolicy,
 ) -> Vec<DensePair> {
     if x == 0 || yc.is_empty() || ym.is_empty() {
@@ -263,8 +259,8 @@ pub fn freq_analysis_sized_dense<SC: StatsView, SM: StatsView>(
             rows_c,
             rows_m,
             x,
-            sc.fingerprints(),
-            sm.fingerprints(),
+            sc.interner.fingerprints(),
+            sm.interner.fingerprints(),
             policy,
         ));
     }
@@ -273,7 +269,7 @@ pub fn freq_analysis_sized_dense<SC: StatsView, SM: StatsView>(
 
 /// `CLASSIFY` over dense rows: buckets by block count, ascending class
 /// iteration for determinism.
-fn classify_dense(rows: &[DenseEntry], stats: &impl StatsView) -> BTreeMap<u32, Vec<DenseEntry>> {
+fn classify_dense(rows: &[DenseEntry], stats: &DenseStats) -> BTreeMap<u32, Vec<DenseEntry>> {
     let mut out: BTreeMap<u32, Vec<DenseEntry>> = BTreeMap::new();
     for &e in rows {
         out.entry(stats.blocks_of(e.id)).or_default().push(e);

@@ -91,7 +91,7 @@ pub mod streaming;
 pub use attacks::AttackKind;
 pub use counting::ChunkStats;
 pub use defense::{DefenseError, DefenseScheme, KeyContext};
-pub use dense::{ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats, StatsView};
+pub use dense::{ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats};
 pub use metrics::{Inference, InferenceReport};
 pub use par::ParConfig;
 pub use streaming::{CommitReceipt, IncrementalStats, StatsDelta};

@@ -17,17 +17,17 @@
 //!   a new segment, and a merge-stack invariant (a segment is merged into
 //!   its neighbour whenever it has grown at least as large) bounds the
 //!   stack depth to O(log n) while keeping total merge work O(log n)
-//!   amortized per entry. Row reads k-way-merge the per-segment runs;
-//!   because the merge algebra is associative and commutative, the merged
-//!   row is **independent of segmentation** — reading mid-stream, after a
-//!   forced [`SegmentedCsr::compact`], or after a restart all observe the
-//!   same bits.
+//!   amortized per entry. Because the merge algebra is associative and
+//!   commutative, the merged table is **independent of segmentation** —
+//!   flattening mid-stream, after a forced [`SegmentedCsr::compact`], or
+//!   after a restart all observe the same bits.
 //! * [`IncrementalStats`] — the running attack state: interner, frequency
 //!   array, both segmented tables, and the logical-position cursor that
 //!   keeps first-seen orders globally consistent.
 //!   [`IncrementalStats::commit`] folds one backup in O(delta · log
-//!   history); [`IncrementalStats::to_dense`] materializes the equivalent
-//!   [`DenseStats`] for table-level equivalence checks.
+//!   history); [`IncrementalStats::to_dense`] flattens the state once, in
+//!   O(entries), into the equivalent [`DenseStats`] — the one table the
+//!   attacks crawl, streaming or batch.
 //!
 //! The state serializes to a CRC-checked binary blob
 //! ([`IncrementalStats::write_to`] / [`IncrementalStats::read_from`]) so a
@@ -37,14 +37,12 @@
 //! `tests/streaming_equivalence.rs`.
 
 use std::io::{Read, Write};
-use std::ops::Range;
 
 use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter, TraceIoError};
 use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::dense::{
-    adjacency_event_at, ChunkId, ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats, Side,
-    StatsView,
+    adjacency_event_at, ChunkId, ChunkInterner, CooccurrenceCsr, CsrWriter, DenseStats, Side,
 };
 
 /// One aggregated adjacency run: the packed `(chunk ≪ 32 | neighbour)`
@@ -59,38 +57,25 @@ pub struct AdjEntry {
     pub order: u32,
 }
 
-impl AdjEntry {
-    /// The row entry this run denotes (the neighbour id is the key's low
-    /// half).
-    #[inline]
-    fn to_dense(self) -> DenseEntry {
-        DenseEntry {
-            id: self.key as u32,
-            count: self.count,
-            order: self.order,
-        }
-    }
-}
-
-/// Merges two key-sorted aggregated runs: counts add, orders take the
-/// minimum. This is the **entire** delta algebra — it is commutative and
-/// associative, so any fold order (per-commit appends, segment merges,
-/// compaction, restart) produces the same aggregated rows.
-fn merge_adj(a: &[AdjEntry], b: &[AdjEntry]) -> Vec<AdjEntry> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// Merges two key-sorted aggregated runs, handing `emit` each key once in
+/// key order: counts add, orders take the minimum. This is the **entire**
+/// delta algebra — it is commutative and associative, so any fold order
+/// (per-commit appends, segment merges, compaction, flatten, restart)
+/// produces the same aggregated rows.
+fn merge_two(a: &[AdjEntry], b: &[AdjEntry], mut emit: impl FnMut(AdjEntry)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].key.cmp(&b[j].key) {
             std::cmp::Ordering::Less => {
-                out.push(a[i]);
+                emit(a[i]);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j]);
+                emit(b[j]);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push(AdjEntry {
+                emit(AdjEntry {
                     key: a[i].key,
                     count: a[i].count + b[j].count,
                     order: a[i].order.min(b[j].order),
@@ -100,9 +85,31 @@ fn merge_adj(a: &[AdjEntry], b: &[AdjEntry]) -> Vec<AdjEntry> {
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    a[i..].iter().chain(&b[j..]).copied().for_each(emit);
+}
+
+/// [`merge_two`] into a new run.
+fn merge_adj(a: &[AdjEntry], b: &[AdjEntry]) -> Vec<AdjEntry> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    merge_two(a, b, |e| out.push(e));
     out
+}
+
+/// The k-way merge of a segment stack (oldest, largest run first) that
+/// [`SegmentedCsr::compact`] and the flatten of
+/// [`IncrementalStats::to_dense`] share: the runs above the first are
+/// merged smallest first — so the short runs near the top move a few
+/// times and the long ones below them once — and the result is merged
+/// with the first straight into `emit`.
+fn merge_runs(runs: &[Vec<AdjEntry>], emit: impl FnMut(AdjEntry)) {
+    let Some((first, above)) = runs.split_first() else {
+        return;
+    };
+    let rest = above
+        .iter()
+        .rev()
+        .fold(Vec::new(), |acc, run| merge_adj(run, &acc));
+    merge_two(first, &rest, emit);
 }
 
 /// Sorts raw adjacency events and run-length-aggregates them into
@@ -251,8 +258,9 @@ impl StatsDelta {
 /// smaller than the one below it" is violated — O(log n) segments, O(log
 /// n) amortized merge work per entry, with the worst single append
 /// rewriting the whole table (the compaction stall `fdbench` reports as
-/// `core.stream_commit_ms_max`). Row reads k-way-merge the per-segment runs;
-/// the merge algebra makes the result independent of segmentation.
+/// `core.stream_commit_ms_max`). Inference reads the table flattened once
+/// ([`IncrementalStats::to_dense`]); the merge algebra makes the flat
+/// table independent of segmentation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentedCsr {
     /// Sorted aggregated segments, oldest (largest) first.
@@ -289,7 +297,8 @@ impl SegmentedCsr {
         if self.segments.len() <= 1 {
             return;
         }
-        let merged = self.merged_entries();
+        let mut merged = Vec::with_capacity(self.num_entries());
+        merge_runs(&self.segments, |e| merged.push(e));
         self.merges += (self.segments.len() - 1) as u64;
         self.segments = if merged.is_empty() {
             Vec::new()
@@ -298,75 +307,14 @@ impl SegmentedCsr {
         };
     }
 
-    /// The row's sub-range within one sorted segment.
-    fn row_range(segment: &[AdjEntry], id: ChunkId) -> Range<usize> {
-        let row = u64::from(id);
-        let start = segment.partition_point(|e| (e.key >> 32) < row);
-        let end = start + segment[start..].partition_point(|e| (e.key >> 32) == row);
-        start..end
-    }
-
-    /// Merges the row of `id` across all segments into `out` (cleared
-    /// first), neighbour ids ascending — the same aggregated row a batch
-    /// CSR build over the identical observations produces.
-    pub fn row_into(&self, id: ChunkId, out: &mut Vec<DenseEntry>) {
-        out.clear();
-        let mut slices: Vec<&[AdjEntry]> = Vec::with_capacity(self.segments.len());
-        for segment in &self.segments {
-            let range = Self::row_range(segment, id);
-            if !range.is_empty() {
-                slices.push(&segment[range]);
-            }
-        }
-        match slices.len() {
-            0 => {}
-            1 => out.extend(slices[0].iter().map(|e| e.to_dense())),
-            _ => {
-                // Small-k merge (k ≤ stack depth = O(log n)): pick the
-                // minimum head key each step, combining equal keys.
-                let mut heads = vec![0usize; slices.len()];
-                loop {
-                    let mut best: Option<u64> = None;
-                    for (s, slice) in slices.iter().enumerate() {
-                        if heads[s] < slice.len() {
-                            let key = slice[heads[s]].key;
-                            if best.is_none_or(|b| key < b) {
-                                best = Some(key);
-                            }
-                        }
-                    }
-                    let Some(key) = best else { break };
-                    let mut count = 0u32;
-                    let mut order = u32::MAX;
-                    for (s, slice) in slices.iter().enumerate() {
-                        if heads[s] < slice.len() && slice[heads[s]].key == key {
-                            count += slice[heads[s]].count;
-                            order = order.min(slice[heads[s]].order);
-                            heads[s] += 1;
-                        }
-                    }
-                    out.push(DenseEntry {
-                        id: key as u32,
-                        count,
-                        order,
-                    });
-                }
-            }
-        }
-    }
-
-    /// All runs merged into one sorted aggregated sequence (the
-    /// materialization input of [`IncrementalStats::to_dense`]).
-    fn merged_entries(&self) -> Vec<AdjEntry> {
-        let mut acc: Vec<AdjEntry> = Vec::new();
-        for segment in &self.segments {
-            acc = if acc.is_empty() {
-                segment.clone()
-            } else {
-                merge_adj(&acc, segment)
-            };
-        }
-        acc
+    /// The table as one flat CSR over `num_ids` rows: a single k-way merge
+    /// of the segments, written straight into arrays sized from
+    /// [`Self::num_entries`]. Borrows the stack, so the fold schedule (and
+    /// [`Self::merges`]) never sees it.
+    fn flatten(&self, num_ids: usize) -> CooccurrenceCsr {
+        let mut csr = CsrWriter::new(num_ids, self.num_entries());
+        merge_runs(&self.segments, |e| csr.push(e.key, e.count, e.order));
+        csr.finish()
     }
 
     /// Number of live segments (bounded by O(log n) via the merge-stack
@@ -444,6 +392,7 @@ impl IncrementalStats {
     #[must_use]
     pub fn with_interner(interner: ChunkInterner) -> Self {
         IncrementalStats {
+            freq: vec![0; interner.len()],
             interner,
             ..Self::default()
         }
@@ -463,22 +412,24 @@ impl IncrementalStats {
     /// Folds a delta built by [`Self::build_delta`] into the running
     /// state in O(delta · log history) amortized.
     pub fn apply(&mut self, delta: StatsDelta) -> CommitReceipt {
-        let old_unique = self.freq.len();
         let need = self
             .interner
             .len()
             .max(delta.freq.last().map_or(0, |&(id, _)| id as usize + 1))
-            .max(old_unique);
+            .max(self.freq.len());
         self.freq.resize(need, 0);
+        let mut new_unique = 0;
         for &(id, n) in &delta.freq {
-            self.freq[id as usize] += n;
+            let f = &mut self.freq[id as usize];
+            new_unique += usize::from(*f == 0);
+            *f += n;
         }
         let merged = self.left.append(delta.left) + self.right.append(delta.right);
         self.chunks += delta.chunks;
         self.commits += 1;
         CommitReceipt {
             chunks: delta.chunks,
-            new_unique: self.freq.len() - old_unique,
+            new_unique,
             merged_entries: merged,
         }
     }
@@ -486,11 +437,8 @@ impl IncrementalStats {
     /// Folds one committed backup: [`Self::build_delta`] followed by
     /// [`Self::apply`].
     pub fn commit(&mut self, backup: &Backup) -> CommitReceipt {
-        let before = self.interner.len();
         let delta = self.build_delta(backup);
-        let mut receipt = self.apply(delta);
-        receipt.new_unique = self.interner.len() - before;
-        receipt
+        self.apply(delta)
     }
 
     /// Forces a full compaction of both neighbour tables. Aggregated rows
@@ -538,34 +486,22 @@ impl IncrementalStats {
         &self.interner
     }
 
-    /// Materializes the equivalent batch [`DenseStats`]: same interner,
-    /// same frequencies, and both segment stacks fully merged into CSR
-    /// tables. Bit-identical to [`DenseStats::full_series`] over the
-    /// committed tape.
+    /// Flattens the running state into the equivalent batch
+    /// [`DenseStats`] — what every streaming inference crawls. Same
+    /// interner, same frequencies, and each side's segment stack merged
+    /// once into a flat CSR table: O(entries), the stack itself untouched.
+    /// Bit-identical to [`DenseStats::full_series`] over the committed
+    /// tape.
     #[must_use]
     pub fn to_dense(&self) -> DenseStats {
         let unique = self.interner.len();
         let mut freq = self.freq.clone();
         freq.resize(unique, 0);
-        let left = CooccurrenceCsr::from_aggregated(
-            unique,
-            self.left
-                .merged_entries()
-                .into_iter()
-                .map(|e| (e.key, e.count, e.order)),
-        );
-        let right = CooccurrenceCsr::from_aggregated(
-            unique,
-            self.right
-                .merged_entries()
-                .into_iter()
-                .map(|e| (e.key, e.count, e.order)),
-        );
         DenseStats {
             interner: self.interner.clone(),
             freq,
-            left,
-            right,
+            left: self.left.flatten(unique),
+            right: self.right.flatten(unique),
         }
     }
 
@@ -615,7 +551,10 @@ impl IncrementalStats {
     /// # Errors
     ///
     /// Returns the corresponding [`TraceIoError`] variant on malformed
-    /// input.
+    /// input; [`TraceIoError::Malformed`] for a CRC-valid state that
+    /// `write_to` cannot have produced (a frequency array not one per
+    /// interned chunk, a segment not strictly key-sorted, or a row or
+    /// neighbour id outside the interner).
     pub fn read_from<R: Read>(reader: R) -> Result<Self, TraceIoError> {
         let mut r = CrcReader::new(reader, "stream state");
         r.expect_header(STREAM_MAGIC, STREAM_VERSION)?;
@@ -630,7 +569,7 @@ impl IncrementalStats {
         if interner.len() != unique as usize {
             // Duplicate fingerprints collapse under interning: the blob
             // was not produced by `write_to`.
-            return Err(TraceIoError::LengthOverflow(u64::from(unique)));
+            return Err(TraceIoError::Malformed("duplicate interned fingerprint"));
         }
         let freq_len = r.u32("frequency count")?;
         let freq = r.seq(u64::from(freq_len), |r| r.u32("frequency"))?;
@@ -652,6 +591,23 @@ impl IncrementalStats {
         let left = side()?;
         let right = side()?;
         r.expect_crc()?;
+        // The CRC vouches for the bytes, not for what they say: a state
+        // whose ids fall outside its interner would crash the flatten or
+        // the crawl, so it is refused here (and the tap replays instead).
+        if freq.len() != interner.len() {
+            return Err(TraceIoError::Malformed("frequency count"));
+        }
+        for segment in left.segments.iter().chain(&right.segments) {
+            if segment.windows(2).any(|w| w[0].key >= w[1].key) {
+                return Err(TraceIoError::Malformed("unsorted segment"));
+            }
+            if segment
+                .iter()
+                .any(|e| (e.key >> 32) >= u64::from(unique) || e.key as u32 >= unique)
+            {
+                return Err(TraceIoError::Malformed("chunk id out of range"));
+            }
+        }
         Ok(IncrementalStats {
             interner,
             freq,
@@ -660,46 +616,6 @@ impl IncrementalStats {
             chunks,
             commits,
         })
-    }
-}
-
-impl StatsView for IncrementalStats {
-    fn unique_chunks(&self) -> usize {
-        self.interner.len()
-    }
-
-    fn fingerprints(&self) -> &[Fingerprint] {
-        self.interner.fingerprints()
-    }
-
-    fn id_of(&self, fp: Fingerprint) -> Option<ChunkId> {
-        self.interner.get(fp)
-    }
-
-    fn blocks_of(&self, id: ChunkId) -> u32 {
-        self.interner.size(id).div_ceil(16)
-    }
-
-    fn global_rows(&self) -> Vec<DenseEntry> {
-        self.freq
-            .iter()
-            .enumerate()
-            .map(|(id, &count)| DenseEntry {
-                id: id as u32,
-                count,
-                order: 0,
-            })
-            .collect()
-    }
-
-    fn left_row<'a>(&'a self, id: ChunkId, scratch: &'a mut Vec<DenseEntry>) -> &'a [DenseEntry] {
-        self.left.row_into(id, scratch);
-        scratch
-    }
-
-    fn right_row<'a>(&'a self, id: ChunkId, scratch: &'a mut Vec<DenseEntry>) -> &'a [DenseEntry] {
-        self.right.row_into(id, scratch);
-        scratch
     }
 }
 
@@ -746,23 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn row_into_matches_materialized_rows() {
-        let tape = tape();
-        let mut inc = IncrementalStats::default();
-        for b in &tape {
-            inc.commit(b);
-        }
-        let dense = inc.to_dense();
-        let mut row = Vec::new();
-        for id in 0..dense.unique_chunks() as u32 {
-            inc.left().row_into(id, &mut row);
-            assert_eq!(row.as_slice(), dense.left.row(id), "left {id}");
-            inc.right().row_into(id, &mut row);
-            assert_eq!(row.as_slice(), dense.right.row(id), "right {id}");
-        }
-    }
-
-    #[test]
     fn forced_compaction_is_invisible_in_rows() {
         let tape = tape();
         let mut plain = IncrementalStats::default();
@@ -778,18 +677,25 @@ mod tests {
 
     #[test]
     fn merge_stack_depth_stays_logarithmic() {
+        // Commits of 2–32 chunks over a shared pool: uneven segment sizes
+        // keep several on the stack, and reused adjacencies merge.
         let mut inc = IncrementalStats::default();
-        for i in 0..200u64 {
-            let fps: Vec<u64> = (0..20).map(|j| (i * 20 + j) % 97).collect();
-            inc.commit(&backup("b", &fps));
+        let tape: Vec<Backup> = (0..200u64)
+            .map(|i| {
+                let fps: Vec<u64> = (0..(i * 7) % 31 + 2).map(|j| (i * 5 + j) % 499).collect();
+                backup("b", &fps)
+            })
+            .collect();
+        for b in &tape {
+            inc.commit(b);
         }
         // 200 appends, yet the stack holds at most ~log2(total) segments.
-        assert!(
-            inc.left().num_segments() <= 16,
-            "{}",
-            inc.left().num_segments()
-        );
+        let depth = inc.left().num_segments();
+        assert!((5..=16).contains(&depth), "{depth}");
         assert!(inc.left().merges() > 0);
+        // The flatten merges the whole deep stack in one pass, to the
+        // batch answer.
+        assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
     }
 
     #[test]
@@ -900,6 +806,53 @@ mod tests {
             (segment_len, &u64::MAX.to_le_bytes()[..]),
         ] {
             assert!(matches!(forge(at, field), Err(TraceIoError::Io(_))), "{at}");
+        }
+    }
+
+    #[test]
+    fn forged_ids_fail_typed_under_a_valid_checksum() {
+        let mut inc = IncrementalStats::default();
+        for b in &tape() {
+            inc.commit(b);
+        }
+        let mut clean = Vec::new();
+        inc.write_to(&mut clean).unwrap();
+        let unique = inc.interner().len() as u32;
+        // Offsets as in `forged_lengths_fail_typed_without_driving_allocations`;
+        // `last` is the final 16-byte entry of the left side's first
+        // segment, the largest key in it, whose low half is the neighbour
+        // id and high half the row id.
+        let freq_len = 26 + 12 * inc.interner().len();
+        let segment_len = freq_len + 4 + 4 * inc.freq().len() + 4 + 8;
+        let len0 = inc.left().segments[0].len();
+        assert!(len0 >= 2);
+        let last = segment_len + 8 + 16 * (len0 - 1);
+        let resealed = |mut bad: Vec<u8>| {
+            let body = bad.len() - 4;
+            let crc = freqdedup_trace::io::crc32(&bad[..body]);
+            bad[body..].copy_from_slice(&crc.to_le_bytes());
+            IncrementalStats::read_from(bad.as_slice())
+        };
+        let overwrite = |at: usize, field: &[u8]| {
+            let mut bad = clean.clone();
+            bad[at..at + field.len()].copy_from_slice(field);
+            bad
+        };
+        let mut short_freq = overwrite(freq_len, &(unique - 1).to_le_bytes());
+        short_freq.drain(freq_len + 4..freq_len + 8);
+        // Each blob passes magic, lengths and CRC; at dfbf3f8 the first two
+        // loaded `Ok` and then panicked on an out-of-bounds index in the
+        // crawl and in `to_dense`.
+        for (bad, what) in [
+            (overwrite(last, &unique.to_le_bytes()), "neighbour id"),
+            (overwrite(last + 4, &unique.to_le_bytes()), "row id"),
+            (overwrite(last, &clean[last - 16..last - 8]), "repeated key"),
+            (short_freq, "short frequency array"),
+        ] {
+            assert!(
+                matches!(resealed(bad), Err(TraceIoError::Malformed(_))),
+                "{what}"
+            );
         }
     }
 

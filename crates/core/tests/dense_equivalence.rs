@@ -139,7 +139,7 @@ proptest! {
                 let reference = attack.run_ciphertext_only_reference(&observed.backup, &plain);
                 for (dense, state) in [
                     (attack.run_ciphertext_only_with_stats(&sc, &sm), "batch"),
-                    (attack.run_ciphertext_only_with_stats(&streamed, &sm), "streaming"),
+                    (attack.run_ciphertext_only_with_stats(&streamed.to_dense(), &sm), "streaming"),
                 ] {
                     prop_assert_eq!(
                         sorted_pairs(&dense),
@@ -188,7 +188,10 @@ proptest! {
                     attack.run_known_plaintext_reference(&observed.backup, &plain, &leaked);
                 for (dense, state) in [
                     (attack.run_known_plaintext_with_stats(&sc, &sm, &leaked), "batch"),
-                    (attack.run_known_plaintext_with_stats(&streamed, &sm, &leaked), "streaming"),
+                    (
+                        attack.run_known_plaintext_with_stats(&streamed.to_dense(), &sm, &leaked),
+                        "streaming",
+                    ),
                 ] {
                     prop_assert_eq!(
                         sorted_pairs(&dense),

@@ -453,9 +453,10 @@ impl AdversaryTap {
     /// Runs `kind` in ciphertext-only mode against the **running** state
     /// under both tie-break policies — the live mirror of
     /// [`attacks::run_ciphertext_only_both_policies`], with no
-    /// ciphertext-side rebuild: one `COUNT` of `plain_aux`, two crawls.
-    /// Bit-identical to a batch recompute over [`Self::committed`] at this
-    /// commit point.
+    /// ciphertext-side `COUNT`: one flatten of the running state
+    /// ([`IncrementalStats::to_dense`]), one `COUNT` of `plain_aux`, then
+    /// two crawls of the same flat tables. Bit-identical to a batch
+    /// recompute over [`Self::committed`] at this commit point.
     #[must_use]
     pub fn streaming_inference_both_policies(
         &self,
@@ -463,13 +464,9 @@ impl AdversaryTap {
         plain_aux: &Backup,
         params: &LocalityParams,
     ) -> [(TiePolicy, Inference); 2] {
+        let sc = self.streaming.stats().to_dense();
         let sm = DenseStats::full_par(plain_aux, params.par_config());
-        attacks::run_ciphertext_only_with_stats_both_policies(
-            kind,
-            self.streaming.stats(),
-            &sm,
-            params,
-        )
+        attacks::run_ciphertext_only_with_stats_both_policies(kind, &sc, &sm, params)
     }
 
     /// The deterministic adversary view: committed backups **sorted by
@@ -916,6 +913,21 @@ mod tests {
         ] {
             let mut bad = clean.clone();
             bad[at..at + field.len()].copy_from_slice(field);
+            variants.push(bad);
+        }
+        // A neighbour id and a row id outside the interner, each under a
+        // recomputed (valid) CRC: forged in the last entry of the left
+        // side's first segment, so the keys stay sorted.
+        let segment_len = num_segments + 12;
+        let len0 = u64::from_le_bytes(clean[segment_len..segment_len + 8].try_into().unwrap());
+        let last = segment_len + 8 + 16 * (len0 as usize - 1);
+        let unique = stats.interner().len() as u32;
+        for at in [last, last + 4] {
+            let mut bad = clean.clone();
+            bad[at..at + 4].copy_from_slice(&unique.to_le_bytes());
+            let body = bad.len() - 4;
+            let crc = io::crc32(&bad[..body]);
+            bad[body..].copy_from_slice(&crc.to_le_bytes());
             variants.push(bad);
         }
         for (i, bad) in variants.iter().enumerate() {

@@ -50,6 +50,9 @@ pub enum TraceIoError {
     LengthOverflow(u64),
     /// A label or name was not valid UTF-8.
     BadUtf8,
+    /// The named field passed the checksum but contradicts the rest of
+    /// the input.
+    Malformed(&'static str),
 }
 
 impl fmt::Display for TraceIoError {
@@ -64,6 +67,7 @@ impl fmt::Display for TraceIoError {
             ),
             TraceIoError::LengthOverflow(n) => write!(f, "length field {n} exceeds limits"),
             TraceIoError::BadUtf8 => write!(f, "label is not valid utf-8"),
+            TraceIoError::Malformed(field) => write!(f, "malformed {field}"),
         }
     }
 }

@@ -7,7 +7,7 @@
 //! recompute of the same tape at every commit point: identical COUNT
 //! structures (`to_dense` equals [`DenseStats::full_series`]),
 //! identical top-k frequency ranks, and identical inference sets from the
-//! attacks crawling the segmented tables directly. These property tests
+//! attacks crawling the flattened running state. These property tests
 //! pin that promise on randomized backup sequences for
 //! `threads ∈ {1, 2, 8}`, both [`TiePolicy`] variants (one state, ranked
 //! twice — `COUNT` is policy-free), both attack modes (ciphertext-only
@@ -25,7 +25,6 @@
 use freqdedup::core::attacks::locality::{LocalityAttack, LocalityParams};
 use freqdedup::core::attacks::{self, AttackKind};
 use freqdedup::core::counting::TiePolicy;
-use freqdedup::core::dense::StatsView;
 use freqdedup::core::freq_analysis::top_k_dense;
 use freqdedup::core::{ChunkInterner, DenseStats, IncrementalStats, Inference, StatsDelta};
 use freqdedup::trace::{Backup, ChunkRecord, Fingerprint};
@@ -83,22 +82,24 @@ proptest! {
                 inc.compact();
             }
             let batch = DenseStats::full_series(&tape[..=i]);
+            let flat = inc.to_dense();
             prop_assert_eq!(
-                &inc.to_dense(), &batch,
+                &flat, &batch,
                 "prefix {} compacted {}", i, compact_mask[i]
             );
-            // Top-k frequency ranking straight off the streaming view
+            // Top-k frequency ranking off the flattened streaming state
             // (global rows carry no order, so the policy is moot).
             let policy = TiePolicy::StreamOrder;
-            let inc_top = top_k_dense(&StatsView::global_rows(&inc), k, inc.fingerprints(), policy);
+            let inc_top =
+                top_k_dense(&flat.global_rows(), k, inc.interner().fingerprints(), policy);
             let batch_top =
                 top_k_dense(&batch.global_rows(), k, batch.interner.fingerprints(), policy);
             prop_assert_eq!(inc_top, batch_top, "top-{} prefix {}", k, i);
         }
     }
 
-    /// Known-plaintext mode: leaked seeds crawled over the streaming
-    /// segmented tables expand to the same inference set as over a batch
+    /// Known-plaintext mode: leaked seeds crawled over the flattened
+    /// streaming state expand to the same inference set as over a batch
     /// series recompute, at every thread count and both tie policies.
     #[test]
     fn known_plaintext_inference_thread_and_policy_invariant(
@@ -290,8 +291,8 @@ fn duplicate_only_backup_matches_batch() {
     inc.commit(&tape[0]);
     assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
     assert_eq!(inc.freq(), &[12]);
-    let mut row = Vec::new();
-    let left: Vec<_> = StatsView::left_row(&inc, 0, &mut row).to_vec();
+    let flat = inc.to_dense();
+    let left = flat.left.row(0);
     assert_eq!(left.len(), 1, "self-edge only");
     assert_eq!((left[0].id, left[0].count), (0, 11));
 }
@@ -333,11 +334,8 @@ fn no_adjacency_across_commit_boundaries() {
     }
     let id2 = inc.interner().get(Fingerprint(2)).unwrap();
     let id3 = inc.interner().get(Fingerprint(3)).unwrap();
-    let mut row = Vec::new();
     assert!(
-        !StatsView::right_row(&inc, id2, &mut row)
-            .iter()
-            .any(|e| e.id == id3),
+        !inc.to_dense().right.row(id2).iter().any(|e| e.id == id3),
         "2 -> 3 spans the commit boundary and must not be an edge"
     );
     assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
