@@ -22,10 +22,14 @@
 //!   seeded-backoff reconnects, and resumable exactly-once commits;
 //! * [`fault`] — deterministic network fault injection: a seeded,
 //!   frame-aware TCP proxy ([`fault::FaultProxy`]) for the chaos suite;
-//! * [`tap`] — the provider-side adversary tap: the per-session observed
-//!   ciphertext fingerprint streams, re-materialized as ordinary
-//!   [`freqdedup_trace::Backup`]s so `LocalityAttack` / `AdvancedAttack`
-//!   run unchanged against live traffic.
+//! * [`catalog`] — the write-ahead catalog (`catalog.log`): one
+//!   CRC-framed record per acknowledged COMMIT, DELETE-BACKUP, GC and
+//!   REKEY, appended before the ack;
+//! * [`tap`] — the provider-side adversary tap, a fold over the catalog:
+//!   the per-session observed ciphertext fingerprint streams,
+//!   re-materialized as ordinary [`freqdedup_trace::Backup`]s so
+//!   `LocalityAttack` / `AdvancedAttack` run unchanged against live
+//!   traffic.
 //!
 //! The wire format byte layout, the threading model and the tap's
 //! threat-surface mapping to the paper's adversary models are documented
@@ -34,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod catalog;
 pub mod client;
 pub mod fault;
 pub mod frame;

@@ -79,6 +79,9 @@ pub mod code {
     /// A restore stream ended early: the manifest names a chunk the
     /// store no longer holds.
     pub const MISSING_CHUNK: u16 = 7;
+    /// The operation's catalog record could not be made durable, so it
+    /// is not acknowledged; a retry under the same operation id is safe.
+    pub const NOT_DURABLE: u16 = 8;
 }
 
 /// How a [`Message::ChunkResp`] relates to stored payload bytes.
@@ -163,13 +166,15 @@ pub struct ServerStats {
     pub dup_index_hits: u64,
     /// Containers sealed across all shards.
     pub containers_sealed: u64,
-    /// Backup manifests committed since the service started.
+    /// COMMIT records in the service's catalog (deleted manifests
+    /// included): the commit clock, which a restart does not wind back.
     pub committed_backups: u64,
     /// Sessions served since the service started.
     pub sessions_served: u64,
-    /// Tap-degradation warnings: streaming-state rebuilds forced by a
-    /// corrupt/inconsistent `tap.fqis`, plus tap persistence failures
-    /// survived at shutdown.
+    /// Tap-degradation warnings: full catalog folds forced by a corrupt,
+    /// stale or ahead-of-the-catalog `tap.fqis`, an unreadable
+    /// pre-catalog registry, a failed `tap.fqis` save at shutdown, and
+    /// caught session-handler panics.
     pub tap_warnings: u64,
 }
 

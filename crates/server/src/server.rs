@@ -16,9 +16,13 @@
 //! requests and disconnect, queued connections are still served, and the
 //! engine is then checkpointed and closed — sealed containers, manifest
 //! journal and snapshot are made durable, so a restart *never* relies on
-//! crash recovery. The adversary tap doubles as the manifest catalog and
-//! is persisted beside the store (`tap.fqdt`), which is what lets
-//! clients resume committed work after a restart.
+//! crash recovery.
+//!
+//! **The catalog** ([`crate::catalog`], `catalog.log` beside the store)
+//! is written ahead of every ack, not at shutdown: a crash loses no
+//! acknowledged COMMIT, DELETE-BACKUP, GC or REKEY. [`Server::bind`]
+//! replays it into the adversary tap and releases every store backup it
+//! does not hold live — such a backup was never acknowledged.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -39,17 +43,20 @@ use crate::proto::ServerStats;
 use crate::session;
 use crate::tap::AdversaryTap;
 
-/// File name of the persisted tap / manifest catalog inside the store
-/// directory.
-pub const TAP_FILE: &str = "tap.fqdt";
+/// File name of the write-ahead catalog inside the store directory.
+pub const CATALOG_FILE: &str = "catalog.log";
 
-/// File name of the persisted incremental attack state, beside
-/// [`TAP_FILE`]. When present at bind time, the tap resumes its running
-/// inference state bit-identically without replaying the catalog.
+/// File name of the running attack state's cache, beside
+/// [`CATALOG_FILE`], saved at graceful shutdown. A bind that finds it
+/// covering a prefix of the catalog resumes it and folds only the rest.
 pub const STREAM_FILE: &str = "tap.fqis";
 
-/// File name of the persisted applied-commit registry (exactly-once
-/// replay suppression), beside [`TAP_FILE`].
+/// File name of a pre-catalog store's manifest catalog: read once, by the
+/// import into [`CATALOG_FILE`], never written.
+pub const TAP_FILE: &str = "tap.fqdt";
+
+/// File name of a pre-catalog store's applied-commit registry: read once,
+/// by the import into [`CATALOG_FILE`], never written.
 pub const CIDS_FILE: &str = "tap.cids";
 
 /// Locks a mutex, tolerating poison: session workers survive handler
@@ -89,8 +96,8 @@ pub struct ServerConfig {
     /// Fingerprint-prefix shards of the backing engine.
     pub shards: usize,
     /// Engine configuration; set [`DedupConfig::persist`] to make the
-    /// service durable (the tap is then persisted alongside as
-    /// [`TAP_FILE`]).
+    /// service durable (the catalog is then kept alongside as
+    /// [`CATALOG_FILE`]).
     pub engine: DedupConfig,
     /// Append-only service log (one line per event); `None` disables.
     pub log_file: Option<PathBuf>,
@@ -115,7 +122,7 @@ pub enum ServeError {
     Io(std::io::Error),
     /// The backing store failed to open, checkpoint or close.
     Persist(PersistError),
-    /// The persisted tap failed to load or save.
+    /// A pre-catalog `tap.fqdt` failed to import.
     Tap(TraceIoError),
 }
 
@@ -168,10 +175,9 @@ pub(crate) struct Shared {
     pub parked: Mutex<HashMap<String, Parked>>,
     pub stop: AtomicBool,
     pub sessions_served: AtomicU64,
-    pub commits: AtomicU64,
-    /// Degraded-but-serving events: corrupt tap state recovered by
-    /// replay, tap persistence skipped at shutdown, a session worker
-    /// surviving a handler panic.
+    /// Degraded-but-serving events: the bind's tap warnings, a failed
+    /// cache save at shutdown, a session worker surviving a handler
+    /// panic.
     pub tap_warnings: AtomicU64,
     log: Option<Mutex<std::fs::File>>,
 }
@@ -191,6 +197,7 @@ impl Shared {
 
     /// Aggregate service counters (engine stats + session/commit totals).
     pub fn stats(&self) -> ServerStats {
+        let committed_backups = lock_unpoisoned(&self.tap).commits();
         let slot = lock_unpoisoned(&self.slot);
         let s = slot
             .engine
@@ -206,7 +213,7 @@ impl Shared {
             dup_buffer_hits: s.dup_buffer_hits,
             dup_index_hits: s.dup_index_hits,
             containers_sealed: s.containers_sealed,
-            committed_backups: self.commits.load(Ordering::SeqCst),
+            committed_backups,
             sessions_served: self.sessions_served.load(Ordering::SeqCst),
             tap_warnings: self.tap_warnings.load(Ordering::SeqCst),
         }
@@ -218,8 +225,6 @@ impl Shared {
 pub struct ServeSummary {
     /// Sessions served over the lifetime of the run.
     pub sessions: u64,
-    /// Backup manifests committed.
-    pub commits: u64,
     /// Final aggregate counters (taken just before the engine closed).
     pub stats: ServerStats,
 }
@@ -244,9 +249,7 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     workers: usize,
-    tap_path: Option<PathBuf>,
     stream_path: Option<PathBuf>,
-    cids_path: Option<PathBuf>,
 }
 
 /// A read handle on a running server's adversary tap, for observing the
@@ -272,11 +275,12 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Persist`] when the store directory fails to open or
-    /// recover, [`ServeError::Tap`] when a persisted tap is corrupt,
-    /// [`ServeError::Io`] when the socket cannot be bound.
+    /// [`ServeError::Persist`] when the store directory or its
+    /// `catalog.log` fails to open or recover, [`ServeError::Tap`] when a
+    /// pre-catalog `tap.fqdt` is corrupt, [`ServeError::Io`] when the
+    /// socket cannot be bound.
     pub fn bind(config: ServerConfig) -> Result<Server, ServeError> {
-        let engine = ShardedDedupEngine::open(config.engine.clone(), config.shards)?;
+        let mut engine = ShardedDedupEngine::open(config.engine.clone(), config.shards)?;
         // Re-derive the payload-mode commitment from recovered containers
         // so a restarted service keeps rejecting mixed-mode uploads.
         let payload_mode = engine
@@ -284,42 +288,11 @@ impl Server {
             .iter()
             .find_map(|shard| shard.containers().mode())
             .map(|mode| mode == PayloadMode::Payload);
-        let tap_path = config.engine.persist.as_ref().map(|p| p.dir.join(TAP_FILE));
-        let stream_path = config
-            .engine
-            .persist
-            .as_ref()
-            .map(|p| p.dir.join(STREAM_FILE));
-        let cids_path = config
-            .engine
-            .persist
-            .as_ref()
-            .map(|p| p.dir.join(CIDS_FILE));
-        let mut tap = match (&tap_path, &stream_path) {
-            // Resume path: catalog, plus the persisted incremental state
-            // when it is present and intact — a corrupt or missing state
-            // file falls back to a catalog replay inside `load_resuming`
-            // (counted in `AdversaryTap::warnings`), never an error.
-            (Some(path), Some(stream)) if path.exists() => {
-                AdversaryTap::load_resuming(path, stream)?
-            }
-            _ => AdversaryTap::new(),
+        let persist = config.engine.persist.as_ref();
+        let tap = match persist {
+            Some(p) => AdversaryTap::open(&p.dir, p.fsync)?,
+            None => AdversaryTap::default(),
         };
-        let mut warnings = tap.warnings();
-        let mut degraded: Vec<String> = Vec::new();
-        if warnings > 0 {
-            degraded.push("incremental state replayed from catalog".into());
-        }
-        if let Some(cids) = cids_path.as_ref().filter(|p| p.exists()) {
-            // The registry only suppresses commit replays; a corrupt file
-            // degrades to "no suppression window" rather than failing the
-            // bind.
-            if let Err(e) = tap.load_commit_ids(cids) {
-                warnings += 1;
-                degraded.push(format!("commit registry unreadable ({e})"));
-            }
-        }
-        let commits = tap.len() as u64;
         let log = match &config.log_file {
             Some(path) => Some(Mutex::new(
                 std::fs::OpenOptions::new()
@@ -331,6 +304,19 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
+        // A store backup the catalog does not hold live was never acked: a
+        // crash came between the store's commit and the catalog append, or
+        // before a retired manifest's release.
+        let unacked: Vec<u64> = engine
+            .committed_backups()
+            .into_iter()
+            .map(|(id, _)| id)
+            .filter(|&id| !tap.is_live(id))
+            .collect();
+        for &id in &unacked {
+            let _ = engine.delete_backup(id);
+        }
+        let (live, commits, warnings) = (tap.committed().len(), tap.commits(), tap.warnings());
         let shared = Arc::new(Shared {
             slot: Mutex::new(EngineSlot {
                 engine: Some(engine),
@@ -340,27 +326,21 @@ impl Server {
             parked: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
             sessions_served: AtomicU64::new(0),
-            commits: AtomicU64::new(commits),
             tap_warnings: AtomicU64::new(warnings),
             log,
         });
         shared.log(&format!(
-            "serve: bound {} ({} workers, {} shards, {} recovered manifests)",
+            "serve: bound {} ({} workers, {} shards, {live} live of {commits} committed manifests, {} unacked released, {warnings} tap warnings)",
             listener.local_addr()?,
             config.workers.max(1),
             config.shards,
-            commits
+            unacked.len(),
         ));
-        for what in &degraded {
-            shared.log(&format!("serve: degraded recovery: {what}"));
-        }
         Ok(Server {
             listener,
             shared,
             workers: config.workers.max(1),
-            tap_path,
-            stream_path,
-            cids_path,
+            stream_path: persist.map(|p| p.dir.join(STREAM_FILE)),
         })
     }
 
@@ -391,15 +371,14 @@ impl Server {
     }
 
     /// Serves until SHUTDOWN (or a [`ShutdownHandle`]), then drains
-    /// in-flight sessions, checkpoints and closes the engine, and
-    /// persists the tap. Blocks the calling thread for the lifetime of
-    /// the service.
+    /// in-flight sessions, saves the tap's `tap.fqis` cache, and
+    /// checkpoints and closes the engine. Blocks the calling thread for
+    /// the lifetime of the service.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Persist`] / [`ServeError::Tap`] when the final
-    /// checkpoint fails — the serve loop itself only logs per-session
-    /// errors.
+    /// [`ServeError::Persist`] when the final checkpoint fails — the
+    /// serve loop itself only logs per-session errors.
     ///
     /// # Panics
     ///
@@ -446,59 +425,28 @@ impl Server {
         // Drained: every accepted session has finished. Take the final
         // numbers, then checkpoint + close (graceful shutdown makes the
         // final state durable so a restart never needs crash recovery).
-        let stats = shared.stats();
         let summary = ServeSummary {
             sessions: shared.sessions_served.load(Ordering::SeqCst),
-            commits: shared.commits.load(Ordering::SeqCst),
-            stats,
+            stats: shared.stats(),
         };
-        // Every final write must be *attempted* regardless of the others
-        // failing: a tap-save error must never skip the engine close
-        // (that would drop acknowledged chunk data un-checkpointed and
-        // silently fall back to crash recovery). Only a **catalog** save
-        // failure is an error — the catalog cannot be rebuilt. The
-        // incremental state and the commit registry degrade instead:
-        // their stale on-disk copies are removed so the next open
-        // replays the catalog rather than resuming from a file that no
-        // longer matches it.
-        let tap_result = match &self.tap_path {
-            Some(path) => {
-                let tap = lock_unpoisoned(&shared.tap);
-                let catalog = tap.save(path).map_err(|e| {
-                    shared.log(&format!("shutdown: tap save failed: {e}"));
-                    ServeError::from(e)
-                });
-                if let Some(stream) = &self.stream_path {
-                    if let Err(e) = tap.streaming().save(stream) {
-                        shared.tap_warnings.fetch_add(1, Ordering::SeqCst);
-                        shared.log(&format!(
-                            "shutdown: streaming state save failed ({e}); next open replays the catalog"
-                        ));
-                        let _ = std::fs::remove_file(stream);
-                    }
-                }
-                if let Some(cids) = &self.cids_path {
-                    if let Err(e) = tap.save_commit_ids(cids) {
-                        shared.tap_warnings.fetch_add(1, Ordering::SeqCst);
-                        shared.log(&format!(
-                            "shutdown: commit registry save failed ({e}); replay suppression lost"
-                        ));
-                        let _ = std::fs::remove_file(cids);
-                    }
-                }
-                catalog
+        // The catalog is already durable. The running attack state is
+        // saved as its cache; a failed save costs the next bind a full
+        // fold, never data, and must not skip the engine close.
+        if let Some(path) = &self.stream_path {
+            if let Err(e) = lock_unpoisoned(&shared.tap).streaming().save(path) {
+                shared.tap_warnings.fetch_add(1, Ordering::SeqCst);
+                shared.log(&format!("shutdown: tap.fqis save failed ({e})"));
+                let _ = std::fs::remove_file(path);
             }
-            None => Ok(()),
-        };
+        }
         let engine = lock_unpoisoned(&shared.slot)
             .engine
             .take()
             .expect("engine present until run() ends");
         engine.close()?;
-        tap_result?;
         shared.log(&format!(
             "shutdown: {} sessions, {} commits, {} unique chunks",
-            summary.sessions, summary.commits, summary.stats.unique_chunks
+            summary.sessions, summary.stats.committed_backups, summary.stats.unique_chunks
         ));
         Ok(summary)
     }

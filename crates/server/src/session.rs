@@ -9,12 +9,16 @@
 //!
 //! Every PUT batch is both deduplicated *and* tapped: the `(fp, size)`
 //! records are appended to the session's pending observed stream, which
-//! COMMIT-MANIFEST snapshots into the [`crate::tap::AdversaryTap`] as one
-//! [`Backup`]. A disconnect with uncommitted chunks records the tail as
-//! an abandoned stream — observed by the adversary, but not restorable —
-//! unless the session declared a commit id via RESUME, in which case the
-//! tail is *parked* under the client's name and a reconnecting session
-//! resumes it exactly where it broke (see `Parked` in `server.rs`).
+//! COMMIT-MANIFEST writes to the catalog as one [`Backup`]. COMMIT,
+//! DELETE-BACKUP, GC and REKEY share one exactly-once path
+//! (`Session::once`): under the tap lock, a replayed operation id returns
+//! its recorded ack; otherwise the engine applies the operation and its
+//! record is appended to `catalog.log` and folded into the
+//! [`crate::tap::AdversaryTap`] before the ack is written. A disconnect
+//! with uncommitted chunks drops them, unless the session declared a
+//! commit id via RESUME: then the tail is *parked* under the client's
+//! name and a reconnecting session resumes it exactly where it broke (see
+//! `Parked` in `server.rs`).
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -26,13 +30,14 @@ use freqdedup_store::lifecycle::LifecycleError;
 use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
+use crate::catalog::{CatalogRecord, OpKind};
 use crate::frame::{read_frame, write_frame, WireError, READ_BUFFER_BYTES};
 use crate::proto::{
     code, put_chunk_resp, ChunkStatus, Message, RecordListEncoder, ResumeState, MIN_WIRE_VERSION,
     WIRE_VERSION,
 };
 use crate::server::{lock_unpoisoned, Parked, Shared};
-use crate::tap::AppliedCommit;
+use crate::tap::{AdversaryTap, AppliedCommit};
 
 /// Poll interval for the stop flag while a session is idle.
 const IDLE_POLL: Duration = Duration::from_millis(25);
@@ -70,35 +75,24 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared, id: u64) {
         epoch: 0,
     };
     let outcome = session.run(&mut conn);
-    if !session.pending.is_empty() {
-        match session.resume_declared {
-            // A resumable upload that lost its connection mid-commit is
-            // *parked* under the client's name: the chunks are already in
-            // the store and counted toward `acked_batches`, so the
-            // reconnecting client continues instead of re-sending (which
-            // would double-ingest the observed stream).
-            Some(commit_id) => {
-                let parked = Parked {
-                    pending: std::mem::take(&mut session.pending),
-                    acked_batches: session.acked_batches,
-                    commit_id,
-                };
-                shared.log(&format!(
-                    "session {id}: parked {} chunks ({} batches) for {:?} commit {commit_id:#x}",
-                    parked.pending.len(),
-                    parked.acked_batches,
-                    session.client,
-                ));
-                lock_unpoisoned(&shared.parked).insert(session.client.clone(), parked);
-            }
-            None => {
-                let tail = Backup::from_chunks(
-                    format!("session-{id}-uncommitted"),
-                    std::mem::take(&mut session.pending),
-                );
-                lock_unpoisoned(&shared.tap).record_abandoned(tail);
-            }
-        }
+    // A resumable upload that lost its connection mid-commit is *parked*
+    // under the client's name: the chunks are already in the store and
+    // counted toward `acked_batches`, so the reconnecting client continues
+    // instead of re-sending (which would double-ingest the observed
+    // stream). Any other uncommitted tail never becomes a manifest.
+    if let (Some(commit_id), false) = (session.resume_declared, session.pending.is_empty()) {
+        let parked = Parked {
+            pending: std::mem::take(&mut session.pending),
+            acked_batches: session.acked_batches,
+            commit_id,
+        };
+        shared.log(&format!(
+            "session {id}: parked {} chunks ({} batches) for {:?} commit {commit_id:#x}",
+            parked.pending.len(),
+            parked.acked_batches,
+            session.client,
+        ));
+        lock_unpoisoned(&shared.parked).insert(session.client.clone(), parked);
     }
     match outcome {
         Ok(()) => shared.log(&format!("session {id}: closed")),
@@ -267,48 +261,23 @@ impl Session<'_> {
             return Ok(());
         }
         // Already applied? The commit finished before the client saw its
-        // ack — replay the verdict; nothing to upload.
+        // ack — replay the verdict; nothing to upload. Otherwise adopt the
+        // parked progress of a broken session if its commit id matches (a
+        // different id means the client abandoned that upload).
         let applied = lock_unpoisoned(&self.shared.tap)
             .applied(commit_id)
             .map(|a| a.chunks);
-        if let Some(chunks) = applied {
-            self.resume_declared = Some(commit_id);
-            self.shared.log(&format!(
-                "session {}: resume {commit_id:#x} -> committed ({chunks} chunks)",
-                self.id
-            ));
-            return self.reply(
-                stream,
-                &Message::ResumeAck {
-                    state: ResumeState::Committed,
-                    acked_batches: 0,
-                    chunks,
-                },
-            );
-        }
-        // Parked progress from a broken session? Adopt it if the commit
-        // id matches; a different id means the client abandoned that
-        // upload — its observed tail goes to the abandoned record.
-        let parked = lock_unpoisoned(&self.shared.parked).remove(&self.client);
-        let (state, acked, chunks) = match parked {
-            Some(p) if p.commit_id == commit_id => {
-                self.pending = p.pending;
-                self.acked_batches = p.acked_batches;
-                (
-                    ResumeState::InProgress,
-                    self.acked_batches,
-                    self.pending.len() as u64,
-                )
-            }
-            Some(p) => {
-                let stale = Backup::from_chunks(
-                    format!("{}-abandoned-{:#x}", self.client, p.commit_id),
-                    p.pending,
-                );
-                lock_unpoisoned(&self.shared.tap).record_abandoned(stale);
-                (ResumeState::Fresh, 0, 0)
-            }
-            None => (ResumeState::Fresh, 0, 0),
+        let (state, acked, chunks) = match applied {
+            Some(chunks) => (ResumeState::Committed, 0, chunks),
+            None => match lock_unpoisoned(&self.shared.parked).remove(&self.client) {
+                Some(p) if p.commit_id == commit_id => {
+                    self.pending = p.pending;
+                    self.acked_batches = p.acked_batches;
+                    let chunks = self.pending.len() as u64;
+                    (ResumeState::InProgress, self.acked_batches, chunks)
+                }
+                _ => (ResumeState::Fresh, 0, 0),
+            },
         };
         self.resume_declared = Some(commit_id);
         self.shared.log(&format!(
@@ -325,205 +294,152 @@ impl Session<'_> {
         )
     }
 
-    /// Commits the pending observed stream as one manifest. A nonzero
-    /// `commit_id` makes the commit idempotent: if it was already
-    /// applied, the recorded ack is replayed and nothing is re-ingested
-    /// into the tap or the counters.
+    /// Runs one catalogued operation exactly once, under the tap lock, and
+    /// answers it. A nonzero `op_id` already applied gets its recorded
+    /// ack. Otherwise `op` checks the request against the catalog, applies
+    /// it to the engine, and returns its record plus a store backup id to
+    /// release once the record is durable; the record is appended to
+    /// `catalog.log` and folded into the tap. The ack (`reply` of it) is
+    /// written after the lock is released; an append failure is an error
+    /// reply, never an ack. Returns the ack, if one was written.
+    fn once(
+        &self,
+        stream: &mut TcpStream,
+        what: &str,
+        op_id: u64,
+        op: impl FnOnce(&AdversaryTap, &mut ShardedDedupEngine) -> Result<Applied, (u16, String)>,
+        reply: impl FnOnce(&AppliedCommit) -> Message,
+    ) -> Result<Option<AppliedCommit>, WireError> {
+        let done = (|| {
+            let mut tap = lock_unpoisoned(&self.shared.tap);
+            if let Some(ack) = (op_id != 0).then(|| tap.applied(op_id)).flatten() {
+                return Ok((ack.clone(), "replayed"));
+            }
+            let (record, release) = {
+                let mut slot = lock_unpoisoned(&self.shared.slot);
+                op(
+                    &tap,
+                    slot.engine.as_mut().expect("engine open while serving"),
+                )?
+            };
+            let ack = tap.append(record).map_err(|e| {
+                let message = format!("{what}: catalog append failed: {e}");
+                (code::NOT_DURABLE, message)
+            })?;
+            if let Some(id) = release {
+                let mut slot = lock_unpoisoned(&self.shared.slot);
+                let engine = slot.engine.as_mut().expect("engine open while serving");
+                let _ = engine.delete_backup(id);
+            }
+            Ok((ack, "applied"))
+        })();
+        match done {
+            Ok((ack, how)) => {
+                let (id, msg) = (self.id, reply(&ack));
+                self.shared
+                    .log(&format!("session {id}: {what} {how} ({ack:?})"));
+                self.reply(stream, &msg)?;
+                Ok(Some(ack))
+            }
+            Err((code, message)) => {
+                self.reply_err(stream, code, &message);
+                Ok(None)
+            }
+        }
+    }
+
+    /// Commits the pending observed stream as one manifest, under a store
+    /// backup id the catalog issues. A reused label retires the earlier
+    /// manifest, whose id is released once the new record is durable. The
+    /// pending stream is consumed whatever the outcome; a replayed
+    /// `commit_id` drops it, as the store deduplicated it and the tap must
+    /// not observe the stream twice.
     fn handle_commit(
         &mut self,
         stream: &mut TcpStream,
         label: String,
         commit_id: u64,
     ) -> Result<(), WireError> {
-        // The applied-check and the record happen under one tap lock so
-        // two racing replays of the same commit id cannot both ingest.
-        let mut tap = lock_unpoisoned(&self.shared.tap);
-        let replay = (commit_id != 0)
-            .then(|| tap.applied(commit_id).cloned())
-            .flatten();
-        if let Some(applied) = replay {
-            drop(tap);
-            // Exactly-once: this commit already happened (the ack was
-            // lost in transit). Drop any re-uploaded pending tail — the
-            // store deduplicated the chunks and the tap must not observe
-            // the stream twice.
-            self.pending.clear();
-            self.acked_batches = 0;
-            self.resume_declared = None;
-            self.shared.log(&format!(
-                "session {}: commit {commit_id:#x} replayed ({:?}, {} chunks)",
-                self.id, applied.label, applied.chunks
-            ));
-            return self.reply(
-                stream,
-                &Message::CommitAck {
-                    label: applied.label,
-                    chunks: applied.chunks,
-                },
-            );
-        }
         let records = std::mem::take(&mut self.pending);
-        // Register the manifest with the engine's lifecycle layer (still
-        // under the tap lock, so a racing replay of the same commit id
-        // cannot double-register): the recipe and per-chunk refcounts are
-        // what make the backup deletable and its containers
-        // GC-accountable later. The commit counter doubles as a monotonic
-        // logical timestamp for retention policies.
-        {
-            let mut slot = lock_unpoisoned(&self.shared.slot);
-            let engine = slot.engine.as_mut().expect("engine open while serving");
-            let backup_id = label_backup_id(&label);
-            let timestamp = self.shared.commits.load(Ordering::SeqCst) + 1;
-            match engine.commit_backup(backup_id, timestamp, &records) {
-                Ok(()) => {}
-                Err(LifecycleError::DuplicateBackup { .. }) => {
-                    // Label reuse shadows the earlier manifest (tap
-                    // lookup already prefers the latest): release the
-                    // old recipe's references, then commit the new one
-                    // under the same id.
-                    let _ = engine.delete_backup(backup_id);
-                    engine
-                        .commit_backup(backup_id, timestamp, &records)
-                        .expect("recommit after releasing the shadowed recipe");
-                }
-                Err(e) => panic!("backup registration failed: {e}"),
-            }
-        }
-        let backup = Backup::from_chunks(label.clone(), records);
-        let chunks = backup.len() as u64;
-        tap.record_commit_id(backup, commit_id);
-        drop(tap);
         self.acked_batches = 0;
         self.resume_declared = None;
-        self.shared.commits.fetch_add(1, Ordering::SeqCst);
-        self.shared.log(&format!(
-            "session {}: commit {label:?} ({chunks} chunks)",
-            self.id
-        ));
-        self.reply(stream, &Message::CommitAck { label, chunks })
+        let commit = |tap: &AdversaryTap, engine: &mut ShardedDedupEngine| {
+            let backup_id = tap.next_backup_id();
+            let timestamp = tap.commits() + 1;
+            let mut committed = engine.commit_backup(backup_id, timestamp, &records);
+            if let Err(LifecycleError::DuplicateBackup { .. }) = committed {
+                // The catalog never made this id live: a commit whose
+                // append failed left it behind, unacked. Replace it.
+                let _ = engine.delete_backup(backup_id);
+                committed = engine.commit_backup(backup_id, timestamp, &records);
+            }
+            committed.map_err(|e| (code::NOT_DURABLE, e.to_string()))?;
+            let retired = tap.live(&label).map(|(_, id)| id);
+            let backup = Backup::from_chunks(label, records);
+            let record = CatalogRecord::Commit {
+                op_id: commit_id,
+                backup_id,
+                timestamp,
+                backup,
+            };
+            Ok((record, retired))
+        };
+        let ack = |a: &AppliedCommit| Message::CommitAck {
+            label: a.label.clone(),
+            chunks: a.chunks,
+        };
+        self.once(stream, "commit", commit_id, commit, ack)
+            .map(drop)
     }
 
-    /// Deletes a committed backup: the engine releases its chunk
-    /// references (reclaimed later by GC) and the tap drops the manifest
-    /// from the catalog — both under one tap lock so a racing replay of
-    /// the same operation id cannot double-delete. The deletion itself
-    /// becomes an adversary observable.
+    /// Deletes a live manifest. Its record is the commit point: the store
+    /// releases the backup's references right after the append, and a
+    /// crash in between leaves an id the next bind releases. The deletion
+    /// itself becomes an adversary observable.
     fn handle_delete(
         &mut self,
         stream: &mut TcpStream,
         label: String,
         commit_id: u64,
     ) -> Result<(), WireError> {
-        let mut tap = lock_unpoisoned(&self.shared.tap);
-        if commit_id != 0 {
-            if let Some(a) = tap.applied(commit_id).cloned() {
-                drop(tap);
-                self.shared.log(&format!(
-                    "session {}: delete {commit_id:#x} replayed ({:?})",
-                    self.id, a.label
-                ));
-                return self.reply(
-                    stream,
-                    &Message::DeleteBackupAck {
-                        label: a.label,
-                        chunks: a.chunks,
-                        logical_bytes: a.extra,
-                    },
-                );
-            }
-        }
-        let report = {
-            let mut slot = lock_unpoisoned(&self.shared.slot);
-            let engine = slot.engine.as_mut().expect("engine open while serving");
-            engine.delete_backup(label_backup_id(&label))
+        let delete = |tap: &AdversaryTap, _: &mut ShardedDedupEngine| {
+            let Some((backup, id)) = tap.live(&label) else {
+                return Err((code::UNKNOWN_LABEL, format!("no manifest {label:?}")));
+            };
+            let counts = [backup.len() as u64, backup.logical_bytes(), 0];
+            Ok((
+                op(OpKind::Delete, commit_id, label.clone(), counts),
+                Some(id),
+            ))
         };
-        let Ok(report) = report else {
-            drop(tap);
-            self.reply_err(
-                stream,
-                code::UNKNOWN_LABEL,
-                &format!("no manifest {label:?}"),
-            );
-            return Ok(());
+        let ack = |a: &AppliedCommit| Message::DeleteBackupAck {
+            label: a.label.clone(),
+            chunks: a.chunks,
+            logical_bytes: a.extra,
         };
-        tap.delete_backup(&label);
-        tap.record_applied(
-            commit_id,
-            AppliedCommit {
-                label: label.clone(),
-                chunks: report.chunks_released,
-                extra: report.logical_bytes,
-                extra2: 0,
-            },
-        );
-        drop(tap);
-        self.shared.log(&format!(
-            "session {}: delete {label:?} ({} chunk refs, {} logical bytes)",
-            self.id, report.chunks_released, report.logical_bytes
-        ));
-        self.reply(
-            stream,
-            &Message::DeleteBackupAck {
-                label,
-                chunks: report.chunks_released,
-                logical_bytes: report.logical_bytes,
-            },
-        )
+        self.once(stream, "delete", commit_id, delete, ack)
+            .map(drop)
     }
 
     /// Runs a garbage-collection pass over every shard and records it as
-    /// an adversary observable. Idempotent under a nonzero operation id
-    /// (a replay returns the recorded ack without collecting again).
+    /// an adversary observable.
     fn handle_gc(
         &mut self,
         stream: &mut TcpStream,
         threshold_permille: u32,
         commit_id: u64,
     ) -> Result<(), WireError> {
-        let mut tap = lock_unpoisoned(&self.shared.tap);
-        if commit_id != 0 {
-            if let Some(a) = tap.applied(commit_id).cloned() {
-                drop(tap);
-                self.shared
-                    .log(&format!("session {}: gc {commit_id:#x} replayed", self.id));
-                return self.reply(
-                    stream,
-                    &Message::GcAck {
-                        containers_dropped: a.chunks,
-                        reclaimed_bytes: a.extra,
-                        moved_chunks: a.extra2,
-                    },
-                );
-            }
-        }
-        let report = {
-            let mut slot = lock_unpoisoned(&self.shared.slot);
-            let engine = slot.engine.as_mut().expect("engine open while serving");
-            engine.gc(threshold_permille)
+        let gc = |_: &AdversaryTap, engine: &mut ShardedDedupEngine| {
+            let r = engine.gc(threshold_permille);
+            let counts = [r.containers_dropped, r.reclaimed_bytes, r.moved_chunks];
+            Ok((op(OpKind::Gc, commit_id, String::new(), counts), None))
         };
-        tap.record_gc(report.containers_dropped, report.reclaimed_bytes);
-        tap.record_applied(
-            commit_id,
-            AppliedCommit {
-                label: String::new(),
-                chunks: report.containers_dropped,
-                extra: report.reclaimed_bytes,
-                extra2: report.moved_chunks,
-            },
-        );
-        drop(tap);
-        self.shared.log(&format!(
-            "session {}: gc dropped {} containers, reclaimed {} bytes, moved {} chunks",
-            self.id, report.containers_dropped, report.reclaimed_bytes, report.moved_chunks
-        ));
-        self.reply(
-            stream,
-            &Message::GcAck {
-                containers_dropped: report.containers_dropped,
-                reclaimed_bytes: report.reclaimed_bytes,
-                moved_chunks: report.moved_chunks,
-            },
-        )
+        let ack = |a: &AppliedCommit| Message::GcAck {
+            containers_dropped: a.chunks,
+            reclaimed_bytes: a.extra,
+            moved_chunks: a.extra2,
+        };
+        self.once(stream, "gc", commit_id, gc, ack).map(drop)
     }
 
     /// REED-style rekeying: re-encrypts every stored container under the
@@ -540,52 +456,19 @@ impl Session<'_> {
             self.reply_err(stream, code::BAD_STATE, "REKEY requires a nonempty secret");
             return Ok(());
         }
-        let mut tap = lock_unpoisoned(&self.shared.tap);
-        if commit_id != 0 {
-            if let Some(a) = tap.applied(commit_id).cloned() {
-                drop(tap);
-                self.epoch = self.epoch.max(a.chunks);
-                self.shared.log(&format!(
-                    "session {}: rekey {commit_id:#x} replayed (epoch {})",
-                    self.id, a.chunks
-                ));
-                return self.reply(
-                    stream,
-                    &Message::RekeyAck {
-                        epoch: a.chunks,
-                        containers_rewritten: a.extra,
-                    },
-                );
-            }
-        }
-        let report = {
-            let mut slot = lock_unpoisoned(&self.shared.slot);
-            let engine = slot.engine.as_mut().expect("engine open while serving");
-            engine.rekey(secret)
+        let rekey = |_: &AdversaryTap, engine: &mut ShardedDedupEngine| {
+            let r = engine.rekey(secret);
+            let counts = [r.epoch, r.containers_rewritten, 0];
+            Ok((op(OpKind::Rekey, commit_id, String::new(), counts), None))
         };
-        tap.record_rekey(report.epoch);
-        tap.record_applied(
-            commit_id,
-            AppliedCommit {
-                label: String::new(),
-                chunks: report.epoch,
-                extra: report.containers_rewritten,
-                extra2: 0,
-            },
-        );
-        drop(tap);
-        self.epoch = self.epoch.max(report.epoch);
-        self.shared.log(&format!(
-            "session {}: rekey to epoch {} ({} containers rewritten)",
-            self.id, report.epoch, report.containers_rewritten
-        ));
-        self.reply(
-            stream,
-            &Message::RekeyAck {
-                epoch: report.epoch,
-                containers_rewritten: report.containers_rewritten,
-            },
-        )
+        let ack = |a: &AppliedCommit| Message::RekeyAck {
+            epoch: a.chunks,
+            containers_rewritten: a.extra,
+        };
+        if let Some(a) = self.once(stream, "rekey", commit_id, rekey, ack)? {
+            self.epoch = self.epoch.max(a.chunks);
+        }
+        Ok(())
     }
 
     /// Ingests one batch: dedup through the sharded engine *and* append
@@ -668,7 +551,7 @@ impl Session<'_> {
         }
         let records: Option<Vec<ChunkRecord>> = {
             let tap = lock_unpoisoned(&self.shared.tap);
-            tap.backup(label).map(|b| b.chunks.clone())
+            tap.live(label).map(|(b, _)| b.chunks.clone())
         };
         let Some(records) = records else {
             self.reply_err(
@@ -778,17 +661,20 @@ impl Session<'_> {
     }
 }
 
-/// The engine-side backup id of a manifest label: a 64-bit FNV-1a hash,
-/// stable across sessions and restarts so DELETE-BACKUP can address a
-/// manifest committed in an earlier server run without a separate
-/// label→id catalog.
-pub(crate) fn label_backup_id(label: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in label.as_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// What [`Session::once`]'s operation returns: the catalog record, and a
+/// store backup id to release once the record is durable.
+type Applied = (CatalogRecord, Option<u64>);
+
+/// The catalog record of a non-commit operation, from its ack's label
+/// and its `chunks`, `extra` and `extra2` counters.
+fn op(kind: OpKind, op_id: u64, label: String, [chunks, extra, extra2]: [u64; 3]) -> CatalogRecord {
+    let ack = AppliedCommit {
+        label,
+        chunks,
+        extra,
+        extra2,
+    };
+    CatalogRecord::Op { kind, op_id, ack }
 }
 
 /// Encodes the GET-CHUNK [`Message::ChunkResp`] for a fingerprint straight

@@ -2,41 +2,30 @@
 //!
 //! The paper's adversary models (§3) give the attacker the storage
 //! provider's view: the logical, pre-deduplication order of ciphertext
-//! chunks of each uploaded backup. In a real deployment this view is not
-//! hypothetical — it is the provider's *own metadata*: the per-session
-//! upload stream the service must read anyway, and the backup manifests
-//! it must keep to serve restores. [`AdversaryTap`] records exactly that:
-//! every session's observed `(fingerprint, size)` stream, segmented at
-//! COMMIT-MANIFEST boundaries into ordinary [`Backup`]s, so
-//! `LocalityAttack` / `AdvancedAttack` run **unchanged** against live
-//! traffic.
+//! chunks of each uploaded backup. In a real deployment this view is the
+//! provider's *own metadata*: the upload streams it must read anyway, and
+//! the manifests it must keep to serve restores. [`AdversaryTap`] is that
+//! metadata — a fold over the service's write-ahead catalog
+//! ([`crate::catalog`]), from which RESTORE-BACKUP is served — as ordinary
+//! [`Backup`]s, so `LocalityAttack` / `AdvancedAttack` run **unchanged**
+//! against live traffic. The metadata the provider needs in order to
+//! function *is* the leak.
 //!
-//! Because a session is one TCP connection handled start-to-finish by one
-//! worker, each committed stream is byte-identical to the order the
-//! client sent — concurrent sessions never interleave *within* a tapped
-//! backup. [`AdversaryTap::series`] therefore returns a deterministic
-//! representation (sorted by label) regardless of which client's commit
-//! raced ahead, which is what makes live-traffic attack output
-//! reproducible against offline ingest.
+//! A session is one connection handled by one worker, so each committed
+//! stream is byte-identical to the client's send order, and
+//! [`AdversaryTap::series`] (sorted by label) is deterministic however
+//! the sessions raced.
 //!
-//! The tap doubles as the service's manifest catalog: RESTORE-BACKUP is
-//! served from it. That is the threat model in one line — the metadata
-//! the provider needs in order to function *is* the leak.
-//!
-//! Since PR 6 the tap also keeps the adversary's **running attack
-//! state**: a [`TapStreaming`] around one [`IncrementalStats`] — `COUNT`
-//! is policy-free, so the same state serves both [`TiePolicy`] rankings —
-//! folded forward on every [`AdversaryTap::record_commit`] in O(delta)
-//! amortized — the attacker never rebuilds `COUNT` from the full tape.
-//! The streaming state follows **commit order** (the order the provider
-//! actually observed), and is bit-identical at every commit point to a
-//! batch recompute over [`AdversaryTap::committed`]. It persists beside
-//! the catalog (`tap.fqis` next to `tap.fqdt`), so a restarted tap
-//! resumes the exact same state without replaying history; when only the
-//! catalog survives, the state is rebuilt by replaying the label-sorted
-//! series (deterministic, but equal to the live state only when commit
-//! order matched label order — first-seen positions, which `StreamOrder`
-//! ranks by, depend on it).
+//! The tap also keeps the adversary's **running attack state**: a
+//! [`TapStreaming`] around one policy-free [`IncrementalStats`], folded
+//! once per COMMIT record in O(delta) amortized and ranked under either
+//! [`TiePolicy`]. It follows **commit order** and keeps deleted
+//! manifests' contribution (the provider cannot unsee an upload), and it
+//! is bit-identical to a batch recompute over the committed streams. One
+//! [`AdversaryTap::apply`] builds it while serving and at bind, so after a
+//! graceful restart or a crash it equals a server that never stopped;
+//! `tap.fqis` only caches it, so a bind folds just the records after the
+//! cached prefix.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -46,8 +35,12 @@ use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::counting::TiePolicy;
 use freqdedup_core::{DenseStats, IncrementalStats, Inference};
-use freqdedup_trace::io::{self, CodecError, CrcReader, CrcWriter, TraceIoError};
+use freqdedup_store::persist::{maybe_sync_dir, FsyncPolicy, PersistError};
+use freqdedup_trace::io::{self, CodecError, CrcReader, TraceIoError};
 use freqdedup_trace::{Backup, BackupSeries};
+
+use crate::catalog::{CatalogLog, CatalogRecord, OpKind};
+use crate::server::{ServeError, CATALOG_FILE, CIDS_FILE, STREAM_FILE, TAP_FILE};
 
 /// Commits whose update latency [`TapStreaming`] remembers: the log is
 /// diagnostic, so a long-lived server keeps the most recent ones only.
@@ -77,12 +70,6 @@ impl PartialEq for TapStreaming {
 impl Eq for TapStreaming {}
 
 impl TapStreaming {
-    /// Creates empty running state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Folds one committed backup into the running state; returns the
     /// wall-clock cost in microseconds (also appended to
     /// [`Self::update_micros`]).
@@ -123,55 +110,34 @@ impl TapStreaming {
         self.stats.logical_chunks()
     }
 
-    /// Rebuilds running state by replaying `committed` in the given
-    /// order (the bootstrap path when no persisted state exists).
+    /// Builds running state by folding `committed` in the given order —
+    /// the batch oracle the live state is checked against.
     #[must_use]
     pub fn rebuild(committed: &[Backup]) -> Self {
-        let mut streaming = TapStreaming::new();
+        let mut streaming = TapStreaming::default();
         for backup in committed {
             streaming.commit(backup);
         }
         streaming
     }
 
-    /// Persists the running state (one CRC-checked blob).
+    /// Saves the running state as the `tap.fqis` cache (one CRC-checked
+    /// blob; [`AdversaryTap::open`] reads it back bit-identically).
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on write failure.
     pub fn save(&self, path: &Path) -> Result<(), TraceIoError> {
-        let file = std::fs::File::create(path)?;
-        let mut writer = std::io::BufWriter::new(file);
+        let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
         self.stats.write_to(&mut writer)?;
-        use std::io::Write;
-        writer.flush()?;
-        Ok(())
-    }
-
-    /// Reloads state saved by [`Self::save`]. The result is
-    /// bit-identical to the saved state (segment layout included); the
-    /// latency log starts empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] on read failure, corruption, or a file of
-    /// another format version (the two-blob version 1 included).
-    pub fn load(path: &Path) -> Result<Self, TraceIoError> {
-        let file = std::fs::File::open(path)?;
-        let stats = IncrementalStats::read_from(std::io::BufReader::new(file))?;
-        Ok(TapStreaming {
-            stats,
-            update_micros: Vec::new(),
-        })
+        Ok(std::io::Write::flush(&mut writer)?)
     }
 }
 
-/// One entry of the applied-commit registry: what a nonzero commit ID
-/// already produced, so a client replaying the same operation after a
-/// mid-operation disconnect gets the recorded acknowledgement instead of
-/// a second application. Since PR 8 the registry covers the lifecycle
-/// operations too (DELETE-BACKUP, GC, REKEY), which reuse the generic
-/// `extra` slots for their ack fields.
+/// One entry of the applied-commit registry: the ack a nonzero operation
+/// id produced, so a client replaying the operation after a lost ack gets
+/// it again instead of a second application. COMMIT, DELETE-BACKUP, GC and
+/// REKEY share it, each reading the counters its ack carries.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AppliedCommit {
     /// The manifest label the operation named (empty for GC/REKEY).
@@ -185,19 +151,6 @@ pub struct AppliedCommit {
     pub extra: u64,
     /// Tertiary ack counter: moved chunks for GC; 0 otherwise.
     pub extra2: u64,
-}
-
-impl AppliedCommit {
-    /// Entry for an ordinary manifest commit (the extra slots unused).
-    #[must_use]
-    pub fn manifest(label: String, chunks: u64) -> Self {
-        AppliedCommit {
-            label,
-            chunks,
-            extra: 0,
-            extra2: 0,
-        }
-    }
 }
 
 /// One lifecycle operation as the provider-side adversary observes it.
@@ -230,127 +183,178 @@ pub enum LifecycleEvent {
     },
 }
 
-/// Magic bytes of the applied-commit registry file (`tap.cids`).
-const CIDS_MAGIC: &[u8; 4] = b"FQCI";
-/// Format version of the registry file. Version 2 added the two `extra`
-/// ack slots per entry (lifecycle-operation replays); version-1 files are
-/// rejected, which the server degrades to "no replay-suppression window".
-const CIDS_VERSION: u16 = 2;
-
-/// Per-session observed ciphertext streams, segmented by commit.
-#[derive(Clone, Debug, Default)]
+/// Per-session observed ciphertext streams, segmented by commit: the fold
+/// of `catalog.log`.
+#[derive(Debug, Default)]
 pub struct AdversaryTap {
-    /// Committed backups in commit order (racy across sessions; use
-    /// [`Self::series`] for the deterministic view).
+    /// Live manifests in commit order (racy across sessions; use
+    /// [`Self::series`] for the deterministic view). Labels are unique.
     committed: Vec<Backup>,
-    /// Streams of sessions that disconnected without committing
-    /// (observed but not restorable).
-    abandoned: Vec<Backup>,
+    /// The store backup id of each live manifest, index-aligned.
+    backup_ids: Vec<u64>,
     /// Running attack state, folded forward on every commit.
     streaming: TapStreaming,
-    /// Exactly-once registry: nonzero commit IDs that already committed,
+    /// Exactly-once registry: nonzero operation ids already applied,
     /// with the ack the client should see on replay.
     applied: HashMap<u64, AppliedCommit>,
     /// Lifecycle operations observed in order (deletions, GC passes,
     /// rekeys) — adversary observables, like the committed streams.
     lifecycle: Vec<LifecycleEvent>,
-    /// Manifests deleted from the catalog since this tap was built or
-    /// loaded (the running attack state still covers them — observation
-    /// is irreversible).
-    deleted_commits: u64,
-    /// Logical chunks those deleted manifests carried.
-    deleted_chunks: u64,
-    /// Degraded-recovery events observed while loading persisted state
-    /// (corrupt `tap.fqis` / `tap.cids` recovered by replay or reset).
+    /// COMMIT records folded, deleted manifests included: the commit
+    /// clock and STATS `committed_backups`.
+    commits: u64,
+    /// Logical chunks those records carried.
+    commit_chunks: u64,
+    /// Degraded-recovery events of the bind: an unusable `tap.fqis`
+    /// cache, or an unreadable pre-catalog registry.
     warnings: u64,
+    /// The journal records are appended to (`None` for an in-memory tap).
+    log: Option<CatalogLog>,
 }
 
 impl AdversaryTap {
-    /// Creates an empty tap.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one committed manifest stream, folding it into the
-    /// running attack state (O(delta) amortized) before appending it to
-    /// the catalog. Equivalent to [`Self::record_commit_id`] with commit
-    /// ID 0 (no exactly-once tracking).
-    pub fn record_commit(&mut self, backup: Backup) {
-        self.record_commit_id(backup, 0);
-    }
-
-    /// [`Self::record_commit`] that additionally registers a nonzero
-    /// `commit_id` in the applied-commit registry, making the commit
-    /// idempotent: a later [`Self::applied`] lookup for the same ID
-    /// returns the recorded ack instead of ingesting again. Commit ID 0
-    /// opts out (the legacy non-resumable client path).
-    pub fn record_commit_id(&mut self, backup: Backup, commit_id: u64) {
-        if commit_id != 0 {
-            self.applied.insert(
-                commit_id,
-                AppliedCommit::manifest(backup.label.clone(), backup.len() as u64),
-            );
+    /// Opens the tap of the store rooted at `dir` by replaying its
+    /// `catalog.log` (created empty when absent), which later
+    /// [`Self::append`]s extend under `fsync`. The `tap.fqis` cache, when
+    /// it covers a prefix of the journal, stands in for folding that
+    /// prefix; a missing one costs a full fold, and a corrupt, stale or
+    /// ahead-of-the-journal one a full fold and a [`Self::warnings`]. A
+    /// pre-catalog store (`tap.fqdt`, maybe `tap.cids`, no journal) is
+    /// imported first, once.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Persist`] when the journal fails to open or is
+    /// corrupt, [`ServeError::Tap`] when a pre-catalog `tap.fqdt` is.
+    pub fn open(dir: &Path, fsync: FsyncPolicy) -> Result<Self, ServeError> {
+        let mut tap = AdversaryTap::default();
+        if !dir.join(CATALOG_FILE).exists() && dir.join(TAP_FILE).exists() {
+            tap.warnings += import(dir, fsync)?;
         }
-        self.streaming.commit(&backup);
-        self.committed.push(backup);
-    }
-
-    /// Registers a nonzero operation id in the applied registry without
-    /// touching the catalog — the lifecycle operations' exactly-once
-    /// path (the catalog change, if any, happens through
-    /// [`Self::delete_backup`] / [`Self::record_gc`] /
-    /// [`Self::record_rekey`]).
-    pub fn record_applied(&mut self, commit_id: u64, entry: AppliedCommit) {
-        if commit_id != 0 {
-            self.applied.insert(commit_id, entry);
+        let (log, records) = CatalogLog::open(&dir.join(CATALOG_FILE), fsync)?;
+        let cache = std::fs::File::open(dir.join(STREAM_FILE))
+            .map_err(TraceIoError::from)
+            .and_then(|file| IncrementalStats::read_from(std::io::BufReader::new(file)));
+        match cache {
+            Ok(stats) if covers(&stats, &records) => tap.streaming.stats = stats,
+            Err(TraceIoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+            _ => tap.warnings += 1,
         }
+        for record in records {
+            tap.apply(record);
+        }
+        tap.log = Some(log);
+        Ok(tap)
     }
 
-    /// Deletes every committed manifest with `label` from the catalog,
-    /// recording the deletion as a lifecycle observable. Returns the
-    /// total `(chunks, bytes)` the removed manifests carried, or `None`
-    /// when no manifest matched. The running attack state keeps covering
-    /// the deleted streams — the provider observed them; deletion cannot
-    /// unobserve. A restarted tap rebuilds from the surviving catalog
-    /// only.
-    pub fn delete_backup(&mut self, label: &str) -> Option<(u64, u64)> {
-        let mut chunks = 0u64;
-        let mut bytes = 0u64;
-        let mut removed = 0u64;
-        self.committed.retain(|b| {
-            if b.label == label {
-                chunks += b.len() as u64;
-                bytes += b.chunks.iter().map(|rec| u64::from(rec.size)).sum::<u64>();
-                removed += 1;
-                false
-            } else {
-                true
+    /// Appends `record` to the journal (when the tap has one), then folds
+    /// it in with [`Self::apply`]; returns its ack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError`] when the append fails; the tap is then
+    /// unchanged.
+    pub fn append(&mut self, record: CatalogRecord) -> Result<AppliedCommit, PersistError> {
+        if let Some(log) = &mut self.log {
+            log.append(&record)?;
+        }
+        Ok(self.apply(record))
+    }
+
+    /// Folds one catalog record into the tap and returns its ack. A
+    /// COMMIT joins the live catalog (retiring an earlier manifest of the
+    /// same label) and the running attack state, unless a resumed cache
+    /// already covers it; a DELETE leaves the catalog but not the attack
+    /// state (the provider cannot unsee an upload); every operation is a
+    /// [`LifecycleEvent`] bar commits and imported entries; and a nonzero
+    /// op id enters the exactly-once registry.
+    pub fn apply(&mut self, record: CatalogRecord) -> AppliedCommit {
+        let (op_id, ack) = match record {
+            CatalogRecord::Commit {
+                op_id,
+                backup_id,
+                backup,
+                ..
+            } => {
+                if self.streaming.commits() == self.commits {
+                    self.streaming.commit(&backup);
+                }
+                self.commits += 1;
+                self.commit_chunks += backup.len() as u64;
+                self.retire(&backup.label);
+                let ack = AppliedCommit {
+                    label: backup.label.clone(),
+                    chunks: backup.len() as u64,
+                    extra: 0,
+                    extra2: 0,
+                };
+                self.committed.push(backup);
+                self.backup_ids.push(backup_id);
+                (op_id, ack)
             }
-        });
-        if removed == 0 {
-            return None;
+            CatalogRecord::Op { kind, op_id, ack } => {
+                let event = match kind {
+                    OpKind::Delete => {
+                        self.retire(&ack.label);
+                        Some(LifecycleEvent::Delete {
+                            label: ack.label.clone(),
+                            chunks: ack.chunks,
+                        })
+                    }
+                    OpKind::Gc => Some(LifecycleEvent::Gc {
+                        containers_dropped: ack.chunks,
+                        reclaimed_bytes: ack.extra,
+                    }),
+                    OpKind::Rekey => Some(LifecycleEvent::Rekey { epoch: ack.chunks }),
+                    OpKind::Imported => None,
+                };
+                self.lifecycle.extend(event);
+                (op_id, ack)
+            }
+        };
+        if op_id != 0 {
+            self.applied.insert(op_id, ack.clone());
         }
-        self.deleted_commits += removed;
-        self.deleted_chunks += chunks;
-        self.lifecycle.push(LifecycleEvent::Delete {
-            label: label.to_string(),
-            chunks,
-        });
-        Some((chunks, bytes))
+        ack
     }
 
-    /// Records a garbage-collection pass as a lifecycle observable.
-    pub fn record_gc(&mut self, containers_dropped: u64, reclaimed_bytes: u64) {
-        self.lifecycle.push(LifecycleEvent::Gc {
-            containers_dropped,
-            reclaimed_bytes,
-        });
+    /// Drops the live manifest labelled `label`, if any.
+    fn retire(&mut self, label: &str) {
+        if let Some(i) = self.committed.iter().position(|b| b.label == label) {
+            self.committed.remove(i);
+            self.backup_ids.remove(i);
+        }
     }
 
-    /// Records a committed rekey as a lifecycle observable.
-    pub fn record_rekey(&mut self, epoch: u64) {
-        self.lifecycle.push(LifecycleEvent::Rekey { epoch });
+    /// The live manifest labelled `label` and its store backup id.
+    #[must_use]
+    pub fn live(&self, label: &str) -> Option<(&Backup, u64)> {
+        let i = self.committed.iter().position(|b| b.label == label)?;
+        Some((&self.committed[i], self.backup_ids[i]))
+    }
+
+    /// Whether `id` is the store backup id of a live manifest.
+    #[must_use]
+    pub fn is_live(&self, id: u64) -> bool {
+        self.backup_ids.contains(&id)
+    }
+
+    /// The store backup id the next COMMIT gets: the commit count plus
+    /// one, skipping ids still live (an imported store's ids are label
+    /// hashes).
+    #[must_use]
+    pub fn next_backup_id(&self) -> u64 {
+        let mut id = self.commits + 1;
+        while self.is_live(id) {
+            id += 1;
+        }
+        id
+    }
+
+    /// COMMIT records in the catalog, deleted manifests included.
+    #[must_use]
+    pub fn commits(&self) -> u64 {
+        self.commits
     }
 
     /// Lifecycle operations observed so far, in order.
@@ -359,95 +363,47 @@ impl AdversaryTap {
         &self.lifecycle
     }
 
-    /// Manifests deleted from the catalog since this tap was built or
-    /// loaded.
-    #[must_use]
-    pub fn deleted_commits(&self) -> u64 {
-        self.deleted_commits
-    }
-
-    /// Looks up a nonzero commit ID in the applied-commit registry.
+    /// Looks up a nonzero operation id in the applied registry.
     #[must_use]
     pub fn applied(&self, commit_id: u64) -> Option<&AppliedCommit> {
         self.applied.get(&commit_id)
     }
 
-    /// The full applied-commit registry (commit ID → recorded ack).
+    /// The full applied registry (operation id → recorded ack).
     #[must_use]
     pub fn applied_commits(&self) -> &HashMap<u64, AppliedCommit> {
         &self.applied
     }
 
-    /// Degraded-recovery warnings accumulated while loading persisted
-    /// state (0 for a tap that loaded cleanly or was built in memory).
+    /// Degraded-recovery warnings of [`Self::open`] (0 for a tap that
+    /// opened cleanly or was built in memory).
     #[must_use]
     pub fn warnings(&self) -> u64 {
         self.warnings
     }
 
-    /// Records the un-committed tail stream of a closed session.
-    pub fn record_abandoned(&mut self, backup: Backup) {
-        if !backup.is_empty() {
-            self.abandoned.push(backup);
-        }
-    }
-
-    /// The committed backup with the given manifest label (most recent
-    /// commit wins when a label was reused).
-    #[must_use]
-    pub fn backup(&self, label: &str) -> Option<&Backup> {
-        self.committed.iter().rev().find(|b| b.label == label)
-    }
-
-    /// Number of committed manifests.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// Whether nothing has been committed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.committed.is_empty()
-    }
-
-    /// Committed backups in commit order (nondeterministic across
+    /// Live manifests in commit order (nondeterministic across
     /// concurrent sessions — prefer [`Self::series`] for analysis).
     #[must_use]
     pub fn committed(&self) -> &[Backup] {
         &self.committed
     }
 
-    /// Un-committed session tails (observed traffic that never became a
-    /// manifest).
-    #[must_use]
-    pub fn abandoned(&self) -> &[Backup] {
-        &self.abandoned
-    }
-
-    /// Total logical chunks observed across committed manifests.
-    #[must_use]
-    pub fn observed_chunks(&self) -> u64 {
-        self.committed.iter().map(|b| b.len() as u64).sum()
-    }
-
-    /// The adversary's running attack state (kept in lockstep with
-    /// [`Self::committed`] by [`Self::record_commit`]).
+    /// The adversary's running attack state: every COMMIT record of the
+    /// catalog, folded in journal order.
     #[must_use]
     pub fn streaming(&self) -> &TapStreaming {
         &self.streaming
     }
 
-    /// Whether the running state covers exactly what was observed: the
-    /// committed catalog plus everything [`Self::delete_backup`] removed
-    /// from it (the adversary's state never un-counts an observation).
-    /// Always true for a tap built through [`Self::record_commit`] /
-    /// [`Self::delete_backup`]; checked after a resume from separately
-    /// persisted state.
+    /// Whether the running state covers exactly the catalog's COMMIT
+    /// records — deleted manifests included, since observation is
+    /// irreversible. Always true for a tap built by [`Self::apply`];
+    /// checked after a resume from the `tap.fqis` cache.
     #[must_use]
     pub fn streaming_consistent(&self) -> bool {
-        self.streaming.commits() == self.committed.len() as u64 + self.deleted_commits
-            && self.streaming.logical_chunks() == self.observed_chunks() + self.deleted_chunks
+        self.streaming.commits() == self.commits
+            && self.streaming.logical_chunks() == self.commit_chunks
     }
 
     /// Runs `kind` in ciphertext-only mode against the **running** state
@@ -456,7 +412,7 @@ impl AdversaryTap {
     /// ciphertext-side `COUNT`: one flatten of the running state
     /// ([`IncrementalStats::to_dense`]), one `COUNT` of `plain_aux`, then
     /// two crawls of the same flat tables. Bit-identical to a batch
-    /// recompute over [`Self::committed`] at this commit point.
+    /// recompute over every stream committed so far, in commit order.
     #[must_use]
     pub fn streaming_inference_both_policies(
         &self,
@@ -475,13 +431,10 @@ impl AdversaryTap {
     /// on.
     #[must_use]
     pub fn series(&self, name: impl Into<String>) -> BackupSeries {
-        let mut series = BackupSeries::new(name);
-        let mut sorted = self.committed.clone();
-        sorted.sort_by(|a, b| a.label.cmp(&b.label));
-        for backup in sorted {
-            series.push(backup);
-        }
-        series
+        let mut backups = self.committed.clone();
+        backups.sort_by(|a, b| a.label.cmp(&b.label));
+        let name = name.into();
+        BackupSeries { name, backups }
     }
 
     /// The chunk-boundary observable: each committed backup's
@@ -492,165 +445,103 @@ impl AdversaryTap {
     /// lengths — the raw material of boundary-inference attacks on CDC
     /// (the provider learns where every client-side cut fell, and cut
     /// positions are a function of plaintext content). The sequences ride
-    /// in the same `(fingerprint, size)` records the catalog already
-    /// persists (`tap.fqdt`), so a reloaded tap exposes the identical
-    /// observable.
+    /// in the same `(fingerprint, size)` records `catalog.log` keeps, so a
+    /// reopened tap exposes the identical observable.
     #[must_use]
     pub fn length_sequences(&self) -> Vec<(String, Vec<u32>)> {
-        let mut sorted: Vec<&Backup> = self.committed.iter().collect();
-        sorted.sort_by(|a, b| a.label.cmp(&b.label));
-        sorted
-            .into_iter()
-            .map(|b| {
-                (
-                    b.label.clone(),
-                    b.chunks.iter().map(|rec| rec.size).collect(),
-                )
-            })
-            .collect()
+        let sizes = |b: Backup| (b.label, b.chunks.iter().map(|rec| rec.size).collect());
+        self.series("").backups.into_iter().map(sizes).collect()
     }
+}
 
-    /// Persists the deterministic view to the workspace trace format
-    /// (used by the server to survive restarts: the tap is also the
-    /// manifest catalog).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] on write failure.
-    pub fn save(&self, path: &Path) -> Result<(), TraceIoError> {
-        let file = std::fs::File::create(path)?;
-        let mut writer = std::io::BufWriter::new(file);
-        io::write_series(&self.series("tap"), &mut writer)?;
-        use std::io::Write;
-        writer.flush()?;
-        Ok(())
-    }
-
-    /// Persists the applied-commit registry (`tap.cids`): magic,
-    /// version, entry count, `(commit_id, chunks, extra, extra2, label)`
-    /// entries, and a
-    /// trailing CRC-32 over everything before it. Like the catalog and
-    /// the streaming state, the registry is written at graceful shutdown
-    /// — a crash between commits loses at most the replay-suppression
-    /// window, never store or catalog integrity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] on write failure.
-    pub fn save_commit_ids(&self, path: &Path) -> Result<(), TraceIoError> {
-        let mut w = CrcWriter::new(Vec::with_capacity(16 + self.applied.len() * 44));
-        w.header(CIDS_MAGIC, CIDS_VERSION)?;
-        w.u32(self.applied.len() as u32)?;
-        // Sorted so the file is byte-deterministic for a given registry.
-        let mut ids: Vec<_> = self.applied.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let entry = &self.applied[&id];
-            w.u64(id)?;
-            w.u64(entry.chunks)?;
-            w.u64(entry.extra)?;
-            w.u64(entry.extra2)?;
-            w.str(&entry.label)?;
-        }
-        std::fs::write(path, w.finish()?)?;
-        Ok(())
-    }
-
-    /// Merges a registry saved by [`Self::save_commit_ids`] into this
-    /// tap; returns the number of entries loaded. Nothing is merged
-    /// unless the whole file verifies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] on read failure, bad magic/version, CRC
-    /// mismatch, or a malformed entry.
-    pub fn load_commit_ids(&mut self, path: &Path) -> Result<usize, TraceIoError> {
-        let file = std::fs::File::open(path)?;
-        let mut r = CrcReader::new(std::io::BufReader::new(file), "tap.cids");
-        r.expect_header(CIDS_MAGIC, CIDS_VERSION)?;
-        let count = r.u32("entry count")?;
-        let entries = r.seq(u64::from(count), |r| {
-            let id = r.u64("commit id")?;
-            let entry = AppliedCommit {
-                chunks: r.u64("chunks")?,
-                extra: r.u64("extra")?,
-                extra2: r.u64("extra2")?,
-                label: r.str("label")?,
-            };
-            Ok::<_, CodecError>((id, entry))
-        })?;
-        r.expect_crc()?;
-        let mut loaded = 0;
-        for (id, entry) in entries {
-            if id != 0 {
-                self.applied.insert(id, entry);
-                loaded += 1;
-            }
-        }
-        Ok(loaded)
-    }
-
-    /// Reloads a tap saved by [`Self::save`] (abandoned streams are not
-    /// persisted). The running attack state is **rebuilt by replaying**
-    /// the reloaded catalog — deterministic, but O(history); prefer
-    /// [`Self::load_resuming`] when the separately persisted state file
-    /// exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] on read failure or corruption.
-    pub fn load(path: &Path) -> Result<Self, TraceIoError> {
-        let committed = Self::load_catalog(path)?;
-        let streaming = TapStreaming::rebuild(&committed);
-        Ok(AdversaryTap {
-            committed,
-            streaming,
-            ..AdversaryTap::default()
+/// Whether a cached running state is a prefix of the journal: as many
+/// commits as it has COMMIT records, carrying as many logical chunks over
+/// its first `cache.commits()` of them.
+fn covers(cache: &IncrementalStats, records: &[CatalogRecord]) -> bool {
+    let prefix: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            CatalogRecord::Commit { backup, .. } => Some(backup.len() as u64),
+            CatalogRecord::Op { .. } => None,
         })
-    }
+        .take(usize::try_from(cache.commits()).unwrap_or(usize::MAX))
+        .collect();
+    prefix.len() as u64 == cache.commits() && prefix.iter().sum::<u64>() == cache.logical_chunks()
+}
 
-    /// Reloads a tap together with its persisted running attack state
-    /// ([`TapStreaming::save`]) — the O(1)-replay resume path: the state
-    /// comes back bit-identical to the one saved, with no history
-    /// replay. Falls back to a replay rebuild when the persisted state
-    /// does not cover the catalog (e.g. the two files are from different
-    /// shutdowns), and — counting a [`Self::warnings`] degradation — when
-    /// the state file is corrupt, truncated or of an older format version:
-    /// the catalog is the source of truth, so a bad `tap.fqis` costs a
-    /// replay, never an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] only when the **catalog** fails to read.
-    pub fn load_resuming(path: &Path, stream_path: &Path) -> Result<Self, TraceIoError> {
-        let committed = Self::load_catalog(path)?;
-        let mut warnings = 0;
-        let streaming = match TapStreaming::load(stream_path) {
-            Ok(streaming) => Some(streaming),
-            Err(TraceIoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(_) => {
-                warnings += 1;
-                None
-            }
-        };
-        let mut tap = AdversaryTap {
-            streaming: streaming.unwrap_or_else(|| TapStreaming::rebuild(&committed)),
-            committed,
-            warnings,
-            ..AdversaryTap::default()
-        };
-        if !tap.streaming_consistent() {
-            tap.streaming = TapStreaming::rebuild(&tap.committed);
-        }
-        Ok(tap)
+/// Imports a pre-catalog store into a new `catalog.log`: the `tap.fqdt`
+/// manifests in their label order, under the label-hash ids the store
+/// gave them then, followed by the `tap.cids` registry entries. The two
+/// old files are removed once the journal is in place. Returns the
+/// warnings: 1 when `tap.cids` exists but does not read.
+fn import(dir: &Path, fsync: FsyncPolicy) -> Result<u64, ServeError> {
+    let file = std::fs::File::open(dir.join(TAP_FILE))?;
+    let series = io::read_series(std::io::BufReader::new(file))?;
+    let mut records: Vec<CatalogRecord> = (1..)
+        .zip(series.backups)
+        .map(|(timestamp, backup)| CatalogRecord::Commit {
+            op_id: 0,
+            backup_id: label_backup_id(&backup.label),
+            timestamp,
+            backup,
+        })
+        .collect();
+    let mut warnings = 0;
+    match read_registry(&dir.join(CIDS_FILE)) {
+        Ok(entries) => records.extend(entries.into_iter().map(|(op_id, ack)| CatalogRecord::Op {
+            kind: OpKind::Imported,
+            op_id,
+            ack,
+        })),
+        Err(TraceIoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(_) => warnings += 1,
     }
+    // Written aside and renamed into place: a crash leaves either no
+    // catalog (and the import runs again) or all of it.
+    let tmp = dir.join("catalog.log.tmp");
+    let _ = std::fs::remove_file(&tmp);
+    let (mut log, _) = CatalogLog::open(&tmp, fsync)?;
+    for record in &records {
+        log.append(record)?;
+    }
+    std::fs::rename(&tmp, dir.join(CATALOG_FILE))?;
+    maybe_sync_dir(dir, fsync)?;
+    for old in [TAP_FILE, CIDS_FILE] {
+        let _ = std::fs::remove_file(dir.join(old));
+    }
+    Ok(warnings)
+}
 
-    /// Reads the committed-backup catalog of a saved tap.
-    fn load_catalog(path: &Path) -> Result<Vec<Backup>, TraceIoError> {
-        let file = std::fs::File::open(path)?;
-        let series = io::read_series(std::io::BufReader::new(file))?;
-        Ok(series.backups)
-    }
+/// The store backup id a pre-catalog server gave a label: its 64-bit
+/// FNV-1a hash.
+fn label_backup_id(label: &str) -> u64 {
+    label.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Reads a pre-catalog registry: magic `FQCI`, version 2, entry count,
+/// `(op id, chunks, extra, extra2, label)` entries, trailing CRC. Entries
+/// come back sorted by id, id 0 dropped.
+fn read_registry(path: &Path) -> Result<Vec<(u64, AppliedCommit)>, TraceIoError> {
+    let file = std::fs::File::open(path)?;
+    let mut r = CrcReader::new(std::io::BufReader::new(file), "tap.cids");
+    r.expect_header(b"FQCI", 2)?;
+    let count = r.u32("entry count")?;
+    let mut entries = r.seq(u64::from(count), |r| {
+        let id = r.u64("commit id")?;
+        let entry = AppliedCommit {
+            chunks: r.u64("chunks")?,
+            extra: r.u64("extra")?,
+            extra2: r.u64("extra2")?,
+            label: r.str("label")?,
+        };
+        Ok::<_, CodecError>((id, entry))
+    })?;
+    r.expect_crc()?;
+    entries.retain(|(id, _)| *id != 0);
+    entries.sort_by_key(|(id, _)| *id);
+    Ok(entries)
 }
 
 #[cfg(test)]
@@ -662,54 +553,73 @@ mod tests {
         Backup::from_chunks(label, fps.iter().map(|&f| ChunkRecord::new(f, 8)).collect())
     }
 
+    /// Commits `b` through the journal, as the service does.
+    fn commit(tap: &mut AdversaryTap, b: Backup, op_id: u64) -> AppliedCommit {
+        let record = CatalogRecord::Commit {
+            op_id,
+            backup_id: tap.next_backup_id(),
+            timestamp: tap.commits() + 1,
+            backup: b,
+        };
+        tap.append(record).unwrap()
+    }
+
+    fn op(kind: OpKind, op_id: u64, label: &str, chunks: u64, extra: u64) -> CatalogRecord {
+        CatalogRecord::Op {
+            kind,
+            op_id,
+            ack: AppliedCommit {
+                label: label.into(),
+                chunks,
+                extra,
+                extra2: 0,
+            },
+        }
+    }
+
+    fn test_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("freqdedup-tap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn open(dir: &Path) -> AdversaryTap {
+        AdversaryTap::open(dir, FsyncPolicy::Never).unwrap()
+    }
+
     #[test]
     fn series_is_label_sorted_regardless_of_commit_order() {
-        let mut a = AdversaryTap::new();
-        a.record_commit(backup("b", &[1]));
-        a.record_commit(backup("a", &[2]));
-        let mut b = AdversaryTap::new();
-        b.record_commit(backup("a", &[2]));
-        b.record_commit(backup("b", &[1]));
+        let mut a = AdversaryTap::default();
+        commit(&mut a, backup("b", &[1]), 0);
+        commit(&mut a, backup("a", &[2]), 0);
+        let mut b = AdversaryTap::default();
+        commit(&mut b, backup("a", &[2]), 0);
+        commit(&mut b, backup("b", &[1]), 0);
         assert_eq!(a.series("t"), b.series("t"));
         assert_eq!(a.series("t").get(0).unwrap().label, "a");
     }
 
+    /// A reused label retires the older manifest from the catalog (and
+    /// the new one gets its own store id), but both stay observed.
     #[test]
-    fn label_lookup_prefers_latest() {
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("x", &[1]));
-        tap.record_commit(backup("x", &[2, 3]));
-        assert_eq!(tap.backup("x").unwrap().len(), 2);
-        assert!(tap.backup("y").is_none());
-        assert_eq!(tap.observed_chunks(), 3);
+    fn label_reuse_retires_the_older_manifest() {
+        let mut tap = AdversaryTap::default();
+        commit(&mut tap, backup("x", &[1]), 0);
+        let first = tap.live("x").unwrap().1;
+        commit(&mut tap, backup("x", &[2, 3]), 0);
+        let (latest, id) = tap.live("x").unwrap();
+        assert_eq!(latest.len(), 2);
+        assert_ne!(id, first);
+        assert!(!tap.is_live(first));
+        assert!(tap.live("y").is_none());
+        assert_eq!((tap.committed().len(), tap.committed()[0].len()), (1, 2));
+        assert_eq!((tap.commits(), tap.streaming().logical_chunks()), (2, 3));
+        assert!(tap.streaming_consistent());
     }
 
     #[test]
-    fn abandoned_streams_kept_separately() {
-        let mut tap = AdversaryTap::new();
-        tap.record_abandoned(backup("", &[]));
-        tap.record_abandoned(backup("", &[9]));
-        assert_eq!(tap.abandoned().len(), 1);
-        assert!(tap.is_empty());
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("freqdedup-tap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tap.fqdt");
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("m1", &[1, 2, 1]));
-        tap.record_commit(backup("m0", &[7]));
-        tap.save(&path).unwrap();
-        let back = AdversaryTap::load(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.series("t"), tap.series("t"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn length_sequences_are_label_sorted_and_survive_persistence() {
+    fn length_sequences_are_label_sorted_and_survive_reopen() {
         let sized = |label: &str, sizes: &[u32]| {
             Backup::from_chunks(
                 label,
@@ -720,11 +630,12 @@ mod tests {
                     .collect(),
             )
         };
-        let mut tap = AdversaryTap::new();
+        let dir = test_dir("lens");
+        let mut tap = open(&dir);
         // Commit order differs from label order; sequences keep upload
         // order within each backup.
-        tap.record_commit(sized("m1", &[4096, 100, 8192]));
-        tap.record_commit(sized("m0", &[512, 512]));
+        commit(&mut tap, sized("m1", &[4096, 100, 8192]), 0);
+        commit(&mut tap, sized("m0", &[512, 512]), 0);
         assert_eq!(
             tap.length_sequences(),
             vec![
@@ -732,44 +643,15 @@ mod tests {
                 ("m1".to_string(), vec![4096, 100, 8192]),
             ]
         );
-
-        // The observable rides in the persisted catalog: a reloaded tap
-        // exposes identical sequences.
-        let dir = std::env::temp_dir().join(format!("freqdedup-taplens-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tap.fqdt");
-        tap.save(&path).unwrap();
-        let back = AdversaryTap::load(&path).unwrap();
-        assert_eq!(back.length_sequences(), tap.length_sequences());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A catalog whose one backup claims 2^40 chunks fails typed on both
-    /// load paths instead of reserving 16 TiB.
-    #[test]
-    fn forged_catalog_chunk_count_fails_typed() {
-        let dir = std::env::temp_dir().join(format!("freqdedup-tapforged-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tap.fqdt");
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("b", &[7]));
-        tap.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // magic 4, version 2, name "tap" 4 + 3, backup count 4, label 4 + 1.
-        let at = 22;
-        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
-        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(AdversaryTap::load(&path).is_err());
-        assert!(AdversaryTap::load_resuming(&path, &dir.join("tap.fqis")).is_err());
+        assert_eq!(open(&dir).length_sequences(), tap.length_sequences());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn record_commit_keeps_streaming_in_lockstep() {
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("m0", &[1, 2, 1, 3]));
-        tap.record_commit(backup("m1", &[2, 3, 9]));
+    fn apply_keeps_streaming_in_lockstep() {
+        let mut tap = AdversaryTap::default();
+        commit(&mut tap, backup("m0", &[1, 2, 1, 3]), 0);
+        commit(&mut tap, backup("m1", &[2, 3, 9]), 0);
         assert!(tap.streaming_consistent());
         assert_eq!(tap.streaming().commits(), 2);
         assert_eq!(tap.streaming().logical_chunks(), 7);
@@ -784,7 +666,7 @@ mod tests {
 
     #[test]
     fn update_latency_log_keeps_the_most_recent_commits() {
-        let mut streaming = TapStreaming::new();
+        let mut streaming = TapStreaming::default();
         let empty = backup("e", &[]);
         for _ in 0..=UPDATE_LOG_CAP {
             streaming.commit(&empty);
@@ -793,110 +675,67 @@ mod tests {
         assert_eq!(streaming.update_micros().len(), UPDATE_LOG_CAP);
     }
 
+    /// Reopening folds the journal in commit order — the live state, not a
+    /// label-order replay — with or without the cache, and a cache that
+    /// covers a prefix is resumed and only the tail folded.
     #[test]
-    fn streaming_resume_is_bit_identical_and_fallback_replays() {
-        let dir = std::env::temp_dir().join(format!("freqdedup-tapstream-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let tap_path = dir.join("tap.fqdt");
-        let stream_path = dir.join("tap.fqis");
-        let mut tap = AdversaryTap::new();
+    fn reopen_equals_the_live_state_and_resumes_a_prefix_cache() {
+        let dir = test_dir("reopen");
+        let cache = dir.join(STREAM_FILE);
+        let mut tap = open(&dir);
         // Commit order deliberately differs from label order.
-        tap.record_commit(backup("m1", &[1, 2, 1, 3]));
-        tap.record_commit(backup("m0", &[2, 3, 9]));
-        tap.save(&tap_path).unwrap();
-        tap.streaming().save(&stream_path).unwrap();
+        commit(&mut tap, backup("m1", &[1, 2, 1, 3]), 0);
+        commit(&mut tap, backup("m0", &[2, 3, 9]), 0);
+        tap.streaming().save(&cache).unwrap();
+        commit(&mut tap, backup("m2", &[5, 1]), 0);
+        let rebuilt = TapStreaming::rebuild(tap.committed());
+        assert_eq!(tap.streaming(), &rebuilt);
 
-        // Resume path: exact state back, segment layout and all.
-        let resumed = AdversaryTap::load_resuming(&tap_path, &stream_path).unwrap();
+        // The cache is two commits behind: resumed, tail folded.
+        let resumed = open(&dir);
+        assert_eq!(resumed.warnings(), 0);
         assert_eq!(resumed.streaming(), tap.streaming());
-        assert!(resumed.streaming_consistent());
+        assert_eq!(resumed.streaming().update_micros().len(), 1);
 
-        // Fallback path: consistent, but rebuilt from the label-sorted
-        // catalog (same chunks and counts; first-seen orders differ from
-        // the live state's here, since the labels were committed out of
-        // order).
-        let rebuilt = AdversaryTap::load(&tap_path).unwrap();
-        assert!(rebuilt.streaming_consistent());
+        // No cache: the whole journal is folded, silently.
+        std::fs::remove_file(&cache).unwrap();
+        let folded = open(&dir);
         assert_eq!(
-            rebuilt.streaming().stats().freq().len(),
-            tap.streaming().stats().freq().len()
+            (folded.warnings(), folded.streaming()),
+            (0, tap.streaming())
         );
-        assert_ne!(rebuilt.streaming(), tap.streaming());
+        assert_eq!(folded.commits(), 3);
 
-        // A stale state file (one commit behind) triggers the replay
-        // fallback instead of resuming inconsistent state.
-        let mut newer = tap.clone();
-        newer.record_commit(backup("m2", &[5]));
-        newer.save(&tap_path).unwrap();
-        let fell_back = AdversaryTap::load_resuming(&tap_path, &stream_path).unwrap();
-        assert!(fell_back.streaming_consistent());
-        assert_eq!(fell_back.streaming().commits(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn commit_id_registry_round_trips_and_rejects_corruption() {
-        let dir = std::env::temp_dir().join(format!("freqdedup-tapcids-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tap.cids");
-        let mut tap = AdversaryTap::new();
-        tap.record_commit_id(backup("m0", &[1, 2]), 41);
-        tap.record_commit_id(backup("m1", &[3]), 42);
-        // Commit ID 0 opts out of the registry.
-        tap.record_commit_id(backup("m2", &[4]), 0);
-        assert_eq!(tap.applied(41).unwrap().chunks, 2);
-        assert_eq!(tap.applied(42).unwrap().label, "m1");
-        assert!(tap.applied(0).is_none());
-        tap.save_commit_ids(&path).unwrap();
-
-        // Lifecycle ops register through the same file with the extra
-        // ack slots intact.
-        tap.record_applied(
-            50,
-            AppliedCommit {
-                label: "m0".into(),
-                chunks: 2,
-                extra: 16,
-                extra2: 0,
-            },
-        );
-        tap.save_commit_ids(&path).unwrap();
-
-        let mut back = AdversaryTap::new();
-        assert_eq!(back.load_commit_ids(&path).unwrap(), 3);
-        assert_eq!(back.applied_commits(), tap.applied_commits());
-        assert_eq!(back.applied(50).unwrap().extra, 16);
-
-        // Any flipped byte fails the trailing CRC.
-        let clean = std::fs::read(&path).unwrap();
-        for at in [0, 6, clean.len() / 2, clean.len() - 1] {
-            let mut bad = clean.clone();
-            bad[at] ^= 0xff;
-            std::fs::write(&path, &bad).unwrap();
-            let err = AdversaryTap::new().load_commit_ids(&path);
-            assert!(err.is_err(), "flip at {at} accepted");
+        // A cache ahead of the journal, or one whose chunks disagree with
+        // it, is ignored with a warning.
+        let mut ahead = TapStreaming::rebuild(tap.committed());
+        ahead.commit(&backup("m3", &[7]));
+        let mut stale = TapStreaming::default();
+        stale.commit(&backup("other", &[1, 2, 3]));
+        for bad in [ahead, stale] {
+            bad.save(&cache).unwrap();
+            let reopened = open(&dir);
+            assert_eq!(reopened.warnings(), 1);
+            assert_eq!(reopened.streaming(), tap.streaming());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_stream_state_falls_back_to_replay_with_warning() {
-        let dir = std::env::temp_dir().join(format!("freqdedup-tapcorrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let tap_path = dir.join("tap.fqdt");
-        let stream_path = dir.join("tap.fqis");
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("a", &[1, 2, 1]));
-        tap.record_commit(backup("b", &[2, 9]));
-        tap.save(&tap_path).unwrap();
-        tap.streaming().save(&stream_path).unwrap();
-        let clean = std::fs::read(&stream_path).unwrap();
+    fn corrupt_cache_falls_back_to_a_full_fold_with_warning() {
+        let dir = test_dir("corrupt");
+        let cache = dir.join(STREAM_FILE);
+        let mut tap = open(&dir);
+        commit(&mut tap, backup("a", &[1, 2, 1]), 0);
+        commit(&mut tap, backup("b", &[2, 9]), 0);
+        tap.streaming().save(&cache).unwrap();
+        let clean = std::fs::read(&cache).unwrap();
 
-        // Corrupt the state file at several offsets (plus truncation, plus
-        // each length field forged to its maximum — see the blob layout in
+        // Corrupt the cache at several offsets (plus truncation, plus each
+        // length field forged to its maximum — see the blob layout in
         // `IncrementalStats::write_to`): every variant must fall back to a
-        // catalog replay whose state is bit-identical to a fresh rebuild,
-        // with the warning counted.
+        // full fold, bit-identical to the live state, with the warning
+        // counted.
         let mut variants: Vec<Vec<u8>> = vec![clean[..clean.len() / 3].to_vec(), b"junk".to_vec()];
         for at in [0, clean.len() / 2, clean.len() - 1] {
             let mut bad = clean.clone();
@@ -931,85 +770,108 @@ mod tests {
             variants.push(bad);
         }
         for (i, bad) in variants.iter().enumerate() {
-            std::fs::write(&stream_path, bad).unwrap();
-            let fell_back = AdversaryTap::load_resuming(&tap_path, &stream_path).unwrap();
+            std::fs::write(&cache, bad).unwrap();
+            let fell_back = open(&dir);
             assert_eq!(fell_back.warnings(), 1, "variant {i}");
             assert!(fell_back.streaming_consistent(), "variant {i}");
-            assert_eq!(
-                fell_back.streaming(),
-                &TapStreaming::rebuild(fell_back.committed()),
-                "variant {i}"
-            );
+            assert_eq!(fell_back.streaming(), tap.streaming(), "variant {i}");
         }
-
-        // A merely missing state file is the normal bootstrap, not a
-        // degradation.
-        std::fs::remove_file(&stream_path).unwrap();
-        let boot = AdversaryTap::load_resuming(&tap_path, &stream_path).unwrap();
-        assert_eq!(boot.warnings(), 0);
-        assert!(boot.streaming_consistent());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn deletion_shrinks_catalog_but_not_the_observed_state() {
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("keep", &[1, 2]));
-        tap.record_commit(backup("gone", &[3, 4, 5]));
-        tap.record_commit(backup("gone", &[6]));
-        assert!(tap.delete_backup("missing").is_none());
+    fn deletion_shrinks_the_catalog_but_not_the_observed_state() {
+        let dir = test_dir("delete");
+        let mut tap = open(&dir);
+        commit(&mut tap, backup("keep", &[1, 2]), 0);
+        commit(&mut tap, backup("gone", &[3, 4, 5]), 0);
+        tap.append(op(OpKind::Delete, 21, "gone", 3, 24)).unwrap();
+        assert_eq!(tap.committed().len(), 1);
+        assert!(tap.live("gone").is_none());
+        assert_eq!(tap.applied(21).unwrap().extra, 24);
 
-        // Deleting a reused label removes every entry under it.
-        let (chunks, bytes) = tap.delete_backup("gone").unwrap();
-        assert_eq!(chunks, 4);
-        assert_eq!(bytes, 4 * 8);
-        assert_eq!(tap.len(), 1);
-        assert!(tap.backup("gone").is_none());
-        assert_eq!(tap.deleted_commits(), 2);
-
-        // The running attack state still covers the deleted streams —
-        // and the consistency check knows that.
-        assert_eq!(tap.streaming().commits(), 3);
-        assert_eq!(tap.streaming().logical_chunks(), 6);
+        // The running attack state still covers the deleted stream — and
+        // the consistency check knows that.
+        assert_eq!(tap.streaming().commits(), 2);
+        assert_eq!(tap.streaming().logical_chunks(), 5);
         assert!(tap.streaming_consistent());
 
         // Deletion, GC and rekey all land in the observable record.
-        tap.record_gc(2, 4096);
-        tap.record_rekey(1);
-        assert_eq!(
-            tap.lifecycle_events(),
-            &[
-                LifecycleEvent::Delete {
-                    label: "gone".into(),
-                    chunks: 4
-                },
-                LifecycleEvent::Gc {
-                    containers_dropped: 2,
-                    reclaimed_bytes: 4096
-                },
-                LifecycleEvent::Rekey { epoch: 1 },
-            ]
-        );
+        tap.append(op(OpKind::Gc, 0, "", 2, 4096)).unwrap();
+        tap.append(op(OpKind::Rekey, 0, "", 1, 8)).unwrap();
+        let events = [
+            LifecycleEvent::Delete {
+                label: "gone".into(),
+                chunks: 3,
+            },
+            LifecycleEvent::Gc {
+                containers_dropped: 2,
+                reclaimed_bytes: 4096,
+            },
+            LifecycleEvent::Rekey { epoch: 1 },
+        ];
+        assert_eq!(tap.lifecycle_events(), &events);
 
-        // A save/reload rebuilds from the surviving catalog only — the
-        // restarted adversary state covers exactly what still exists.
-        let dir = std::env::temp_dir().join(format!("freqdedup-tapdel-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tap.fqdt");
-        tap.save(&path).unwrap();
-        let back = AdversaryTap::load(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.streaming().commits(), 1);
-        assert!(back.streaming_consistent());
+        // A reopened tap is the same fold: the deleted stream stays
+        // counted, the events and the registry come back.
+        let back = open(&dir);
+        assert_eq!(back.committed().len(), 1);
+        assert_eq!(back.commits(), 2);
+        assert_eq!(back.streaming(), tap.streaming());
+        assert_eq!(back.lifecycle_events(), &events);
+        assert_eq!(back.applied_commits(), tap.applied_commits());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A pre-catalog store is imported once, in label order, under the
+    /// label-hash ids and with its registry; the old files go.
+    #[test]
+    fn pre_catalog_store_is_imported_once() {
+        let dir = test_dir("import");
+        let mut series = BackupSeries::new("tap");
+        series.push(backup("m0", &[1, 2]));
+        series.push(backup("m1", &[3]));
+        std::fs::write(dir.join(TAP_FILE), io::to_bytes(&series)).unwrap();
+        let tap = open(&dir);
+        assert_eq!(tap.series("tap").backups, series.backups);
+        assert_eq!(tap.live("m1").unwrap().1, label_backup_id("m1"));
+        assert_eq!(tap.warnings(), 0);
+        assert!(dir.join(CATALOG_FILE).exists());
+        assert!(!dir.join(TAP_FILE).exists());
+        assert_eq!(open(&dir).series("tap"), tap.series("tap"));
+
+        // An unreadable registry costs a warning, not the import.
+        std::fs::remove_file(dir.join(CATALOG_FILE)).unwrap();
+        std::fs::write(dir.join(TAP_FILE), io::to_bytes(&series)).unwrap();
+        std::fs::write(dir.join(CIDS_FILE), b"FQCI junk").unwrap();
+        assert_eq!(open(&dir).warnings(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `tap.fqdt` whose one backup claims 2^40 chunks fails the import
+    /// typed instead of reserving 16 TiB, and writes no catalog.
+    #[test]
+    fn forged_pre_catalog_chunk_count_fails_typed() {
+        let dir = test_dir("forged");
+        let mut series = BackupSeries::new("tap");
+        series.push(backup("b", &[7]));
+        let mut bytes = io::to_bytes(&series);
+        // magic 4, version 2, name "tap" 4 + 3, backup count 4, label 4 + 1.
+        let at = 22;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(dir.join(TAP_FILE), &bytes).unwrap();
+        assert!(AdversaryTap::open(&dir, FsyncPolicy::Never).is_err());
+        assert!(!dir.join(CATALOG_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn streaming_inference_matches_batch_both_policies() {
         use freqdedup_core::attacks::run_ciphertext_only_series;
-        let mut tap = AdversaryTap::new();
-        tap.record_commit(backup("m0", &[101, 102, 101, 102, 103, 104]));
-        tap.record_commit(backup("m1", &[102, 103, 104, 104]));
+        let mut tap = AdversaryTap::default();
+        commit(&mut tap, backup("m0", &[101, 102, 101, 102, 103, 104]), 0);
+        commit(&mut tap, backup("m1", &[102, 103, 104, 104]), 0);
         let aux = backup("aux", &[1, 2, 1, 2, 3, 4, 2, 3, 4]);
         let params = LocalityParams::new(1, 1, 1000);
         for (policy, streamed) in

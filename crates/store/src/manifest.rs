@@ -85,7 +85,8 @@ pub enum ManifestEvent {
     /// A backup was committed: its recipe file is durable and its chunks
     /// now carry references.
     Backup {
-        /// Backup id (the client's commit id).
+        /// Backup id, chosen by the caller (the service's catalog issues
+        /// one per commit).
         id: u64,
         /// Logical chunks in the backup.
         chunk_count: u32,

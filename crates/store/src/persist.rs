@@ -230,7 +230,7 @@ impl From<CodecError> for PersistError {
 }
 
 /// `fsync`s `file` when the policy requires it.
-pub(crate) fn maybe_sync(file: &File, policy: FsyncPolicy) -> Result<(), PersistError> {
+pub fn maybe_sync(file: &File, policy: FsyncPolicy) -> Result<(), PersistError> {
     if policy == FsyncPolicy::Always {
         file.sync_all()?;
     }
@@ -240,7 +240,7 @@ pub(crate) fn maybe_sync(file: &File, policy: FsyncPolicy) -> Result<(), Persist
 /// `fsync`s the directory itself (making renames/creations durable) when
 /// the policy requires it. Best-effort on platforms where directories
 /// cannot be opened for sync.
-pub(crate) fn maybe_sync_dir(dir: &Path, policy: FsyncPolicy) -> Result<(), PersistError> {
+pub fn maybe_sync_dir(dir: &Path, policy: FsyncPolicy) -> Result<(), PersistError> {
     if policy == FsyncPolicy::Always {
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();

@@ -226,32 +226,39 @@ impl ShardedDedupEngine {
         Ok(())
     }
 
-    /// Deletes a committed backup on every shard, merging the reports.
+    /// Deletes a committed backup on every shard that holds it, merging
+    /// the reports. A crash inside [`Self::commit_backup`] or this method
+    /// leaves the id on only some shards; deleting it again finishes the
+    /// job.
     ///
     /// # Errors
     ///
-    /// [`LifecycleError::UnknownBackup`] when `id` is not committed.
+    /// [`LifecycleError::UnknownBackup`] when no shard holds `id`.
     pub fn delete_backup(&mut self, id: u64) -> Result<DeleteReport, LifecycleError> {
-        if self.engines[0].backup_recipe(id).is_none() {
-            return Err(LifecycleError::UnknownBackup { id });
-        }
-        let mut merged = DeleteReport {
-            chunks_released: 0,
-            logical_bytes: 0,
-        };
+        let mut merged: Option<DeleteReport> = None;
         for engine in &mut self.engines {
-            let r = engine.delete_backup(id)?;
-            merged.chunks_released += r.chunks_released;
-            merged.logical_bytes += r.logical_bytes;
+            if let Ok(r) = engine.delete_backup(id) {
+                let m = merged.get_or_insert_with(DeleteReport::default);
+                m.chunks_released += r.chunks_released;
+                m.logical_bytes += r.logical_bytes;
+            }
         }
-        Ok(merged)
+        merged.ok_or(LifecycleError::UnknownBackup { id })
     }
 
-    /// Committed, undeleted backups as `(id, timestamp)`, sorted by id
-    /// (every shard holds the same set; shard 0 answers).
+    /// Committed, undeleted backups as `(id, timestamp)`, sorted by id:
+    /// every id any shard holds (all of them, unless a crash cut a commit
+    /// or a delete short between shards).
     #[must_use]
     pub fn committed_backups(&self) -> Vec<(u64, u64)> {
-        self.engines[0].committed_backups()
+        let mut all: Vec<(u64, u64)> = self
+            .engines
+            .iter()
+            .flat_map(DedupEngine::committed_backups)
+            .collect();
+        all.sort_unstable();
+        all.dedup_by_key(|&mut (id, _)| id);
+        all
     }
 
     /// Backup ids a retention policy would delete, given the caller's
@@ -526,6 +533,30 @@ mod tests {
             ChunkLookup::Payload(&b"abc"[..])
         );
         assert_eq!(e.lookup_chunk(Fingerprint(10)), ChunkLookup::Missing);
+    }
+
+    #[test]
+    fn delete_finishes_a_fan_out_a_crash_cut_short() {
+        let mut e = ShardedDedupEngine::new(config(), 4).unwrap();
+        let chunks: Vec<ChunkRecord> = (0..64u64).map(|i| rec(i << 58, 16)).collect();
+        for &r in &chunks {
+            e.process(r);
+        }
+        e.commit_backup(7, 1, &chunks).unwrap();
+        // Shards 0 and 1 already let go of the backup, as after a crash
+        // between shards: it is still listed, and deleting it again
+        // releases the rest.
+        let first = e.engines[0].delete_backup(7).unwrap().chunks_released
+            + e.engines[1].delete_backup(7).unwrap().chunks_released;
+        assert_eq!(first, 32);
+        assert_eq!(e.committed_backups(), vec![(7, 1)]);
+        let rest = e.delete_backup(7).unwrap();
+        assert_eq!(first + rest.chunks_released, 64);
+        assert!(e.committed_backups().is_empty());
+        assert!(matches!(
+            e.delete_backup(7),
+            Err(LifecycleError::UnknownBackup { id: 7 })
+        ));
     }
 
     #[test]

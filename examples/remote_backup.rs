@@ -12,7 +12,8 @@
 //!    recovery needs no crash repair — restore every backup and **decrypt
 //!    it back to the original bytes** with the client-side key store,
 //!    then upload one post-restart incremental snapshot;
-//! 4. play the adversary: load the provider-side tap (`tap.fqdt`), read
+//! 4. play the adversary: open the provider-side tap — a fold over the
+//!    service's `catalog.log`, by the replay the server binds with — read
 //!    the per-backup chunk-length sequences (the boundary-leakage
 //!    observable that survives MLE), and run the locality attack against
 //!    the live ciphertext traffic, scoring it against ground truth.
@@ -28,7 +29,7 @@ use freqdedup::datasets::synthetic::{label, SyntheticConfig, SyntheticSnapshots}
 use freqdedup::mle::convergent::Convergent;
 use freqdedup::mle::trace_enc::GroundTruth;
 use freqdedup::server::client::{Client, EncodedStream};
-use freqdedup::server::server::{Server, ServerConfig, TAP_FILE};
+use freqdedup::server::server::{Server, ServerConfig};
 use freqdedup::server::tap::AdversaryTap;
 use freqdedup::store::engine::DedupConfig;
 use freqdedup::store::persist::{FsyncPolicy, PersistConfig};
@@ -202,17 +203,17 @@ fn main() {
     handle.join().unwrap();
 
     // ---- Phase 3: the adversary reads its tap. ----
-    // The provider-side tap was persisted beside the store; it holds the
-    // observed per-session ciphertext streams — the exact §3 adversary
-    // view — as ordinary backups the attacks run on unchanged. The
-    // chunk-length sequences are the boundary-leakage observable:
+    // The provider's catalog sits beside the store; the tap folded from it
+    // holds the observed per-session ciphertext streams — the exact §3
+    // adversary view — as ordinary backups the attacks run on unchanged.
+    // The chunk-length sequences are the boundary-leakage observable:
     // content-defined boundaries survive MLE byte for byte.
-    let tap = AdversaryTap::load(&store_dir.join(TAP_FILE)).unwrap();
+    let tap = AdversaryTap::open(&store_dir, FsyncPolicy::Never).unwrap();
     let observed = tap.series("tapped");
     println!(
         "\nadversary tap: {} committed manifests, {} observed chunks",
         observed.len(),
-        tap.observed_chunks()
+        observed.logical_chunks()
     );
     for (name, lengths) in tap.length_sequences() {
         let total: u64 = lengths.iter().map(|&l| u64::from(l)).sum();

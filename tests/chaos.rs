@@ -196,7 +196,11 @@ fn run_chaos(dir: &Path, tag: &str, clients: usize, spec: Option<FaultSpec>) -> 
     let stats = closer.stats().unwrap();
     closer.shutdown().unwrap();
     let summary = handle.join().unwrap();
-    assert_eq!(summary.commits, committed.len() as u64, "{tag}");
+    assert_eq!(
+        summary.stats.committed_backups,
+        committed.len() as u64,
+        "{tag}"
+    );
 
     let outcome = RunOutcome {
         results,

@@ -3,7 +3,9 @@
 //! Each row writes a fixed, deterministic input through the public API and
 //! compares the file's length and FNV-1a-64 digest with the values the
 //! writers produced at commit b7d3758, before the eight formats were moved
-//! onto the one codec in `freqdedup_trace::io`. (A CRC-32 of a whole file
+//! onto the one codec in `freqdedup_trace::io` — except the `FQCT catalog`
+//! row, pinned when `catalog.log` replaced the `tap.cids` registry (whose
+//! writer is gone; the import still reads it). (A CRC-32 of a whole file
 //! is useless as a pin here: every file ends in its own CRC, so it is the
 //! constant CRC residue.) The legacy manifest `Delete` kind was never
 //! written by the engine; its row pins the record bytes of the parent's
@@ -12,7 +14,8 @@
 use std::path::{Path, PathBuf};
 
 use freqdedup::core::IncrementalStats;
-use freqdedup::server::tap::{AdversaryTap, AppliedCommit};
+use freqdedup::server::catalog::{CatalogLog, CatalogRecord, OpKind};
+use freqdedup::server::tap::AppliedCommit;
 use freqdedup::store::container::ContainerStore;
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
 use freqdedup::store::fault::IoPolicyHandle;
@@ -25,11 +28,12 @@ use freqdedup::store::persist::{FsyncPolicy, PersistConfig};
 use freqdedup::store::sharded::ShardedDedupEngine;
 use freqdedup::trace::{io, Backup, BackupSeries, ChunkRecord, Fingerprint};
 
-/// `(row, file length, FNV-1a-64 of the file)` as written at b7d3758.
+/// `(row, file length, FNV-1a-64 of the file)` as written at b7d3758 (the
+/// `FQCT catalog` row: as written when the catalog was introduced).
 const PINS: &[(&str, usize, u64)] = &[
     ("FQDT series", 112, 0xaf82_3833_5873_5240),
     ("FQIS state", 634, 0xe4e6_2b05_a386_ccb6),
-    ("FQCI registry", 128, 0x058a_f1a6_6e60_1947),
+    ("FQCT catalog", 312, 0x4fa8_4314_dfdd_3237),
     ("FQCL metadata epoch 0", 156, 0x6901_62c3_f14e_7547),
     ("FQCL metadata epoch 3", 156, 0x1f68_a9fd_662a_174c),
     ("FQCL payload epoch 0", 541, 0x384e_51f5_f211_683a),
@@ -134,23 +138,37 @@ fn written() -> Vec<(String, Vec<u8>)> {
     out.push(("FQIS state".into(), blob));
 
     let dir = test_dir("pin-files");
-    let mut tap = AdversaryTap::new();
-    tap.record_commit_id(backup("m0", &[1, 2]), 41);
-    tap.record_commit_id(backup("m1", &[3]), 42);
-    tap.record_commit_id(backup("m2", &[4]), 0);
-    tap.record_applied(
-        50,
-        AppliedCommit {
-            label: "m0".into(),
+    let (mut log, _) = CatalogLog::open(&dir.join("catalog.log"), never).unwrap();
+    for (i, b) in [backup("m0", &[1, 2]), backup("m1", &[3])]
+        .into_iter()
+        .enumerate()
+    {
+        log.append(&CatalogRecord::Commit {
+            op_id: 41 + i as u64,
+            backup_id: 1 + i as u64,
+            timestamp: 1 + i as u64,
+            backup: b,
+        })
+        .unwrap();
+    }
+    for (kind, label, op_id) in [
+        (OpKind::Delete, "m0", 50),
+        (OpKind::Gc, "", 51),
+        (OpKind::Rekey, "", 0),
+        (OpKind::Imported, "m2", 52),
+    ] {
+        let ack = AppliedCommit {
+            label: label.into(),
             chunks: 2,
             extra: 16,
             extra2: 3,
-        },
-    );
-    tap.save_commit_ids(&dir.join("tap.cids")).unwrap();
+        };
+        log.append(&CatalogRecord::Op { kind, op_id, ack }).unwrap();
+    }
+    drop(log);
     out.push((
-        "FQCI registry".into(),
-        std::fs::read(dir.join("tap.cids")).unwrap(),
+        "FQCT catalog".into(),
+        std::fs::read(dir.join("catalog.log")).unwrap(),
     ));
 
     for (mode, payload) in [("metadata", false), ("payload", true)] {

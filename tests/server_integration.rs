@@ -14,13 +14,17 @@
 //!   per the PR 4 invariant (graceful shutdown checkpoints, so no crash
 //!   recovery is needed), and clients resume to a verified restore —
 //!   including a client that disconnected mid-backup without committing.
+//!   A copy of the store directory taken right after an ack, with no
+//!   shutdown (a crash image), binds to the same catalog, registry and
+//!   adversary state: `catalog.log` is written ahead of every ack.
 //! * **Streaming tap** (DESIGN.md §9) — for 1 and 4 interleaved clients,
 //!   the tap's running incremental inference snapshotted after **every**
 //!   commit equals a batch recompute of the committed prefix, and a
-//!   restarted server resumes the incremental state from `tap.fqis`
-//!   bit-identically and keeps folding further commits; a `tap.fqis` of
-//!   the previous format version (a committed fixture) costs one catalog
-//!   replay and is rewritten in the current one.
+//!   restarted server resumes the incremental state from the `tap.fqis`
+//!   cache bit-identically and keeps folding further commits; a
+//!   `tap.fqis` of the previous format version (a committed fixture)
+//!   costs one full fold of the catalog and is rewritten in the current
+//!   one.
 //!
 //! Test directories (store dirs, server logs, tap traces) live under
 //! `target/server-test/` so CI can upload them when a test fails; they
@@ -38,7 +42,7 @@ use freqdedup::server::frame::{read_frame, write_frame};
 use freqdedup::server::proto::{code, Message};
 use freqdedup::server::server::{ServeSummary, Server, ServerConfig};
 use freqdedup::store::engine::DedupConfig;
-use freqdedup::store::persist::{FsyncPolicy, PersistConfig};
+use freqdedup::store::persist::{FsyncPolicy, PersistConfig, PersistError};
 use freqdedup::store::sharded::ShardedDedupEngine;
 use freqdedup::trace::par::ParConfig;
 use freqdedup::trace::{Backup, BackupSeries};
@@ -69,10 +73,23 @@ fn small_engine() -> DedupConfig {
 /// Binds on an ephemeral loopback port and serves on a background
 /// thread; the server stops when a client sends SHUTDOWN.
 fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<ServeSummary>) {
+    let (addr, handle, _) = start_tapped(config);
+    (addr, handle)
+}
+
+/// [`start`], plus a handle on the server's adversary tap.
+fn start_tapped(
+    config: ServerConfig,
+) -> (
+    SocketAddr,
+    std::thread::JoinHandle<ServeSummary>,
+    freqdedup::server::server::TapView,
+) {
     let server = Server::bind(config).expect("bind loopback server");
     let addr = server.local_addr().expect("local addr");
+    let tap = server.tap_handle();
     let handle = std::thread::spawn(move || server.run().expect("serve"));
-    (addr, handle)
+    (addr, handle, tap)
 }
 
 /// A small seeded FSL-like series, fingerprint-space encrypted: returns
@@ -164,7 +181,7 @@ fn protocol_round_trip_every_message_type() {
     // SHUTDOWN (drains and stops the server).
     client.shutdown().unwrap();
     let summary = handle.join().unwrap();
-    assert_eq!(summary.commits, 1);
+    assert_eq!(summary.stats.committed_backups, 1);
     assert_eq!(summary.stats.unique_chunks, 100);
     done(&dir);
 }
@@ -444,7 +461,7 @@ fn restore_batches_equal_upload_at_every_cap_boundary() {
 /// after the batches it could serve — and the session stays usable.
 #[test]
 fn restore_of_a_lost_chunk_fails_typed_mid_stream() {
-    use freqdedup::server::server::{CIDS_FILE, STREAM_FILE, TAP_FILE};
+    use freqdedup::server::server::{CATALOG_FILE, STREAM_FILE};
 
     let dir = test_dir("restore-missing");
     let full = Backup::from_chunks(
@@ -473,13 +490,11 @@ fn restore_of_a_lost_chunk_fails_typed_mid_stream() {
         handle.join().unwrap();
     }
     std::fs::copy(
-        dir.join("whole").join(TAP_FILE),
-        dir.join("holed").join(TAP_FILE),
+        dir.join("whole").join(CATALOG_FILE),
+        dir.join("holed").join(CATALOG_FILE),
     )
     .unwrap();
-    for stale in [STREAM_FILE, CIDS_FILE] {
-        let _ = std::fs::remove_file(dir.join("holed").join(stale));
-    }
+    std::fs::remove_file(dir.join("holed").join(STREAM_FILE)).unwrap();
 
     let (addr, handle) = serve("holed", "holed.log");
     let mut client = Client::connect(addr, "reader").unwrap();
@@ -602,7 +617,11 @@ fn concurrent_clients_equal_direct_ingest() {
         let stats = closer.stats().unwrap();
         closer.shutdown().unwrap();
         let summary = handle.join().unwrap();
-        assert_eq!(summary.commits, cipher.len() as u64, "{clients} clients");
+        assert_eq!(
+            summary.stats.committed_backups,
+            cipher.len() as u64,
+            "{clients} clients"
+        );
         assert_eq!(tap_backup.chunks, cipher.latest().unwrap().chunks);
 
         // Store equivalence: the partition-invariant totals match direct
@@ -669,8 +688,8 @@ fn restart_recovers_and_clients_resume_to_verified_restore() {
             c.commit(&b1.label).unwrap();
         });
         scope.spawn(|| {
-            // Uploads half of b2 and vanishes mid-workload: observed by
-            // the tap as an abandoned stream, never committed.
+            // Uploads half of b2 and vanishes mid-workload, never
+            // committed.
             let mut c = Client::connect(addr, "gamma").unwrap();
             let half = Backup::from_chunks(b2.label.clone(), b2.chunks[..b2.len() / 2].to_vec());
             c.upload_backup_payloads(&half, payload).unwrap();
@@ -681,7 +700,7 @@ fn restart_recovers_and_clients_resume_to_verified_restore() {
     let stats_before = closer.stats().unwrap();
     closer.shutdown().unwrap();
     let summary1 = handle.join().unwrap();
-    assert_eq!(summary1.commits, 2);
+    assert_eq!(summary1.stats.committed_backups, 2);
 
     // ---- Second server life on the same directory: graceful shutdown
     // checkpointed, so recovery must be bit-identical (PR 4 invariant).
@@ -716,7 +735,7 @@ fn restart_recovers_and_clients_resume_to_verified_restore() {
 
     c.shutdown().unwrap();
     let summary2 = handle.join().unwrap();
-    assert_eq!(summary2.commits, 3);
+    assert_eq!(summary2.stats.committed_backups, 3);
     done(&dir);
 }
 
@@ -829,7 +848,7 @@ fn streaming_tap_snapshots_match_batch_and_survive_restart() {
         let mut closer = Client::connect(addr, "closer").unwrap();
         closer.shutdown().unwrap();
         let summary = handle.join().unwrap();
-        assert_eq!(summary.commits, first.len() as u64);
+        assert_eq!(summary.stats.committed_backups, first.len() as u64);
 
         // ---- Second life on the same directory: the tap resumes from
         // the persisted incremental state without replaying history.
@@ -885,16 +904,14 @@ fn streaming_tap_snapshots_match_batch_and_survive_restart() {
 // Degraded recovery: corrupted incremental state (PR 7)
 // ---------------------------------------------------------------------------
 
-/// Corrupting the persisted incremental tap state (`tap.fqis`) at several
+/// Corrupting the incremental tap state's cache (`tap.fqis`) at several
 /// byte offsets must not take the server down: it binds, rebuilds the
-/// streaming state by replaying the manifest catalog — bit-identical to
-/// the deterministic [`freqdedup::server::tap::AdversaryTap::load`]
-/// replay, with inference (both tie policies) equal to the live run's —
-/// and surfaces the degradation through the `tap_warnings` STATS counter.
+/// streaming state by folding the whole catalog — bit-identical to the
+/// live run's state, with inference (both tie policies) equal to a batch
+/// recompute of the committed streams — and surfaces the degradation
+/// through the `tap_warnings` STATS counter.
 #[test]
 fn corrupt_stream_state_degrades_to_catalog_replay() {
-    use freqdedup::server::tap::AdversaryTap;
-
     let dir = test_dir("corrupt-fqis");
     let store_dir = dir.join("store");
     let persist_engine = || DedupConfig {
@@ -913,27 +930,21 @@ fn corrupt_stream_state_degrades_to_catalog_replay() {
     })
     .unwrap();
     let addr = server.local_addr().unwrap();
+    let tap = server.tap_handle();
     let handle = std::thread::spawn(move || server.run().expect("serve"));
     let mut c = Client::connect(addr, "writer").unwrap();
     for backup in &cipher {
         c.upload_backup(backup).unwrap();
         c.commit(&backup.label).unwrap();
     }
+    // What the catalog fold must reproduce bit-identically.
+    let good = tap.with_tap(|t| t.streaming().clone());
     c.shutdown().unwrap();
     handle.join().unwrap();
 
     let stream_path = store_dir.join(freqdedup::server::server::STREAM_FILE);
     let pristine = std::fs::read(&stream_path).unwrap();
     assert!(pristine.len() > 16, "state file should be non-trivial");
-
-    // The deterministic replay oracle: what a from-catalog rebuild must
-    // reproduce bit-identically. (The catalog is label-sorted on disk, so
-    // the replay fold order is deterministic but may differ from arrival
-    // order; the *inference* must still match the live run.)
-    let good = AdversaryTap::load(&store_dir.join(freqdedup::server::server::TAP_FILE))
-        .unwrap()
-        .streaming()
-        .clone();
 
     for offset in [0usize, pristine.len() / 2, pristine.len() - 1] {
         let mut bad = pristine.clone();
@@ -957,14 +968,13 @@ fn corrupt_stream_state_degrades_to_catalog_replay() {
                 "catalog replay must rebuild the state bit-identically, offset {offset}"
             );
             // The rebuilt state's inference equals a batch recompute over
-            // the tap's canonical (label-sorted) committed series — the
-            // degraded path loses nothing observable to the adversary.
-            let series: Vec<Backup> = t.series("degraded").backups;
+            // the committed streams — the degraded path loses nothing
+            // observable to the adversary.
             let live = t.streaming_inference_both_policies(AttackKind::Locality, aux, &params);
             for (policy, live_inf) in &live {
                 let batch = attacks::run_ciphertext_only_series(
                     AttackKind::Locality,
-                    &series,
+                    t.committed(),
                     aux,
                     &params.clone().tie_policy(*policy),
                 );
@@ -1043,15 +1053,15 @@ fn fixture_plain(g: u64) -> Backup {
 /// tap wrote at commit 57bf155 after committing the ciphertexts of
 /// [`fixture_plain`] generations 0–2 (fingerprint × 0x9E37_79B9_7F4A_7C15)
 /// in label order: a version-1 state file, two blobs, a policy byte each.
-/// A server bound on it must replay the catalog — never fail, never trust
-/// the old blobs — arrive at the state a never-restarted tap holds, and
-/// write a one-blob version-2 file at shutdown that the next bind resumes
-/// from without replay.
+/// A server bound on it must import the pre-catalog `tap.fqdt` into
+/// `catalog.log` and fold it — never fail, never trust the old blobs —
+/// arrive at the state a never-restarted tap holds, and write a one-blob
+/// version-2 cache at shutdown that the next bind resumes without a fold.
 #[test]
 fn v1_stream_state_upgrades_by_catalog_replay() {
     use freqdedup::core::IncrementalStats;
-    use freqdedup::server::server::{STREAM_FILE, TAP_FILE};
-    use freqdedup::server::tap::AdversaryTap;
+    use freqdedup::server::server::{CATALOG_FILE, STREAM_FILE, TAP_FILE};
+    use freqdedup::server::tap::TapStreaming;
 
     let dir = test_dir("fqis-upgrade");
     let store_dir = dir.join("store");
@@ -1085,22 +1095,23 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
         });
         Backup::from_chunks(plain.label.clone(), chunks.collect())
     };
-    let mut live = AdversaryTap::new();
-    for g in 0..3 {
-        live.record_commit(cipher(g));
-    }
+    let committed: Vec<Backup> = (0..3).map(cipher).collect();
+    let live = TapStreaming::rebuild(&committed);
     let aux = fixture_plain(3);
     let params = LocalityParams::new(1, 3, 1000);
 
-    // ---- First bind: version 1 is refused, the catalog is replayed.
+    // ---- First bind: the catalog is imported, version 1 is refused and
+    // the catalog folded.
     let server = bind("server-v1.log");
     let addr = server.local_addr().unwrap();
     let tap = server.tap_handle();
     let handle = std::thread::spawn(move || server.run().expect("serve"));
+    assert!(store_dir.join(CATALOG_FILE).exists());
+    assert!(!store_dir.join(TAP_FILE).exists(), "imported once");
     tap.with_tap(|t| {
-        assert_eq!(t.warnings(), 1, "the replay is a counted degradation");
-        assert_eq!(t.committed(), live.committed());
-        assert_eq!(t.streaming(), live.streaming());
+        assert_eq!(t.warnings(), 1, "the fold is a counted degradation");
+        assert_eq!(t.committed(), committed);
+        assert_eq!(t.streaming(), &live);
         let mut differ = Vec::new();
         for (policy, inferred) in
             t.streaming_inference_both_policies(AttackKind::Locality, &aux, &params)
@@ -1120,8 +1131,8 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
         }
         assert_ne!(differ[0], differ[1], "the fixture tells the policies apart");
     });
-    // One more commit whose label sorts first: from here on a catalog
-    // replay (label order) and the live state (commit order) differ.
+    // One more commit whose label sorts first: from here on a label-order
+    // replay and the live state (commit order) differ.
     let mut c = Client::connect(addr, "upgrader").unwrap();
     let late = Backup::from_chunks("first", cipher(4).chunks);
     c.upload_backup(&late).unwrap();
@@ -1142,7 +1153,8 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
     assert!(rest.is_empty(), "one blob, nothing after it");
 
     // ---- Second bind resumes that blob: no warning, and the commit-order
-    // state a replay could not have produced.
+    // state — what a fold of the journal gives, and a label-order replay
+    // could not.
     let server = bind("server-v2.log");
     let addr = server.local_addr().unwrap();
     let tap = server.tap_handle();
@@ -1150,8 +1162,10 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
     tap.with_tap(|t| {
         assert_eq!(t.warnings(), 0);
         assert_eq!(t.streaming(), &pre_restart);
-        let replayed = AdversaryTap::load(&store_dir.join(TAP_FILE)).unwrap();
-        assert_ne!(t.streaming(), replayed.streaming());
+        assert_eq!(t.streaming(), &TapStreaming::rebuild(t.committed()));
+        let mut by_label = t.committed().to_vec();
+        by_label.sort_by(|a, b| a.label.cmp(&b.label));
+        assert_ne!(t.streaming(), &TapStreaming::rebuild(&by_label));
     });
     let mut c = Client::connect(addr, "checker").unwrap();
     assert_eq!(c.stats().unwrap().tap_warnings, 0);
@@ -1165,14 +1179,16 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
 /// "fixture" committed the ciphertexts of [`fixture_plain`] generations 2,
 /// 0 and 1 — in that order, not label order — under commit ids 0x102,
 /// 0x100 and 0x101, then ran GC under id 0x200 and REKEY (secret
-/// `fixture-secret`) under id 0x300. A server bound on it resumes the saved
-/// state without a replay and answers every recorded commit id with its
-/// recorded ack.
+/// `fixture-secret`) under id 0x300. A server bound on it imports the
+/// pre-catalog files into `catalog.log` (manifests in label order),
+/// resumes the saved state — a prefix of that catalog — without a fold,
+/// and answers every recorded commit id with its recorded ack.
 #[test]
 fn tap_v2_fixture_resumes_without_replay_and_replays_recorded_acks() {
+    use freqdedup::core::IncrementalStats;
     use freqdedup::server::client::GcSummary;
     use freqdedup::server::server::{CIDS_FILE, STREAM_FILE, TAP_FILE};
-    use freqdedup::server::tap::{AdversaryTap, TapStreaming};
+    use freqdedup::server::tap::TapStreaming;
 
     let dir = test_dir("fqis-v2-fixture");
     let store_dir = dir.join("store");
@@ -1181,7 +1197,9 @@ fn tap_v2_fixture_resumes_without_replay_and_replays_recorded_acks() {
     for file in [TAP_FILE, STREAM_FILE, CIDS_FILE] {
         std::fs::copy(fixture.join(file), store_dir.join(file)).unwrap();
     }
-    let saved = TapStreaming::load(&fixture.join(STREAM_FILE)).unwrap();
+    let saved =
+        IncrementalStats::read_from(std::fs::File::open(fixture.join(STREAM_FILE)).unwrap())
+            .unwrap();
     let server = Server::bind(ServerConfig {
         engine: DedupConfig {
             persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
@@ -1197,11 +1215,10 @@ fn tap_v2_fixture_resumes_without_replay_and_replays_recorded_acks() {
     tap.with_tap(|t| {
         assert_eq!(t.warnings(), 0);
         assert!(t.streaming_consistent());
-        assert_eq!(t.streaming(), &saved);
-        let replayed = AdversaryTap::load(&store_dir.join(TAP_FILE)).unwrap();
+        assert_eq!(t.streaming().stats(), &saved);
         assert_ne!(
             t.streaming(),
-            replayed.streaming(),
+            &TapStreaming::rebuild(t.committed()),
             "a label-order replay could not have produced the resumed state"
         );
         assert_eq!(t.applied_commits().len(), 5);
@@ -1260,7 +1277,7 @@ fn forged_tap_catalog_fails_bind_typed() {
 /// returns the recorded ack without re-ingesting, a session that dies
 /// mid-upload after declaring its id is parked and its successor resumes
 /// from the acked-batch watermark, and the applied-commit registry
-/// survives a graceful restart via `tap.cids`.
+/// survives a graceful restart via `catalog.log`.
 #[test]
 fn commit_ids_are_exactly_once_across_reconnects() {
     use freqdedup::server::client::{ResilientClient, RetryOptions};
@@ -1375,16 +1392,19 @@ fn commit_ids_are_exactly_once_across_reconnects() {
     assert_eq!(rc.report().connects, 1);
     drop(rc);
 
-    // ---- The applied-commit registry survives a graceful restart.
+    // ---- The applied-commit registry survives a graceful restart. The
+    // store root holds the catalog and the tap cache, and no pre-catalog
+    // file.
     let mut closer = Client::connect(addr, "closer").unwrap();
     closer.shutdown().unwrap();
     handle.join().unwrap();
-    assert!(
-        store_dir
-            .join(freqdedup::server::server::CIDS_FILE)
-            .exists(),
-        "graceful shutdown must persist the commit registry"
-    );
+    {
+        use freqdedup::server::server::{CATALOG_FILE, CIDS_FILE, STREAM_FILE, TAP_FILE};
+        assert!(store_dir.join(CATALOG_FILE).exists());
+        assert!(store_dir.join(STREAM_FILE).exists());
+        assert!(!store_dir.join(TAP_FILE).exists());
+        assert!(!store_dir.join(CIDS_FILE).exists());
+    }
 
     let (addr, handle) = start(ServerConfig {
         workers: 2,
@@ -1415,8 +1435,9 @@ fn commit_ids_are_exactly_once_across_reconnects() {
 /// DELETE-BACKUP, GC and REKEY round-trip the wire with exactly-once
 /// semantics riding the commit-id registry, epoch fencing refuses reads
 /// from sessions that negotiated before a rekey, and the whole lifecycle
-/// state (deletion, registry entries, epoch) survives a graceful restart
-/// — a restarted server needs the epoch secret to open the store at all.
+/// state (deletion, registry entries, epoch, and the adversary state that
+/// still counts the deleted stream) survives a graceful restart — a
+/// restarted server needs the epoch secret to open the store at all.
 #[test]
 fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
     let dir = test_dir("lifecycle-wire");
@@ -1440,7 +1461,7 @@ fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
     let victim = mk("victim", 80..200);
     let keep_b = mk("keep-b", 180..260);
 
-    let (addr, handle) = start(ServerConfig {
+    let (addr, handle, tap) = start_tapped(ServerConfig {
         engine: persist_engine(),
         log_file: Some(dir.join("server1.log")),
         ..ServerConfig::default()
@@ -1521,6 +1542,8 @@ fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
 
     let stats1 = c.stats().unwrap();
     assert_eq!(stats1.committed_backups, 3, "commit counter is monotonic");
+    let observed = tap.with_tap(|t| t.streaming().clone());
+    assert_eq!(observed.commits(), 3, "the deleted stream stays observed");
     c.shutdown().unwrap();
     handle.join().unwrap();
 
@@ -1534,7 +1557,7 @@ fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
         .is_err(),
         "binding without the epoch secret must fail"
     );
-    let (addr, handle) = start(ServerConfig {
+    let (addr, handle, tap) = start_tapped(ServerConfig {
         engine: DedupConfig {
             persist: Some(
                 PersistConfig::new(&store_dir)
@@ -1546,9 +1569,11 @@ fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
         log_file: Some(dir.join("server2.log")),
         ..ServerConfig::default()
     });
+    tap.with_tap(|t| assert_eq!(t.streaming(), &observed));
     let mut c = Client::connect(addr, "lifecycle").unwrap();
-    // The catalog shrank for good: only the survivors are served.
-    assert_eq!(c.stats().unwrap().committed_backups, 2);
+    // The commit clock does not wind back; the catalog shrank for good:
+    // only the survivors are served.
+    assert_eq!(c.stats().unwrap().committed_backups, 3);
     match c.restore("victim") {
         Err(ClientError::Server { code: cd, .. }) => assert_eq!(cd, code::UNKNOWN_LABEL),
         other => panic!("expected UNKNOWN_LABEL, got {other:?}"),
@@ -1567,5 +1592,168 @@ fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
     c.verify_restore(&keep_b, Some(&payload)).unwrap();
     c.shutdown().unwrap();
     handle.join().unwrap();
+    done(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The write-ahead catalog
+// ---------------------------------------------------------------------------
+
+/// Copies a store directory, shard subdirectories included.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// An acked COMMIT survives a crash. The store directory is copied right
+/// after the ack, while the server still runs (a crash image: no
+/// shutdown ever touched it), and a second server is bound on the copy.
+/// It lists the backup in STATS, restores it, answers RESUME with
+/// `Committed`, treats a resent COMMIT as a replay that changes no
+/// counter, and holds the adversary state the live server held at the
+/// ack, bit for bit.
+#[test]
+fn acked_commit_survives_a_crash_image() {
+    use freqdedup::server::proto::ResumeState;
+
+    let dir = test_dir("crash-image");
+    let config = |store: &str, log: &str| ServerConfig {
+        engine: DedupConfig {
+            persist: Some(PersistConfig::new(dir.join(store)).fsync(FsyncPolicy::Always)),
+            ..small_engine()
+        },
+        log_file: Some(dir.join(log)),
+        ..ServerConfig::default()
+    };
+    let backup = Backup::from_chunks(
+        "Jan 22",
+        (0..300u64)
+            .map(|i| freqdedup::trace::ChunkRecord::new(i % 120, 64))
+            .collect(),
+    );
+
+    let (addr, handle, tap) = start_tapped(config("live", "live.log"));
+    let mut c = Client::connect(addr, "crash").unwrap();
+    assert_eq!(c.resume(7).unwrap().0, ResumeState::Fresh);
+    c.upload_backup(&backup).unwrap();
+    assert_eq!(c.commit_with_id(&backup.label, 7).unwrap(), 300);
+    let at_ack = tap.with_tap(|t| t.streaming().clone());
+    copy_dir(&dir.join("live"), &dir.join("image"));
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+
+    let (addr, handle, tap) = start_tapped(config("image", "image.log"));
+    tap.with_tap(|t| assert_eq!(t.streaming(), &at_ack));
+    let mut c = Client::connect(addr, "crash").unwrap();
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.committed_backups, 1, "STATS after crash");
+    assert_eq!(
+        c.restore(&backup.label).unwrap().backup.chunks,
+        backup.chunks,
+        "RESTORE after crash"
+    );
+    assert_eq!(
+        c.resume(7).unwrap(),
+        (ResumeState::Committed, 0, 300),
+        "RESUME 7 after crash"
+    );
+    assert_eq!(
+        c.commit_with_id(&backup.label, 7).unwrap(),
+        300,
+        "replayed COMMIT 7 after crash"
+    );
+    assert_eq!(c.stats().unwrap(), stats, "a replay changes no counter");
+    tap.with_tap(|t| assert_eq!(t.streaming(), &at_ack));
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// The retention clock is the catalog's COMMIT count: commit three, delete
+/// the first, restart and commit again, and the store's timestamps still
+/// strictly increase (a clock seeded from the live count would reissue
+/// the third one's).
+#[test]
+fn commit_clock_survives_a_delete_and_a_restart() {
+    let dir = test_dir("commit-clock");
+    let store_dir = dir.join("store");
+    let config = |log: &str| ServerConfig {
+        engine: DedupConfig {
+            persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
+            ..small_engine()
+        },
+        log_file: Some(dir.join(log)),
+        ..ServerConfig::default()
+    };
+    let mk = |g: u64| {
+        Backup::from_chunks(
+            format!("gen-{g}"),
+            (g * 10..g * 10 + 40)
+                .map(|i| freqdedup::trace::ChunkRecord::new(i, 32))
+                .collect(),
+        )
+    };
+    let (addr, handle) = start(config("server1.log"));
+    let mut c = Client::connect(addr, "clock").unwrap();
+    for g in 0..3 {
+        c.upload_backup(&mk(g)).unwrap();
+        c.commit(&mk(g).label).unwrap();
+    }
+    c.delete_backup("gen-0", 0).unwrap();
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+
+    let (addr, handle) = start(config("server2.log"));
+    let mut c = Client::connect(addr, "clock").unwrap();
+    c.upload_backup(&mk(3)).unwrap();
+    c.commit(&mk(3).label).unwrap();
+    assert_eq!(c.stats().unwrap().committed_backups, 4);
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+
+    let engine = ShardedDedupEngine::open(config("unused.log").engine, 4).unwrap();
+    let stamps: Vec<u64> = engine.committed_backups().iter().map(|&(_, t)| t).collect();
+    assert_eq!(stamps.len(), 3);
+    assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{stamps:?}");
+    engine.close().unwrap();
+    done(&dir);
+}
+
+/// A `catalog.log` whose header has a flipped byte is a typed bind
+/// failure — a store error, like a foreign `manifest.log` — not an empty
+/// catalog.
+#[test]
+fn corrupt_catalog_header_fails_bind_typed() {
+    use freqdedup::server::server::{ServeError, CATALOG_FILE};
+
+    let dir = test_dir("catalog-header");
+    let store_dir = dir.join("store");
+    let config = || ServerConfig {
+        engine: DedupConfig {
+            persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
+            ..small_engine()
+        },
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = start(config());
+    Client::connect(addr, "closer").unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+    let path = store_dir.join(CATALOG_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[1] ^= 0x20;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        Server::bind(config()),
+        Err(ServeError::Persist(PersistError::BadMagic { .. }))
+    ));
     done(&dir);
 }
