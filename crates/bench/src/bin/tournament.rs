@@ -42,9 +42,9 @@ use freqdedup_bench::cli;
 use freqdedup_bench::harness::{self, build_pair, store_config, timed};
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
-use freqdedup_core::counting::TiePolicy;
 use freqdedup_core::defense::prelude::*;
 use freqdedup_core::metrics::{self, Inference};
+use freqdedup_core::TiePolicy;
 use freqdedup_mle::trace_enc::{DeterministicTraceEncryptor, EncryptedBackup};
 use freqdedup_server::client::Client;
 use freqdedup_server::server::{Server, ServerConfig, TapView};

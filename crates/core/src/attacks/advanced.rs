@@ -149,24 +149,4 @@ mod tests {
         let attack = AdvancedAttack::new(LocalityParams::default());
         assert!(attack.params().size_aware);
     }
-
-    #[test]
-    fn dense_path_matches_reference() {
-        // Size-classified dense crawl vs the fingerprint-keyed reference:
-        // identical inference sets (size classes exercise the classified
-        // branch of the dense frequency analysis).
-        let fps: Vec<u64> = (0..200u64).flat_map(|i| [i, i % 7 + 900]).collect();
-        let aux = sized_backup(&fps);
-        let enc = DeterministicTraceEncryptor::new(b"s");
-        let observed = enc.encrypt_backup(&aux);
-        let params = LocalityParams::new(2, 5, 10_000);
-        let dense = AdvancedAttack::new(params.clone()).run_ciphertext_only(&observed.backup, &aux);
-        let reference = crate::attacks::locality::LocalityAttack::new(params.size_aware(true))
-            .run_ciphertext_only_reference(&observed.backup, &aux);
-        let mut dp: Vec<_> = dense.iter().collect();
-        let mut rp: Vec<_> = reference.iter().collect();
-        dp.sort_unstable();
-        rp.sort_unstable();
-        assert_eq!(dp, rp);
-    }
 }

@@ -13,9 +13,8 @@
 
 use freqdedup_trace::Backup;
 
-use crate::counting::TiePolicy;
 use crate::dense::DenseStats;
-use crate::freq_analysis::freq_analysis_dense;
+use crate::freq_analysis::{freq_analysis_dense, TiePolicy};
 use crate::metrics::Inference;
 use crate::par::ParConfig;
 
@@ -32,7 +31,7 @@ impl BasicAttack {
 
     /// Runs the attack: `T ← FREQ-ANALYSIS(COUNT(C), COUNT(M))`, pairing
     /// every rank up to the smaller table. Counts and ranks on the dense-id
-    /// layer (identical output to the fingerprint-keyed path).
+    /// layer.
     #[must_use]
     pub fn run(&self, cipher: &Backup, plain_aux: &Backup) -> Inference {
         self.run_par(cipher, plain_aux, ParConfig::sequential())

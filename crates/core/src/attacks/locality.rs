@@ -15,30 +15,20 @@
 //! * `v` — pairs taken from each neighbour-table frequency analysis;
 //! * `w` — capacity bound of the inferred set `G` (memory guard).
 //!
-//! The attack runs on the dense-id/CSR layer of [`crate::dense`] — `COUNT`
+//! The attack runs on the dense-id/CSR layer of [`crate::dense`]: `COUNT`
 //! interns fingerprints to contiguous `u32` ids and builds the neighbour
-//! tables with one sort, and the crawl walks contiguous CSR rows. The
-//! fingerprint-keyed reference implementation
-//! ([`LocalityAttack::run_ciphertext_only_reference`] /
-//! [`LocalityAttack::run_known_plaintext_reference`]) is retained as the
-//! equivalence oracle and benchmark baseline; both paths produce identical
-//! inference sets (see `tests/dense_equivalence.rs`).
-//!
+//! tables with one sort per side, and the crawl walks contiguous CSR rows.
 //! [`LocalityParams::threads`] shards the `COUNT` phase across worker
 //! threads (via [`crate::par`]); the crawl stays sequential, and inference
-//! output is bit-identical at every thread count (see
-//! `tests/par_determinism.rs`).
+//! is bit-identical at every thread count. `tests/attack_equivalence.rs`
+//! checks the crawl against a fingerprint-keyed reference.
 
 use std::collections::VecDeque;
 
 use freqdedup_trace::{Backup, Fingerprint};
 
-use crate::counting::{ChunkStats, FreqTable, TiePolicy};
 use crate::dense::{DenseEntry, DenseStats};
-use crate::freq_analysis::{
-    freq_analysis, freq_analysis_dense, freq_analysis_sized, freq_analysis_sized_dense, DensePair,
-    Pair,
-};
+use crate::freq_analysis::{freq_analysis_dense, freq_analysis_sized_dense, DensePair, TiePolicy};
 use crate::metrics::Inference;
 use crate::par::ParConfig;
 
@@ -145,9 +135,6 @@ impl LocalityAttack {
 
     /// Ciphertext-only mode: `G` is seeded with the `u` most frequent
     /// ciphertext/plaintext rank matches.
-    ///
-    /// Runs on the dense-id/CSR layer ([`DenseStats`]); output is identical
-    /// to [`Self::run_ciphertext_only_reference`].
     #[must_use]
     pub fn run_ciphertext_only(&self, cipher: &Backup, plain_aux: &Backup) -> Inference {
         let par = self.params.par_config();
@@ -168,9 +155,6 @@ impl LocalityAttack {
 
     /// Known-plaintext mode: `G` is seeded with the leaked pairs that appear
     /// in both `C` and `M`.
-    ///
-    /// Runs on the dense-id/CSR layer; output is identical to
-    /// [`Self::run_known_plaintext_reference`].
     #[must_use]
     pub fn run_known_plaintext(
         &self,
@@ -263,87 +247,6 @@ impl LocalityAttack {
         } else {
             let (fps_c, fps_m) = (sc.interner.fingerprints(), sm.interner.fingerprints());
             freq_analysis_dense(yc, ym, x, fps_c, fps_m, self.params.tie_policy)
-        }
-    }
-
-    // -----------------------------------------------------------------------
-    // Reference implementation (pre-dense, fingerprint-keyed).
-    //
-    // Retained on purpose: it is the oracle the `dense_equivalence` and
-    // `par_determinism` property tests compare the dense layer with. Not
-    // deprecated — it is the readable, paper-shaped form of Algorithm 2.
-    // -----------------------------------------------------------------------
-
-    /// Ciphertext-only mode over the fingerprint-keyed [`ChunkStats`]
-    /// tables (the reference implementation).
-    #[must_use]
-    pub fn run_ciphertext_only_reference(&self, cipher: &Backup, plain_aux: &Backup) -> Inference {
-        let sc = ChunkStats::full_with_policy(cipher, self.params.tie_policy);
-        let sm = ChunkStats::full_with_policy(plain_aux, self.params.tie_policy);
-        let seed = self.analyze(&sc, &sm, &sc.freq, &sm.freq, self.params.u);
-        self.run_from_seed(&sc, &sm, seed)
-    }
-
-    /// Known-plaintext mode over the fingerprint-keyed [`ChunkStats`]
-    /// tables (the reference implementation).
-    #[must_use]
-    pub fn run_known_plaintext_reference(
-        &self,
-        cipher: &Backup,
-        plain_aux: &Backup,
-        leaked: &[(Fingerprint, Fingerprint)],
-    ) -> Inference {
-        let sc = ChunkStats::full_with_policy(cipher, self.params.tie_policy);
-        let sm = ChunkStats::full_with_policy(plain_aux, self.params.tie_policy);
-        let seed: Vec<Pair> = leaked
-            .iter()
-            .copied()
-            .filter(|&(c, m)| sc.freq.contains_key(&c) && sm.freq.contains_key(&m))
-            .collect();
-        self.run_from_seed(&sc, &sm, seed)
-    }
-
-    /// The main loop of Algorithm 2 (lines 9–23), fingerprint-keyed.
-    fn run_from_seed(&self, sc: &ChunkStats, sm: &ChunkStats, seed: Vec<Pair>) -> Inference {
-        let mut t = Inference::new();
-        let mut g: VecDeque<Pair> = VecDeque::new();
-        for (c, m) in seed {
-            if t.insert(c, m) {
-                g.push_back((c, m));
-            }
-        }
-
-        let empty = FreqTable::new();
-        while let Some((c, m)) = g.pop_front() {
-            let lc = sc.left_of(c).unwrap_or(&empty);
-            let lm = sm.left_of(m).unwrap_or(&empty);
-            let rc = sc.right_of(c).unwrap_or(&empty);
-            let rm = sm.right_of(m).unwrap_or(&empty);
-            let tl = self.analyze(sc, sm, lc, lm, self.params.v);
-            let tr = self.analyze(sc, sm, rc, rm, self.params.v);
-            for (c2, m2) in tl.into_iter().chain(tr) {
-                if t.insert(c2, m2) && g.len() <= self.params.w {
-                    g.push_back((c2, m2));
-                }
-            }
-        }
-        t
-    }
-
-    /// Dispatches to plain or size-classified frequency analysis
-    /// (fingerprint-keyed).
-    fn analyze(
-        &self,
-        sc: &ChunkStats,
-        sm: &ChunkStats,
-        yc: &FreqTable,
-        ym: &FreqTable,
-        x: usize,
-    ) -> Vec<Pair> {
-        if self.params.size_aware {
-            freq_analysis_sized(yc, ym, x, &|f| sc.blocks_of(f), &|f| sm.blocks_of(f))
-        } else {
-            freq_analysis(yc, ym, x)
         }
     }
 }
@@ -462,30 +365,6 @@ mod tests {
             &leaked,
         );
         assert!(bounded.len() < unbounded.len());
-    }
-
-    #[test]
-    fn dense_path_matches_reference() {
-        // The dense/CSR crawl and the fingerprint-keyed reference crawl
-        // must produce the same inference set, pair for pair.
-        let mut fps: Vec<u64> = Vec::new();
-        for _ in 0..40 {
-            fps.extend([1u64, 2, 2, 3]);
-        }
-        fps.extend(1000..1400u64);
-        let plain = backup(&fps);
-        let enc = DeterministicTraceEncryptor::new(b"s");
-        let observed = enc.encrypt_backup(&plain);
-        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
-            let attack = LocalityAttack::new(LocalityParams::new(2, 5, 10_000).tie_policy(policy));
-            let dense = attack.run_ciphertext_only(&observed.backup, &plain);
-            let reference = attack.run_ciphertext_only_reference(&observed.backup, &plain);
-            let mut dp: Vec<_> = dense.iter().collect();
-            let mut rp: Vec<_> = reference.iter().collect();
-            dp.sort_unstable();
-            rp.sort_unstable();
-            assert_eq!(dp, rp, "policy {policy:?}");
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@ pub mod locality;
 
 use freqdedup_trace::{Backup, Fingerprint};
 
-use crate::counting::TiePolicy;
 use crate::dense::DenseStats;
+use crate::freq_analysis::TiePolicy;
 use crate::metrics::Inference;
 use crate::streaming::IncrementalStats;
 
@@ -116,7 +116,7 @@ pub fn run_ciphertext_only_with_stats_both_policies(
 /// tap consumers (service example, integration tests, `fdbench`) sweep the
 /// pair through this helper. The result is bit-identical to two
 /// independent [`run_ciphertext_only`] calls (pinned by
-/// `tests/streaming_equivalence.rs`).
+/// `tests/attack_equivalence.rs`).
 #[must_use]
 pub fn run_ciphertext_only_both_policies(
     kind: AttackKind,
@@ -131,11 +131,11 @@ pub fn run_ciphertext_only_both_policies(
 }
 
 /// Runs `kind` in ciphertext-only mode against a **series** of tapped
-/// ciphertext backups, batch-recomputed from scratch: the whole tape is
-/// interned in commit order, frequencies are summed across backups, and
-/// adjacency stays within each backup (no edges across commit
-/// boundaries). This is the batch oracle the streaming path
-/// ([`run_ciphertext_only_streaming`]) is equivalence-tested against.
+/// ciphertext backups: the tape is folded, in order, into a fresh
+/// [`IncrementalStats`] (ids interned across the whole tape, frequencies
+/// summed over the backups, no adjacency across a backup boundary),
+/// flattened, and crawled like [`run_ciphertext_only_streaming`]. The fold
+/// is dropped once flattened: the crawl reads only the flat table.
 #[must_use]
 pub fn run_ciphertext_only_series(
     kind: AttackKind,
@@ -143,7 +143,13 @@ pub fn run_ciphertext_only_series(
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> Inference {
-    let sc = DenseStats::full_series(cipher_tape);
+    let sc = {
+        let mut cipher = IncrementalStats::default();
+        for backup in cipher_tape {
+            cipher.commit(backup);
+        }
+        cipher.to_dense()
+    };
     let sm = DenseStats::full_par(plain_aux, params.par_config());
     run_ciphertext_only_with_stats(kind, &sc, &sm, params)
 }
@@ -152,8 +158,7 @@ pub fn run_ciphertext_only_series(
 /// [`IncrementalStats`] maintained behind live traffic — the adversary's
 /// O(delta)-per-commit steady state. No ciphertext-side `COUNT` happens:
 /// the state is flattened once ([`IncrementalStats::to_dense`], O(entries))
-/// and crawled like a batch table. Bit-identical to
-/// [`run_ciphertext_only_series`] over the committed tape.
+/// and crawled like a batch table.
 #[must_use]
 pub fn run_ciphertext_only_streaming(
     kind: AttackKind,
@@ -164,27 +169,6 @@ pub fn run_ciphertext_only_streaming(
     let sc = cipher.to_dense();
     let sm = DenseStats::full_par(plain_aux, params.par_config());
     run_ciphertext_only_with_stats(kind, &sc, &sm, params)
-}
-
-/// Known-plaintext variant of [`run_ciphertext_only_streaming`]. The basic
-/// attack ignores the leakage, as in [`run_known_plaintext`].
-#[must_use]
-pub fn run_known_plaintext_streaming(
-    kind: AttackKind,
-    cipher: &IncrementalStats,
-    plain_aux: &Backup,
-    leaked: &[(Fingerprint, Fingerprint)],
-    params: &locality::LocalityParams,
-) -> Inference {
-    let sc = cipher.to_dense();
-    let sm = DenseStats::full_par(plain_aux, params.par_config());
-    match kind {
-        AttackKind::Basic => basic::BasicAttack::new().run_with_stats(&sc, &sm),
-        AttackKind::Locality => locality::LocalityAttack::new(params.clone().size_aware(false))
-            .run_known_plaintext_with_stats(&sc, &sm, leaked),
-        AttackKind::Advanced => advanced::AdvancedAttack::new(params.clone())
-            .run_known_plaintext_with_stats(&sc, &sm, leaked),
-    }
 }
 
 /// Runs `kind` in known-plaintext mode with leaked pairs. The basic attack

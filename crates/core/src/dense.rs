@@ -1,49 +1,45 @@
-//! Dense chunk-ID interning and CSR co-occurrence tables — the data layer
-//! the attack hot path runs on.
+//! Dense chunk-ID interning, CSR co-occurrence tables and the one `COUNT`
+//! kernel — the data layer every attack runs on.
 //!
-//! The fingerprint-keyed [`ChunkStats`] tables of [`crate::counting`] are a
-//! faithful model of the paper's LevelDB layout, but a poor fit for the
-//! `COUNT` + crawl hot path at scale: every unique chunk owns two
-//! heap-allocated `HashMap`s (left and right neighbours), every probe pays
-//! SipHash over a 64-bit key, and the crawl's memory accesses are scattered
-//! across millions of tiny maps. This module replaces that layout with
-//! three flat structures:
+//! `COUNT` (Algorithms 1–3) yields the frequency table `F` and the
+//! neighbour tables `L`/`R` of a chunk stream. Here they are three flat
+//! structures:
 //!
-//! * [`ChunkInterner`] — one pass over the backup maps each fingerprint to
+//! * [`ChunkInterner`] — one pass over the stream maps each fingerprint to
 //!   a contiguous `u32` id (first-seen order), backed by the vendored
 //!   FxHash hasher. Fingerprints are outputs of a cryptographic hash, so
 //!   the fast multiply-rotate mix loses nothing.
 //! * [`CooccurrenceCsr`] — the left/right neighbour tables as CSR
-//!   (compressed sparse row) arrays: all `(chunk, neighbour)` adjacencies
-//!   are collected as packed `u64` keys, sorted **once**, and run-length
-//!   aggregated into per-chunk rows of [`DenseEntry`]. Zero per-chunk maps;
-//!   one sort replaces millions of hash probes; each crawl step reads a
-//!   contiguous row.
-//! * [`DenseStats`] — the dense analogue of [`ChunkStats`]: a global
-//!   frequency array indexed by id plus the two CSR tables.
+//!   (compressed sparse row) arrays of [`DenseEntry`] rows: no per-chunk
+//!   maps, and each crawl step reads one contiguous row.
+//! * [`DenseStats`] — the frequency array indexed by id plus the two CSR
+//!   tables: the one state the attacks crawl, batch or streaming.
 //!
-//! **Tie-break equivalence.** The canonical ranking order — higher count,
-//! then earlier first-seen stream position, then smaller fingerprint — is
-//! preserved bit-for-bit. Counts and orders are aggregated from exactly the
-//! same `(position, adjacency)` events the hash-map path observes (the
-//! sort key includes the position, so a run's first element carries the
-//! minimum, i.e. first-seen, position), and the final fingerprint tie-break
-//! resolves through the interner's id→fingerprint table rather than the id
-//! itself, so interning cannot reorder ties. `COUNT` here is policy-free:
-//! every row carries its first-seen position, and the
-//! [`TiePolicy`](crate::counting::TiePolicy) decides at rank time
-//! ([`crate::freq_analysis`]) whether to read it. The property tests in
-//! `tests/dense_equivalence.rs` verify identity against the fingerprint
-//! -keyed path — which still derives `KeyOrder` at build time — on
-//! randomized backups under both policies.
-
-use std::collections::HashMap;
-use std::ops::Range;
+//! **One kernel, two sinks.** Every adjacency of a stream is an event
+//! (`adjacency_event_at`): a packed `(chunk ≪ 32 | neighbour)` key plus its
+//! stream position. The kernel (`aggregate`) sorts events and hands a sink
+//! one aggregated entry per distinct key, in key order: the run length as
+//! its count and, because the position is part of the sort key, the run's
+//! first — minimum, first-seen — position as its order. Batch `COUNT`
+//! ([`DenseStats::full_par`]) sinks straight into the `CsrWriter`, the only
+//! code that lays out a CSR table; the streaming fold
+//! ([`crate::streaming::IncrementalStats::commit`]) sinks each commit into
+//! a segment run, and its flatten writes the merged segments through the
+//! same `CsrWriter`.
+//!
+//! **Tie-break equivalence.** The ranking order — higher count, then
+//! earlier first-seen position, then smaller fingerprint — resolves its
+//! last tie through the interner's id→fingerprint table rather than the id
+//! itself, so interning cannot reorder ties. `COUNT` is policy-free: every
+//! row carries its first-seen position, and the
+//! [`TiePolicy`](crate::freq_analysis::TiePolicy) decides at rank time
+//! ([`crate::freq_analysis`]) whether to read it.
+//! `tests/attack_equivalence.rs` checks all of this against a
+//! fingerprint-keyed reference `COUNT` that shares no code with this one.
 
 use freqdedup_trace::{Backup, Fingerprint};
 use rustc_hash::FxHashMap;
 
-use crate::counting::{ChunkStats, FreqEntry};
 use crate::par::{self, ParConfig};
 
 /// A dense chunk id: index into the interner's fingerprint/size tables.
@@ -82,6 +78,15 @@ impl ChunkInterner {
         self.fps.push(fp);
         self.sizes.push(size);
         id
+    }
+
+    /// Interns a backup's chunk stream, returning it as dense ids.
+    pub(crate) fn intern_stream(&mut self, backup: &Backup) -> Vec<ChunkId> {
+        backup
+            .chunks
+            .iter()
+            .map(|rec| self.intern(rec.fp, rec.size))
+            .collect()
     }
 
     /// The id of `fp`, if it has been interned.
@@ -140,15 +145,17 @@ pub struct DenseEntry {
     pub order: u32,
 }
 
-impl DenseEntry {
-    /// The fingerprint-keyed equivalent of this entry.
-    #[must_use]
-    pub fn to_freq_entry(self) -> FreqEntry {
-        FreqEntry {
-            count: u64::from(self.count),
-            order: self.order,
-        }
-    }
+/// One aggregated adjacency: the packed `(chunk ≪ 32 | neighbour)` key with
+/// its occurrence count and first-seen (minimum) stream order — what the
+/// kernel emits, a streaming segment stores, and [`CsrWriter`] lays out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AdjEntry {
+    /// Packed `(row chunk ≪ 32 | neighbour)` sort key.
+    pub(crate) key: u64,
+    /// Number of occurrences of this adjacency.
+    pub(crate) count: u32,
+    /// Minimum (first-seen) tie-break order across the occurrences.
+    pub(crate) order: u32,
 }
 
 /// Left or right neighbour co-occurrence tables in compressed-sparse-row
@@ -160,33 +167,13 @@ pub struct CooccurrenceCsr {
     entries: Vec<DenseEntry>,
 }
 
-/// Which neighbour table a CSR build produces.
+/// Which neighbour table a build produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Side {
     /// `L[x]` — what precedes `x` in the stream.
     Left,
     /// `R[x]` — what follows `x` in the stream.
     Right,
-}
-
-/// Per-worker state of a sharded CSR build: the shard's id range, its
-/// bucketed adjacency events, and the aggregation output.
-struct CsrShard {
-    rows: Range<usize>,
-    adjacencies: Vec<(u64, u32)>,
-    offsets: Vec<u32>,
-    entries: Vec<DenseEntry>,
-}
-
-impl CsrShard {
-    fn new(rows: Range<usize>) -> Self {
-        CsrShard {
-            rows,
-            adjacencies: Vec::new(),
-            offsets: Vec::new(),
-            entries: Vec::new(),
-        }
-    }
 }
 
 impl CooccurrenceCsr {
@@ -199,69 +186,41 @@ impl CooccurrenceCsr {
         }
     }
 
-    /// Builds the table from raw adjacency events.
+    /// Batch `COUNT` of one neighbour table: the stream's adjacency events
+    /// through [`aggregate`] into a [`CsrWriter`].
     ///
-    /// Each event is `(key, position)` with `key = chunk << 32 | neighbour`
-    /// and `position` the tie-break order of that event. One unstable sort
-    /// groups equal adjacencies into runs (the position participates in the
-    /// sort key, so each run leads with its minimum — first-seen —
-    /// position); a linear scan then aggregates runs into rows.
-    fn build(num_ids: usize, mut adjacencies: Vec<(u64, u32)>) -> Self {
-        adjacencies.sort_unstable();
-        let (offsets, entries) = aggregate_sorted(0..num_ids, &adjacencies);
-        CooccurrenceCsr { offsets, entries }
-    }
-
-    /// Builds the table by sharding the adjacency events **by chunk-id
-    /// range** across up to `threads` workers.
-    ///
-    /// One sequential O(n) pass buckets every event by the id shard its
-    /// *row* chunk belongs to (total bucketing work is independent of the
-    /// thread count); the buckets are then sorted and
-    /// run-length-aggregated in parallel — the expensive part — and the
-    /// per-shard rows stitched together in shard order. Because the
-    /// adjacency sort key leads with the row chunk id, concatenating
-    /// per-range sorted runs reproduces exactly the globally sorted
-    /// adjacency array — so the stitched table is bit-identical to
-    /// [`Self::build`]'s at any thread count.
-    fn build_sharded(num_ids: usize, ids: &[ChunkId], side: Side, threads: usize) -> Self {
+    /// With more than one worker, one sequential O(n) pass buckets the
+    /// events by the **chunk-id range** their row chunk falls in, and the
+    /// kernel runs on every bucket in parallel. The sort key leads with the
+    /// row chunk, so the per-range runs, concatenated in range order, are
+    /// exactly the one sorted run a single bucket yields: the table is
+    /// bit-identical at any thread count.
+    fn build(num_ids: usize, ids: &[ChunkId], side: Side, threads: usize) -> Self {
+        let events = (1..ids.len()).map(|i| adjacency_event_at(ids, i, side, 0));
+        let mut csr = CsrWriter::new(num_ids, ids.len().saturating_sub(1));
         let ranges = par::shard_ranges(num_ids, threads.max(1));
         if ranges.len() <= 1 {
-            // One range — one thread, or a degenerate stream: bucketing
-            // would be a wasted pass, so sort the events as they come.
-            let events = (1..ids.len()).map(|i| adjacency_event_at(ids, i, side, 0));
-            return Self::build(num_ids, events.collect());
+            aggregate(&mut events.collect::<Vec<_>>(), |e| csr.push(e));
+            return csr.finish();
         }
-
-        // Bucket by owning id shard: `starts` is small (≤ threads entries),
-        // so the partition_point probe stays in L1.
-        let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        let mut work: Vec<CsrShard> = ranges.into_iter().map(CsrShard::new).collect();
-        for i in 1..ids.len() {
-            let (key, order) = adjacency_event_at(ids, i, side, 0);
-            let chunk = (key >> 32) as usize;
-            let shard = starts.partition_point(|&s| s <= chunk) - 1;
-            work[shard].adjacencies.push((key, order));
+        // Each shard: its bucket of events, then its aggregated run.
+        // `starts` is small (≤ threads entries), so the partition_point
+        // probe stays in L1.
+        let starts: Vec<u64> = ranges.iter().map(|r| r.start as u64).collect();
+        let mut shards = vec![(Vec::new(), Vec::new()); starts.len()];
+        for (key, order) in events {
+            let shard = starts.partition_point(|&s| s <= key >> 32) - 1;
+            shards[shard].0.push((key, order));
         }
-
-        par::par_for_each_mut(threads, &mut work, |_, shard| {
-            shard.adjacencies.sort_unstable();
-            let (offsets, entries) = aggregate_sorted(shard.rows.clone(), &shard.adjacencies);
-            shard.offsets = offsets;
-            shard.entries = entries;
+        par::par_for_each_mut(threads, &mut shards, |_, (events, run)| {
+            let mut events = std::mem::take(events);
+            run.reserve_exact(events.len());
+            aggregate(&mut events, |e| run.push(e));
         });
-
-        let total: usize = work.iter().map(|s| s.entries.len()).sum();
-        let mut offsets = vec![0u32; num_ids + 1];
-        let mut entries = Vec::with_capacity(total);
-        for shard in work {
-            let base = entries.len() as u32;
-            for (k, id) in shard.rows.enumerate() {
-                offsets[id + 1] = base + shard.offsets[k + 1];
-            }
-            entries.extend(shard.entries);
+        for e in shards.into_iter().flat_map(|(_, run)| run) {
+            csr.push(e);
         }
-        CooccurrenceCsr { offsets, entries }
+        csr.finish()
     }
 
     /// The aggregated neighbour row of chunk `id` (empty slice if the chunk
@@ -286,11 +245,11 @@ impl CooccurrenceCsr {
     }
 }
 
-/// Lays a table out from **already aggregated** entries arriving in packed
-/// `(chunk ≪ 32 | neighbour)` key order — the flatten of the streaming
-/// layer ([`crate::streaming`]), whose segment merge produces exactly this
-/// form. No sort, no run detection: each entry is written once, into
-/// arrays allocated up front.
+/// Lays a table out from aggregated entries arriving in strictly
+/// increasing key order — from the kernel in a batch build, from the
+/// segment merge in the streaming flatten. The only code that builds a
+/// [`CooccurrenceCsr`]: each entry is written once, into arrays allocated
+/// up front.
 pub(crate) struct CsrWriter {
     offsets: Vec<u32>,
     entries: Vec<DenseEntry>,
@@ -308,13 +267,13 @@ impl CsrWriter {
 
     /// Appends the next entry; keys must arrive strictly increasing.
     #[inline]
-    pub(crate) fn push(&mut self, key: u64, count: u32, order: u32) {
+    pub(crate) fn push(&mut self, e: AdjEntry) {
         self.entries.push(DenseEntry {
-            id: key as u32,
-            count,
-            order,
+            id: e.key as u32,
+            count: e.count,
+            order: e.order,
         });
-        self.offsets[(key >> 32) as usize + 1] = self.entries.len() as u32;
+        self.offsets[(e.key >> 32) as usize + 1] = self.entries.len() as u32;
     }
 
     /// The finished table.
@@ -326,6 +285,8 @@ impl CsrWriter {
                 self.offsets[k] = self.offsets[k - 1];
             }
         }
+        // `max_entries` is an upper bound; keep only what was written.
+        self.entries.shrink_to_fit();
         CooccurrenceCsr {
             offsets: self.offsets,
             entries: self.entries,
@@ -336,15 +297,13 @@ impl CsrWriter {
 /// The adjacency event for stream index `i ∈ 1..n` on `side`, for a stream
 /// that starts at global position `base` within a larger tape: the packed
 /// `(row chunk ≪ 32 | neighbour)` sort key plus the event's **global**
-/// stream position, so per-backup deltas aggregate to exactly the orders a
-/// batch `COUNT` over the concatenated tape observes.
+/// stream position, so a commit folded into a series aggregates to the
+/// orders of the whole tape.
 ///
 /// For [`Side::Left`] the row chunk is `ids[i]` (its left neighbour is
 /// `ids[i-1]`, observed at position `i`); for [`Side::Right`] the row
 /// chunk is `ids[i-1]` (its right neighbour is `ids[i]`, observed at
-/// position `i-1`). This is the **only** place event derivation lives —
-/// the sequential build, the sharded bucketing loop, the series build and
-/// the streaming delta builder all call it, so the paths cannot drift.
+/// position `i-1`). This is the **only** place event derivation lives.
 #[inline]
 pub(crate) fn adjacency_event_at(ids: &[ChunkId], i: usize, side: Side, base: usize) -> (u64, u32) {
     let (chunk, neighbour, pos) = match side {
@@ -357,44 +316,22 @@ pub(crate) fn adjacency_event_at(ids: &[ChunkId], i: usize, side: Side, base: us
     )
 }
 
-/// Run-length-aggregates a **sorted** adjacency slice whose row chunks all
-/// fall in `rows`, producing row offsets *relative to `rows.start`* (length
-/// `rows.len() + 1`) and the aggregated entries.
-///
-/// This is the single aggregation kernel shared by the sequential build
-/// (`rows = 0..num_ids`) and every parallel shard — the two paths cannot
-/// drift apart.
-fn aggregate_sorted(rows: Range<usize>, adjacencies: &[(u64, u32)]) -> (Vec<u32>, Vec<DenseEntry>) {
-    let mut offsets = vec![0u32; rows.len() + 1];
-    let mut entries = Vec::new();
-    let mut i = 0;
-    while i < adjacencies.len() {
-        let (key, first_pos) = adjacencies[i];
-        let mut j = i + 1;
-        while j < adjacencies.len() && adjacencies[j].0 == key {
-            j += 1;
-        }
-        entries.push(DenseEntry {
-            id: key as u32,
-            count: (j - i) as u32,
-            order: first_pos,
+/// The `COUNT` kernel: sorts adjacency events and run-length-aggregates
+/// them, handing `emit` one [`AdjEntry`] per distinct key, in key order.
+/// The position is part of the sort key, so each run leads with its
+/// minimum — first-seen — position, which becomes the entry's order.
+pub(crate) fn aggregate(events: &mut [(u64, u32)], mut emit: impl FnMut(AdjEntry)) {
+    events.sort_unstable();
+    for run in events.chunk_by(|a, b| a.0 == b.0) {
+        emit(AdjEntry {
+            key: run[0].0,
+            count: run.len() as u32,
+            order: run[0].1,
         });
-        let chunk = (key >> 32) as usize - rows.start;
-        offsets[chunk + 1] = entries.len() as u32;
-        i = j;
     }
-    // Chunks without neighbours on this side leave zero gaps; forward-
-    // fill so every row is a valid (possibly empty) range.
-    for k in 1..offsets.len() {
-        if offsets[k] < offsets[k - 1] {
-            offsets[k] = offsets[k - 1];
-        }
-    }
-    (offsets, entries)
 }
 
-/// The output of `COUNT` in dense form: the id-indexed analogue of
-/// [`ChunkStats`].
+/// The output of `COUNT` in dense form.
 ///
 /// The one state the attack crawl reads: batch `COUNT` builds it, and the
 /// streaming layer flattens into it once per inference
@@ -404,9 +341,9 @@ fn aggregate_sorted(rows: Range<usize>, adjacencies: &[(u64, u32)]) -> (Vec<u32>
 pub struct DenseStats {
     /// Fingerprint ⇄ id mapping plus per-id sizes.
     pub interner: ChunkInterner,
-    /// `F[x]` — occurrence count per dense id (global order is always 0:
-    /// the global table is fingerprint-keyed, so ties fall through to the
-    /// fingerprint comparison, exactly like the hash-map path).
+    /// `F[x]` — occurrence count per dense id. Global rows carry order 0:
+    /// the paper's global table is fingerprint-keyed, so its ties fall
+    /// through to the fingerprint.
     pub freq: Vec<u32>,
     /// `L[x]` — left-neighbour rows.
     pub left: CooccurrenceCsr,
@@ -428,14 +365,14 @@ impl DenseStats {
     /// any thread count).
     #[must_use]
     pub fn frequencies_only_par(backup: &Backup, par: ParConfig) -> Self {
-        let (interner, ids) = intern_stream(backup);
+        let mut interner = ChunkInterner::new();
+        let ids = interner.intern_stream(backup);
         let unique = interner.len();
-        let freq = count_ids_par(&ids, unique, par.resolve());
         DenseStats {
-            interner,
-            freq,
+            freq: count_ids_par(&ids, unique, par.resolve()),
             left: CooccurrenceCsr::empty(unique),
             right: CooccurrenceCsr::empty(unique),
+            interner,
         }
     }
 
@@ -450,76 +387,30 @@ impl DenseStats {
     /// and is changed only by PRs of its own; `COUNT` reads no policy.
     #[doc(hidden)]
     #[must_use]
-    pub fn full_with_policy(backup: &Backup, _policy: crate::counting::TiePolicy) -> Self {
+    pub fn full_with_policy(backup: &Backup, _policy: crate::freq_analysis::TiePolicy) -> Self {
         Self::full(backup)
     }
 
-    /// [`Self::full`] with the frequency pass and both CSR neighbour-table
+    /// [`Self::full`] with the frequency pass and both neighbour-table
     /// builds sharded across worker threads.
     ///
     /// Interning stays sequential — id assignment is first-seen order, an
     /// inherently serial definition — but it is one hash pass; the sorts
     /// dominate at scale. Frequencies shard by contiguous stream range and
-    /// merge by elementwise sum; the neighbour tables shard **by chunk-id
-    /// range** (see [`CooccurrenceCsr`] internals), so every merged
-    /// structure is bit-identical at any thread count. `par` resolving to
-    /// 1 spawns nothing: one range, one sort per side.
+    /// merge by elementwise sum; the neighbour tables shard by chunk-id
+    /// range, so every structure is bit-identical at any thread count.
+    /// `par` resolving to 1 spawns nothing: one sort per side.
     #[must_use]
     pub fn full_par(backup: &Backup, par: ParConfig) -> Self {
         let threads = par.resolve();
-        let (interner, ids) = intern_stream(backup);
-        let unique = interner.len();
-        let freq = count_ids_par(&ids, unique, threads);
-        let left = CooccurrenceCsr::build_sharded(unique, &ids, Side::Left, threads);
-        let right = CooccurrenceCsr::build_sharded(unique, &ids, Side::Right, threads);
-        DenseStats {
-            interner,
-            freq,
-            left,
-            right,
-        }
-    }
-
-    /// Batch `COUNT` over a **tape** of backups — the full-recompute oracle
-    /// the streaming layer ([`crate::streaming`]) is property-tested
-    /// against.
-    ///
-    /// Tape semantics: ids are interned first-seen across the whole tape in
-    /// tape order; frequencies sum over all backups; adjacency events exist
-    /// only *within* each backup (the last chunk of one backup is not the
-    /// left neighbour of the next backup's first chunk); and the order of
-    /// an event is its **global** stream position (the backup's cumulative
-    /// chunk offset plus the local position). For a single-backup tape
-    /// this is exactly [`Self::full`].
-    #[must_use]
-    pub fn full_series(tape: &[Backup]) -> Self {
         let mut interner = ChunkInterner::new();
-        let mut left_events = Vec::new();
-        let mut right_events = Vec::new();
-        let mut freq_ids: Vec<ChunkId> = Vec::new();
-        let mut base = 0usize;
-        for backup in tape {
-            let ids: Vec<ChunkId> = backup
-                .chunks
-                .iter()
-                .map(|rec| interner.intern(rec.fp, rec.size))
-                .collect();
-            for i in 1..ids.len() {
-                left_events.push(adjacency_event_at(&ids, i, Side::Left, base));
-                right_events.push(adjacency_event_at(&ids, i, Side::Right, base));
-            }
-            base += ids.len();
-            freq_ids.extend(ids);
-        }
+        let ids = interner.intern_stream(backup);
         let unique = interner.len();
-        let freq = count_ids(&freq_ids, unique);
-        let left = CooccurrenceCsr::build(unique, left_events);
-        let right = CooccurrenceCsr::build(unique, right_events);
         DenseStats {
+            freq: count_ids_par(&ids, unique, threads),
+            left: CooccurrenceCsr::build(unique, &ids, Side::Left, threads),
+            right: CooccurrenceCsr::build(unique, &ids, Side::Right, threads),
             interner,
-            freq,
-            left,
-            right,
         }
     }
 
@@ -550,57 +441,6 @@ impl DenseStats {
     pub fn blocks_of(&self, id: ChunkId) -> u32 {
         self.interner.size(id).div_ceil(16)
     }
-
-    /// Exports to the fingerprint-keyed [`ChunkStats`] representation (the
-    /// compatibility surface for figure binaries and older call sites).
-    #[must_use]
-    pub fn to_chunk_stats(&self) -> ChunkStats {
-        let unique = self.unique_chunks();
-        let mut stats = ChunkStats {
-            freq: HashMap::with_capacity(unique),
-            left: HashMap::with_capacity(unique),
-            right: HashMap::with_capacity(unique),
-            sizes: HashMap::with_capacity(unique),
-        };
-        for id in 0..unique as u32 {
-            let fp = self.interner.fingerprint(id);
-            stats.freq.insert(
-                fp,
-                FreqEntry {
-                    count: u64::from(self.freq[id as usize]),
-                    order: 0,
-                },
-            );
-            stats.sizes.insert(fp, self.interner.size(id));
-            for (csr, table) in [
-                (&self.left, &mut stats.left),
-                (&self.right, &mut stats.right),
-            ] {
-                let row = csr.row(id);
-                if !row.is_empty() {
-                    table.insert(
-                        fp,
-                        row.iter()
-                            .map(|e| (self.interner.fingerprint(e.id), e.to_freq_entry()))
-                            .collect(),
-                    );
-                }
-            }
-        }
-        stats
-    }
-}
-
-/// Interns a backup's chunk stream, returning the interner and the stream
-/// as dense ids.
-fn intern_stream(backup: &Backup) -> (ChunkInterner, Vec<ChunkId>) {
-    let mut interner = ChunkInterner::new();
-    let ids = backup
-        .chunks
-        .iter()
-        .map(|rec| interner.intern(rec.fp, rec.size))
-        .collect();
-    (interner, ids)
 }
 
 /// Counts occurrences per dense id.
@@ -737,18 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn to_chunk_stats_round_trips_paper_example() {
-        // C = ⟨C1 C2 C5 C2 C1 C2 C3 C4 C2 C3 C4 C4⟩ (§4.2).
-        let b = backup(&[1, 2, 5, 2, 1, 2, 3, 4, 2, 3, 4, 4]);
-        let dense = DenseStats::full(&b).to_chunk_stats();
-        let legacy = ChunkStats::full(&b);
-        assert_eq!(dense.freq, legacy.freq);
-        assert_eq!(dense.left, legacy.left);
-        assert_eq!(dense.right, legacy.right);
-        assert_eq!(dense.sizes, legacy.sizes);
-    }
-
-    #[test]
     fn frequencies_only_skips_csr() {
         let s = DenseStats::frequencies_only(&backup(&[1, 2, 1]));
         assert_eq!(s.freq[0], 2);
@@ -792,39 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn series_of_one_backup_equals_single_batch() {
-        let b = backup(&[1, 2, 5, 2, 1, 2, 3, 4, 2, 3, 4, 4]);
-        let series = DenseStats::full_series(std::slice::from_ref(&b));
-        assert_eq!(series, DenseStats::full(&b));
-    }
-
-    #[test]
-    fn series_keeps_backups_adjacency_separate_but_frequencies_summed() {
-        // Tape ⟨1 2⟩, ⟨2 3⟩: each backup is its own stream, so the backup
-        // boundary 2|2 contributes no adjacency — 2's right neighbour 3
-        // comes only from the second backup's interior edge.
-        let tape = [backup(&[1, 2]), backup(&[2, 3])];
-        let s = DenseStats::full_series(&tape);
-        let id1 = s.interner.get(fp(1)).unwrap();
-        let id2 = s.interner.get(fp(2)).unwrap();
-        let id3 = s.interner.get(fp(3)).unwrap();
-        assert_eq!(s.freq[id2 as usize], 2);
-        // Within-backup edges only: R[1] = {2}, R[2] = {3}; no R[2] = {2}.
-        assert_eq!(s.right.row(id1).len(), 1);
-        let row2 = s.right.row(id2);
-        assert_eq!(row2.len(), 1);
-        // Global stream position: the ⟨2 3⟩ edge sits at tape position 2.
-        assert_eq!(
-            row2[0],
-            DenseEntry {
-                id: id3,
-                count: 1,
-                order: 2
-            }
-        );
-    }
-
-    #[test]
     fn csr_writer_reproduces_built_table() {
         let fps: Vec<u64> = (0..300u64).map(|i| (i * 13) % 41).collect();
         let b = backup(&fps);
@@ -833,7 +628,11 @@ mod tests {
             let mut writer = CsrWriter::new(csr.num_rows(), csr.num_entries());
             for row in 0..csr.num_rows() as u32 {
                 for e in csr.row(row) {
-                    writer.push((u64::from(row) << 32) | u64::from(e.id), e.count, e.order);
+                    writer.push(AdjEntry {
+                        key: (u64::from(row) << 32) | u64::from(e.id),
+                        count: e.count,
+                        order: e.order,
+                    });
                 }
             }
             assert_eq!(&writer.finish(), csr);

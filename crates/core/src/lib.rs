@@ -25,6 +25,16 @@
 //!   chunks by size in 16-byte cipher blocks, exploiting the size leakage of
 //!   variable-size chunking.
 //!
+//! # Data layer
+//!
+//! Every attack crawls one state, [`DenseStats`]: the frequency table `F`
+//! and the neighbour tables `L`/`R` of `COUNT`, over interned `u32` ids in
+//! CSR form ([`dense`]). One sort-and-aggregate kernel builds it — straight
+//! from one backup in a batch `COUNT`, or commit by commit over a series
+//! of backups in the running [`IncrementalStats`] ([`streaming`]), whose
+//! flatten is the same table. [`freq_analysis`] ranks its rows under a
+//! [`TiePolicy`].
+//!
 //! # Defenses
 //!
 //! All implement the object-safe [`defense::DefenseScheme`] trait
@@ -80,7 +90,6 @@
 #![warn(missing_docs)]
 
 pub mod attacks;
-pub mod counting;
 pub mod defense;
 pub mod dense;
 pub mod freq_analysis;
@@ -89,9 +98,9 @@ pub mod par;
 pub mod streaming;
 
 pub use attacks::AttackKind;
-pub use counting::ChunkStats;
 pub use defense::{DefenseError, DefenseScheme, KeyContext};
 pub use dense::{ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats};
+pub use freq_analysis::TiePolicy;
 pub use metrics::{Inference, InferenceReport};
 pub use par::ParConfig;
-pub use streaming::{CommitReceipt, IncrementalStats, StatsDelta};
+pub use streaming::{CommitReceipt, IncrementalStats};

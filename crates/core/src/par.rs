@@ -10,12 +10,11 @@
 //!
 //! What runs on them in this crate:
 //!
-//! * [`crate::dense::DenseStats::full_par`] — dense `COUNT`:
+//! * [`crate::dense::DenseStats::full_par`] — batch `COUNT`:
 //!   per-shard frequency counting over contiguous stream ranges
-//!   (elementwise-summed in shard order) and the left/right CSR
-//!   neighbour-table build sharded **by chunk-id range** so per-shard
-//!   sorted runs concatenate into exactly the globally sorted adjacency
-//!   array.
+//!   (elementwise-summed in shard order), and the `COUNT` kernel run on
+//!   each **chunk-id range** of the adjacency events, whose sorted runs
+//!   concatenate into exactly the one sorted run of the whole stream.
 //! * [`crate::attacks::locality::LocalityParams::threads`] — the knob
 //!   that selects parallel `COUNT` inside the locality/advanced attacks
 //!   (the crawl itself is inherently sequential FIFO expansion and stays
@@ -24,8 +23,8 @@
 //!   frequency-only counting for Algorithm 1.
 //!
 //! All of these are **deterministic**: output is bit-identical to the
-//! sequential path at every thread count (pinned by the
-//! `par_determinism` integration tests).
+//! sequential path at every thread count (pinned by
+//! `tests/attack_equivalence.rs`).
 
 pub use freqdedup_trace::par::{
     par_fold, par_for_each_mut, par_map, par_shards, shard_ranges, ParConfig,

@@ -1,40 +1,42 @@
-//! Incremental (streaming) `COUNT` — the attack data layer updated in
-//! O(delta) per committed backup.
+//! Incremental (streaming) `COUNT` — the attack state folded in O(delta)
+//! per committed backup.
 //!
-//! The batch layer ([`crate::dense`]) rebuilds the interner, the global
-//! frequency array and both CSR neighbour tables from the full tape on
-//! every run — O(total history) per inference, which cannot track a live
-//! service. This module makes the same state *foldable*:
+//! Batch `COUNT` ([`crate::dense`]) builds the interner, the frequency
+//! array and both CSR neighbour tables of one stream at once. A live
+//! service needs the same state *folded*, one committed backup at a time,
+//! over the whole series (the extended paper's series attacks):
 //!
-//! * [`StatsDelta`] — everything one committed backup contributes, in
-//!   id-space: sparse frequency increments plus per-side aggregated
-//!   adjacency runs. Deltas form a commutative monoid under
-//!   [`StatsDelta::merged`] (counts add, first-seen orders take the
-//!   minimum), which is exactly why folding them in any grouping yields
-//!   the batch answer.
+//! * [`IncrementalStats::commit`] — the only fold. It interns the backup
+//!   against the running interner, adds its counts to the frequency array,
+//!   and runs its adjacency events through the same kernel as batch
+//!   `COUNT`, one aggregated run per side.
 //! * [`SegmentedCsr`] — a neighbour table as a stack of sorted, aggregated
-//!   segments (the logarithmic method): each commit *appends* its delta as
-//!   a new segment, and a merge-stack invariant (a segment is merged into
+//!   segments (the logarithmic method): each commit *appends* its run as a
+//!   new segment, and a merge-stack invariant (a segment is merged into
 //!   its neighbour whenever it has grown at least as large) bounds the
 //!   stack depth to O(log n) while keeping total merge work O(log n)
-//!   amortized per entry. Because the merge algebra is associative and
-//!   commutative, the merged table is **independent of segmentation** —
-//!   flattening mid-stream, after a forced [`SegmentedCsr::compact`], or
-//!   after a restart all observe the same bits.
-//! * [`IncrementalStats`] — the running attack state: interner, frequency
-//!   array, both segmented tables, and the logical-position cursor that
-//!   keeps first-seen orders globally consistent.
-//!   [`IncrementalStats::commit`] folds one backup in O(delta · log
-//!   history); [`IncrementalStats::to_dense`] flattens the state once, in
-//!   O(entries), into the equivalent [`DenseStats`] — the one table the
-//!   attacks crawl, streaming or batch.
+//!   amortized per entry. The merge — counts add, first-seen orders take
+//!   the minimum — is commutative and associative, so the merged table is
+//!   **independent of segmentation**: flattening mid-stream, after a
+//!   forced [`SegmentedCsr::compact`], or after a restart all observe the
+//!   same bits.
+//! * [`IncrementalStats::to_dense`] flattens the state once, in
+//!   O(entries), into the [`DenseStats`] every attack crawls.
+//!
+//! **Series semantics.** Ids are interned first-seen across the series in
+//! commit order; frequencies sum over the backups; adjacency exists only
+//! *within* a backup (no edge across a backup boundary); and an event's
+//! order is its **global** position in the series (the backup's
+//! cumulative chunk offset plus its local position). A batch `COUNT` of a
+//! series is this fold ([`crate::attacks::run_ciphertext_only_series`]);
+//! of a single backup it equals [`DenseStats::full`].
 //!
 //! The state serializes to a CRC-checked binary blob
 //! ([`IncrementalStats::write_to`] / [`IncrementalStats::read_from`]) so a
 //! restarted adversary tap resumes **bit-identically** — segments and
-//! merge counters included — without replaying history. Equivalence with
-//! the batch oracle ([`DenseStats::full_series`]) is pinned by
-//! `tests/streaming_equivalence.rs`.
+//! merge counters included — without replaying history.
+//! `tests/attack_equivalence.rs` pins the fold against a fingerprint-keyed
+//! series `COUNT` that shares no code with it.
 
 use std::io::{Read, Write};
 
@@ -42,24 +44,13 @@ use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter, TraceIoError};
 use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::dense::{
-    adjacency_event_at, ChunkId, ChunkInterner, CooccurrenceCsr, CsrWriter, DenseStats, Side,
+    adjacency_event_at, aggregate, AdjEntry, ChunkInterner, CooccurrenceCsr, CsrWriter, DenseStats,
+    Side,
 };
-
-/// One aggregated adjacency run: the packed `(chunk ≪ 32 | neighbour)`
-/// key with its occurrence count and first-seen (minimum) stream order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdjEntry {
-    /// Packed `(row chunk ≪ 32 | neighbour)` sort key.
-    pub key: u64,
-    /// Number of occurrences of this adjacency.
-    pub count: u32,
-    /// Minimum (first-seen) tie-break order across the occurrences.
-    pub order: u32,
-}
 
 /// Merges two key-sorted aggregated runs, handing `emit` each key once in
 /// key order: counts add, orders take the minimum. This is the **entire**
-/// delta algebra — it is commutative and associative, so any fold order
+/// segment algebra — it is commutative and associative, so any fold order
 /// (per-commit appends, segment merges, compaction, flatten, restart)
 /// produces the same aggregated rows.
 fn merge_two(a: &[AdjEntry], b: &[AdjEntry], mut emit: impl FnMut(AdjEntry)) {
@@ -110,144 +101,6 @@ fn merge_runs(runs: &[Vec<AdjEntry>], emit: impl FnMut(AdjEntry)) {
         .rev()
         .fold(Vec::new(), |acc, run| merge_adj(run, &acc));
     merge_two(first, &rest, emit);
-}
-
-/// Sorts raw adjacency events and run-length-aggregates them into
-/// [`AdjEntry`] runs (the position participates in the sort key, so each
-/// run leads with its minimum — first-seen — order).
-fn aggregate_events(mut events: Vec<(u64, u32)>) -> Vec<AdjEntry> {
-    events.sort_unstable();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < events.len() {
-        let (key, order) = events[i];
-        let mut j = i + 1;
-        while j < events.len() && events[j].0 == key {
-            j += 1;
-        }
-        out.push(AdjEntry {
-            key,
-            count: (j - i) as u32,
-            order,
-        });
-        i = j;
-    }
-    out
-}
-
-/// Everything one committed backup adds to the running attack state, in
-/// dense-id space.
-///
-/// A delta is built against a (mutably borrowed) interner — interning is
-/// the only inherently sequential part of `COUNT` — and is pure data
-/// afterwards. Two deltas built against the same interner merge with
-/// [`Self::merged`]; the merge is commutative and associative, so the
-/// order in which deltas are *folded* never matters (the order in which
-/// they were *built* fixes id assignment and stream offsets, exactly as
-/// in the batch tape semantics).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsDelta {
-    chunks: u64,
-    /// Sparse frequency increments, sorted by id.
-    freq: Vec<(ChunkId, u32)>,
-    left: Vec<AdjEntry>,
-    right: Vec<AdjEntry>,
-}
-
-impl StatsDelta {
-    /// Builds the delta of one backup: interns its stream into `interner`
-    /// (assigning fresh ids to first-seen chunks), counts its frequencies,
-    /// and aggregates its within-backup adjacency events with first-seen
-    /// orders offset by `position_offset` — the number of logical chunks
-    /// committed before this backup (so orders are **global** tape
-    /// positions, matching [`DenseStats::full_series`]).
-    ///
-    /// Cost is O(delta · log delta): two sorts over the backup's own
-    /// events, independent of total history.
-    #[must_use]
-    pub fn build(interner: &mut ChunkInterner, backup: &Backup, position_offset: u64) -> Self {
-        let ids: Vec<ChunkId> = backup
-            .chunks
-            .iter()
-            .map(|rec| interner.intern(rec.fp, rec.size))
-            .collect();
-        let base = position_offset as usize;
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let mut freq = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let id = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j] == id {
-                j += 1;
-            }
-            freq.push((id, (j - i) as u32));
-            i = j;
-        }
-        let left = aggregate_events(
-            (1..ids.len())
-                .map(|i| adjacency_event_at(&ids, i, Side::Left, base))
-                .collect(),
-        );
-        let right = aggregate_events(
-            (1..ids.len())
-                .map(|i| adjacency_event_at(&ids, i, Side::Right, base))
-                .collect(),
-        );
-        StatsDelta {
-            chunks: ids.len() as u64,
-            freq,
-            left,
-            right,
-        }
-    }
-
-    /// Merges two deltas built against the same interner: frequencies and
-    /// adjacency counts add, first-seen orders take the minimum, logical
-    /// chunk counts add. Commutative and associative.
-    #[must_use]
-    pub fn merged(&self, other: &StatsDelta) -> StatsDelta {
-        let mut freq = Vec::with_capacity(self.freq.len() + other.freq.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.freq.len() && j < other.freq.len() {
-            match self.freq[i].0.cmp(&other.freq[j].0) {
-                std::cmp::Ordering::Less => {
-                    freq.push(self.freq[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    freq.push(other.freq[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    freq.push((self.freq[i].0, self.freq[i].1 + other.freq[j].1));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        freq.extend_from_slice(&self.freq[i..]);
-        freq.extend_from_slice(&other.freq[j..]);
-        StatsDelta {
-            chunks: self.chunks + other.chunks,
-            freq,
-            left: merge_adj(&self.left, &other.left),
-            right: merge_adj(&self.right, &other.right),
-        }
-    }
-
-    /// Logical (pre-dedup) chunks the delta covers.
-    #[must_use]
-    pub fn chunks(&self) -> u64 {
-        self.chunks
-    }
-
-    /// Whether the delta carries no observations at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.chunks == 0
-    }
 }
 
 /// A neighbour table as a merge-stack of sorted aggregated segments (the
@@ -313,7 +166,7 @@ impl SegmentedCsr {
     /// [`Self::merges`]) never sees it.
     fn flatten(&self, num_ids: usize) -> CooccurrenceCsr {
         let mut csr = CsrWriter::new(num_ids, self.num_entries());
-        merge_runs(&self.segments, |e| csr.push(e.key, e.count, e.order));
+        merge_runs(&self.segments, |e| csr.push(e));
         csr.finish()
     }
 
@@ -338,8 +191,8 @@ impl SegmentedCsr {
     }
 }
 
-/// What one [`IncrementalStats::commit`] (or [`IncrementalStats::apply`])
-/// did — the receipt the tap's latency log and the streaming bench record.
+/// What one [`IncrementalStats::commit`] did — the receipt the tap's
+/// latency log and the streaming bench record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommitReceipt {
     /// Logical chunks folded in.
@@ -355,15 +208,14 @@ pub struct CommitReceipt {
 /// The running attack state: `COUNT` output maintained incrementally, one
 /// committed backup at a time.
 ///
-/// Equivalent at every commit point to [`DenseStats::full_series`] over
-/// the committed prefix (the
-/// property `tests/streaming_equivalence.rs` pins bit-for-bit), while
-/// each [`Self::commit`] costs O(delta · log history) instead of O(total
+/// Flattened at any commit point, it is the `COUNT` of the committed
+/// series (see the module docs for the series semantics), while each
+/// [`Self::commit`] costs O(delta · log history) instead of O(total
 /// history).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     interner: ChunkInterner,
-    /// `F[x]` per dense id; always `interner.len()` long between commits.
+    /// `F[x]` per dense id; always `interner.len()` long.
     freq: Vec<u32>,
     left: SegmentedCsr,
     right: SegmentedCsr,
@@ -379,66 +231,40 @@ impl IncrementalStats {
     /// policy.
     #[doc(hidden)]
     #[must_use]
-    pub fn new(_policy: crate::counting::TiePolicy) -> Self {
+    pub fn new(_policy: crate::freq_analysis::TiePolicy) -> Self {
         Self::default()
     }
 
-    /// Creates an empty state that adopts a pre-populated `interner` — for
-    /// callers that build [`StatsDelta`]s directly via
-    /// [`StatsDelta::build`] against a shared interner (with explicit
-    /// position offsets) and fold them in afterwards, e.g. batched or
-    /// re-sharded ingestion. Applied deltas' dense ids must come from
-    /// `interner`.
-    #[must_use]
-    pub fn with_interner(interner: ChunkInterner) -> Self {
-        IncrementalStats {
-            freq: vec![0; interner.len()],
-            interner,
-            ..Self::default()
+    /// Folds one committed backup in O(delta · log history) amortized: its
+    /// chunks are interned (first-seen ids are the interner's next ones),
+    /// counted straight into the frequency array, and each side's
+    /// within-backup adjacency events — at global positions offset by the
+    /// chunks committed before — are aggregated by the `COUNT` kernel into
+    /// one run appended as a new segment.
+    pub fn commit(&mut self, backup: &Backup) -> CommitReceipt {
+        let known = self.interner.len();
+        let ids = self.interner.intern_stream(backup);
+        self.freq.resize(self.interner.len(), 0);
+        for &id in &ids {
+            self.freq[id as usize] += 1;
         }
-    }
-
-    /// Builds (but does not fold) the delta of `backup` against this
-    /// state: the backup's chunks are interned into this state's interner
-    /// and its first-seen orders are offset by the current logical-position
-    /// cursor. The returned delta must be [`Self::apply`]-ed (alone or
-    /// [`StatsDelta::merged`] with deltas built after it) before the next
-    /// [`Self::build_delta`] / [`Self::commit`], or position offsets
-    /// drift.
-    pub fn build_delta(&mut self, backup: &Backup) -> StatsDelta {
-        StatsDelta::build(&mut self.interner, backup, self.chunks)
-    }
-
-    /// Folds a delta built by [`Self::build_delta`] into the running
-    /// state in O(delta · log history) amortized.
-    pub fn apply(&mut self, delta: StatsDelta) -> CommitReceipt {
-        let need = self
-            .interner
-            .len()
-            .max(delta.freq.last().map_or(0, |&(id, _)| id as usize + 1))
-            .max(self.freq.len());
-        self.freq.resize(need, 0);
-        let mut new_unique = 0;
-        for &(id, n) in &delta.freq {
-            let f = &mut self.freq[id as usize];
-            new_unique += usize::from(*f == 0);
-            *f += n;
+        let base = self.chunks as usize;
+        let mut events = Vec::with_capacity(ids.len().saturating_sub(1));
+        let mut merged_entries = 0;
+        for (side, table) in [(Side::Left, &mut self.left), (Side::Right, &mut self.right)] {
+            events.clear();
+            events.extend((1..ids.len()).map(|i| adjacency_event_at(&ids, i, side, base)));
+            let mut run = Vec::new();
+            aggregate(&mut events, |e| run.push(e));
+            merged_entries += table.append(run);
         }
-        let merged = self.left.append(delta.left) + self.right.append(delta.right);
-        self.chunks += delta.chunks;
+        self.chunks += ids.len() as u64;
         self.commits += 1;
         CommitReceipt {
-            chunks: delta.chunks,
-            new_unique,
-            merged_entries: merged,
+            chunks: ids.len() as u64,
+            new_unique: self.interner.len() - known,
+            merged_entries,
         }
-    }
-
-    /// Folds one committed backup: [`Self::build_delta`] followed by
-    /// [`Self::apply`].
-    pub fn commit(&mut self, backup: &Backup) -> CommitReceipt {
-        let delta = self.build_delta(backup);
-        self.apply(delta)
     }
 
     /// Forces a full compaction of both neighbour tables. Aggregated rows
@@ -486,20 +312,16 @@ impl IncrementalStats {
         &self.interner
     }
 
-    /// Flattens the running state into the equivalent batch
-    /// [`DenseStats`] — what every streaming inference crawls. Same
-    /// interner, same frequencies, and each side's segment stack merged
-    /// once into a flat CSR table: O(entries), the stack itself untouched.
-    /// Bit-identical to [`DenseStats::full_series`] over the committed
-    /// tape.
+    /// Flattens the running state into the [`DenseStats`] every streaming
+    /// inference crawls: same interner, same frequencies, and each side's
+    /// segment stack merged once into a flat CSR table — O(entries), the
+    /// stack itself untouched.
     #[must_use]
     pub fn to_dense(&self) -> DenseStats {
         let unique = self.interner.len();
-        let mut freq = self.freq.clone();
-        freq.resize(unique, 0);
         DenseStats {
             interner: self.interner.clone(),
-            freq,
+            freq: self.freq.clone(),
             left: self.left.flatten(unique),
             right: self.right.flatten(unique),
         }
@@ -651,14 +473,38 @@ mod tests {
     }
 
     #[test]
-    fn streaming_equals_series_batch_at_every_prefix() {
-        let tape = tape();
-        let mut inc = IncrementalStats::default();
-        for k in 0..tape.len() {
-            inc.commit(&tape[k]);
-            let oracle = DenseStats::full_series(&tape[..=k]);
-            assert_eq!(inc.to_dense(), oracle, "prefix {}", k + 1);
+    fn one_commit_equals_batch_count() {
+        // The two sinks of the kernel agree: a single commit, flattened,
+        // is the batch `COUNT` of that backup.
+        for b in &tape() {
+            let mut inc = IncrementalStats::default();
+            inc.commit(b);
+            assert_eq!(inc.to_dense(), DenseStats::full(b), "{}", b.label);
         }
+    }
+
+    #[test]
+    fn series_keeps_backups_adjacency_separate_but_frequencies_summed() {
+        // Tape ⟨1 2⟩, ⟨2 3⟩: each backup is its own stream, so the backup
+        // boundary 2|2 contributes no adjacency — 2's right neighbour 3
+        // comes only from the second backup's interior edge.
+        let mut inc = IncrementalStats::default();
+        inc.commit(&backup("a", &[1, 2]));
+        inc.commit(&backup("b", &[2, 3]));
+        let s = inc.to_dense();
+        let id = |f: u64| s.interner.get(Fingerprint(f)).unwrap();
+        assert_eq!(s.freq[id(2) as usize], 2);
+        // Within-backup edges only: R[1] = {2}, R[2] = {3}; no R[2] = {2}.
+        assert_eq!(s.right.row(id(1)).len(), 1);
+        // Global stream position: the ⟨2 3⟩ edge sits at tape position 2.
+        assert_eq!(
+            s.right.row(id(2)),
+            [crate::dense::DenseEntry {
+                id: id(3),
+                count: 1,
+                order: 2
+            }]
+        );
     }
 
     #[test]
@@ -694,45 +540,11 @@ mod tests {
         assert!((5..=16).contains(&depth), "{depth}");
         assert!(inc.left().merges() > 0);
         // The flatten merges the whole deep stack in one pass, to the
-        // batch answer.
-        assert_eq!(inc.to_dense(), DenseStats::full_series(&tape));
-    }
-
-    #[test]
-    fn delta_merge_is_commutative_and_associative() {
-        let tape = tape();
-        let mut interner = ChunkInterner::new();
-        let mut offset = 0u64;
-        let deltas: Vec<StatsDelta> = tape
-            .iter()
-            .map(|b| {
-                let d = StatsDelta::build(&mut interner, b, offset);
-                offset += b.len() as u64;
-                d
-            })
-            .collect();
-        let (a, b, c) = (&deltas[0], &deltas[1], &deltas[5]);
-        assert_eq!(a.merged(b), b.merged(a));
-        assert_eq!(a.merged(b).merged(c), a.merged(&b.merged(c)));
-    }
-
-    #[test]
-    fn merged_deltas_fold_to_the_same_state() {
-        // Applying d0+d1 as one merged delta equals applying them one at
-        // a time (the segment layout differs; the materialized state must
-        // not).
-        let tape = tape();
-        let mut one_by_one = IncrementalStats::default();
-        for b in &tape[..2] {
-            one_by_one.commit(b);
-        }
-        // Build both deltas against one state's interner (explicit
-        // offsets), then fold them as a single merged delta.
-        let mut merged = IncrementalStats::default();
-        let d0 = StatsDelta::build(&mut merged.interner, &tape[0], 0);
-        let d1 = StatsDelta::build(&mut merged.interner, &tape[1], d0.chunks());
-        merged.apply(d0.merged(&d1));
-        assert_eq!(one_by_one.to_dense(), merged.to_dense());
+        // rows of the fully compacted table.
+        let mut compacted = inc.clone();
+        compacted.compact();
+        assert_eq!(compacted.left().num_segments(), 1);
+        assert_eq!(compacted.to_dense(), inc.to_dense());
     }
 
     #[test]

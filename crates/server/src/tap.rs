@@ -33,8 +33,7 @@ use std::time::Instant;
 
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
-use freqdedup_core::counting::TiePolicy;
-use freqdedup_core::{DenseStats, IncrementalStats, Inference};
+use freqdedup_core::{DenseStats, IncrementalStats, Inference, TiePolicy};
 use freqdedup_store::persist::{maybe_sync_dir, FsyncPolicy, PersistError};
 use freqdedup_trace::io::{self, CodecError, CrcReader, TraceIoError};
 use freqdedup_trace::{Backup, BackupSeries};
@@ -656,12 +655,12 @@ mod tests {
         assert_eq!(tap.streaming().commits(), 2);
         assert_eq!(tap.streaming().logical_chunks(), 7);
         assert_eq!(tap.streaming().update_micros().len(), 2);
-        // The running state equals a batch recompute over the committed
-        // tape.
-        assert_eq!(
-            tap.streaming().stats().to_dense(),
-            DenseStats::full_series(tap.committed())
-        );
+        // The running state equals a fresh fold of the committed tape.
+        let mut fold = IncrementalStats::default();
+        for b in tap.committed() {
+            fold.commit(b);
+        }
+        assert_eq!(tap.streaming().stats().to_dense(), fold.to_dense());
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn defense_keeps_storage_saving_close_to_mle() {
 #[test]
 fn tie_policy_ablation_is_pinned() {
     use freqdedup::core::attacks::locality::LocalityAttack;
-    use freqdedup::core::counting::TiePolicy;
+    use freqdedup::core::TiePolicy;
     use freqdedup::datasets::vm::{self, VmConfig};
 
     // Recorded at 57bf155, before COUNT became policy-free.

@@ -295,7 +295,7 @@ fn store_stats(s: &ServerStats) -> [u64; 5] {
 /// Attack inference (both tie policies) over a label-sorted catalog, as
 /// sorted `(ciphertext, plaintext)` pairs for comparison.
 fn catalog_inference(catalog: &[Backup], aux: &Backup) -> [Vec<(u64, u64)>; 2] {
-    use freqdedup::core::counting::TiePolicy;
+    use freqdedup::core::TiePolicy;
     let params = LocalityParams::new(2, 5, 50_000);
     [TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
         let inf = attacks::run_ciphertext_only_series(

@@ -765,10 +765,7 @@ fn streaming_tap_snapshots_match_batch_and_survive_restart() {
 
     // Sorted inference snapshot vs the batch recompute of the committed
     // prefix, for one (policy, inference) pair.
-    let check = |live: &[(
-        freqdedup::core::counting::TiePolicy,
-        freqdedup::core::Inference,
-    ); 2],
+    let check = |live: &[(freqdedup::core::TiePolicy, freqdedup::core::Inference); 2],
                  prefix: &[Backup],
                  ctx: &str| {
         for (policy, live_inf) in live {

@@ -6,7 +6,7 @@
 //! this test stops compiling.
 
 use freqdedup::chunking::cdc::CdcParams;
-use freqdedup::core::counting::ChunkStats;
+use freqdedup::core::DenseStats;
 use freqdedup::crypto::sha256;
 use freqdedup::datasets::fsl::FslConfig;
 use freqdedup::mle::convergent::Convergent;
@@ -30,7 +30,7 @@ fn umbrella_reexports_resolve() {
         .is_ok());
 
     // core
-    let stats = ChunkStats::frequencies_only(&backup);
+    let stats = DenseStats::frequencies_only(&backup);
     assert_eq!(stats.freq.len(), 1);
 
     // mle
