@@ -29,7 +29,8 @@
 
 use std::fmt;
 
-use freqdedup_crypto::{hmac, kdf};
+use freqdedup_crypto::hmac::HmacKey;
+use freqdedup_crypto::kdf;
 use freqdedup_mle::trace_enc::{DeterministicTraceEncryptor, EncryptedBackup, GroundTruth};
 use freqdedup_trace::par::ParConfig;
 use freqdedup_trace::{Backup, BackupSeries, Fingerprint};
@@ -38,10 +39,19 @@ use freqdedup_trace::{Backup, BackupSeries, Fingerprint};
 /// secret (the adversary never learns it) and a seed that makes any
 /// scheme-internal randomness — scramble coin flips, split-key
 /// derivation — reproducible.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct KeyContext {
     secret: Vec<u8>,
     seed: u64,
+}
+
+impl fmt::Debug for KeyContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print the secret.
+        f.debug_struct("KeyContext")
+            .field("seed", &self.seed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl KeyContext {
@@ -68,9 +78,10 @@ impl KeyContext {
 
     /// Derives the 256-bit splitting key for ciphertext-splitting schemes
     /// (TED, partition smoothing), bound to the scheme's domain string,
-    /// the secret and the seed.
-    pub(crate) fn split_key(&self, domain: &'static [u8]) -> [u8; 32] {
-        kdf::derive_key(domain, &self.secret, &self.seed.to_le_bytes())
+    /// the secret and the seed, and sets it up once for [`variant_fp`].
+    pub(crate) fn split_key(&self, domain: &'static [u8]) -> HmacKey {
+        let key = kdf::derive_key(domain, &self.secret, &self.seed.to_le_bytes());
+        HmacKey::new(&key)
     }
 }
 
@@ -179,11 +190,11 @@ pub trait DefenseScheme: fmt::Debug + Send + Sync {
 /// full-width HMAC input distinct from plain deterministic MLE
 /// (`HMAC(secret, M)`), so split schemes never collide with [`NoDefense`]
 /// ciphertexts by construction of the message layout.
-pub(crate) fn variant_fp(split_key: &[u8; 32], fp: Fingerprint, variant: u64) -> Fingerprint {
+pub(crate) fn variant_fp(split_key: &HmacKey, fp: Fingerprint, variant: u64) -> Fingerprint {
     let mut msg = [0u8; 16];
     msg[..8].copy_from_slice(&fp.to_bytes());
     msg[8..].copy_from_slice(&variant.to_le_bytes());
-    Fingerprint(hmac::hmac_u64(split_key, &msg))
+    Fingerprint(split_key.mac_u64(&msg))
 }
 
 /// The identity defense: plain deterministic MLE under the context
@@ -283,6 +294,24 @@ mod tests {
         // A different seed re-keys the whole splitting universe.
         let k3 = KeyContext::new(b"secret", 8).split_key(b"freqdedup-ted");
         assert_ne!(variant_fp(&k1, fp, 0), variant_fp(&k3, fp, 0));
+    }
+
+    #[test]
+    fn ted_variant_fp_is_pinned() {
+        // Recorded with the one-shot `hmac_u64(split_key, M ‖ 0)`.
+        let key = KeyContext::new(b"secret", 7).split_key(b"freqdedup-ted");
+        assert_eq!(
+            variant_fp(&key, Fingerprint(42), 0),
+            Fingerprint(0xff0e_05ec_b904_2b70)
+        );
+    }
+
+    #[test]
+    fn key_context_debug_shows_only_the_seed() {
+        let ctx = KeyContext::new(b"secret", 7);
+        let shown = format!("{ctx:?}");
+        assert!(!shown.contains(&format!("{:?}", ctx.secret())), "{shown}");
+        assert!(shown.contains("seed: 7"), "{shown}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! keys, with domain-separating `info` strings so independent uses can never
 //! collide.
 
-use crate::hmac::{hmac, HmacSha256};
+use crate::hmac::{hmac, HmacKey};
 use crate::sha256::DIGEST_LEN;
 
 /// HKDF-Extract: turns input keying material into a pseudorandom key.
@@ -26,11 +26,12 @@ pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
         "HKDF output length {} exceeds RFC 5869 limit",
         out.len()
     );
+    let key = HmacKey::new(prk);
     let mut previous: Vec<u8> = Vec::new();
     let mut counter = 1u8;
     let mut written = 0usize;
     while written < out.len() {
-        let mut mac = HmacSha256::new(prk);
+        let mut mac = key.start();
         mac.update(&previous);
         mac.update(info);
         mac.update(&[counter]);

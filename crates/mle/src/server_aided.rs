@@ -13,7 +13,7 @@
 
 use std::sync::Mutex;
 
-use freqdedup_crypto::{hmac, sha256};
+use freqdedup_crypto::{hmac::HmacKey, sha256};
 
 use crate::{ctr_append, ChunkKey, Mle, MleError};
 
@@ -64,7 +64,7 @@ impl RateLimiter {
 /// per-chunk keys for authenticated clients (§2.2).
 #[derive(Debug)]
 pub struct KeyServer {
-    secret: [u8; 32],
+    key: HmacKey,
     limiter: Option<RateLimiter>,
     derivations: u64,
 }
@@ -74,7 +74,7 @@ impl KeyServer {
     #[must_use]
     pub fn new(secret: [u8; 32]) -> Self {
         KeyServer {
-            secret,
+            key: HmacKey::new(&secret),
             limiter: None,
             derivations: 0,
         }
@@ -84,7 +84,7 @@ impl KeyServer {
     #[must_use]
     pub fn with_rate_limit(secret: [u8; 32], requests: u64) -> Self {
         KeyServer {
-            secret,
+            key: HmacKey::new(&secret),
             limiter: Some(RateLimiter::new(requests)),
             derivations: 0,
         }
@@ -102,7 +102,7 @@ impl KeyServer {
             }
         }
         self.derivations += 1;
-        Ok(ChunkKey(hmac::hmac(&self.secret, fingerprint)))
+        Ok(ChunkKey(self.key.mac(fingerprint)))
     }
 
     /// Grants rate-limit tokens (no-op for unlimited servers).
@@ -187,6 +187,7 @@ impl Mle for ServerAidedMle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use freqdedup_crypto::hmac;
 
     #[test]
     fn deterministic_across_clients_with_same_server_secret() {
@@ -206,6 +207,16 @@ mod tests {
             a.encrypt(b"chunk").unwrap().1,
             b.encrypt(b"chunk").unwrap().1
         );
+    }
+
+    #[test]
+    fn debug_prints_no_secret() {
+        let secret = [0x5au8; 32];
+        let mut server = KeyServer::new(secret);
+        let fp = [7u8; 32];
+        assert_eq!(server.derive(&fp).unwrap().0, hmac::hmac(&secret, &fp));
+        let shown = format!("{server:?}");
+        assert!(!shown.contains(&format!("{secret:?}")), "{shown}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use freqdedup_crypto::hmac;
+use freqdedup_crypto::hmac::HmacKey;
 use freqdedup_trace::par::{self, ParConfig};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
@@ -122,7 +122,7 @@ pub struct EncryptedBackup {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeterministicTraceEncryptor {
-    secret: Vec<u8>,
+    key: HmacKey,
 }
 
 impl DeterministicTraceEncryptor {
@@ -130,14 +130,14 @@ impl DeterministicTraceEncryptor {
     #[must_use]
     pub fn new(secret: &[u8]) -> Self {
         DeterministicTraceEncryptor {
-            secret: secret.to_vec(),
+            key: HmacKey::new(secret),
         }
     }
 
     /// Encrypts a single fingerprint.
     #[must_use]
     pub fn encrypt_fp(&self, plain: Fingerprint) -> Fingerprint {
-        Fingerprint(hmac::hmac_u64(&self.secret, &plain.to_bytes()))
+        Fingerprint(self.key.mac_u64(&plain.to_bytes()))
     }
 
     /// Encrypts a whole backup, producing the adversary's view plus the
@@ -146,13 +146,15 @@ impl DeterministicTraceEncryptor {
     pub fn encrypt_backup(&self, plain: &Backup) -> EncryptedBackup {
         let mut truth = GroundTruth::new();
         let mut out = Backup::new(plain.label.clone());
-        // Deterministic encryption: cache per unique fingerprint.
+        // Deterministic encryption: cache per unique fingerprint, and
+        // record each plaintext's ciphertext once, on its first sighting.
         let mut memo: HashMap<Fingerprint, Fingerprint> = HashMap::new();
         for rec in plain {
-            let cipher = *memo
-                .entry(rec.fp)
-                .or_insert_with(|| self.encrypt_fp(rec.fp));
-            truth.record(cipher, rec.fp);
+            let cipher = *memo.entry(rec.fp).or_insert_with(|| {
+                let cipher = self.encrypt_fp(rec.fp);
+                truth.record(cipher, rec.fp);
+                cipher
+            });
             out.push(ChunkRecord::new(cipher, rec.size));
         }
         EncryptedBackup { backup: out, truth }
@@ -176,7 +178,7 @@ impl DeterministicTraceEncryptor {
         }
         let shards = par::par_shards(threads, plain.chunks.len(), |_, range| {
             let mut memo: HashMap<Fingerprint, Fingerprint> = HashMap::new();
-            plain.chunks[range]
+            let records: Vec<ChunkRecord> = plain.chunks[range]
                 .iter()
                 .map(|rec| {
                     let cipher = *memo
@@ -184,13 +186,17 @@ impl DeterministicTraceEncryptor {
                         .or_insert_with(|| self.encrypt_fp(rec.fp));
                     ChunkRecord::new(cipher, rec.size)
                 })
-                .collect::<Vec<ChunkRecord>>()
+                .collect();
+            (records, memo)
         });
+        // Each shard's memo holds exactly its first sightings.
         let mut truth = GroundTruth::new();
         let mut out = Backup::new(plain.label.clone());
-        for (cipher_rec, plain_rec) in shards.into_iter().flatten().zip(&plain.chunks) {
-            truth.record(cipher_rec.fp, plain_rec.fp);
-            out.push(cipher_rec);
+        for (records, memo) in shards {
+            for (m, c) in memo {
+                truth.record(c, m);
+            }
+            out.chunks.extend(records);
         }
         EncryptedBackup { backup: out, truth }
     }
@@ -215,6 +221,27 @@ mod tests {
             enc.encrypt_fp(Fingerprint(5)),
             enc.encrypt_fp(Fingerprint(6))
         );
+    }
+
+    #[test]
+    fn ciphertexts_are_pinned() {
+        // Recorded with the one-shot `hmac_u64(secret, M)`: setting the key
+        // up once must not move a single ciphertext.
+        let enc = DeterministicTraceEncryptor::new(b"fdbench-mle-secret-1");
+        for (plain, cipher) in [
+            (0, 0x4478_fefb_3254_7030),
+            (1, 0x3f8e_1a71_68d5_2074),
+            (u64::MAX, 0x2a4f_33c4_7b27_b311),
+        ] {
+            assert_eq!(enc.encrypt_fp(Fingerprint(plain)), Fingerprint(cipher));
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_secret() {
+        let secret = b"system secret";
+        let shown = format!("{:?}", DeterministicTraceEncryptor::new(secret));
+        assert!(!shown.contains(&format!("{:?}", secret)), "{shown}");
     }
 
     #[test]
