@@ -38,8 +38,9 @@ pub fn parse(mut it: impl Iterator<Item = String>, usage: &str) -> CommonArgs {
         match arg.as_str() {
             "--scale" => {
                 out.scale = flag_value(&mut it, usage, "--scale", "a number");
-                if out.scale <= 0.0 {
-                    die(usage, "--scale must be positive");
+                // `nan` and `inf` parse as `f64`; neither sizes a dataset.
+                if !(out.scale.is_finite() && out.scale > 0.0) {
+                    die(usage, "--scale must be a positive finite number");
                 }
             }
             "--seed" => out.seed = Some(flag_value(&mut it, usage, "--seed", "an integer")),

@@ -20,15 +20,20 @@
 //! tables with one sort per side, and the crawl walks contiguous CSR rows.
 //! [`LocalityParams::threads`] shards the `COUNT` phase across worker
 //! threads (via [`crate::par`]); the crawl stays sequential, and inference
-//! is bit-identical at every thread count. `tests/attack_equivalence.rs`
-//! checks the crawl against a fingerprint-keyed reference.
+//! is bit-identical at every thread count. The crawl revisits hot
+//! plaintexts often, so it ranks each auxiliary neighbour row at most once
+//! and reuses the prefix of that ranking a later step needs.
+//! `tests/attack_equivalence.rs` checks the crawl against a
+//! fingerprint-keyed reference.
 
 use std::collections::VecDeque;
 
 use freqdedup_trace::{Backup, Fingerprint};
 
-use crate::dense::{DenseEntry, DenseStats};
-use crate::freq_analysis::{freq_analysis_dense, freq_analysis_sized_dense, DensePair, TiePolicy};
+use crate::dense::{ChunkId, DenseEntry, DenseStats};
+use crate::freq_analysis::{
+    freq_analysis_dense, freq_analysis_sized_dense, top_k_dense, DensePair, TiePolicy,
+};
 use crate::metrics::Inference;
 use crate::par::ParConfig;
 
@@ -190,6 +195,11 @@ impl LocalityAttack {
     /// uninferred), so the duplicate-ciphertext guard is one indexed load
     /// instead of a hash probe, and each neighbour row is one contiguous
     /// CSR slice per side.
+    ///
+    /// Plain analysis pairs the cipher row's top `take = min(v, |yc|, |ym|)`
+    /// with the first `take` of the auxiliary row's memoised top `v`: the
+    /// rank order is strict within a side, so that prefix *is* the row's top
+    /// `take`, as [`freq_analysis_dense`] would rank it.
     fn run_from_seed_dense(
         &self,
         sc: &DenseStats,
@@ -208,22 +218,47 @@ impl LocalityAttack {
             }
         }
 
+        let (v, policy) = (self.params.v, self.params.tie_policy);
+        let (fps_c, fps_m) = (sc.interner.fingerprints(), sm.interner.fingerprints());
+        // Per side, each auxiliary row's top `min(v, |row|)` ids, ranked on
+        // the first visit: `start[m]` indexes `ids` (`u32::MAX` = not yet).
+        // A step reads on from `start[m]`; the zip stops at the cipher's `take`.
+        let memo = || (vec![u32::MAX; sm.unique_chunks()], Vec::<ChunkId>::new());
+        let (mut left, mut right) = (memo(), memo());
         while let Some((c, m)) = g.pop_front() {
-            let tl = self.analyze_dense(sc, sm, sc.left.row(c), sm.left.row(m), self.params.v);
-            let tr = self.analyze_dense(sc, sm, sc.right.row(c), sm.right.row(m), self.params.v);
-            for (c2, m2) in tl.into_iter().chain(tr) {
-                if inferred[c2 as usize] == UNINFERRED {
-                    inferred[c2 as usize] = m2;
-                    total += 1;
-                    if g.len() <= self.params.w {
-                        g.push_back((c2, m2));
+            for (csr_c, csr_m, (start, ids)) in [
+                (&sc.left, &sm.left, &mut left),
+                (&sc.right, &sm.right, &mut right),
+            ] {
+                let (yc, ym) = (csr_c.row(c), csr_m.row(m));
+                let take = v.min(yc.len()).min(ym.len());
+                if take == 0 {
+                    continue;
+                }
+                let pairs = if self.params.size_aware {
+                    freq_analysis_sized_dense(yc, ym, v, sc, sm, policy)
+                } else {
+                    if start[m as usize] == u32::MAX {
+                        start[m as usize] = ids.len() as u32;
+                        let top = top_k_dense(ym, v.min(ym.len()), fps_m, policy);
+                        ids.extend(top.iter().map(|e| e.id));
+                    }
+                    let rm = &ids[start[m as usize] as usize..];
+                    let rc = top_k_dense(yc, take, fps_c, policy);
+                    rc.iter().zip(rm).map(|(e, &m2)| (e.id, m2)).collect()
+                };
+                for (c2, m2) in pairs {
+                    if inferred[c2 as usize] == UNINFERRED {
+                        inferred[c2 as usize] = m2;
+                        total += 1;
+                        if g.len() <= self.params.w {
+                            g.push_back((c2, m2));
+                        }
                     }
                 }
             }
         }
 
-        let fps_c = sc.interner.fingerprints();
-        let fps_m = sm.interner.fingerprints();
         let mut t = Inference::with_capacity(total);
         for (c, &m) in inferred.iter().enumerate() {
             if m != UNINFERRED {

@@ -16,7 +16,9 @@
 //! backups of random lengths), compaction at random commit points, both
 //! `TiePolicy` variants, both attack modes (ciphertext-only and
 //! known-plaintext) and plain and size-classified analysis. The paper's
-//! worked example (§4.2) is one fixed case.
+//! worked example (§4.2) is one fixed case; a hot plaintext revisited
+//! through many split ciphertexts, which exercises the crawl's memo of
+//! ranked auxiliary rows, is another.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -572,4 +574,75 @@ fn no_adjacency_across_commit_boundaries() {
         "2 -> 3 spans the commit boundary and must not be an edge"
     );
     assert_count_matches(&flat, &tape, "two commits");
+}
+
+/// The crawl ranks each auxiliary neighbour row once per side and reuses
+/// prefixes of that ranking. This shape revisits one hot plaintext `H`
+/// through many ciphertexts: the auxiliary stream is `H` followed by two
+/// once-seen chunks, 200 times over (400 distinct chunks, so `H`'s left and
+/// right rows differ), and the target is the same stream with `H` split
+/// round-robin into 40 fresh fingerprints (TED's variant split),
+/// trace-encrypted. So `H`'s rows are longer than `8·v` (`top_k_dense`
+/// takes the heap path), several ciphertexts are inferred onto `H`, and
+/// their rows are shorter than `v`, so steps at `H` take fewer than `v`
+/// ranks. Both modes, both policies, batch and fold equal the reference,
+/// and the test checks its own shape on the reference's output.
+#[test]
+fn revisited_hot_plaintext_matches_reference() {
+    const H: u64 = 5000;
+    let aux_fps: Vec<u64> = (0..200u64)
+        .flat_map(|i| [H, 2 * i + 1, 2 * i + 2])
+        .collect();
+    let split: Vec<u64> = (0..200u64)
+        .flat_map(|i| [6000 + i % 40, 2 * i + 1, 2 * i + 2])
+        .collect();
+    let plain = backup("aux", &aux_fps);
+    let observed = DeterministicTraceEncryptor::new(b"hot").encrypt_backup(&backup("t", &split));
+    let cipher = &observed.backup;
+    let leaked = leaks(cipher, &plain, 7);
+    let mut streamed = IncrementalStats::default();
+    streamed.commit(cipher);
+    let (sc_dense, sm_dense) = (streamed.to_dense(), DenseStats::full(&plain));
+    for policy in POLICIES {
+        let params = LocalityParams::default().tie_policy(policy);
+        let (v, h) = (params.v, Fingerprint(H));
+        let sc = ChunkStats::full(cipher, policy);
+        let sm = ChunkStats::full(&plain, policy);
+        assert!(sm.left[&h].len() > 8 * v && sm.right[&h].len() > 8 * v);
+        let attack = LocalityAttack::new(params.clone());
+        for (mode, expected, batch, fold) in [
+            (
+                "ciphertext-only",
+                reference::ciphertext_only(AttackKind::Locality, &params, &sc, &sm),
+                attacks::run_ciphertext_only(AttackKind::Locality, cipher, &plain, &params),
+                attack.run_ciphertext_only_with_stats(&sc_dense, &sm_dense),
+            ),
+            (
+                "known-plaintext",
+                reference::known_plaintext(&params, &sc, &sm, &leaked),
+                attacks::run_known_plaintext(
+                    AttackKind::Locality,
+                    cipher,
+                    &plain,
+                    &leaked,
+                    &params,
+                ),
+                attack.run_known_plaintext_with_stats(&sc_dense, &sm_dense, &leaked),
+            ),
+        ] {
+            let onto_h: Vec<Fingerprint> = expected
+                .iter()
+                .filter_map(|(c, m)| (m == h).then_some(c))
+                .collect();
+            assert!(onto_h.len() >= 2, "{mode} {policy:?}: {onto_h:?}");
+            let short_rows = onto_h
+                .iter()
+                .filter(|c| sc.left.get(c).map_or(0, |r| r.len()) < v)
+                .count();
+            assert!(short_rows >= 1, "{mode} {policy:?}");
+            let expected = sorted_pairs(&expected);
+            assert_eq!(sorted_pairs(&batch), expected, "{mode} {policy:?} batch");
+            assert_eq!(sorted_pairs(&fold), expected, "{mode} {policy:?} fold");
+        }
+    }
 }
