@@ -8,28 +8,31 @@
 //! each shard's recipe holds only its slice of a stream.) The
 //! [`crate::tap::AdversaryTap`] is a fold over these records.
 //!
-//! The file is a `FQCT` v1 header, then records framed like
-//! `manifest.log`'s: kind `u8` (1 commit, 2 delete, 3 gc, 4 rekey,
-//! 5 imported registry entry), payload length `u32`, payload, and a CRC
-//! over all three. A commit payload is op id, store backup id and
-//! timestamp (`u64` each), label, chunk count `u32`, then fingerprint
-//! `u64` and size `u32` per chunk; any other is op id and the
-//! [`AppliedCommit`] ack. A record cut short or failing its CRC is a torn
-//! tail, truncated on open by the manifest's rule; a bad header, or a
-//! record that passes its CRC but does not parse, fails the open.
+//! The file is a [`Journal`], magic `FQCT`, with record kinds 1 commit,
+//! 2 delete, 3 gc, 4 rekey and 5 imported registry entry. A commit
+//! payload is op id, store backup id and timestamp (`u64` each), label,
+//! chunk count `u32`, then fingerprint `u64` and size `u32` per chunk;
+//! any other is op id and the [`AppliedCommit`] ack. A torn tail is cut
+//! on open; a record that passes its CRC but does not parse fails it.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Seek, Write};
 use std::path::Path;
 
-use freqdedup_store::persist::{maybe_sync, maybe_sync_dir, FsyncPolicy, PersistError};
+use freqdedup_store::fault::{IoPolicyHandle, PersistSite};
+use freqdedup_store::journal::{Journal, JournalFormat};
+use freqdedup_store::persist::{FsyncPolicy, PersistError};
 use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
 use crate::server::CATALOG_FILE;
 use crate::tap::AppliedCommit;
 
-const MAGIC: &[u8; 4] = b"FQCT";
+/// `catalog.log` as a [`Journal`]: its header and fault sites.
+static FORMAT: JournalFormat = JournalFormat {
+    magic: b"FQCT",
+    header_site: PersistSite::CatalogAppend,
+    append_site: PersistSite::CatalogAppend,
+    sync_site: PersistSite::CatalogSync,
+};
 const KIND_COMMIT: u8 = 1;
 /// Bytes of one chunk in a commit payload.
 const CHUNK_BYTES: u64 = 12;
@@ -74,24 +77,15 @@ pub enum CatalogRecord {
 }
 
 impl CatalogRecord {
-    /// The framed record: kind, payload length, payload, CRC.
-    fn encode(&self) -> Result<Vec<u8>, PersistError> {
-        let (kind, label, len) = match self {
-            CatalogRecord::Commit { backup, .. } => {
-                let len = 32 + CHUNK_BYTES * backup.len() as u64;
-                (KIND_COMMIT, &backup.label, len)
-            }
-            CatalogRecord::Op { kind, ack, .. } => (*kind as u8, &ack.label, 36),
+    /// The record's kind and payload.
+    fn encode(&self) -> std::io::Result<(u8, Vec<u8>)> {
+        let (label, chunks) = match self {
+            CatalogRecord::Commit { backup, .. } => (&backup.label, backup.len()),
+            CatalogRecord::Op { ack, .. } => (&ack.label, 0),
         };
-        let len = len + label.len() as u64;
-        let len = u32::try_from(len).map_err(|_| {
-            let e = std::io::Error::new(std::io::ErrorKind::InvalidInput, "record exceeds 4 GiB");
-            PersistError::Io(e)
-        })?;
-        let mut w = CrcWriter::new(Vec::with_capacity(9 + len as usize));
-        w.u8(kind)?;
-        w.u32(len)?;
-        match self {
+        let len = 36 + label.len() + CHUNK_BYTES as usize * chunks;
+        let mut w = CrcWriter::new(Vec::with_capacity(len));
+        let kind = match self {
             CatalogRecord::Commit {
                 op_id,
                 backup_id,
@@ -107,16 +101,18 @@ impl CatalogRecord {
                     w.u64(rec.fp.value())?;
                     w.u32(rec.size)?;
                 }
+                KIND_COMMIT
             }
-            CatalogRecord::Op { op_id, ack, .. } => {
+            CatalogRecord::Op { kind, op_id, ack } => {
                 w.u64(*op_id)?;
                 w.str(&ack.label)?;
                 for v in [ack.chunks, ack.extra, ack.extra2] {
                     w.u64(v)?;
                 }
+                *kind as u8
             }
-        }
-        Ok(w.finish()?)
+        };
+        Ok((kind, w.into_inner()))
     }
 
     /// Parses the payload of a record whose frame and CRC checked out.
@@ -163,24 +159,6 @@ impl CatalogRecord {
     }
 }
 
-/// Reads one framed record as `(kind, payload)`; `None` for a torn one
-/// (cut short, or failing its CRC). Only a real read error is an error.
-fn read_frame<R: Read>(r: R) -> Result<Option<(u8, Vec<u8>)>, PersistError> {
-    let mut r = CrcReader::new(r, CATALOG_FILE);
-    let frame = (|| {
-        let (kind, len) = (r.u8("record kind")?, r.u32("record length")?);
-        let mut payload = Vec::new();
-        r.bytes_into(&mut payload, u64::from(len), "record payload")?;
-        r.expect_crc()?;
-        Ok((kind, payload))
-    })();
-    match frame {
-        Ok(frame) => Ok(Some(frame)),
-        Err(CodecError::Io(e)) => Err(PersistError::Io(e)),
-        Err(_) => Ok(None),
-    }
-}
-
 /// A record that passed its CRC but does not parse.
 fn malformed(kind: u8) -> PersistError {
     PersistError::Corrupt(format!("catalog.log: malformed record of kind {kind}"))
@@ -189,16 +167,12 @@ fn malformed(kind: u8) -> PersistError {
 /// The open journal, appending records.
 #[derive(Debug)]
 pub struct CatalogLog {
-    file: File,
-    /// Length of the journal's valid prefix.
-    len: u64,
-    fsync: FsyncPolicy,
+    journal: Journal,
 }
 
 impl CatalogLog {
-    /// Opens the journal at `path` — writing its header first when the
-    /// file is new or empty — and returns it with its records, its torn
-    /// tail truncated.
+    /// Opens the journal at `path` — creating it when the file is new or
+    /// empty — and returns it with its records, its torn tail cut.
     ///
     /// # Errors
     ///
@@ -207,57 +181,33 @@ impl CatalogLog {
     pub fn open(
         path: &Path,
         fsync: FsyncPolicy,
+        io: &IoPolicyHandle,
     ) -> Result<(CatalogLog, Vec<CatalogRecord>), PersistError> {
-        let mut file = (OpenOptions::new().read(true).append(true).create(true)).open(path)?;
-        if file.metadata()?.len() == 0 {
-            CrcWriter::new(&mut file).header(MAGIC, 1)?;
-            maybe_sync(&file, fsync)?;
-            maybe_sync_dir(path.parent().unwrap_or(Path::new(".")), fsync)?;
-            file.rewind()?;
+        let empty = match std::fs::metadata(path) {
+            Ok(meta) => meta.len() == 0,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
+            Err(e) => return Err(e.into()),
+        };
+        if empty {
+            let journal = Journal::create(path, &FORMAT, fsync, io)?;
+            return Ok((CatalogLog { journal }, Vec::new()));
         }
-        let mut r = BufReader::new(&file);
-        CrcReader::new(&mut r, CATALOG_FILE)
-            .expect_header(MAGIC, 1)
-            .map_err(|e| match e {
-                // The header is written before any record: a short one is
-                // corruption, not a torn tail.
-                CodecError::Truncated { .. } => {
-                    PersistError::Corrupt("catalog.log: truncated header".into())
-                }
-                e => e.into(),
-            })?;
-        let (mut len, mut records) = (6u64, Vec::new());
-        while !r.fill_buf()?.is_empty() {
-            let Some((kind, payload)) = read_frame(&mut r)? else {
-                break;
-            };
-            records.push(CatalogRecord::decode(kind, &payload)?);
-            len += 9 + payload.len() as u64;
-        }
-        if len < file.metadata()?.len() {
-            file.set_len(len)?;
-            maybe_sync(&file, fsync)?;
-        }
-        Ok((CatalogLog { file, len, fsync }, records))
+        let (mut journal, frames) = Journal::open(path, &FORMAT, fsync, io)?;
+        let records = (frames.iter())
+            .map(|(kind, payload, _)| CatalogRecord::decode(*kind, payload))
+            .collect::<Result<Vec<_>, _>>()?;
+        journal.truncate(journal.valid_len())?;
+        Ok((CatalogLog { journal }, records))
     }
 
-    /// Appends one record and syncs it under the store's policy. On a
-    /// failure the journal is cut back to its last whole record, so the
-    /// next append does not land behind a tear.
+    /// Appends one record and syncs it (see [`Journal::append`]).
     ///
     /// # Errors
     ///
     /// Returns [`PersistError`] on a write or sync failure.
     pub fn append(&mut self, record: &CatalogRecord) -> Result<(), PersistError> {
-        let bytes = record.encode()?;
-        let written = (self.file.write_all(&bytes).map_err(PersistError::Io))
-            .and_then(|()| maybe_sync(&self.file, self.fsync));
-        if let Err(e) = written {
-            let _ = self.file.set_len(self.len);
-            return Err(e);
-        }
-        self.len += bytes.len() as u64;
-        Ok(())
+        let (kind, payload) = record.encode()?;
+        self.journal.append(kind, &payload)
     }
 }
 
@@ -271,6 +221,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn none() -> IoPolicyHandle {
+        IoPolicyHandle::none()
+    }
+
+    /// Bytes of `record` in the journal: kind, length, payload and CRC.
+    fn framed_len(record: &CatalogRecord) -> usize {
+        9 + record.encode().unwrap().1.len()
     }
 
     fn records() -> Vec<CatalogRecord> {
@@ -309,7 +268,7 @@ mod tests {
 
     fn write(dir: &Path) -> Vec<u8> {
         let (mut log, none) =
-            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never).unwrap();
+            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none()).unwrap();
         assert!(none.is_empty());
         for record in &records() {
             log.append(record).unwrap();
@@ -321,7 +280,8 @@ mod tests {
     fn records_round_trip() {
         let dir = dir("round-trip");
         write(&dir);
-        let (_, back) = CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never).unwrap();
+        let (_, back) =
+            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none()).unwrap();
         assert_eq!(back, records());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -332,11 +292,11 @@ mod tests {
     fn torn_tail_is_truncated_and_earlier_records_survive() {
         let dir = dir("torn");
         let whole = write(&dir);
-        let last = records().last().unwrap().encode().unwrap().len();
+        let last = framed_len(records().last().unwrap());
         for cut in [1, last / 2, last - 1] {
             std::fs::write(dir.join(CATALOG_FILE), &whole[..whole.len() - cut]).unwrap();
             let (mut log, back) =
-                CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never).unwrap();
+                CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none()).unwrap();
             assert_eq!(back, records()[..2], "cut {cut}");
             assert_eq!(
                 std::fs::metadata(dir.join(CATALOG_FILE)).unwrap().len(),
@@ -352,7 +312,7 @@ mod tests {
         flipped[at] ^= 0xff;
         std::fs::write(dir.join(CATALOG_FILE), &flipped).unwrap();
         assert_eq!(
-            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never)
+            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none())
                 .unwrap()
                 .1
                 .len(),
@@ -372,12 +332,12 @@ mod tests {
         let at = 6 + 5 + 24 + 5;
         assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes());
         bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let end = 6 + records()[0].encode().unwrap().len();
+        let end = 6 + framed_len(&records()[0]);
         let crc = freqdedup_trace::io::crc32(&bytes[6..end - 4]);
         bytes[end - 4..end].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(dir.join(CATALOG_FILE), &bytes).unwrap();
         assert!(matches!(
-            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never),
+            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none()),
             Err(PersistError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -393,13 +353,13 @@ mod tests {
             bad[at] ^= 0xff;
             std::fs::write(dir.join(CATALOG_FILE), &bad).unwrap();
             assert!(
-                CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never).is_err(),
+                CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none()).is_err(),
                 "byte {at}"
             );
         }
         std::fs::write(dir.join(CATALOG_FILE), &whole[..3]).unwrap();
         assert!(matches!(
-            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never),
+            CatalogLog::open(&dir.join(CATALOG_FILE), FsyncPolicy::Never, &none()),
             Err(PersistError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();

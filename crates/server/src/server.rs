@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use freqdedup_store::container::PayloadMode;
 use freqdedup_store::engine::DedupConfig;
-use freqdedup_store::persist::PersistError;
+use freqdedup_store::persist::{FsyncPolicy, PersistError};
 use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::io::TraceIoError;
 use freqdedup_trace::ChunkRecord;
@@ -249,7 +249,9 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     workers: usize,
-    stream_path: Option<PathBuf>,
+    /// Where `tap.fqis` is saved at shutdown, and the store's fsync
+    /// policy for it.
+    stream_path: Option<(PathBuf, FsyncPolicy)>,
 }
 
 /// A read handle on a running server's adversary tap, for observing the
@@ -290,7 +292,7 @@ impl Server {
             .map(|mode| mode == PayloadMode::Payload);
         let persist = config.engine.persist.as_ref();
         let tap = match persist {
-            Some(p) => AdversaryTap::open(&p.dir, p.fsync)?,
+            Some(p) => AdversaryTap::open(p)?,
             None => AdversaryTap::default(),
         };
         let log = match &config.log_file {
@@ -340,7 +342,7 @@ impl Server {
             listener,
             shared,
             workers: config.workers.max(1),
-            stream_path: persist.map(|p| p.dir.join(STREAM_FILE)),
+            stream_path: persist.map(|p| (p.dir.join(STREAM_FILE), p.fsync)),
         })
     }
 
@@ -430,13 +432,12 @@ impl Server {
             stats: shared.stats(),
         };
         // The catalog is already durable. The running attack state is
-        // saved as its cache; a failed save costs the next bind a full
-        // fold, never data, and must not skip the engine close.
-        if let Some(path) = &self.stream_path {
-            if let Err(e) = lock_unpoisoned(&shared.tap).streaming().save(path) {
+        // saved as its cache; a failed save keeps the old one and costs the
+        // next bind a longer fold, never data, and must not skip the close.
+        if let Some((path, fsync)) = &self.stream_path {
+            if let Err(e) = lock_unpoisoned(&shared.tap).streaming().save(path, *fsync) {
                 shared.tap_warnings.fetch_add(1, Ordering::SeqCst);
                 shared.log(&format!("shutdown: tap.fqis save failed ({e})"));
-                let _ = std::fs::remove_file(path);
             }
         }
         let engine = lock_unpoisoned(&shared.slot)

@@ -34,7 +34,8 @@ use std::time::Instant;
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::{DenseStats, IncrementalStats, Inference, TiePolicy};
-use freqdedup_store::persist::{maybe_sync_dir, FsyncPolicy, PersistError};
+use freqdedup_store::fault::IoPolicyHandle;
+use freqdedup_store::persist::{maybe_sync_dir, FsyncPolicy, PersistConfig, PersistError};
 use freqdedup_trace::io::{self, CodecError, CrcReader, TraceIoError};
 use freqdedup_trace::{Backup, BackupSeries};
 
@@ -121,15 +122,28 @@ impl TapStreaming {
     }
 
     /// Saves the running state as the `tap.fqis` cache (one CRC-checked
-    /// blob; [`AdversaryTap::open`] reads it back bit-identically).
+    /// blob; [`AdversaryTap::open`] reads it back bit-identically), written
+    /// aside, synced under `fsync`, and renamed into place: a crash leaves
+    /// the old cache or the new one (after a power loss, only under
+    /// [`FsyncPolicy::Always`]).
     ///
     /// # Errors
     ///
-    /// Returns [`TraceIoError`] on write failure.
-    pub fn save(&self, path: &Path) -> Result<(), TraceIoError> {
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    /// Returns [`TraceIoError`] on a write or sync failure.
+    pub fn save(&self, path: &Path, fsync: FsyncPolicy) -> Result<(), TraceIoError> {
+        let tmp = path.with_extension("tmp");
+        let mut writer = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         self.stats.write_to(&mut writer)?;
-        Ok(std::io::Write::flush(&mut writer)?)
+        let file = writer
+            .into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?;
+        if fsync == FsyncPolicy::Always {
+            file.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        // Best-effort, as every directory sync of the store.
+        let _ = maybe_sync_dir(path.parent().unwrap_or(Path::new(".")), fsync);
+        Ok(())
     }
 }
 
@@ -212,9 +226,10 @@ pub struct AdversaryTap {
 }
 
 impl AdversaryTap {
-    /// Opens the tap of the store rooted at `dir` by replaying its
-    /// `catalog.log` (created empty when absent), which later
-    /// [`Self::append`]s extend under `fsync`. The `tap.fqis` cache, when
+    /// Opens the tap of the store `persist` describes by replaying the
+    /// `catalog.log` in its root (created empty when absent), which later
+    /// [`Self::append`]s extend under the store's fsync and fault-injection
+    /// policies. The `tap.fqis` cache, when
     /// it covers a prefix of the journal, stands in for folding that
     /// prefix; a missing one costs a full fold, and a corrupt, stale or
     /// ahead-of-the-journal one a full fold and a [`Self::warnings`]. A
@@ -225,12 +240,13 @@ impl AdversaryTap {
     ///
     /// [`ServeError::Persist`] when the journal fails to open or is
     /// corrupt, [`ServeError::Tap`] when a pre-catalog `tap.fqdt` is.
-    pub fn open(dir: &Path, fsync: FsyncPolicy) -> Result<Self, ServeError> {
+    pub fn open(persist: &PersistConfig) -> Result<Self, ServeError> {
+        let (dir, fsync, io) = (&persist.dir, persist.fsync, &persist.io);
         let mut tap = AdversaryTap::default();
         if !dir.join(CATALOG_FILE).exists() && dir.join(TAP_FILE).exists() {
-            tap.warnings += import(dir, fsync)?;
+            tap.warnings += import(dir, fsync, io)?;
         }
-        let (log, records) = CatalogLog::open(&dir.join(CATALOG_FILE), fsync)?;
+        let (log, records) = CatalogLog::open(&dir.join(CATALOG_FILE), fsync, io)?;
         let cache = std::fs::File::open(dir.join(STREAM_FILE))
             .map_err(TraceIoError::from)
             .and_then(|file| IncrementalStats::read_from(std::io::BufReader::new(file)));
@@ -473,7 +489,7 @@ fn covers(cache: &IncrementalStats, records: &[CatalogRecord]) -> bool {
 /// gave them then, followed by the `tap.cids` registry entries. The two
 /// old files are removed once the journal is in place. Returns the
 /// warnings: 1 when `tap.cids` exists but does not read.
-fn import(dir: &Path, fsync: FsyncPolicy) -> Result<u64, ServeError> {
+fn import(dir: &Path, fsync: FsyncPolicy, io: &IoPolicyHandle) -> Result<u64, ServeError> {
     let file = std::fs::File::open(dir.join(TAP_FILE))?;
     let series = io::read_series(std::io::BufReader::new(file))?;
     let mut records: Vec<CatalogRecord> = (1..)
@@ -499,7 +515,7 @@ fn import(dir: &Path, fsync: FsyncPolicy) -> Result<u64, ServeError> {
     // catalog (and the import runs again) or all of it.
     let tmp = dir.join("catalog.log.tmp");
     let _ = std::fs::remove_file(&tmp);
-    let (mut log, _) = CatalogLog::open(&tmp, fsync)?;
+    let (mut log, _) = CatalogLog::open(&tmp, fsync, io)?;
     for record in &records {
         log.append(record)?;
     }
@@ -583,8 +599,12 @@ mod tests {
         dir
     }
 
+    fn persist(dir: &Path) -> PersistConfig {
+        PersistConfig::new(dir).fsync(FsyncPolicy::Never)
+    }
+
     fn open(dir: &Path) -> AdversaryTap {
-        AdversaryTap::open(dir, FsyncPolicy::Never).unwrap()
+        AdversaryTap::open(&persist(dir)).unwrap()
     }
 
     #[test]
@@ -685,7 +705,7 @@ mod tests {
         // Commit order deliberately differs from label order.
         commit(&mut tap, backup("m1", &[1, 2, 1, 3]), 0);
         commit(&mut tap, backup("m0", &[2, 3, 9]), 0);
-        tap.streaming().save(&cache).unwrap();
+        tap.streaming().save(&cache, FsyncPolicy::Never).unwrap();
         commit(&mut tap, backup("m2", &[5, 1]), 0);
         let rebuilt = TapStreaming::rebuild(tap.committed());
         assert_eq!(tap.streaming(), &rebuilt);
@@ -712,7 +732,7 @@ mod tests {
         let mut stale = TapStreaming::default();
         stale.commit(&backup("other", &[1, 2, 3]));
         for bad in [ahead, stale] {
-            bad.save(&cache).unwrap();
+            bad.save(&cache, FsyncPolicy::Never).unwrap();
             let reopened = open(&dir);
             assert_eq!(reopened.warnings(), 1);
             assert_eq!(reopened.streaming(), tap.streaming());
@@ -727,7 +747,7 @@ mod tests {
         let mut tap = open(&dir);
         commit(&mut tap, backup("a", &[1, 2, 1]), 0);
         commit(&mut tap, backup("b", &[2, 9]), 0);
-        tap.streaming().save(&cache).unwrap();
+        tap.streaming().save(&cache, FsyncPolicy::Never).unwrap();
         let clean = std::fs::read(&cache).unwrap();
 
         // Corrupt the cache at several offsets (plus truncation, plus each
@@ -860,7 +880,7 @@ mod tests {
         assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         std::fs::write(dir.join(TAP_FILE), &bytes).unwrap();
-        assert!(AdversaryTap::open(&dir, FsyncPolicy::Never).is_err());
+        assert!(AdversaryTap::open(&persist(&dir)).is_err());
         assert!(!dir.join(CATALOG_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

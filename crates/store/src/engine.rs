@@ -26,7 +26,10 @@
 //! [`DedupEngine::open`] recovers the directory back into a running engine
 //! — bit-identically after a clean close, and to the last consistent
 //! sealed state after a crash (torn tail writes are detected and rolled
-//! back). See `DESIGN.md` §7 for the format and the recovery invariant.
+//! back). A failed durable write panics (fail-stop), and the engine then
+//! refuses every later one until it is reopened ([`PersistError::Failed`]),
+//! so a caller that catches the panic cannot append past the failure.
+//! See `DESIGN.md` §7 for the format and the recovery invariant.
 //!
 //! ## Lifecycle
 //!
@@ -180,6 +183,25 @@ struct PersistState {
     /// Total manifest journal events written (seals, backups, deletes, GC
     /// drops, rekey markers). Snapshots record this as their `event_seq`.
     events: u64,
+    /// Set while a durable write is in flight and left set when it fails
+    /// (the write panics). The engine's memory is then ahead of its files:
+    /// a seal whose record failed still holds its container id, so the
+    /// next seal's record would leave a gap recovery refuses. A failed
+    /// engine writes nothing more until it is reopened.
+    failed: bool,
+}
+
+impl PersistState {
+    /// Starts a durable write, panicking when an earlier one failed; the
+    /// engine is marked failed until [`Self::end_write`].
+    fn begin_write(&mut self) {
+        assert!(!self.failed, "persistent store: {}", PersistError::Failed);
+        self.failed = true;
+    }
+
+    fn end_write(&mut self) {
+        self.failed = false;
+    }
 }
 
 /// The DDFS-like deduplication engine.
@@ -271,7 +293,7 @@ impl DedupEngine {
                 .insert(*epoch, lifecycle::epoch_key(secret, *epoch));
         }
         std::fs::create_dir_all(&pcfg.dir)?;
-        if manifest::manifest_exists(&pcfg.dir) {
+        if pcfg.dir.join(manifest::MANIFEST_FILE).exists() {
             Self::recover(engine, pcfg)
         } else {
             // Fresh directory (or one that died between meta and manifest
@@ -286,6 +308,7 @@ impl DedupEngine {
                 manifest,
                 seals_since_snapshot: 0,
                 events: 0,
+                failed: false,
             });
             Ok(engine)
         }
@@ -308,37 +331,29 @@ impl DedupEngine {
         //    file for a backup commit) did not survive the crash. Only the
         //    *last* event may lack its file — write-ahead ordering makes a
         //    missing companion anywhere earlier hard corruption.
-        let scan = manifest::scan_manifest(&dir)?;
-        let mut events = scan.events;
-        let mut record_ends = scan.record_ends;
-        let mut valid_len = scan.valid_len;
+        let (mut manifest, mut scan) = ManifestWriter::open(&dir, pcfg.fsync, &pcfg.io)?;
+        let companion = match scan.events.last().copied() {
+            Some(ManifestEvent::Seal { id, .. }) => {
+                let read = log::read_container(&dir, ContainerId(id), &engine.epoch_keys);
+                Some((read.map(drop), log::container_path(&dir, ContainerId(id))))
+            }
+            Some(ManifestEvent::Backup { id, .. }) => {
+                let read = lifecycle::read_recipe(&dir, id);
+                Some((read.map(drop), lifecycle::recipe_path(&dir, id)))
+            }
+            _ => None,
+        };
         let tolerable = |e: &PersistError| {
             matches!(e, PersistError::Torn { .. })
                 || matches!(e, PersistError::Io(io) if io.kind() == std::io::ErrorKind::NotFound)
         };
-        match events.last().copied() {
-            Some(ManifestEvent::Seal { id, .. }) => {
-                match log::read_container(&dir, ContainerId(id), &engine.epoch_keys) {
-                    Ok(_) => {}
-                    Err(e) if tolerable(&e) => {
-                        events.pop();
-                        record_ends.pop();
-                        valid_len = record_ends.last().copied().unwrap_or(6);
-                        let _ = std::fs::remove_file(log::container_path(&dir, ContainerId(id)));
-                    }
-                    Err(e) => return Err(e),
-                }
+        match companion {
+            Some((Err(e), path)) if tolerable(&e) => {
+                scan.events.pop();
+                scan.record_ends.pop();
+                let _ = std::fs::remove_file(path);
             }
-            Some(ManifestEvent::Backup { id, .. }) => match lifecycle::read_recipe(&dir, id) {
-                Ok(_) => {}
-                Err(e) if tolerable(&e) => {
-                    events.pop();
-                    record_ends.pop();
-                    valid_len = record_ends.last().copied().unwrap_or(6);
-                    lifecycle::remove_recipe(&dir, id);
-                }
-                Err(e) => return Err(e),
-            },
+            Some((Err(e), _)) => return Err(e),
             _ => {}
         }
 
@@ -350,7 +365,7 @@ impl DedupEngine {
         let mut committed: BTreeMap<u64, u64> = BTreeMap::new(); // backup id -> timestamp
         let mut epoch = 0u64;
         let mut pending_rekey: Option<u64> = None;
-        for event in &events {
+        for event in &scan.events {
             match *event {
                 ManifestEvent::Seal {
                     id,
@@ -438,7 +453,7 @@ impl DedupEngine {
         // 4. Truncate the manifest back to the validated event prefix and
         //    clear stray working files: interrupted rekey rewrites
         //    (`*.clog.tmp`) and recipe files with no committed backup.
-        let manifest = ManifestWriter::reopen(&dir, valid_len, pcfg.fsync, &pcfg.io)?;
+        manifest.truncate(scan.valid_len())?;
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             if entry.file_name().to_string_lossy().ends_with(".clog.tmp") {
@@ -468,7 +483,7 @@ impl DedupEngine {
         //    flow counters and cache image describe state that was lost).
         let snapshot = manifest::read_snapshot(&dir)?;
         let usable = match snapshot {
-            Some(s) if s.event_seq <= events.len() as u64 => Some(s),
+            Some(s) if s.event_seq <= scan.events.len() as u64 => Some(s),
             Some(_) => {
                 // Snapshot "from the future": it describes events that did
                 // not survive. Remove it — once the journal grows past that
@@ -512,7 +527,7 @@ impl DedupEngine {
         //    dropped has no file: its index-update accounting is
         //    compensated so counters match a live engine's history.
         let mut seals_since_snapshot: u32 = 0;
-        for event in &events[base_seq..] {
+        for event in &scan.events[base_seq..] {
             match *event {
                 ManifestEvent::Seal {
                     id,
@@ -598,9 +613,10 @@ impl DedupEngine {
 
         engine.persist = Some(PersistState {
             seals_since_snapshot,
-            events: events.len() as u64,
+            events: scan.events.len() as u64,
             cfg: pcfg,
             manifest,
+            failed: false,
         });
         Ok(engine)
     }
@@ -611,7 +627,8 @@ impl DedupEngine {
     ///
     /// Panics when the engine previously stored payload-bearing chunks
     /// (mixed-mode ingestion, see [`crate::container::PayloadMode`]), or —
-    /// for a persistent engine — when a container/manifest write fails.
+    /// for a persistent engine — when a container/manifest write fails or
+    /// an earlier durable write failed ([`PersistError::Failed`]).
     pub fn process(&mut self, record: ChunkRecord) -> ChunkOutcome {
         self.process_inner(record, None)
     }
@@ -702,6 +719,7 @@ impl DedupEngine {
             // Write-ahead ordering: the container file is made durable
             // first, then the manifest record commits the seal. Payload
             // containers are wrapped under the committed key epoch.
+            p.begin_write();
             let container = self.containers.get(id).expect("just sealed");
             let key = (self.epoch > 0 && container.has_payload()).then(|| {
                 self.epoch_keys
@@ -726,6 +744,7 @@ impl DedupEngine {
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
             p.seals_since_snapshot += 1;
+            p.end_write();
         }
     }
 
@@ -767,8 +786,12 @@ impl DedupEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Io`] on write failure.
+    /// Returns [`PersistError::Io`] on write failure, and
+    /// [`PersistError::Failed`] when an earlier durable write failed.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
+        if self.persist.as_ref().is_some_and(|p| p.failed) {
+            return Err(PersistError::Failed);
+        }
         if let Some(id) = self.containers.flush() {
             self.on_sealed(id);
         }
@@ -786,7 +809,8 @@ impl DedupEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Io`] on write failure.
+    /// Returns [`PersistError::Io`] on write failure, and
+    /// [`PersistError::Failed`] when an earlier durable write failed.
     pub fn close(mut self) -> Result<(), PersistError> {
         self.checkpoint()?;
         self.sync_for_close()
@@ -819,6 +843,9 @@ impl DedupEngine {
         let Some(p) = &mut self.persist else {
             return Ok(());
         };
+        if p.failed {
+            return Err(PersistError::Failed);
+        }
         debug_assert_eq!(
             self.containers.open_len(),
             0,
@@ -887,6 +914,7 @@ impl DedupEngine {
         if let Some(p) = &mut self.persist {
             // Write-ahead ordering: recipe file durable first, then the
             // manifest record commits the backup.
+            p.begin_write();
             lifecycle::write_recipe(&p.cfg.dir, id, &recipe, p.cfg.fsync, &p.cfg.io)
                 .unwrap_or_else(|e| panic!("persistent store: recipe write failed: {e}"));
             p.manifest
@@ -898,6 +926,7 @@ impl DedupEngine {
                 })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
+            p.end_write();
         }
         self.refcounts.add_recipe(&recipe.chunks);
         self.recipes.insert(id, recipe);
@@ -925,6 +954,7 @@ impl DedupEngine {
         if let Some(p) = &mut self.persist {
             // The journal record commits the deletion; removing the recipe
             // file afterwards is cleanup (recovery drops strays).
+            p.begin_write();
             p.manifest
                 .append(ManifestEvent::BackupDelete {
                     id,
@@ -933,6 +963,7 @@ impl DedupEngine {
                 })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
+            p.end_write();
             lifecycle::remove_recipe(&p.cfg.dir, id);
         }
         self.refcounts.release_recipe(&recipe.chunks);
@@ -1060,6 +1091,7 @@ impl DedupEngine {
                 .filter(|&fp| self.index.peek(fp) == Some(v.id))
                 .collect();
             if let Some(p) = &mut self.persist {
+                p.begin_write();
                 p.manifest
                     .append(ManifestEvent::GcDrop {
                         id: v.id.0,
@@ -1073,6 +1105,7 @@ impl DedupEngine {
                 let _ = std::fs::remove_file(log::container_path(&p.cfg.dir, v.id));
                 persist::maybe_sync_dir(&p.cfg.dir, p.cfg.fsync)
                     .unwrap_or_else(|e| panic!("persistent store: directory sync failed: {e}"));
+                p.end_write();
             }
             self.containers.remove(v.id);
             self.stats.unique_chunks -= u64::from(v.chunk_count);
@@ -1138,6 +1171,7 @@ impl DedupEngine {
         self.epoch_keys.insert(target, key);
         let mut rewritten = 0u64;
         if let Some(p) = &mut self.persist {
+            p.begin_write();
             self.pending_rekey = Some(target);
             p.manifest
                 .append(ManifestEvent::RekeyBegin { epoch: target })
@@ -1166,6 +1200,7 @@ impl DedupEngine {
                 .append(ManifestEvent::RekeyCommit { epoch: target })
                 .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
             p.events += 1;
+            p.end_write();
         }
         self.epoch = target;
         self.pending_rekey = None;
@@ -1554,6 +1589,64 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, PersistError::ConfigMismatch(_)));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed manifest append stops the engine's durable writes: later
+    /// seals and commits panic, `close` refuses, and a reopen holds the
+    /// sealed prefix. A record whose sync alone failed is whole and stays;
+    /// appending the next seal after it would skip the failed seal's id.
+    #[test]
+    fn failed_manifest_append_stops_durable_writes_until_reopen() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        use crate::fault::{FailAt, FailMode};
+
+        for site in [PersistSite::ManifestAppend, PersistSite::ManifestSync] {
+            for mode in [FailMode::Error, FailMode::Torn] {
+                let tag = format!("{site:?}-{mode:?}");
+                let dir = tmp_dir(&format!("failed-{tag}"));
+                let pcfg = PersistConfig::new(&dir).fsync(FsyncPolicy::Always);
+                // Seal 2's record fails to write; the header's sync is the
+                // first at ManifestSync, so there seal 1's record fails to
+                // sync. Either way two seals are committed.
+                let fail = FailAt::new(site, 2, mode);
+                let fired = fail.fired();
+                let mut e = DedupEngine::open(DedupConfig {
+                    persist: Some(pcfg.clone().io_policy(fail)),
+                    ..small_config(16)
+                })
+                .unwrap();
+                // 24 unique 16-byte chunks, 4 per container: 5 or 6 seals.
+                let mut panics = Vec::new();
+                for i in 0..24u64 {
+                    let processed = catch_unwind(AssertUnwindSafe(|| e.process(rec(i, 16))));
+                    if let Err(panic) = processed {
+                        panics.push(*panic.downcast::<String>().unwrap());
+                    }
+                }
+                assert!(fired.load(std::sync::atomic::Ordering::SeqCst), "{tag}");
+                assert!(panics.len() >= 3, "{tag}: {panics:?}");
+                assert!(panics[0].contains("manifest append failed"), "{tag}");
+                let refusal = format!("persistent store: {}", PersistError::Failed);
+                assert!(panics[1..].iter().all(|p| *p == refusal), "{tag}");
+                let commit = catch_unwind(AssertUnwindSafe(|| {
+                    e.commit_backup(1, 1, &[rec(0, 16)]).unwrap();
+                }));
+                assert!(commit.is_err(), "{tag}: a commit after the failure");
+                assert!(matches!(e.close(), Err(PersistError::Failed)), "{tag}");
+
+                let r = DedupEngine::open(DedupConfig {
+                    persist: Some(pcfg),
+                    ..small_config(16)
+                })
+                .unwrap_or_else(|err| panic!("{tag}: reopen failed: {err}"));
+                assert_eq!(r.containers().sealed_count(), 2, "{tag}");
+                assert_eq!(r.stats().unique_chunks, 8, "{tag}");
+                assert_eq!(r.index().len(), 8, "{tag}");
+                assert!(r.committed_backups().is_empty(), "{tag}");
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the persistence layer.
 //!
-//! Every durable write and fsync in [`crate::log`], [`crate::manifest`]
-//! and [`crate::persist`] consults an [`IoPolicy`] through the
+//! Every durable write and fsync in [`crate::log`], [`crate::journal`]
+//! (the server's `catalog.log` included) and [`crate::persist`] consults
+//! an [`IoPolicy`] through the
 //! [`IoPolicyHandle`] carried by
 //! [`PersistConfig`](crate::persist::PersistConfig). The default handle is
 //! empty — production paths pay one `Option` branch per durable operation
@@ -16,7 +17,8 @@
 //! * **hard failure** — the operation errors before any byte lands.
 //!
 //! The engine's reaction to a persist error mid-ingest is a panic
-//! (fail-stop), which the crash-matrix tests catch with
+//! (fail-stop; it then refuses every later durable write until reopened,
+//! see [`PersistError::Failed`]), which the crash-matrix tests catch with
 //! `std::panic::catch_unwind` before reopening the directory — the same
 //! technique the torn-tail suite uses, now reaching sites a file-truncation
 //! test cannot (fsync failures, mid-journal appends, snapshot renames).
@@ -40,9 +42,9 @@ pub enum PersistSite {
     /// Container log fsync (before its manifest record — the write-ahead
     /// ordering edge).
     ContainerSync,
-    /// Manifest journal header write at create/reopen.
+    /// Manifest journal header write at creation.
     ManifestHeader,
-    /// A seal/delete record appended to the manifest journal.
+    /// Any record appended to the manifest journal.
     ManifestAppend,
     /// Manifest journal fsync after an append.
     ManifestSync,
@@ -67,10 +69,14 @@ pub enum PersistSite {
     RekeyRename,
     /// Directory-entry fsync after a create or rename.
     DirSync,
+    /// The service's `catalog.log`: its header, then each record.
+    CatalogAppend,
+    /// `catalog.log` fsync after its header or a record.
+    CatalogSync,
 }
 
-/// All injection sites, in write-ahead order — the crash-matrix tests
-/// iterate this.
+/// All injection sites a store engine writes through, in write-ahead
+/// order — the crash-matrix tests iterate this.
 pub const ALL_SITES: [PersistSite; 15] = [
     PersistSite::MetaWrite,
     PersistSite::ManifestHeader,
@@ -88,6 +94,10 @@ pub const ALL_SITES: [PersistSite; 15] = [
     PersistSite::SnapshotRename,
     PersistSite::DirSync,
 ];
+
+/// The injection sites of the service's `catalog.log`, which no store
+/// engine writes (its creation's directory fsync is [`PersistSite::DirSync`]).
+pub const CATALOG_SITES: [PersistSite; 2] = [PersistSite::CatalogAppend, PersistSite::CatalogSync];
 
 /// What an [`IoPolicy`] tells a site to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,37 +206,9 @@ impl PartialEq for IoPolicyHandle {
 
 impl Eq for IoPolicyHandle {}
 
-/// The `io::Error` used for injected write faults on buffered paths (the
-/// container log, snapshot and meta writers go through `BufWriter`, whose
-/// error type is `io::Error`); it surfaces as [`PersistError::Io`].
-pub(crate) fn injected_io_error(site: PersistSite) -> std::io::Error {
-    std::io::Error::other(format!("injected fault at {site:?}"))
-}
-
-/// Policy-checked `write_all` for the unbuffered persistence paths (the
-/// manifest journal writes whole records directly); a short write lands
-/// its prefix then surfaces the typed [`PersistError::Injected`].
-pub(crate) fn write_checked(
-    file: &mut File,
-    bytes: &[u8],
-    io: &IoPolicyHandle,
-    site: PersistSite,
-) -> Result<(), PersistError> {
-    match io.before_write(site, bytes.len()) {
-        FaultAction::Proceed => {
-            file.write_all(bytes)?;
-            Ok(())
-        }
-        FaultAction::ShortWrite(n) => {
-            file.write_all(&bytes[..n.min(bytes.len())])?;
-            Err(PersistError::Injected { site })
-        }
-        FaultAction::Fail => Err(PersistError::Injected { site }),
-    }
-}
-
-/// A `File` wrapper that consults the policy on every write, used by the
-/// buffered (`CrcWriter` over `BufWriter`) persistence paths.
+/// A `File` wrapper that consults the policy once per write, which lands
+/// whole, torn or not at all; every durable file write goes through one.
+/// An injected fault is an `io::Error` naming the site.
 #[derive(Debug)]
 pub(crate) struct FaultFile {
     file: File,
@@ -237,6 +219,11 @@ pub(crate) struct FaultFile {
 impl FaultFile {
     pub(crate) fn new(file: File, io: IoPolicyHandle, site: PersistSite) -> Self {
         FaultFile { file, io, site }
+    }
+
+    /// The wrapped file.
+    pub(crate) fn file(&self) -> &File {
+        &self.file
     }
 
     /// Policy-checked [`crate::persist::maybe_sync`] of the wrapped file,
@@ -256,15 +243,16 @@ impl FaultFile {
 
 impl Write for FaultFile {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self.io.before_write(self.site, buf.len()) {
-            FaultAction::Proceed => self.file.write(buf),
-            FaultAction::ShortWrite(n) => {
-                let n = n.min(buf.len());
-                self.file.write_all(&buf[..n])?;
-                Err(injected_io_error(self.site))
-            }
-            FaultAction::Fail => Err(injected_io_error(self.site)),
-        }
+        let landed = match self.io.before_write(self.site, buf.len()) {
+            FaultAction::Proceed => return self.file.write_all(buf).map(|()| buf.len()),
+            FaultAction::ShortWrite(n) => n.min(buf.len()),
+            FaultAction::Fail => 0,
+        };
+        self.file.write_all(&buf[..landed])?;
+        Err(std::io::Error::other(format!(
+            "injected fault at {:?}",
+            self.site
+        )))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {

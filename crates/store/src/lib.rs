@@ -23,7 +23,8 @@
 //! Both engines can be **durable**: with [`persist::PersistConfig`] set on
 //! the configuration, sealed containers are written to append-only [log
 //! files](log), committed through a write-ahead [manifest journal +
-//! snapshot](manifest), and recovered on reopen — bit-identically after a
+//! snapshot](manifest) (a [`journal::Journal`], the same type the
+//! service's catalog is kept in), and recovered on reopen — bit-identically after a
 //! clean close, and to the last consistent sealed state after a crash.
 //!
 //! The [lifecycle] subsystem closes the loop for long-lived
@@ -42,6 +43,7 @@ pub mod container;
 pub mod engine;
 pub mod fault;
 pub mod index;
+pub mod journal;
 pub mod lifecycle;
 pub mod log;
 pub mod manifest;

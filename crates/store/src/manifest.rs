@@ -2,26 +2,18 @@
 //!
 //! ## Manifest journal (`manifest.log`)
 //!
-//! An append-only record of container lifecycle events. A container's log
+//! An append-only record of container lifecycle events, kept in a
+//! [`crate::journal::Journal`] (header magic `FQMJ`). A container's log
 //! file is written **and fsynced first**; the manifest record appended
 //! afterwards is what *commits* the seal — a container file without a
 //! manifest record is invisible to recovery. Each record carries its own
 //! CRC, so a tail record torn by a crash is detected and dropped (the
 //! journal is truncated back to its last good record on reopen).
 //!
-//! ```text
-//! header    magic b"FQMJ" (4) + version u16 (= 1)
-//! record*   kind u8 (1 = seal, 2 = delete, 3 = backup commit,
-//!                    4 = backup delete, 5 = gc drop,
-//!                    6 = rekey begin, 7 = rekey commit)
-//!           payload length u32
-//!           payload bytes
-//!           crc u32 over kind + length + payload
-//! ```
-//!
-//! Seal payload: container id `u32`, chunk count `u32`, data bytes `u64`.
-//! Delete payload: container id `u32` (a legacy reserved kind — the
-//! engine never emits one; GC drops use kind 5, which carries enough to
+//! Each event's record kind and payload layout is one row of the
+//! `event_codec!` table below; a record that passes its CRC but does not
+//! decode as an event ends the valid prefix like a torn one. `Delete` is a
+//! legacy reserved kind the engine never emits (GC drops carry enough to
 //! replay the drop's accounting without the dropped file).
 //!
 //! The lifecycle kinds follow the same write-ahead discipline as seals:
@@ -40,29 +32,28 @@
 //! or the new complete image. Recovery loads the snapshot, then replays
 //! the manifest events beyond `event_seq` into the index.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use freqdedup_trace::io::{CodecError, CrcReader, CrcWriter};
 
-use crate::fault::{write_checked, FaultAction, FaultFile, IoPolicyHandle, PersistSite};
-use crate::persist::{maybe_sync, maybe_sync_dir, FsyncPolicy, PersistError, LEGACY_INDEX_SHARDS};
+use crate::fault::{FaultAction, FaultFile, IoPolicyHandle, PersistSite};
+use crate::journal::{Frame, Journal, JournalFormat, HEADER_LEN};
+use crate::persist::{maybe_sync_dir, FsyncPolicy, PersistError, LEGACY_INDEX_SHARDS};
 
 pub(crate) const MANIFEST_FILE: &str = "manifest.log";
 pub(crate) const SNAPSHOT_FILE: &str = "index.snap";
-const MANIFEST_MAGIC: &[u8; 4] = b"FQMJ";
-const MANIFEST_VERSION: u16 = 1;
 const SNAPSHOT_MAGIC: &[u8; 4] = b"FQSN";
 const SNAPSHOT_VERSION: u16 = 2;
 
-const KIND_SEAL: u8 = 1;
-const KIND_DELETE: u8 = 2;
-const KIND_BACKUP: u8 = 3;
-const KIND_BACKUP_DELETE: u8 = 4;
-const KIND_GC_DROP: u8 = 5;
-const KIND_REKEY_BEGIN: u8 = 6;
-const KIND_REKEY_COMMIT: u8 = 7;
+/// `manifest.log` as a [`Journal`]: its header and fault sites.
+static FORMAT: JournalFormat = JournalFormat {
+    magic: b"FQMJ",
+    header_site: PersistSite::ManifestHeader,
+    append_site: PersistSite::ManifestAppend,
+    sync_site: PersistSite::ManifestSync,
+};
 
 /// One manifest journal event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,26 +127,39 @@ pub enum ManifestEvent {
     },
 }
 
-/// The result of scanning a manifest journal: the valid event prefix and
-/// the byte offset where it ends (everything after is a torn tail).
-#[derive(Debug)]
+/// The valid event prefix of a manifest journal: the records up to the
+/// first that is torn or does not decode as an event.
+#[derive(Debug, Default)]
 pub struct ManifestScan {
     /// Valid events in journal order.
     pub events: Vec<ManifestEvent>,
     /// End offset of each valid record, index-aligned with `events`.
     pub record_ends: Vec<u64>,
+}
+
+impl ManifestScan {
+    /// Decodes a journal's frames up to the first that is not an event.
+    fn decode(frames: Vec<Frame>) -> Self {
+        let mut scan = ManifestScan::default();
+        for (kind, payload, end) in frames {
+            let Some(event) = ManifestEvent::decode(kind, &payload) else {
+                break;
+            };
+            scan.events.push(event);
+            scan.record_ends.push(end);
+        }
+        scan
+    }
+
     /// Byte length of the valid prefix (header included).
-    pub valid_len: u64,
+    #[must_use]
+    pub fn valid_len(&self) -> u64 {
+        self.record_ends.last().copied().unwrap_or(HEADER_LEN)
+    }
 }
 
 fn manifest_path(dir: &Path) -> PathBuf {
     dir.join(MANIFEST_FILE)
-}
-
-/// Whether `dir` contains an initialized manifest journal.
-#[must_use]
-pub fn manifest_exists(dir: &Path) -> bool {
-    manifest_path(dir).exists()
 }
 
 /// Fsyncs the manifest journal (and snapshot, when present)
@@ -171,183 +175,65 @@ pub(crate) fn sync_manifest_files(dir: &Path) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Scans the manifest journal under `dir`, tolerating a torn tail: the
-/// scan stops at the first record that is truncated or fails its CRC, and
-/// reports the valid prefix.
+/// Scans the manifest journal under `dir` through a read-only handle.
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Io`] when the journal is missing or unreadable,
-/// [`PersistError::BadMagic`] / [`PersistError::BadVersion`] when the
-/// header itself is foreign (a journal with a torn *header* is corrupt —
-/// the header is written at creation time, before any data is accepted).
+/// As [`ManifestWriter::open`].
 pub fn scan_manifest(dir: &Path) -> Result<ManifestScan, PersistError> {
-    let mut r = BufReader::new(File::open(manifest_path(dir))?);
-    CrcReader::new(&mut r, MANIFEST_FILE)
-        .expect_header(MANIFEST_MAGIC, MANIFEST_VERSION)
-        .map_err(|e| match e {
-            // The header is written at creation, before any data is
-            // accepted — a short header is corruption, not a torn tail.
-            CodecError::Truncated { .. } => {
-                PersistError::Corrupt("manifest.log: truncated header".to_string())
-            }
-            e => e.into(),
-        })?;
-    let mut events = Vec::new();
-    let mut record_ends = Vec::new();
-    let mut offset = 6u64;
-    while !r.fill_buf()?.is_empty() {
-        match read_record(&mut r) {
-            Ok((event, len)) => {
-                offset += len;
-                events.push(event);
-                record_ends.push(offset);
-            }
-            // A real read error is NOT a torn tail: classifying it as one
-            // would let recovery truncate away durably committed records.
-            Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
-            // Truncation, CRC mismatch or tail garbage: drop the torn tail,
-            // keep the prefix.
-            Err(_) => break,
-        }
-    }
-    Ok(ManifestScan {
-        events,
-        record_ends,
-        valid_len: offset,
-    })
+    let frames = Journal::scan(&manifest_path(dir), &FORMAT)?;
+    Ok(ManifestScan::decode(frames))
 }
 
-/// Reads one record and its length in bytes. Any failure but
-/// [`PersistError::Io`] is the torn-write signature.
-fn read_record<R: Read>(r: R) -> Result<(ManifestEvent, u64), PersistError> {
-    let mut r = CrcReader::new(r, MANIFEST_FILE);
-    let kind = r.u8("record kind")?;
-    let len = r.u32("record length")?;
-    let event = match (kind, len) {
-        (KIND_SEAL, 16) => ManifestEvent::Seal {
-            id: r.u32("container id")?,
-            chunk_count: r.u32("chunk count")?,
-            data_bytes: r.u64("data bytes")?,
-        },
-        (KIND_DELETE, 4) => ManifestEvent::Delete {
-            id: r.u32("container id")?,
-        },
-        (KIND_BACKUP, 28) => ManifestEvent::Backup {
-            id: r.u64("backup id")?,
-            chunk_count: r.u32("chunk count")?,
-            logical_bytes: r.u64("logical bytes")?,
-            timestamp: r.u64("timestamp")?,
-        },
-        (KIND_BACKUP_DELETE, 20) => ManifestEvent::BackupDelete {
-            id: r.u64("backup id")?,
-            chunk_count: r.u32("chunk count")?,
-            logical_bytes: r.u64("logical bytes")?,
-        },
-        (KIND_GC_DROP, 28) => ManifestEvent::GcDrop {
-            id: r.u32("container id")?,
-            chunk_count: r.u32("chunk count")?,
-            data_bytes: r.u64("data bytes")?,
-            dead_chunks: r.u32("dead chunks")?,
-            dead_bytes: r.u64("dead bytes")?,
-        },
-        (KIND_REKEY_BEGIN, 8) => ManifestEvent::RekeyBegin {
-            epoch: r.u64("epoch")?,
-        },
-        (KIND_REKEY_COMMIT, 8) => ManifestEvent::RekeyCommit {
-            epoch: r.u64("epoch")?,
-        },
-        _ => {
-            return Err(PersistError::Torn {
-                file: MANIFEST_FILE.to_string(),
-                detail: format!("record of kind {kind} and length {len}"),
-            })
+/// Writes [`ManifestEvent`]'s record codec from one table: each event's
+/// record kind, then its fields in payload order, each a `u32` or `u64`.
+macro_rules! event_codec {
+    ($($event:ident = $kind:literal { $($field:ident: $ty:ident),* })*) => {
+        impl ManifestEvent {
+            /// The event's record kind and payload.
+            fn encode(&self) -> (u8, Vec<u8>) {
+                let mut payload = Vec::with_capacity(28);
+                let kind = match *self {
+                    $(ManifestEvent::$event { $($field),* } => {
+                        $(payload.extend_from_slice(&$field.to_le_bytes());)*
+                        $kind
+                    })*
+                };
+                (kind, payload)
+            }
+
+            /// Parses a record; `None` for a kind and payload length no
+            /// event has.
+            fn decode(kind: u8, payload: &[u8]) -> Option<Self> {
+                let mut r = CrcReader::new(payload, MANIFEST_FILE);
+                match kind {
+                    $($kind if payload.len() == 0 $(+ std::mem::size_of::<$ty>())* => {
+                        let event = ManifestEvent::$event {
+                            $($field: r.$ty(stringify!($field)).ok()?),*
+                        };
+                        Some(event)
+                    })*
+                    _ => None,
+                }
+            }
         }
     };
-    r.expect_crc()?;
-    Ok((event, 1 + 4 + u64::from(len) + 4))
 }
 
-impl ManifestEvent {
-    /// The event's journal record: kind, payload length, payload, and a
-    /// CRC over all three.
-    fn record(&self) -> std::io::Result<Vec<u8>> {
-        let mut p = CrcWriter::new(Vec::with_capacity(28));
-        let kind = match *self {
-            ManifestEvent::Seal {
-                id,
-                chunk_count,
-                data_bytes,
-            } => {
-                p.u32(id)?;
-                p.u32(chunk_count)?;
-                p.u64(data_bytes)?;
-                KIND_SEAL
-            }
-            ManifestEvent::Delete { id } => {
-                p.u32(id)?;
-                KIND_DELETE
-            }
-            ManifestEvent::Backup {
-                id,
-                chunk_count,
-                logical_bytes,
-                timestamp,
-            } => {
-                p.u64(id)?;
-                p.u32(chunk_count)?;
-                p.u64(logical_bytes)?;
-                p.u64(timestamp)?;
-                KIND_BACKUP
-            }
-            ManifestEvent::BackupDelete {
-                id,
-                chunk_count,
-                logical_bytes,
-            } => {
-                p.u64(id)?;
-                p.u32(chunk_count)?;
-                p.u64(logical_bytes)?;
-                KIND_BACKUP_DELETE
-            }
-            ManifestEvent::GcDrop {
-                id,
-                chunk_count,
-                data_bytes,
-                dead_chunks,
-                dead_bytes,
-            } => {
-                p.u32(id)?;
-                p.u32(chunk_count)?;
-                p.u64(data_bytes)?;
-                p.u32(dead_chunks)?;
-                p.u64(dead_bytes)?;
-                KIND_GC_DROP
-            }
-            ManifestEvent::RekeyBegin { epoch } => {
-                p.u64(epoch)?;
-                KIND_REKEY_BEGIN
-            }
-            ManifestEvent::RekeyCommit { epoch } => {
-                p.u64(epoch)?;
-                KIND_REKEY_COMMIT
-            }
-        };
-        let payload = p.into_inner();
-        let mut w = CrcWriter::new(Vec::with_capacity(9 + payload.len()));
-        w.u8(kind)?;
-        w.u32(payload.len() as u32)?;
-        w.bytes(&payload)?;
-        w.finish()
-    }
+event_codec! {
+    Seal = 1 { id: u32, chunk_count: u32, data_bytes: u64 }
+    Delete = 2 { id: u32 }
+    Backup = 3 { id: u64, chunk_count: u32, logical_bytes: u64, timestamp: u64 }
+    BackupDelete = 4 { id: u64, chunk_count: u32, logical_bytes: u64 }
+    GcDrop = 5 { id: u32, chunk_count: u32, data_bytes: u64, dead_chunks: u32, dead_bytes: u64 }
+    RekeyBegin = 6 { epoch: u64 }
+    RekeyCommit = 7 { epoch: u64 }
 }
 
-/// An open handle appending records to the manifest journal.
+/// The manifest journal, appending [`ManifestEvent`] records.
 #[derive(Debug)]
 pub struct ManifestWriter {
-    file: File,
-    policy: FsyncPolicy,
-    io: IoPolicyHandle,
+    journal: Journal,
 }
 
 impl ManifestWriter {
@@ -355,61 +241,39 @@ impl ManifestWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Io`] on write failure.
+    /// Returns [`PersistError`] on a write or sync failure.
     pub fn create(
         dir: &Path,
         policy: FsyncPolicy,
         io: &IoPolicyHandle,
     ) -> Result<Self, PersistError> {
-        let mut file = File::create(manifest_path(dir))?;
-        let mut header = CrcWriter::new(Vec::with_capacity(6));
-        header.header(MANIFEST_MAGIC, MANIFEST_VERSION)?;
-        write_checked(
-            &mut file,
-            &header.into_inner(),
-            io,
-            PersistSite::ManifestHeader,
-        )?;
-        io.check_sync(PersistSite::ManifestSync)?;
-        maybe_sync(&file, policy)?;
-        io.check_sync(PersistSite::DirSync)?;
-        maybe_sync_dir(dir, policy)?;
-        Ok(ManifestWriter {
-            file,
-            policy,
-            io: io.clone(),
-        })
+        let journal = Journal::create(&manifest_path(dir), &FORMAT, policy, io)?;
+        Ok(ManifestWriter { journal })
     }
 
-    /// Reopens an existing journal for appending, first truncating it to
-    /// `valid_len` (discarding any torn tail and any records the caller
-    /// has rolled back).
+    /// Opens the journal under `dir` and reads its valid event prefix,
+    /// writing nothing; recovery then [`Self::truncate`]s the file to the
+    /// prefix it keeps.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::open`].
+    pub fn open(
+        dir: &Path,
+        policy: FsyncPolicy,
+        io: &IoPolicyHandle,
+    ) -> Result<(Self, ManifestScan), PersistError> {
+        let (journal, frames) = Journal::open(&manifest_path(dir), &FORMAT, policy, io)?;
+        Ok((ManifestWriter { journal }, ManifestScan::decode(frames)))
+    }
+
+    /// Cuts the journal back to `valid_len` bytes (see [`Journal::truncate`]).
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::Io`] on failure.
-    pub fn reopen(
-        dir: &Path,
-        valid_len: u64,
-        policy: FsyncPolicy,
-        io: &IoPolicyHandle,
-    ) -> Result<Self, PersistError> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(manifest_path(dir))?;
-        file.set_len(valid_len)?;
-        maybe_sync(&file, policy)?;
-        // Append mode would also work, but an explicit seek keeps the write
-        // position unambiguous after the truncation.
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok(ManifestWriter {
-            file,
-            policy,
-            io: io.clone(),
-        })
+    pub fn truncate(&mut self, valid_len: u64) -> Result<(), PersistError> {
+        self.journal.truncate(valid_len)
     }
 
     /// Appends (and per policy fsyncs) the record of `event`. Its
@@ -419,17 +283,10 @@ impl ManifestWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Io`] on write failure.
+    /// Returns [`PersistError`] on a write or sync failure.
     pub fn append(&mut self, event: ManifestEvent) -> Result<(), PersistError> {
-        write_checked(
-            &mut self.file,
-            &event.record()?,
-            &self.io,
-            PersistSite::ManifestAppend,
-        )?;
-        self.io.check_sync(PersistSite::ManifestSync)?;
-        maybe_sync(&self.file, self.policy)?;
-        Ok(())
+        let (kind, payload) = event.encode();
+        self.journal.append(kind, &payload)
     }
 }
 
@@ -687,14 +544,10 @@ mod tests {
                 data_bytes: 64
             }
         );
-        // Reopen truncates the garbage; a new append then scans cleanly.
-        let mut w = ManifestWriter::reopen(
-            &dir,
-            scan.valid_len,
-            FsyncPolicy::Never,
-            &IoPolicyHandle::none(),
-        )
-        .unwrap();
+        // Reopen and truncate the garbage; a new append then scans cleanly.
+        let (mut w, scan) =
+            ManifestWriter::open(&dir, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
+        w.truncate(scan.valid_len()).unwrap();
         w.append(ManifestEvent::Seal {
             id: 1,
             chunk_count: 8,
@@ -750,7 +603,7 @@ mod tests {
         drop(w);
         let scan = scan_manifest(&dir).unwrap();
         assert!(scan.events.is_empty());
-        assert_eq!(scan.valid_len, 6);
+        assert_eq!(scan.valid_len(), 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! <dir>/store.meta            fixed-size config echo (magic FQSM + CRC)
-//! <dir>/manifest.log          append-only journal of seal/delete events
+//! <dir>/manifest.log          write-ahead journal of lifecycle events
 //! <dir>/index.snap            fingerprint-index + counters snapshot
 //! <dir>/container-NNNNNNNN.clog   one file per sealed container
 //! ```
@@ -162,6 +162,9 @@ pub enum PersistError {
         /// The durable-operation site that was failed.
         site: PersistSite,
     },
+    /// An earlier durable write of this engine failed, so its memory is
+    /// ahead of its files; it writes nothing more until it is reopened.
+    Failed,
 }
 
 impl fmt::Display for PersistError {
@@ -182,6 +185,9 @@ impl fmt::Display for PersistError {
                 write!(f, "missing or wrong secret for key epoch {epoch}")
             }
             PersistError::Injected { site } => write!(f, "injected fault at {site:?}"),
+            PersistError::Failed => {
+                f.write_str("an earlier durable write failed; reopen the engine")
+            }
         }
     }
 }

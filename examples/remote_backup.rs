@@ -208,7 +208,8 @@ fn main() {
     // adversary view — as ordinary backups the attacks run on unchanged.
     // The chunk-length sequences are the boundary-leakage observable:
     // content-defined boundaries survive MLE byte for byte.
-    let tap = AdversaryTap::open(&store_dir, FsyncPolicy::Never).unwrap();
+    let tap =
+        AdversaryTap::open(&PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)).unwrap();
     let observed = tap.series("tapped");
     println!(
         "\nadversary tap: {} committed manifests, {} observed chunks",

@@ -138,7 +138,7 @@ fn written() -> Vec<(String, Vec<u8>)> {
     out.push(("FQIS state".into(), blob));
 
     let dir = test_dir("pin-files");
-    let (mut log, _) = CatalogLog::open(&dir.join("catalog.log"), never).unwrap();
+    let (mut log, _) = CatalogLog::open(&dir.join("catalog.log"), never, &none).unwrap();
     for (i, b) in [backup("m0", &[1, 2]), backup("m1", &[3])]
         .into_iter()
         .enumerate()

@@ -1754,3 +1754,123 @@ fn corrupt_catalog_header_fails_bind_typed() {
     ));
     done(&dir);
 }
+
+/// A COMMIT whose catalog append fails, at every catalog fault site in
+/// both modes, is answered NOT_DURABLE and is not in the catalog: STATS
+/// and RESTORE do not see it, a re-upload on the same server is acked
+/// (its append first cuts the failed one's tail), and a rebind finds
+/// exactly the acked records and no store backup outside them. A crash
+/// image taken right after the failure rebinds too: a failed write left
+/// no record or a torn one, so the bind releases the orphaned store
+/// backup; a failed sync left a whole record, whose commit then stands.
+#[test]
+fn failed_catalog_append_is_not_durable_at_every_catalog_site() {
+    use std::sync::atomic::Ordering;
+
+    use freqdedup::server::catalog::{CatalogLog, CatalogRecord};
+    use freqdedup::store::fault::{FailAt, FailMode, IoPolicyHandle, PersistSite, CATALOG_SITES};
+
+    let dir = test_dir("catalog-faults");
+    let mk = |label: &str, first: u64| {
+        let chunks = (first..first + 40).map(|i| freqdedup::trace::ChunkRecord::new(i, 32));
+        Backup::from_chunks(label, chunks.collect())
+    };
+    let (a, b) = (mk("a", 0), mk("b", 20));
+    let persist = |store: &PathBuf| PersistConfig::new(store).fsync(FsyncPolicy::Never);
+    let config = |persist: PersistConfig, log: PathBuf| ServerConfig {
+        engine: DedupConfig {
+            persist: Some(persist),
+            ..small_engine()
+        },
+        log_file: Some(log),
+        ..ServerConfig::default()
+    };
+    let unknown = |r: Result<_, ClientError>| matches!(r, Err(ClientError::Server { code: c, .. }) if c == code::UNKNOWN_LABEL);
+    // Rebinds `store` cleanly and checks that the catalog commits exactly
+    // `acked`, and that the store holds their backups and no other.
+    let check = |store: &PathBuf, acked: &[&Backup], tag: &str| {
+        let (addr, handle) = start(config(persist(store), store.with_extension("log")));
+        let mut c = Client::connect(addr, "check").unwrap();
+        let stats = c.stats().unwrap();
+        assert_eq!(stats.committed_backups, acked.len() as u64, "{tag}");
+        for backup in acked {
+            let restored = c.restore(&backup.label).unwrap().backup;
+            assert_eq!(restored.chunks, backup.chunks, "{tag}");
+        }
+        if acked.len() == 1 {
+            assert!(unknown(c.restore("b")), "{tag}");
+        }
+        c.shutdown().unwrap();
+        handle.join().unwrap();
+        let none = IoPolicyHandle::none();
+        let path = store.join("catalog.log");
+        let (_, records) = CatalogLog::open(&path, FsyncPolicy::Never, &none).unwrap();
+        let want: Vec<_> = (1..)
+            .zip(acked)
+            .map(|(id, &backup)| CatalogRecord::Commit {
+                op_id: 0,
+                backup_id: id,
+                timestamp: id,
+                backup: backup.clone(),
+            })
+            .collect();
+        assert_eq!(records, want, "{tag}");
+        let engine = DedupConfig {
+            persist: Some(persist(store)),
+            ..small_engine()
+        };
+        let engine = ShardedDedupEngine::open(engine, ServerConfig::default().shards).unwrap();
+        let ids: Vec<u64> = engine
+            .committed_backups()
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        assert_eq!(ids, (1..=acked.len() as u64).collect::<Vec<_>>(), "{tag}");
+        engine.close().unwrap();
+    };
+
+    for site in CATALOG_SITES {
+        for mode in [FailMode::Error, FailMode::Torn] {
+            let tag = format!("{site:?}-{mode:?}");
+            let (store, image) = (dir.join(&tag), dir.join(format!("{tag}-image")));
+            // A clean server creates the catalog, so the failing server's
+            // bind writes nothing to it: the COMMIT's append is the first
+            // operation at `site`.
+            let (addr, handle) = start(config(persist(&store), dir.join(format!("{tag}-1.log"))));
+            let mut c = Client::connect(addr, "faults").unwrap();
+            c.upload_backup(&a).unwrap();
+            assert_eq!(c.commit("a").unwrap(), 40, "{tag}");
+            c.shutdown().unwrap();
+            handle.join().unwrap();
+
+            let fail = FailAt::new(site, 0, mode);
+            let fired = fail.fired();
+            let failing = persist(&store).io_policy(fail);
+            let (addr, handle) = start(config(failing, dir.join(format!("{tag}-2.log"))));
+            let mut c = Client::connect(addr, "faults").unwrap();
+            c.upload_backup(&b).unwrap();
+            match c.commit("b") {
+                Err(ClientError::Server { code: c, .. }) => {
+                    assert_eq!(c, code::NOT_DURABLE, "{tag}");
+                }
+                other => panic!("{tag}: {other:?}"),
+            }
+            assert!(fired.load(Ordering::SeqCst), "{tag}: fault never fired");
+            assert_eq!(c.stats().unwrap().committed_backups, 1, "{tag}");
+            assert!(unknown(c.restore("b")), "{tag}");
+            copy_dir(&store, &image);
+            c.upload_backup(&b).unwrap();
+            assert_eq!(c.commit("b").unwrap(), 40, "{tag}: re-upload");
+            c.shutdown().unwrap();
+            handle.join().unwrap();
+
+            check(&store, &[&a, &b], &tag);
+            let image_acked: &[&Backup] = match site {
+                PersistSite::CatalogSync => &[&a, &b],
+                _ => &[&a],
+            };
+            check(&image, image_acked, &format!("{tag} image"));
+        }
+    }
+    done(&dir);
+}
