@@ -38,6 +38,8 @@
 //!
 //! Flags: see [`USAGE`].
 
+use std::sync::Arc;
+
 use freqdedup_bench::cli;
 use freqdedup_bench::harness::{self, build_pair, store_config, timed};
 use freqdedup_core::attacks::locality::LocalityParams;
@@ -166,7 +168,7 @@ fn pin_mismatches(measured: &[Cells], pins: &[Cells]) -> Vec<String> {
 /// Uploads the defended ciphertext stream through the real wire stack —
 /// one loopback client committing [`EPOCHS`] epoch manifests — and
 /// returns the provider's tap plus the committed tape in commit order.
-fn serve_and_tap(cipher: &Backup) -> (TapView, Vec<Backup>) {
+fn serve_and_tap(cipher: &Backup) -> (TapView, Vec<Arc<Backup>>) {
     let server = Server::bind(ServerConfig {
         workers: 1,
         engine: store_config(cipher.unique_count()),
@@ -193,7 +195,7 @@ fn serve_and_tap(cipher: &Backup) -> (TapView, Vec<Backup>) {
         t.committed().to_vec()
     });
     assert_eq!(
-        tape.iter().map(Backup::len).sum::<usize>(),
+        tape.iter().map(|b| b.len()).sum::<usize>(),
         cipher.len(),
         "tap lost chunks"
     );

@@ -139,14 +139,14 @@ pub fn run_ciphertext_only_both_policies(
 #[must_use]
 pub fn run_ciphertext_only_series(
     kind: AttackKind,
-    cipher_tape: &[Backup],
+    cipher_tape: &[impl std::borrow::Borrow<Backup>],
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> Inference {
     let sc = {
         let mut cipher = IncrementalStats::default();
         for backup in cipher_tape {
-            cipher.commit(backup);
+            cipher.commit(backup.borrow());
         }
         cipher.to_dense()
     };

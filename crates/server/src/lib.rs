@@ -22,10 +22,10 @@
 //!   seeded-backoff reconnects, and resumable exactly-once commits;
 //! * [`fault`] — deterministic network fault injection: a seeded,
 //!   frame-aware TCP proxy ([`fault::FaultProxy`]) for the chaos suite;
-//! * [`catalog`] — the write-ahead catalog (`catalog.log`): one
-//!   CRC-framed record per acknowledged COMMIT, DELETE-BACKUP, GC and
-//!   REKEY, appended before the ack;
-//! * [`tap`] — the provider-side adversary tap, a fold over the catalog:
+//! * [`catalog`] — the service's state and its write-ahead journal
+//!   (`catalog.log`): one CRC-framed record per acknowledged COMMIT,
+//!   DELETE-BACKUP, GC and REKEY, appended before the ack;
+//! * [`tap`] — the provider-side adversary tap, an observer of the catalog:
 //!   the per-session observed ciphertext fingerprint streams,
 //!   re-materialized as ordinary [`freqdedup_trace::Backup`]s so
 //!   `LocalityAttack` / `AdvancedAttack` run unchanged against live

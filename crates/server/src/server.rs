@@ -21,14 +21,15 @@
 //! **The catalog** ([`crate::catalog`], `catalog.log` beside the store)
 //! is written ahead of every ack, not at shutdown: a crash loses no
 //! acknowledged COMMIT, DELETE-BACKUP, GC or REKEY. [`Server::bind`]
-//! replays it into the adversary tap and releases every store backup it
-//! does not hold live — such a backup was never acknowledged.
+//! replays it and releases every store backup it does not hold live —
+//! such a backup was never acknowledged. The adversary tap folds it
+//! after the acks, when sessions idle or end, never before one.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use freqdedup_store::container::PayloadMode;
@@ -38,6 +39,7 @@ use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::io::TraceIoError;
 use freqdedup_trace::ChunkRecord;
 
+use crate::catalog::Catalog;
 use crate::pool::{self, JobQueue};
 use crate::proto::ServerStats;
 use crate::session;
@@ -69,11 +71,26 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Upload progress parked for a disconnected resumable session, keyed by
-/// client name: a client that declared a commit id (RESUME) and then lost
-/// its connection mid-upload can reconnect and continue from
-/// `acked_batches` instead of restarting — and, crucially, instead of
-/// double-ingesting what the server already observed.
+/// A client's resumable upload (one declared by RESUME), keyed by client
+/// name.
+#[derive(Debug)]
+pub(crate) enum Upload {
+    /// Held by the running session `session`. A RESUME of another session
+    /// of the client sets `superseded` and waits for the holder to stop,
+    /// at its next frame boundary or idle tick, and park.
+    Running {
+        session: u64,
+        superseded: Arc<AtomicBool>,
+    },
+    /// Left behind by a session that ended mid-upload.
+    Parked(Parked),
+}
+
+/// Upload progress parked for a disconnected resumable session: a client
+/// that declared a commit id (RESUME) and then lost its connection
+/// mid-upload can reconnect and continue from `acked_batches` instead of
+/// restarting — and, crucially, instead of double-ingesting what the
+/// server already observed.
 #[derive(Debug)]
 pub(crate) struct Parked {
     /// Observed (pre-dedup) stream so far toward the commit.
@@ -170,9 +187,14 @@ pub(crate) struct EngineSlot {
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub slot: Mutex<EngineSlot>,
+    /// Lock order: tap, catalog, engine slot (a session takes the tap
+    /// only when idle, and never waits for it).
+    pub catalog: Mutex<Catalog>,
     pub tap: Mutex<AdversaryTap>,
-    /// Parked upload progress of disconnected resumable sessions.
-    pub parked: Mutex<HashMap<String, Parked>>,
+    /// Resumable uploads by client name.
+    pub uploads: Mutex<HashMap<String, Upload>>,
+    /// Notified whenever a session releases its [`Upload::Running`].
+    pub upload_released: Condvar,
     pub stop: AtomicBool,
     pub sessions_served: AtomicU64,
     /// Degraded-but-serving events: the bind's tap warnings, a failed
@@ -195,9 +217,18 @@ impl Shared {
         }
     }
 
+    /// Folds the catalog's new records into the tap, unless another thread
+    /// holds it; sessions call it only when idle or ending, so no client
+    /// waits on the adversary.
+    pub fn catch_up_tap(&self) {
+        if let Ok(mut tap) = self.tap.try_lock() {
+            tap.catch_up(&self.catalog);
+        }
+    }
+
     /// Aggregate service counters (engine stats + session/commit totals).
     pub fn stats(&self) -> ServerStats {
-        let committed_backups = lock_unpoisoned(&self.tap).commits();
+        let committed_backups = lock_unpoisoned(&self.catalog).commits();
         let slot = lock_unpoisoned(&self.slot);
         let s = slot
             .engine
@@ -263,17 +294,24 @@ pub struct TapView {
 }
 
 impl TapView {
-    /// Runs `f` under the tap lock and returns its result. Keep `f`
-    /// short: commits block on the same lock.
+    /// Catches the tap up with the catalog, then runs `f` under the tap
+    /// lock and returns its result. No session waits on this lock.
     pub fn with_tap<R>(&self, f: impl FnOnce(&AdversaryTap) -> R) -> R {
-        let tap = lock_unpoisoned(&self.shared.tap);
+        let mut tap = lock_unpoisoned(&self.shared.tap);
+        tap.catch_up(&self.shared.catalog);
         f(&tap)
+    }
+
+    /// Runs `f` under the catalog lock and returns its result. Keep `f`
+    /// short: every acknowledged operation takes this lock.
+    pub fn with_catalog<R>(&self, f: impl FnOnce(&Catalog) -> R) -> R {
+        f(&lock_unpoisoned(&self.shared.catalog))
     }
 }
 
 impl Server {
-    /// Opens (or recovers) the backing engine and tap, and binds the
-    /// listen socket.
+    /// Opens (or recovers) the backing engine, catalog and tap, and binds
+    /// the listen socket.
     ///
     /// # Errors
     ///
@@ -291,10 +329,11 @@ impl Server {
             .find_map(|shard| shard.containers().mode())
             .map(|mode| mode == PayloadMode::Payload);
         let persist = config.engine.persist.as_ref();
-        let tap = match persist {
-            Some(p) => AdversaryTap::open(p)?,
-            None => AdversaryTap::default(),
-        };
+        let stream_path = persist.map(|p| (p.dir.join(STREAM_FILE), p.fsync));
+        let catalog = persist.map_or_else(|| Ok(Catalog::default()), Catalog::open)?;
+        let tap = (stream_path.as_ref()).map_or_else(AdversaryTap::default, |(path, _)| {
+            AdversaryTap::open(path, &catalog)
+        });
         let log = match &config.log_file {
             Some(path) => Some(Mutex::new(
                 std::fs::OpenOptions::new()
@@ -313,26 +352,28 @@ impl Server {
             .committed_backups()
             .into_iter()
             .map(|(id, _)| id)
-            .filter(|&id| !tap.is_live(id))
+            .filter(|&id| !catalog.is_live(id))
             .collect();
         for &id in &unacked {
             let _ = engine.delete_backup(id);
         }
-        let (live, commits, warnings) = (tap.committed().len(), tap.commits(), tap.warnings());
+        let (commits, warnings) = (catalog.commits(), catalog.warnings() + tap.warnings());
         let shared = Arc::new(Shared {
             slot: Mutex::new(EngineSlot {
                 engine: Some(engine),
                 payload_mode,
             }),
+            catalog: Mutex::new(catalog),
             tap: Mutex::new(tap),
-            parked: Mutex::new(HashMap::new()),
+            uploads: Mutex::new(HashMap::new()),
+            upload_released: Condvar::new(),
             stop: AtomicBool::new(false),
             sessions_served: AtomicU64::new(0),
             tap_warnings: AtomicU64::new(warnings),
             log,
         });
         shared.log(&format!(
-            "serve: bound {} ({} workers, {} shards, {live} live of {commits} committed manifests, {} unacked released, {warnings} tap warnings)",
+            "serve: bound {} ({} workers, {} shards, {commits} committed manifests, {} unacked released, {warnings} tap warnings)",
             listener.local_addr()?,
             config.workers.max(1),
             config.shards,
@@ -342,7 +383,7 @@ impl Server {
             listener,
             shared,
             workers: config.workers.max(1),
-            stream_path: persist.map(|p| (p.dir.join(STREAM_FILE), p.fsync)),
+            stream_path,
         })
     }
 
@@ -432,10 +473,13 @@ impl Server {
             stats: shared.stats(),
         };
         // The catalog is already durable. The running attack state is
-        // saved as its cache; a failed save keeps the old one and costs the
-        // next bind a longer fold, never data, and must not skip the close.
+        // caught up and saved as its cache; a failed save keeps the old one
+        // and costs the next bind a longer fold, never data, and must not
+        // skip the close.
         if let Some((path, fsync)) = &self.stream_path {
-            if let Err(e) = lock_unpoisoned(&shared.tap).streaming().save(path, *fsync) {
+            let mut tap = lock_unpoisoned(&shared.tap);
+            tap.catch_up(&shared.catalog);
+            if let Err(e) = tap.streaming().save(path, *fsync) {
                 shared.tap_warnings.fetch_add(1, Ordering::SeqCst);
                 shared.log(&format!("shutdown: tap.fqis save failed ({e})"));
             }

@@ -7,22 +7,26 @@
 //! a short read timeout), so a graceful shutdown drains in-flight
 //! sessions instead of cutting them.
 //!
-//! Every PUT batch is both deduplicated *and* tapped: the `(fp, size)`
-//! records are appended to the session's pending observed stream, which
+//! Every PUT batch is deduplicated, and its `(fp, size)` records are
+//! appended to the session's pending observed stream, which
 //! COMMIT-MANIFEST writes to the catalog as one [`Backup`]. COMMIT,
 //! DELETE-BACKUP, GC and REKEY share one exactly-once path
-//! (`Session::once`): under the tap lock, a replayed operation id returns
-//! its recorded ack; otherwise the engine applies the operation and its
-//! record is appended to `catalog.log` and folded into the
-//! [`crate::tap::AdversaryTap`] before the ack is written. A disconnect
+//! (`Session::once`): under the catalog lock, a replayed operation id
+//! returns its recorded ack; otherwise the engine applies the operation
+//! and its record is appended to `catalog.log` before the ack is
+//! written. The [`crate::tap::AdversaryTap`] folds it later, when the
+//! session is idle or ends: no ack, and no request after one, waits on
+//! the adversary. A disconnect
 //! with uncommitted chunks drops them, unless the session declared a
 //! commit id via RESUME: then the tail is *parked* under the client's
 //! name and a reconnecting session resumes it exactly where it broke (see
-//! `Parked` in `server.rs`).
+//! `Upload` in `server.rs`). A RESUME that finds the broken session still
+//! running first stops it and waits for it to park.
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use freqdedup_store::engine::ChunkLookup;
@@ -30,14 +34,13 @@ use freqdedup_store::lifecycle::LifecycleError;
 use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
-use crate::catalog::{CatalogRecord, OpKind};
+use crate::catalog::{AppliedCommit, Catalog, CatalogRecord, OpKind};
 use crate::frame::{read_frame, write_frame, WireError, READ_BUFFER_BYTES};
 use crate::proto::{
     code, put_chunk_resp, ChunkStatus, Message, RecordListEncoder, ResumeState, MIN_WIRE_VERSION,
     WIRE_VERSION,
 };
-use crate::server::{lock_unpoisoned, Parked, Shared};
-use crate::tap::{AdversaryTap, AppliedCommit};
+use crate::server::{lock_unpoisoned, Parked, Shared, Upload};
 
 /// Poll interval for the stop flag while a session is idle.
 const IDLE_POLL: Duration = Duration::from_millis(25);
@@ -70,30 +73,14 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared, id: u64) {
         hello_done: false,
         client: String::new(),
         resume_declared: None,
+        superseded: Arc::new(AtomicBool::new(false)),
         acked_batches: 0,
         pending: Vec::new(),
         epoch: 0,
     };
     let outcome = session.run(&mut conn);
-    // A resumable upload that lost its connection mid-commit is *parked*
-    // under the client's name: the chunks are already in the store and
-    // counted toward `acked_batches`, so the reconnecting client continues
-    // instead of re-sending (which would double-ingest the observed
-    // stream). Any other uncommitted tail never becomes a manifest.
-    if let (Some(commit_id), false) = (session.resume_declared, session.pending.is_empty()) {
-        let parked = Parked {
-            pending: std::mem::take(&mut session.pending),
-            acked_batches: session.acked_batches,
-            commit_id,
-        };
-        shared.log(&format!(
-            "session {id}: parked {} chunks ({} batches) for {:?} commit {commit_id:#x}",
-            parked.pending.len(),
-            parked.acked_batches,
-            session.client,
-        ));
-        lock_unpoisoned(&shared.parked).insert(session.client.clone(), parked);
-    }
+    drop(session);
+    shared.catch_up_tap();
     match outcome {
         Ok(()) => shared.log(&format!("session {id}: closed")),
         Err(e) => shared.log(&format!("session {id}: error: {e}")),
@@ -109,6 +96,9 @@ struct Session<'a> {
     /// The commit id declared by RESUME, if any: marks this session's
     /// uncommitted tail as resumable (parked on disconnect).
     resume_declared: Option<u64>,
+    /// Set by a RESUME of a newer session of the same client: this
+    /// session then stops at its next frame boundary or idle tick.
+    superseded: Arc<AtomicBool>,
     /// PUT batches fully ingested since the last commit.
     acked_batches: u32,
     /// Observed (pre-dedup) stream since the last commit.
@@ -126,6 +116,12 @@ impl Session<'_> {
     /// straight to the socket under it, one `write` per frame.
     fn run(&mut self, conn: &mut BufReader<TcpStream>) -> Result<(), WireError> {
         loop {
+            if self.superseded.load(Ordering::SeqCst) {
+                let id = self.id;
+                self.shared
+                    .log(&format!("session {id}: superseded by a RESUME"));
+                return Ok(());
+            }
             let frame = read_frame(conn);
             let stream = conn.get_mut();
             let payload = match frame {
@@ -137,10 +133,12 @@ impl Session<'_> {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    // Idle tick: drain on shutdown, else keep waiting.
+                    // Idle tick: drain on shutdown, else let the tap catch
+                    // up and keep waiting.
                     if self.shared.stop.load(Ordering::SeqCst) {
                         return Ok(());
                     }
+                    self.shared.catch_up_tap();
                     continue;
                 }
                 Err(e @ (WireError::BadCrc { .. } | WireError::Oversize { .. })) => {
@@ -260,26 +258,47 @@ impl Session<'_> {
             self.reply_err(stream, code::BAD_STATE, "RESUME must precede any PUT");
             return Ok(());
         }
-        // Already applied? The commit finished before the client saw its
-        // ack — replay the verdict; nothing to upload. Otherwise adopt the
-        // parked progress of a broken session if its commit id matches (a
-        // different id means the client abandoned that upload).
-        let applied = lock_unpoisoned(&self.shared.tap)
-            .applied(commit_id)
-            .map(|a| a.chunks);
-        let (state, acked, chunks) = match applied {
-            Some(chunks) => (ResumeState::Committed, 0, chunks),
-            None => match lock_unpoisoned(&self.shared.parked).remove(&self.client) {
-                Some(p) if p.commit_id == commit_id => {
-                    self.pending = p.pending;
-                    self.acked_batches = p.acked_batches;
-                    let chunks = self.pending.len() as u64;
-                    (ResumeState::InProgress, self.acked_batches, chunks)
-                }
-                _ => (ResumeState::Fresh, 0, 0),
-            },
+        // An earlier session of this client that still runs holds the
+        // upload: stop it and wait until it has parked its progress.
+        let mut uploads = lock_unpoisoned(&self.shared.uploads);
+        while let Some(Upload::Running {
+            session,
+            superseded,
+        }) = uploads.get(&self.client)
+        {
+            if *session == self.id {
+                break;
+            }
+            superseded.store(true, Ordering::SeqCst);
+            uploads =
+                (self.shared.upload_released.wait(uploads)).unwrap_or_else(PoisonError::into_inner);
+        }
+        let running = Upload::Running {
+            session: self.id,
+            superseded: Arc::clone(&self.superseded),
         };
+        let previous = uploads.insert(self.client.clone(), running);
+        drop(uploads);
         self.resume_declared = Some(commit_id);
+        // Already applied? The commit finished before the client saw its
+        // ack — replay the verdict; nothing to upload (and the client's
+        // parked progress is dropped). Otherwise adopt the parked progress
+        // if its commit id matches (a different id means the client
+        // abandoned that upload).
+        let applied = lock_unpoisoned(&self.shared.catalog)
+            .applied_commits()
+            .get(&commit_id)
+            .map(|a| a.chunks);
+        let (state, acked, chunks) = match (applied, previous) {
+            (Some(chunks), _) => (ResumeState::Committed, 0, chunks),
+            (None, Some(Upload::Parked(p))) if p.commit_id == commit_id => {
+                self.pending = p.pending;
+                self.acked_batches = p.acked_batches;
+                let chunks = self.pending.len() as u64;
+                (ResumeState::InProgress, self.acked_batches, chunks)
+            }
+            _ => (ResumeState::Fresh, 0, 0),
+        };
         self.shared.log(&format!(
             "session {}: resume {commit_id:#x} -> {state:?} ({acked} batches, {chunks} chunks)",
             self.id
@@ -294,35 +313,36 @@ impl Session<'_> {
         )
     }
 
-    /// Runs one catalogued operation exactly once, under the tap lock, and
-    /// answers it. A nonzero `op_id` already applied gets its recorded
+    /// Runs one catalogued operation exactly once, under the catalog lock,
+    /// and answers it. A nonzero `op_id` already applied gets its recorded
     /// ack. Otherwise `op` checks the request against the catalog, applies
     /// it to the engine, and returns its record plus a store backup id to
     /// release once the record is durable; the record is appended to
-    /// `catalog.log` and folded into the tap. The ack (`reply` of it) is
-    /// written after the lock is released; an append failure is an error
-    /// reply, never an ack. Returns the ack, if one was written.
+    /// `catalog.log`. The ack (`reply` of it) is written after the lock is
+    /// released; an append failure is an error reply, never an ack. The tap
+    /// folds the record later (`Shared::catch_up_tap`). Returns the ack, if
+    /// one was written.
     fn once(
         &self,
         stream: &mut TcpStream,
         what: &str,
         op_id: u64,
-        op: impl FnOnce(&AdversaryTap, &mut ShardedDedupEngine) -> Result<Applied, (u16, String)>,
+        op: impl FnOnce(&Catalog, &mut ShardedDedupEngine) -> Result<Applied, (u16, String)>,
         reply: impl FnOnce(&AppliedCommit) -> Message,
     ) -> Result<Option<AppliedCommit>, WireError> {
         let done = (|| {
-            let mut tap = lock_unpoisoned(&self.shared.tap);
-            if let Some(ack) = (op_id != 0).then(|| tap.applied(op_id)).flatten() {
+            let mut catalog = lock_unpoisoned(&self.shared.catalog);
+            if let Some(ack) = catalog.applied_commits().get(&op_id) {
                 return Ok((ack.clone(), "replayed"));
             }
             let (record, release) = {
                 let mut slot = lock_unpoisoned(&self.shared.slot);
                 op(
-                    &tap,
+                    &catalog,
                     slot.engine.as_mut().expect("engine open while serving"),
                 )?
             };
-            let ack = tap.append(record).map_err(|e| {
+            let ack = catalog.append(record).map_err(|e| {
                 let message = format!("{what}: catalog append failed: {e}");
                 (code::NOT_DURABLE, message)
             })?;
@@ -362,10 +382,9 @@ impl Session<'_> {
     ) -> Result<(), WireError> {
         let records = std::mem::take(&mut self.pending);
         self.acked_batches = 0;
-        self.resume_declared = None;
-        let commit = |tap: &AdversaryTap, engine: &mut ShardedDedupEngine| {
-            let backup_id = tap.next_backup_id();
-            let timestamp = tap.commits() + 1;
+        let commit = |catalog: &Catalog, engine: &mut ShardedDedupEngine| {
+            let backup_id = catalog.next_backup_id();
+            let timestamp = catalog.commits() + 1;
             let mut committed = engine.commit_backup(backup_id, timestamp, &records);
             if let Err(LifecycleError::DuplicateBackup { .. }) = committed {
                 // The catalog never made this id live: a commit whose
@@ -374,8 +393,8 @@ impl Session<'_> {
                 committed = engine.commit_backup(backup_id, timestamp, &records);
             }
             committed.map_err(|e| (code::NOT_DURABLE, e.to_string()))?;
-            let retired = tap.live(&label).map(|(_, id)| id);
-            let backup = Backup::from_chunks(label, records);
+            let retired = catalog.live(&label).map(|(_, id)| id);
+            let backup = Arc::new(Backup::from_chunks(label, records));
             let record = CatalogRecord::Commit {
                 op_id: commit_id,
                 backup_id,
@@ -388,8 +407,40 @@ impl Session<'_> {
             label: a.label.clone(),
             chunks: a.chunks,
         };
-        self.once(stream, "commit", commit_id, commit, ack)
-            .map(drop)
+        let answered = self.once(stream, "commit", commit_id, commit, ack);
+        // Only now, with the commit in the registry, may a waiting RESUME
+        // of this client read it.
+        self.release_upload();
+        answered.map(drop)
+    }
+
+    /// Releases this session's resumable upload, if it declared one: its
+    /// uncommitted tail, if any, is parked under the client's name, and a
+    /// RESUME waiting on this session goes on.
+    fn release_upload(&mut self) {
+        let Some(commit_id) = self.resume_declared.take() else {
+            return;
+        };
+        let mut uploads = lock_unpoisoned(&self.shared.uploads);
+        if self.pending.is_empty() {
+            uploads.remove(&self.client);
+        } else {
+            let parked = Parked {
+                pending: std::mem::take(&mut self.pending),
+                acked_batches: self.acked_batches,
+                commit_id,
+            };
+            self.shared.log(&format!(
+                "session {}: parked {} chunks ({} batches) for {:?} commit {commit_id:#x}",
+                self.id,
+                parked.pending.len(),
+                parked.acked_batches,
+                self.client,
+            ));
+            uploads.insert(self.client.clone(), Upload::Parked(parked));
+        }
+        drop(uploads);
+        self.shared.upload_released.notify_all();
     }
 
     /// Deletes a live manifest. Its record is the commit point: the store
@@ -402,8 +453,8 @@ impl Session<'_> {
         label: String,
         commit_id: u64,
     ) -> Result<(), WireError> {
-        let delete = |tap: &AdversaryTap, _: &mut ShardedDedupEngine| {
-            let Some((backup, id)) = tap.live(&label) else {
+        let delete = |catalog: &Catalog, _: &mut ShardedDedupEngine| {
+            let Some((backup, id)) = catalog.live(&label) else {
                 return Err((code::UNKNOWN_LABEL, format!("no manifest {label:?}")));
             };
             let counts = [backup.len() as u64, backup.logical_bytes(), 0];
@@ -429,7 +480,7 @@ impl Session<'_> {
         threshold_permille: u32,
         commit_id: u64,
     ) -> Result<(), WireError> {
-        let gc = |_: &AdversaryTap, engine: &mut ShardedDedupEngine| {
+        let gc = |_: &Catalog, engine: &mut ShardedDedupEngine| {
             let r = engine.gc(threshold_permille);
             let counts = [r.containers_dropped, r.reclaimed_bytes, r.moved_chunks];
             Ok((op(OpKind::Gc, commit_id, String::new(), counts), None))
@@ -456,7 +507,7 @@ impl Session<'_> {
             self.reply_err(stream, code::BAD_STATE, "REKEY requires a nonempty secret");
             return Ok(());
         }
-        let rekey = |_: &AdversaryTap, engine: &mut ShardedDedupEngine| {
+        let rekey = |_: &Catalog, engine: &mut ShardedDedupEngine| {
             let r = engine.rekey(secret);
             let counts = [r.epoch, r.containers_rewritten, 0];
             Ok((op(OpKind::Rekey, commit_id, String::new(), counts), None))
@@ -549,11 +600,10 @@ impl Session<'_> {
         if self.check_stale_epoch(stream) {
             return Ok(());
         }
-        let records: Option<Vec<ChunkRecord>> = {
-            let tap = lock_unpoisoned(&self.shared.tap);
-            tap.live(label).map(|(b, _)| b.chunks.clone())
-        };
-        let Some(records) = records else {
+        let live = lock_unpoisoned(&self.shared.catalog)
+            .live(label)
+            .map(|(b, _)| Arc::clone(b));
+        let Some(backup) = live else {
             self.reply_err(
                 stream,
                 code::UNKNOWN_LABEL,
@@ -561,6 +611,7 @@ impl Session<'_> {
             );
             return Ok(());
         };
+        let records = &backup.chunks;
         self.reply(
             stream,
             &Message::RestoreHeader {
@@ -658,6 +709,18 @@ impl Session<'_> {
                 message: message.to_string(),
             },
         );
+    }
+}
+
+/// A resumable upload that lost its connection mid-commit is *parked*
+/// under the client's name: the chunks are already in the store and
+/// counted toward `acked_batches`, so the reconnecting client continues
+/// instead of re-sending (which would double-ingest the observed stream).
+/// Any other uncommitted tail never becomes a manifest. Parking on drop
+/// also releases an upload whose handler panicked.
+impl Drop for Session<'_> {
+    fn drop(&mut self) {
+        self.release_upload();
     }
 }
 

@@ -3,10 +3,10 @@
 //! The paper's adversary models (§3) give the attacker the storage
 //! provider's view: the logical, pre-deduplication order of ciphertext
 //! chunks of each uploaded backup. In a real deployment this view is the
-//! provider's *own metadata*: the upload streams it must read anyway, and
-//! the manifests it must keep to serve restores. [`AdversaryTap`] is that
-//! metadata — a fold over the service's write-ahead catalog
-//! ([`crate::catalog`]), from which RESTORE-BACKUP is served — as ordinary
+//! provider's *own metadata*: the manifests it must keep to serve
+//! restores, its [`Catalog`]. [`AdversaryTap`] observes that catalog,
+//! folding its records in journal order after the acks, and holds the
+//! live manifests (shared with the catalog, not copied) as ordinary
 //! [`Backup`]s, so `LocalityAttack` / `AdvancedAttack` run **unchanged**
 //! against live traffic. The metadata the provider needs in order to
 //! function *is* the leak.
@@ -22,25 +22,25 @@
 //! [`TiePolicy`]. It follows **commit order** and keeps deleted
 //! manifests' contribution (the provider cannot unsee an upload), and it
 //! is bit-identical to a batch recompute over the committed streams. One
-//! [`AdversaryTap::apply`] builds it while serving and at bind, so after a
-//! graceful restart or a crash it equals a server that never stopped;
-//! `tap.fqis` only caches it, so a bind folds just the records after the
-//! cached prefix.
+//! [`AdversaryTap::catch_up`] builds it while serving and after a bind,
+//! so after a graceful restart or a crash it equals a server that never
+//! stopped; `tap.fqis` only caches it, so the first catch-up after a bind
+//! folds just the records after the cached prefix.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::{DenseStats, IncrementalStats, Inference, TiePolicy};
-use freqdedup_store::fault::IoPolicyHandle;
-use freqdedup_store::persist::{maybe_sync_dir, FsyncPolicy, PersistConfig, PersistError};
-use freqdedup_trace::io::{self, CodecError, CrcReader, TraceIoError};
+use freqdedup_store::persist::{maybe_sync_dir, FsyncPolicy};
+use freqdedup_trace::io::TraceIoError;
 use freqdedup_trace::{Backup, BackupSeries};
 
-use crate::catalog::{CatalogLog, CatalogRecord, OpKind};
-use crate::server::{ServeError, CATALOG_FILE, CIDS_FILE, STREAM_FILE, TAP_FILE};
+use crate::catalog::{Catalog, CatalogRecord, OpKind};
+use crate::server::lock_unpoisoned;
 
 /// Commits whose update latency [`TapStreaming`] remembers: the log is
 /// diagnostic, so a long-lived server keeps the most recent ones only.
@@ -113,10 +113,10 @@ impl TapStreaming {
     /// Builds running state by folding `committed` in the given order —
     /// the batch oracle the live state is checked against.
     #[must_use]
-    pub fn rebuild(committed: &[Backup]) -> Self {
+    pub fn rebuild(committed: &[impl Borrow<Backup>]) -> Self {
         let mut streaming = TapStreaming::default();
         for backup in committed {
-            streaming.commit(backup);
+            streaming.commit(backup.borrow());
         }
         streaming
     }
@@ -145,25 +145,6 @@ impl TapStreaming {
         let _ = maybe_sync_dir(path.parent().unwrap_or(Path::new(".")), fsync);
         Ok(())
     }
-}
-
-/// One entry of the applied-commit registry: the ack a nonzero operation
-/// id produced, so a client replaying the operation after a lost ack gets
-/// it again instead of a second application. COMMIT, DELETE-BACKUP, GC and
-/// REKEY share it, each reading the counters its ack carries.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AppliedCommit {
-    /// The manifest label the operation named (empty for GC/REKEY).
-    pub label: String,
-    /// Primary ack counter: logical chunks for COMMIT-MANIFEST, chunk
-    /// references released for DELETE-BACKUP, containers dropped for GC,
-    /// the committed epoch for REKEY.
-    pub chunks: u64,
-    /// Secondary ack counter: logical bytes for DELETE-BACKUP, reclaimed
-    /// bytes for GC, containers rewritten for REKEY; 0 for commits.
-    pub extra: u64,
-    /// Tertiary ack counter: moved chunks for GC; 0 otherwise.
-    pub extra2: u64,
 }
 
 /// One lifecycle operation as the provider-side adversary observes it.
@@ -196,123 +177,80 @@ pub enum LifecycleEvent {
     },
 }
 
-/// Per-session observed ciphertext streams, segmented by commit: the fold
-/// of `catalog.log`.
+/// What the adversary has observed of the catalog: the fold of its
+/// records, in journal order.
 #[derive(Debug, Default)]
 pub struct AdversaryTap {
     /// Live manifests in commit order (racy across sessions; use
     /// [`Self::series`] for the deterministic view). Labels are unique.
-    committed: Vec<Backup>,
-    /// The store backup id of each live manifest, index-aligned.
-    backup_ids: Vec<u64>,
+    committed: Vec<Arc<Backup>>,
     /// Running attack state, folded forward on every commit.
     streaming: TapStreaming,
-    /// Exactly-once registry: nonzero operation ids already applied,
-    /// with the ack the client should see on replay.
-    applied: HashMap<u64, AppliedCommit>,
     /// Lifecycle operations observed in order (deletions, GC passes,
     /// rekeys) — adversary observables, like the committed streams.
     lifecycle: Vec<LifecycleEvent>,
-    /// COMMIT records folded, deleted manifests included: the commit
-    /// clock and STATS `committed_backups`.
+    /// COMMIT records folded, deleted manifests included.
     commits: u64,
     /// Logical chunks those records carried.
     commit_chunks: u64,
-    /// Degraded-recovery events of the bind: an unusable `tap.fqis`
-    /// cache, or an unreadable pre-catalog registry.
+    /// An unusable `tap.fqis` cache at [`Self::open`].
     warnings: u64,
-    /// The journal records are appended to (`None` for an in-memory tap).
-    log: Option<CatalogLog>,
 }
 
 impl AdversaryTap {
-    /// Opens the tap of the store `persist` describes by replaying the
-    /// `catalog.log` in its root (created empty when absent), which later
-    /// [`Self::append`]s extend under the store's fsync and fault-injection
-    /// policies. The `tap.fqis` cache, when
-    /// it covers a prefix of the journal, stands in for folding that
-    /// prefix; a missing one costs a full fold, and a corrupt, stale or
-    /// ahead-of-the-journal one a full fold and a [`Self::warnings`]. A
-    /// pre-catalog store (`tap.fqdt`, maybe `tap.cids`, no journal) is
-    /// imported first, once.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Persist`] when the journal fails to open or is
-    /// corrupt, [`ServeError::Tap`] when a pre-catalog `tap.fqdt` is.
-    pub fn open(persist: &PersistConfig) -> Result<Self, ServeError> {
-        let (dir, fsync, io) = (&persist.dir, persist.fsync, &persist.io);
+    /// Opens the tap of a just-opened `catalog`. The `tap.fqis` cache at
+    /// `cache`, when it covers a prefix of the journal, stands in for
+    /// folding that prefix at the first [`Self::catch_up`]. A missing
+    /// cache costs a full fold, and a corrupt, stale or
+    /// ahead-of-the-journal one a full fold and a [`Self::warnings`].
+    #[must_use]
+    pub fn open(cache: &Path, catalog: &Catalog) -> Self {
         let mut tap = AdversaryTap::default();
-        if !dir.join(CATALOG_FILE).exists() && dir.join(TAP_FILE).exists() {
-            tap.warnings += import(dir, fsync, io)?;
-        }
-        let (log, records) = CatalogLog::open(&dir.join(CATALOG_FILE), fsync, io)?;
-        let cache = std::fs::File::open(dir.join(STREAM_FILE))
+        let stats = std::fs::File::open(cache)
             .map_err(TraceIoError::from)
             .and_then(|file| IncrementalStats::read_from(std::io::BufReader::new(file)));
-        match cache {
-            Ok(stats) if covers(&stats, &records) => tap.streaming.stats = stats,
+        match stats {
+            Ok(stats) if covers(&stats, catalog.pending()) => tap.streaming.stats = stats,
             Err(TraceIoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             _ => tap.warnings += 1,
         }
+        tap
+    }
+
+    /// Folds every record `catalog` has journaled since the last
+    /// catch-up, in journal order. Called under the tap's lock, it holds
+    /// the catalog's (tap → catalog, never the reverse) only to take the
+    /// records, so the fold never holds up the service.
+    pub fn catch_up(&mut self, catalog: &Mutex<Catalog>) {
+        let records = lock_unpoisoned(catalog).take_pending();
         for record in records {
-            tap.apply(record);
+            self.apply(record);
         }
-        tap.log = Some(log);
-        Ok(tap)
     }
 
-    /// Appends `record` to the journal (when the tap has one), then folds
-    /// it in with [`Self::apply`]; returns its ack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] when the append fails; the tap is then
-    /// unchanged.
-    pub fn append(&mut self, record: CatalogRecord) -> Result<AppliedCommit, PersistError> {
-        if let Some(log) = &mut self.log {
-            log.append(&record)?;
-        }
-        Ok(self.apply(record))
-    }
-
-    /// Folds one catalog record into the tap and returns its ack. A
-    /// COMMIT joins the live catalog (retiring an earlier manifest of the
-    /// same label) and the running attack state, unless a resumed cache
-    /// already covers it; a DELETE leaves the catalog but not the attack
-    /// state (the provider cannot unsee an upload); every operation is a
-    /// [`LifecycleEvent`] bar commits and imported entries; and a nonzero
-    /// op id enters the exactly-once registry.
-    pub fn apply(&mut self, record: CatalogRecord) -> AppliedCommit {
-        let (op_id, ack) = match record {
-            CatalogRecord::Commit {
-                op_id,
-                backup_id,
-                backup,
-                ..
-            } => {
+    /// Folds one catalog record. A COMMIT joins the live manifests
+    /// (retiring an earlier one of the same label) and the running attack
+    /// state, unless a resumed cache already covers it; a DELETE retires a
+    /// manifest but leaves the attack state (the provider cannot unsee an
+    /// upload); and every operation bar commits and imported registry
+    /// entries is a [`LifecycleEvent`].
+    fn apply(&mut self, record: CatalogRecord) {
+        match record {
+            CatalogRecord::Commit { backup, .. } => {
                 if self.streaming.commits() == self.commits {
                     self.streaming.commit(&backup);
                 }
                 self.commits += 1;
                 self.commit_chunks += backup.len() as u64;
-                self.retire(&backup.label);
-                let ack = AppliedCommit {
-                    label: backup.label.clone(),
-                    chunks: backup.len() as u64,
-                    extra: 0,
-                    extra2: 0,
-                };
+                self.committed.retain(|b| b.label != backup.label);
                 self.committed.push(backup);
-                self.backup_ids.push(backup_id);
-                (op_id, ack)
             }
-            CatalogRecord::Op { kind, op_id, ack } => {
+            CatalogRecord::Op { kind, ack, .. } => {
                 let event = match kind {
                     OpKind::Delete => {
-                        self.retire(&ack.label);
+                        self.committed.retain(|b| b.label != ack.label);
                         Some(LifecycleEvent::Delete {
-                            label: ack.label.clone(),
+                            label: ack.label,
                             chunks: ack.chunks,
                         })
                     }
@@ -324,49 +262,11 @@ impl AdversaryTap {
                     OpKind::Imported => None,
                 };
                 self.lifecycle.extend(event);
-                (op_id, ack)
             }
-        };
-        if op_id != 0 {
-            self.applied.insert(op_id, ack.clone());
-        }
-        ack
-    }
-
-    /// Drops the live manifest labelled `label`, if any.
-    fn retire(&mut self, label: &str) {
-        if let Some(i) = self.committed.iter().position(|b| b.label == label) {
-            self.committed.remove(i);
-            self.backup_ids.remove(i);
         }
     }
 
-    /// The live manifest labelled `label` and its store backup id.
-    #[must_use]
-    pub fn live(&self, label: &str) -> Option<(&Backup, u64)> {
-        let i = self.committed.iter().position(|b| b.label == label)?;
-        Some((&self.committed[i], self.backup_ids[i]))
-    }
-
-    /// Whether `id` is the store backup id of a live manifest.
-    #[must_use]
-    pub fn is_live(&self, id: u64) -> bool {
-        self.backup_ids.contains(&id)
-    }
-
-    /// The store backup id the next COMMIT gets: the commit count plus
-    /// one, skipping ids still live (an imported store's ids are label
-    /// hashes).
-    #[must_use]
-    pub fn next_backup_id(&self) -> u64 {
-        let mut id = self.commits + 1;
-        while self.is_live(id) {
-            id += 1;
-        }
-        id
-    }
-
-    /// COMMIT records in the catalog, deleted manifests included.
+    /// COMMIT records folded, deleted manifests included.
     #[must_use]
     pub fn commits(&self) -> u64 {
         self.commits
@@ -378,20 +278,7 @@ impl AdversaryTap {
         &self.lifecycle
     }
 
-    /// Looks up a nonzero operation id in the applied registry.
-    #[must_use]
-    pub fn applied(&self, commit_id: u64) -> Option<&AppliedCommit> {
-        self.applied.get(&commit_id)
-    }
-
-    /// The full applied registry (operation id → recorded ack).
-    #[must_use]
-    pub fn applied_commits(&self) -> &HashMap<u64, AppliedCommit> {
-        &self.applied
-    }
-
-    /// Degraded-recovery warnings of [`Self::open`] (0 for a tap that
-    /// opened cleanly or was built in memory).
+    /// Degraded-recovery warnings of [`Self::open`].
     #[must_use]
     pub fn warnings(&self) -> u64 {
         self.warnings
@@ -400,21 +287,21 @@ impl AdversaryTap {
     /// Live manifests in commit order (nondeterministic across
     /// concurrent sessions — prefer [`Self::series`] for analysis).
     #[must_use]
-    pub fn committed(&self) -> &[Backup] {
+    pub fn committed(&self) -> &[Arc<Backup>] {
         &self.committed
     }
 
-    /// The adversary's running attack state: every COMMIT record of the
-    /// catalog, folded in journal order.
+    /// The adversary's running attack state: every COMMIT record folded
+    /// so far, in journal order.
     #[must_use]
     pub fn streaming(&self) -> &TapStreaming {
         &self.streaming
     }
 
-    /// Whether the running state covers exactly the catalog's COMMIT
-    /// records — deleted manifests included, since observation is
-    /// irreversible. Always true for a tap built by [`Self::apply`];
-    /// checked after a resume from the `tap.fqis` cache.
+    /// Whether the running state covers exactly the COMMIT records folded
+    /// — deleted manifests included, since observation is irreversible.
+    /// Always true for a tap built by folding; checked after a resume
+    /// from the `tap.fqis` cache.
     #[must_use]
     pub fn streaming_consistent(&self) -> bool {
         self.streaming.commits() == self.commits
@@ -446,7 +333,7 @@ impl AdversaryTap {
     /// on.
     #[must_use]
     pub fn series(&self, name: impl Into<String>) -> BackupSeries {
-        let mut backups = self.committed.clone();
+        let mut backups: Vec<Backup> = self.committed.iter().map(|b| Backup::clone(b)).collect();
         backups.sort_by(|a, b| a.label.cmp(&b.label));
         let name = name.into();
         BackupSeries { name, backups }
@@ -484,97 +371,54 @@ fn covers(cache: &IncrementalStats, records: &[CatalogRecord]) -> bool {
     prefix.len() as u64 == cache.commits() && prefix.iter().sum::<u64>() == cache.logical_chunks()
 }
 
-/// Imports a pre-catalog store into a new `catalog.log`: the `tap.fqdt`
-/// manifests in their label order, under the label-hash ids the store
-/// gave them then, followed by the `tap.cids` registry entries. The two
-/// old files are removed once the journal is in place. Returns the
-/// warnings: 1 when `tap.cids` exists but does not read.
-fn import(dir: &Path, fsync: FsyncPolicy, io: &IoPolicyHandle) -> Result<u64, ServeError> {
-    let file = std::fs::File::open(dir.join(TAP_FILE))?;
-    let series = io::read_series(std::io::BufReader::new(file))?;
-    let mut records: Vec<CatalogRecord> = (1..)
-        .zip(series.backups)
-        .map(|(timestamp, backup)| CatalogRecord::Commit {
-            op_id: 0,
-            backup_id: label_backup_id(&backup.label),
-            timestamp,
-            backup,
-        })
-        .collect();
-    let mut warnings = 0;
-    match read_registry(&dir.join(CIDS_FILE)) {
-        Ok(entries) => records.extend(entries.into_iter().map(|(op_id, ack)| CatalogRecord::Op {
-            kind: OpKind::Imported,
-            op_id,
-            ack,
-        })),
-        Err(TraceIoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(_) => warnings += 1,
-    }
-    // Written aside and renamed into place: a crash leaves either no
-    // catalog (and the import runs again) or all of it.
-    let tmp = dir.join("catalog.log.tmp");
-    let _ = std::fs::remove_file(&tmp);
-    let (mut log, _) = CatalogLog::open(&tmp, fsync, io)?;
-    for record in &records {
-        log.append(record)?;
-    }
-    std::fs::rename(&tmp, dir.join(CATALOG_FILE))?;
-    maybe_sync_dir(dir, fsync)?;
-    for old in [TAP_FILE, CIDS_FILE] {
-        let _ = std::fs::remove_file(dir.join(old));
-    }
-    Ok(warnings)
-}
-
-/// The store backup id a pre-catalog server gave a label: its 64-bit
-/// FNV-1a hash.
-fn label_backup_id(label: &str) -> u64 {
-    label.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Reads a pre-catalog registry: magic `FQCI`, version 2, entry count,
-/// `(op id, chunks, extra, extra2, label)` entries, trailing CRC. Entries
-/// come back sorted by id, id 0 dropped.
-fn read_registry(path: &Path) -> Result<Vec<(u64, AppliedCommit)>, TraceIoError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = CrcReader::new(std::io::BufReader::new(file), "tap.cids");
-    r.expect_header(b"FQCI", 2)?;
-    let count = r.u32("entry count")?;
-    let mut entries = r.seq(u64::from(count), |r| {
-        let id = r.u64("commit id")?;
-        let entry = AppliedCommit {
-            chunks: r.u64("chunks")?,
-            extra: r.u64("extra")?,
-            extra2: r.u64("extra2")?,
-            label: r.str("label")?,
-        };
-        Ok::<_, CodecError>((id, entry))
-    })?;
-    r.expect_crc()?;
-    entries.retain(|(id, _)| *id != 0);
-    entries.sort_by_key(|(id, _)| *id);
-    Ok(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::AppliedCommit;
+    use crate::server::STREAM_FILE;
+    use freqdedup_store::persist::{PersistConfig, PersistError};
+    use freqdedup_trace::io;
     use freqdedup_trace::ChunkRecord;
+
+    /// A catalog and the tap observing it, as a server holds them: every
+    /// append is followed by a catch-up.
+    #[derive(Default)]
+    struct Served {
+        catalog: Mutex<Catalog>,
+        tap: AdversaryTap,
+    }
+
+    impl Served {
+        fn catalog(&mut self) -> &mut Catalog {
+            self.catalog.get_mut().unwrap()
+        }
+
+        fn append(&mut self, record: CatalogRecord) -> Result<AppliedCommit, PersistError> {
+            let ack = self.catalog().append(record)?;
+            self.tap.catch_up(&self.catalog);
+            Ok(ack)
+        }
+    }
+
+    impl std::ops::Deref for Served {
+        type Target = AdversaryTap;
+
+        fn deref(&self) -> &AdversaryTap {
+            &self.tap
+        }
+    }
 
     fn backup(label: &str, fps: &[u64]) -> Backup {
         Backup::from_chunks(label, fps.iter().map(|&f| ChunkRecord::new(f, 8)).collect())
     }
 
     /// Commits `b` through the journal, as the service does.
-    fn commit(tap: &mut AdversaryTap, b: Backup, op_id: u64) -> AppliedCommit {
+    fn commit(tap: &mut Served, b: Backup, op_id: u64) -> AppliedCommit {
         let record = CatalogRecord::Commit {
             op_id,
-            backup_id: tap.next_backup_id(),
-            timestamp: tap.commits() + 1,
-            backup: b,
+            backup_id: tap.catalog().next_backup_id(),
+            timestamp: tap.catalog().commits() + 1,
+            backup: Arc::new(b),
         };
         tap.append(record).unwrap()
     }
@@ -603,16 +447,20 @@ mod tests {
         PersistConfig::new(dir).fsync(FsyncPolicy::Never)
     }
 
-    fn open(dir: &Path) -> AdversaryTap {
-        AdversaryTap::open(&persist(dir)).unwrap()
+    fn open(dir: &Path) -> Served {
+        let catalog = Catalog::open(&persist(dir)).unwrap();
+        let mut tap = AdversaryTap::open(&dir.join(STREAM_FILE), &catalog);
+        let catalog = Mutex::new(catalog);
+        tap.catch_up(&catalog);
+        Served { catalog, tap }
     }
 
     #[test]
     fn series_is_label_sorted_regardless_of_commit_order() {
-        let mut a = AdversaryTap::default();
+        let mut a = Served::default();
         commit(&mut a, backup("b", &[1]), 0);
         commit(&mut a, backup("a", &[2]), 0);
-        let mut b = AdversaryTap::default();
+        let mut b = Served::default();
         commit(&mut b, backup("a", &[2]), 0);
         commit(&mut b, backup("b", &[1]), 0);
         assert_eq!(a.series("t"), b.series("t"));
@@ -623,15 +471,15 @@ mod tests {
     /// the new one gets its own store id), but both stay observed.
     #[test]
     fn label_reuse_retires_the_older_manifest() {
-        let mut tap = AdversaryTap::default();
+        let mut tap = Served::default();
         commit(&mut tap, backup("x", &[1]), 0);
-        let first = tap.live("x").unwrap().1;
+        let first = tap.catalog().live("x").unwrap().1;
         commit(&mut tap, backup("x", &[2, 3]), 0);
-        let (latest, id) = tap.live("x").unwrap();
+        let (latest, id) = tap.catalog().live("x").unwrap();
         assert_eq!(latest.len(), 2);
         assert_ne!(id, first);
-        assert!(!tap.is_live(first));
-        assert!(tap.live("y").is_none());
+        assert!(!tap.catalog().is_live(first));
+        assert!(tap.catalog().live("y").is_none());
         assert_eq!((tap.committed().len(), tap.committed()[0].len()), (1, 2));
         assert_eq!((tap.commits(), tap.streaming().logical_chunks()), (2, 3));
         assert!(tap.streaming_consistent());
@@ -668,7 +516,7 @@ mod tests {
 
     #[test]
     fn apply_keeps_streaming_in_lockstep() {
-        let mut tap = AdversaryTap::default();
+        let mut tap = Served::default();
         commit(&mut tap, backup("m0", &[1, 2, 1, 3]), 0);
         commit(&mut tap, backup("m1", &[2, 3, 9]), 0);
         assert!(tap.streaming_consistent());
@@ -806,8 +654,8 @@ mod tests {
         commit(&mut tap, backup("gone", &[3, 4, 5]), 0);
         tap.append(op(OpKind::Delete, 21, "gone", 3, 24)).unwrap();
         assert_eq!(tap.committed().len(), 1);
-        assert!(tap.live("gone").is_none());
-        assert_eq!(tap.applied(21).unwrap().extra, 24);
+        assert!(tap.catalog().live("gone").is_none());
+        assert_eq!(tap.catalog().applied_commits()[&21].extra, 24);
 
         // The running attack state still covers the deleted stream — and
         // the consistency check knows that.
@@ -833,62 +681,22 @@ mod tests {
 
         // A reopened tap is the same fold: the deleted stream stays
         // counted, the events and the registry come back.
-        let back = open(&dir);
+        let mut back = open(&dir);
         assert_eq!(back.committed().len(), 1);
         assert_eq!(back.commits(), 2);
         assert_eq!(back.streaming(), tap.streaming());
         assert_eq!(back.lifecycle_events(), &events);
-        assert_eq!(back.applied_commits(), tap.applied_commits());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A pre-catalog store is imported once, in label order, under the
-    /// label-hash ids and with its registry; the old files go.
-    #[test]
-    fn pre_catalog_store_is_imported_once() {
-        let dir = test_dir("import");
-        let mut series = BackupSeries::new("tap");
-        series.push(backup("m0", &[1, 2]));
-        series.push(backup("m1", &[3]));
-        std::fs::write(dir.join(TAP_FILE), io::to_bytes(&series)).unwrap();
-        let tap = open(&dir);
-        assert_eq!(tap.series("tap").backups, series.backups);
-        assert_eq!(tap.live("m1").unwrap().1, label_backup_id("m1"));
-        assert_eq!(tap.warnings(), 0);
-        assert!(dir.join(CATALOG_FILE).exists());
-        assert!(!dir.join(TAP_FILE).exists());
-        assert_eq!(open(&dir).series("tap"), tap.series("tap"));
-
-        // An unreadable registry costs a warning, not the import.
-        std::fs::remove_file(dir.join(CATALOG_FILE)).unwrap();
-        std::fs::write(dir.join(TAP_FILE), io::to_bytes(&series)).unwrap();
-        std::fs::write(dir.join(CIDS_FILE), b"FQCI junk").unwrap();
-        assert_eq!(open(&dir).warnings(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A `tap.fqdt` whose one backup claims 2^40 chunks fails the import
-    /// typed instead of reserving 16 TiB, and writes no catalog.
-    #[test]
-    fn forged_pre_catalog_chunk_count_fails_typed() {
-        let dir = test_dir("forged");
-        let mut series = BackupSeries::new("tap");
-        series.push(backup("b", &[7]));
-        let mut bytes = io::to_bytes(&series);
-        // magic 4, version 2, name "tap" 4 + 3, backup count 4, label 4 + 1.
-        let at = 22;
-        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
-        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        std::fs::write(dir.join(TAP_FILE), &bytes).unwrap();
-        assert!(AdversaryTap::open(&persist(&dir)).is_err());
-        assert!(!dir.join(CATALOG_FILE).exists());
+        assert_eq!(
+            back.catalog().applied_commits(),
+            tap.catalog().applied_commits()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn streaming_inference_matches_batch_both_policies() {
         use freqdedup_core::attacks::run_ciphertext_only_series;
-        let mut tap = AdversaryTap::default();
+        let mut tap = Served::default();
         commit(&mut tap, backup("m0", &[101, 102, 101, 102, 103, 104]), 0);
         commit(&mut tap, backup("m1", &[102, 103, 104, 104]), 0);
         let aux = backup("aux", &[1, 2, 1, 2, 3, 4, 2, 3, 4]);

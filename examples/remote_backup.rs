@@ -20,6 +20,8 @@
 //!
 //! Run with: `cargo run --release --example remote_backup`
 
+use std::sync::Mutex;
+
 use freqdedup::chunking::fastcdc::FastCdc;
 use freqdedup::chunking::records_from_bytes;
 use freqdedup::core::attacks::locality::LocalityParams;
@@ -28,6 +30,7 @@ use freqdedup::core::metrics::score;
 use freqdedup::datasets::synthetic::{label, SyntheticConfig, SyntheticSnapshots};
 use freqdedup::mle::convergent::Convergent;
 use freqdedup::mle::trace_enc::GroundTruth;
+use freqdedup::server::catalog::Catalog;
 use freqdedup::server::client::{Client, EncodedStream};
 use freqdedup::server::server::{Server, ServerConfig};
 use freqdedup::server::tap::AdversaryTap;
@@ -208,8 +211,10 @@ fn main() {
     // adversary view — as ordinary backups the attacks run on unchanged.
     // The chunk-length sequences are the boundary-leakage observable:
     // content-defined boundaries survive MLE byte for byte.
-    let tap =
-        AdversaryTap::open(&PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)).unwrap();
+    let persist = PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never);
+    let catalog = Mutex::new(Catalog::open(&persist).unwrap());
+    let mut tap = AdversaryTap::default();
+    tap.catch_up(&catalog);
     let observed = tap.series("tapped");
     println!(
         "\nadversary tap: {} committed manifests, {} observed chunks",

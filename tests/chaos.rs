@@ -39,13 +39,14 @@ use std::time::Duration;
 
 use freqdedup::core::attacks::locality::LocalityParams;
 use freqdedup::core::attacks::{self, AttackKind};
+use freqdedup::server::catalog::AppliedCommit;
 use freqdedup::server::client::{
     Client, ClientError, ResilienceReport, ResilientClient, RetryOptions,
 };
 use freqdedup::server::fault::{FaultProxy, FaultSpec};
 use freqdedup::server::proto::ServerStats;
 use freqdedup::server::server::{Server, ServerConfig};
-use freqdedup::server::tap::{AppliedCommit, TapStreaming};
+use freqdedup::server::tap::TapStreaming;
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
 use freqdedup::store::persist::{FsyncPolicy, PersistConfig, PersistError};
 use freqdedup::trace::{Backup, ChunkRecord};
@@ -181,15 +182,16 @@ fn run_chaos(dir: &Path, tag: &str, clients: usize, spec: Option<FaultSpec>) -> 
 
     // Streaming-tap invariant under one lock: the O(delta) running state
     // equals an O(history) rebuild of the arrival-order commit log.
-    let (committed, applied) = tap.with_tap(|t| {
+    let committed: Vec<Backup> = tap.with_tap(|t| {
         assert!(t.streaming_consistent(), "{tag}: streaming inconsistent");
         assert_eq!(
             t.streaming(),
             &TapStreaming::rebuild(t.committed()),
             "{tag}: incremental state diverged from batch rebuild"
         );
-        (t.committed().to_vec(), t.applied_commits().clone())
+        t.committed().iter().map(|b| Backup::clone(b)).collect()
     });
+    let applied = tap.with_catalog(|c| c.applied_commits().clone());
 
     // Shutdown goes directly to the server, never through the proxy.
     let mut closer = Client::connect(server_addr, "closer").unwrap();

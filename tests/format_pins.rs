@@ -12,10 +12,10 @@
 //! crate-private writer.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use freqdedup::core::IncrementalStats;
-use freqdedup::server::catalog::{CatalogLog, CatalogRecord, OpKind};
-use freqdedup::server::tap::AppliedCommit;
+use freqdedup::server::catalog::{AppliedCommit, Catalog, CatalogRecord, OpKind};
 use freqdedup::store::container::ContainerStore;
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
 use freqdedup::store::fault::IoPolicyHandle;
@@ -138,16 +138,16 @@ fn written() -> Vec<(String, Vec<u8>)> {
     out.push(("FQIS state".into(), blob));
 
     let dir = test_dir("pin-files");
-    let (mut log, _) = CatalogLog::open(&dir.join("catalog.log"), never, &none).unwrap();
+    let mut log = Catalog::open(&PersistConfig::new(&dir).fsync(never)).unwrap();
     for (i, b) in [backup("m0", &[1, 2]), backup("m1", &[3])]
         .into_iter()
         .enumerate()
     {
-        log.append(&CatalogRecord::Commit {
+        log.append(CatalogRecord::Commit {
             op_id: 41 + i as u64,
             backup_id: 1 + i as u64,
             timestamp: 1 + i as u64,
-            backup: b,
+            backup: Arc::new(b),
         })
         .unwrap();
     }
@@ -163,7 +163,7 @@ fn written() -> Vec<(String, Vec<u8>)> {
             extra: 16,
             extra2: 3,
         };
-        log.append(&CatalogRecord::Op { kind, op_id, ack }).unwrap();
+        log.append(CatalogRecord::Op { kind, op_id, ack }).unwrap();
     }
     drop(log);
     out.push((

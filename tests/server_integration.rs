@@ -1092,7 +1092,7 @@ fn v1_stream_state_upgrades_by_catalog_replay() {
         });
         Backup::from_chunks(plain.label.clone(), chunks.collect())
     };
-    let committed: Vec<Backup> = (0..3).map(cipher).collect();
+    let committed: Vec<std::sync::Arc<Backup>> = (0..3).map(|g| cipher(g).into()).collect();
     let live = TapStreaming::rebuild(&committed);
     let aux = fixture_plain(3);
     let params = LocalityParams::new(1, 3, 1000);
@@ -1218,8 +1218,8 @@ fn tap_v2_fixture_resumes_without_replay_and_replays_recorded_acks() {
             &TapStreaming::rebuild(t.committed()),
             "a label-order replay could not have produced the resumed state"
         );
-        assert_eq!(t.applied_commits().len(), 5);
     });
+    tap.with_catalog(|c| assert_eq!(c.applied_commits().len(), 5));
 
     let mut c = Client::connect(addr, "fixture").unwrap();
     for g in 0..3u64 {
@@ -1342,27 +1342,15 @@ fn commit_ids_are_exactly_once_across_reconnects() {
     c1.upload_backup(&half).unwrap();
     drop(c1); // dies before COMMIT — the server parks the 3 acked batches
 
-    // The park happens when the server-side session observes the EOF;
-    // poll until the successor sees InProgress.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut c2 = loop {
-        let mut c = Client::connect(addr, "parker").unwrap().batch(50);
-        let (state, acked, _) = c.resume(9).unwrap();
-        if state == ResumeState::InProgress {
-            assert_eq!(
-                acked, 3,
-                "three 50-chunk batches were acked before the drop"
-            );
-            break c;
-        }
-        assert_eq!(state, ResumeState::Fresh);
-        drop(c);
-        assert!(
-            std::time::Instant::now() < deadline,
-            "interrupted session was never parked"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    };
+    // The successor's RESUME waits until the broken session has parked,
+    // whether or not the server has seen the EOF yet.
+    let mut c2 = Client::connect(addr, "parker").unwrap().batch(50);
+    let (state, acked, _) = c2.resume(9).unwrap();
+    assert_eq!(
+        (state, acked),
+        (ResumeState::InProgress, 3),
+        "three 50-chunk batches were acked before the drop"
+    );
     let tail = Backup::from_chunks(
         parked_backup.label.clone(),
         parked_backup.chunks[150..].to_vec(),
@@ -1420,6 +1408,121 @@ fn commit_ids_are_exactly_once_across_reconnects() {
     assert_eq!((state, chunks), (ResumeState::Committed, 300));
     let (state, _, chunks) = c.resume(11).unwrap();
     assert_eq!((state, chunks), (ResumeState::Committed, 200));
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// A RESUME for a client whose earlier resumable session is still
+/// running — connected and idle, its progress not yet parked — stops that
+/// session and adopts its progress: the successor continues from the
+/// acked batches instead of re-sending them, and the store ingests each
+/// chunk once.
+#[test]
+fn resume_fences_a_running_session_and_adopts_its_progress() {
+    use freqdedup::server::proto::ResumeState;
+
+    let dir = test_dir("resume-fence");
+    let (addr, handle) = start(ServerConfig {
+        engine: small_engine(),
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    });
+    let backup = Backup::from_chunks(
+        "fenced",
+        (5000..5300u64)
+            .map(|i| freqdedup::trace::ChunkRecord::new(i, 32))
+            .collect(),
+    );
+    let part = |range: std::ops::Range<usize>| {
+        Backup::from_chunks(backup.label.clone(), backup.chunks[range].to_vec())
+    };
+
+    // Session A declares commit id 9 and has three 50-chunk batches
+    // acked, then idles with its connection open.
+    let mut a = Client::connect(addr, "parker").unwrap().batch(50);
+    assert_eq!(a.resume(9).unwrap().0, ResumeState::Fresh);
+    a.upload_backup(&part(0..150)).unwrap();
+
+    // Session B of the same client resumes the same upload.
+    let mut b = Client::connect(addr, "parker").unwrap().batch(50);
+    assert_eq!(b.resume(9).unwrap(), (ResumeState::InProgress, 3, 150));
+    b.upload_backup(&part(150..300)).unwrap();
+    assert_eq!(b.commit_with_id(&backup.label, 9).unwrap(), 300);
+    assert_eq!(
+        b.stats().unwrap().logical_chunks,
+        300,
+        "no chunk ingested twice"
+    );
+    assert_eq!(
+        b.restore(&backup.label).unwrap().backup.chunks,
+        backup.chunks
+    );
+    // The server closed the superseded session.
+    assert!(a.stats().is_err());
+    b.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
+/// The service never waits on the adversary: while another thread sits
+/// inside `TapView::with_tap`, a client's COMMIT is acked and RESTORE,
+/// STATS and RESUME are answered, each within a 2 s deadline. Once the
+/// viewer lets go, the tap has folded the commit.
+#[test]
+fn acks_do_not_wait_on_a_held_tap() {
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    use freqdedup::server::proto::ResumeState;
+    use freqdedup::server::tap::TapStreaming;
+
+    let dir = test_dir("tap-decoupled");
+    let (addr, handle, tap) = start_tapped(ServerConfig {
+        engine: small_engine(),
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    });
+    let backup = Backup::from_chunks(
+        "decoupled",
+        (0..200u64)
+            .map(|i| freqdedup::trace::ChunkRecord::new(i % 70, 64))
+            .collect(),
+    );
+    let mut c = Client::connect(addr, "decoupled").unwrap();
+    c.set_op_timeout(Some(Duration::from_secs(2))).unwrap();
+    assert_eq!(c.resume(5).unwrap().0, ResumeState::Fresh);
+    c.upload_backup(&backup).unwrap();
+
+    let (inside, release) = (Barrier::new(2), Barrier::new(2));
+    let (commit, restore, stats, resume) = std::thread::scope(|scope| {
+        let viewer = scope.spawn(|| {
+            tap.with_tap(|_| {
+                inside.wait();
+                release.wait();
+            });
+        });
+        inside.wait();
+        // The viewer holds the tap until every reply is in.
+        let results = (
+            c.commit_with_id(&backup.label, 5),
+            c.restore(&backup.label),
+            c.stats(),
+            c.resume(5),
+        );
+        release.wait();
+        viewer.join().unwrap();
+        results
+    });
+    assert_eq!(commit.unwrap(), 200, "COMMIT acked while the tap was held");
+    assert_eq!(restore.unwrap().backup.chunks, backup.chunks);
+    assert_eq!(stats.unwrap().committed_backups, 1);
+    assert_eq!(resume.unwrap(), (ResumeState::Committed, 0, 200));
+    tap.with_tap(|t| {
+        assert_eq!(t.streaming().commits(), 1, "the commit was folded");
+        assert!(t.streaming_consistent());
+        assert_eq!(t.streaming(), &TapStreaming::rebuild(t.committed()));
+    });
     c.shutdown().unwrap();
     handle.join().unwrap();
     done(&dir);
@@ -1516,7 +1619,29 @@ fn lifecycle_ops_round_trip_with_exactly_once_and_epoch_fencing() {
         Err(ClientError::Server { code: cd, .. }) => assert_eq!(cd, code::BAD_STATE),
         other => panic!("expected BAD_STATE, got {other:?}"),
     }
+    // What the provider has observed: the series and the running
+    // inference (both tie policies), as sorted pairs.
+    let params = LocalityParams::new(2, 5, 1000);
+    let leaked = |t: &freqdedup::server::tap::AdversaryTap| {
+        let inferred = t.streaming_inference_both_policies(AttackKind::Locality, &keep_a, &params);
+        let pairs = inferred.map(|(policy, inference)| {
+            let mut pairs: Vec<_> = inference.iter().collect();
+            pairs.sort_unstable();
+            (policy, pairs)
+        });
+        (t.series("observed"), pairs)
+    };
+    let before_rekey = tap.with_tap(leaked);
     let (epoch, rewritten) = c.rekey(secret, 23).unwrap();
+    // Rekeying protects keys, not frequencies: the provider learns the
+    // same after it as before, plus the rekey itself.
+    tap.with_tap(|t| {
+        assert_eq!(leaked(t), before_rekey, "a rekey changes no observable");
+        assert_eq!(
+            t.lifecycle_events().last(),
+            Some(&freqdedup::server::tap::LifecycleEvent::Rekey { epoch })
+        );
+    });
     assert_eq!(epoch, 1);
     assert!(rewritten > 0, "rekey rewrote nothing");
     assert_eq!(
@@ -1767,8 +1892,8 @@ fn corrupt_catalog_header_fails_bind_typed() {
 fn failed_catalog_append_is_not_durable_at_every_catalog_site() {
     use std::sync::atomic::Ordering;
 
-    use freqdedup::server::catalog::{CatalogLog, CatalogRecord};
-    use freqdedup::store::fault::{FailAt, FailMode, IoPolicyHandle, PersistSite, CATALOG_SITES};
+    use freqdedup::server::catalog::{Catalog, CatalogRecord};
+    use freqdedup::store::fault::{FailAt, FailMode, PersistSite, CATALOG_SITES};
 
     let dir = test_dir("catalog-faults");
     let mk = |label: &str, first: u64| {
@@ -1802,16 +1927,14 @@ fn failed_catalog_append_is_not_durable_at_every_catalog_site() {
         }
         c.shutdown().unwrap();
         handle.join().unwrap();
-        let none = IoPolicyHandle::none();
-        let path = store.join("catalog.log");
-        let (_, records) = CatalogLog::open(&path, FsyncPolicy::Never, &none).unwrap();
+        let records = Catalog::open(&persist(store)).unwrap().take_pending();
         let want: Vec<_> = (1..)
             .zip(acked)
             .map(|(id, &backup)| CatalogRecord::Commit {
                 op_id: 0,
                 backup_id: id,
                 timestamp: id,
-                backup: backup.clone(),
+                backup: std::sync::Arc::new(backup.clone()),
             })
             .collect();
         assert_eq!(records, want, "{tag}");
