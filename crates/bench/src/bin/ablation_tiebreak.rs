@@ -17,7 +17,7 @@ use freqdedup_core::dense::DenseStats;
 use freqdedup_core::metrics;
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
 
-const USAGE: &str = "ablation_tiebreak [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "ablation_tiebreak [--scale f] [--seed n] [--csv]";
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1), USAGE);
@@ -28,11 +28,11 @@ fn main() {
         let target = series.latest().expect("non-empty");
         let enc = DeterministicTraceEncryptor::new(harness::MLE_SECRET);
         let observed = enc.encrypt_backup(target);
-        let params = harness::co_params().threads(args.threads);
-        let sc = DenseStats::full_par(&observed.backup, params.par_config());
+        let params = harness::co_params();
+        let sc = DenseStats::full(&observed.backup);
         for aux_idx in [series.len() - 3, series.len() - 2] {
             let aux = series.get(aux_idx).expect("aux");
-            let sm = DenseStats::full_par(aux, params.par_config());
+            let sm = DenseStats::full(aux);
             // `[StreamOrder, KeyOrder]`, in that order.
             let rates = attacks::run_ciphertext_only_with_stats_both_policies(
                 AttackKind::Locality,

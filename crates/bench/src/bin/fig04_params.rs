@@ -12,12 +12,12 @@ use freqdedup_core::metrics;
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
 use freqdedup_trace::Backup;
 
-const USAGE: &str = "fig04_params [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig04_params [--scale f] [--seed n] [--csv]";
 
-fn rate(u: usize, v: usize, w: usize, threads: usize, aux: &Backup, target: &Backup) -> f64 {
+fn rate(u: usize, v: usize, w: usize, aux: &Backup, target: &Backup) -> f64 {
     let enc = DeterministicTraceEncryptor::new(harness::MLE_SECRET);
     let observed = enc.encrypt_backup(target);
-    let attack = LocalityAttack::new(LocalityParams::new(u, v, w).threads(threads));
+    let attack = LocalityAttack::new(LocalityParams::new(u, v, w));
     let inferred = attack.run_ciphertext_only(&observed.backup, aux);
     metrics::score(&inferred, &observed.backup, &observed.truth).rate
 }
@@ -40,7 +40,7 @@ fn main() {
             ta.push_row(vec![
                 name.into(),
                 u.to_string(),
-                output::pct(rate(u, 20, 100_000, args.threads, aux, target)),
+                output::pct(rate(u, 20, 100_000, aux, target)),
             ]);
         }
     }
@@ -54,7 +54,7 @@ fn main() {
             tb.push_row(vec![
                 name.into(),
                 v.to_string(),
-                output::pct(rate(10, v, 100_000, args.threads, aux, target)),
+                output::pct(rate(10, v, 100_000, aux, target)),
             ]);
         }
     }
@@ -68,7 +68,7 @@ fn main() {
             tc.push_row(vec![
                 name.into(),
                 w.to_string(),
-                output::pct(rate(10, 20, w, args.threads, aux, target)),
+                output::pct(rate(10, 20, w, aux, target)),
             ]);
         }
     }

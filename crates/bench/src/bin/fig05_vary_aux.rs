@@ -12,7 +12,7 @@
 use freqdedup_bench::{cli, data, harness, output};
 use freqdedup_core::attacks::AttackKind;
 
-const USAGE: &str = "fig05_vary_aux [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig05_vary_aux [--scale f] [--seed n] [--csv]";
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1), USAGE);
@@ -33,7 +33,7 @@ fn main() {
         ]);
         for aux_idx in 0..series.len() - 1 {
             let aux = series.get(aux_idx).expect("aux");
-            let params = harness::co_params().threads(args.threads);
+            let params = harness::co_params();
             let basic = harness::run_ciphertext_only(AttackKind::Basic, aux, target, &params);
             let locality = harness::run_ciphertext_only(AttackKind::Locality, aux, target, &params);
             // On fixed-size chunking the advanced attack is identical.

@@ -8,7 +8,7 @@
 use freqdedup_bench::{cli, data, harness, output};
 use freqdedup_core::attacks::AttackKind;
 
-const USAGE: &str = "fig06_vary_target [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig06_vary_target [--scale f] [--seed n] [--csv]";
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1), USAGE);
@@ -29,7 +29,7 @@ fn main() {
         ]);
         for target_idx in 1..series.len() {
             let target = series.get(target_idx).expect("target");
-            let params = harness::co_params().threads(args.threads);
+            let params = harness::co_params();
             let basic = harness::run_ciphertext_only(AttackKind::Basic, aux, target, &params);
             let locality = harness::run_ciphertext_only(AttackKind::Locality, aux, target, &params);
             let advanced = if dataset == data::Dataset::Vm {

@@ -8,7 +8,7 @@
 use freqdedup_bench::{cli, data, harness, output};
 use freqdedup_core::attacks::AttackKind;
 
-const USAGE: &str = "fig07_sliding_window [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig07_sliding_window [--scale f] [--seed n] [--csv]";
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1), USAGE);
@@ -30,7 +30,7 @@ fn main() {
             for t in 0..series.len().saturating_sub(s) {
                 let aux = series.get(t).expect("aux");
                 let target = series.get(t + s).expect("target");
-                let params = harness::co_params().threads(args.threads);
+                let params = harness::co_params();
                 let locality =
                     harness::run_ciphertext_only(AttackKind::Locality, aux, target, &params);
                 let advanced = if dataset == data::Dataset::Vm {

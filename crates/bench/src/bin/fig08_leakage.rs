@@ -8,7 +8,7 @@
 use freqdedup_bench::{cli, data, harness, output};
 use freqdedup_core::attacks::AttackKind;
 
-const USAGE: &str = "fig08_leakage [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig08_leakage [--scale f] [--seed n] [--csv]";
 
 /// (dataset, aux index, target index) per the paper's §5.3.3 setup.
 pub const PAIRS: [(data::Dataset, usize, usize); 3] = [
@@ -25,7 +25,7 @@ fn main() {
         let series = data::series(dataset, args.scale, args.seed);
         let aux = series.get(aux_idx).expect("aux");
         let target = series.get(target_idx).expect("target");
-        let params = harness::kp_params().threads(args.threads);
+        let params = harness::kp_params();
         for leakage in [0.0, 0.0005, 0.001, 0.0015, 0.002] {
             let locality = harness::run_known_plaintext(
                 AttackKind::Locality,

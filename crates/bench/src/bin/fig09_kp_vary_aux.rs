@@ -7,7 +7,7 @@
 use freqdedup_bench::{cli, data, harness, output};
 use freqdedup_core::attacks::AttackKind;
 
-const USAGE: &str = "fig09_kp_vary_aux [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig09_kp_vary_aux [--scale f] [--seed n] [--csv]";
 
 /// Per-dataset target index (same as Figure 8).
 const TARGETS: [(data::Dataset, usize); 3] = [
@@ -24,7 +24,7 @@ fn main() {
     for (dataset, target_idx) in TARGETS {
         let series = data::series(dataset, args.scale, args.seed);
         let target = series.get(target_idx).expect("target");
-        let params = harness::kp_params().threads(args.threads);
+        let params = harness::kp_params();
         let mut table = output::Table::new(&["dataset", "aux_backup", "locality_%", "advanced_%"]);
         for aux_idx in 0..target_idx {
             let aux = series.get(aux_idx).expect("aux");

@@ -9,7 +9,7 @@
 use freqdedup_bench::{cli, data, harness, output};
 use freqdedup_core::defense::MinHashScrambleScheme;
 
-const USAGE: &str = "fig10_defense [--scale f] [--seed n] [--threads t] [--csv]";
+const USAGE: &str = "fig10_defense [--scale f] [--seed n] [--csv]";
 
 /// Same (dataset, aux, target) pairs as Figure 8.
 const PAIRS: [(data::Dataset, usize, usize); 3] = [
@@ -32,7 +32,7 @@ fn main() {
         let series = data::series(dataset, args.scale, args.seed);
         let aux = series.get(aux_idx).expect("aux");
         let target = series.get(target_idx).expect("target");
-        let params = harness::kp_params().threads(args.threads);
+        let params = harness::kp_params();
         let seg = harness::segment_params(dataset.avg_chunk_size());
         let minhash = MinHashScrambleScheme::minhash_only(seg.clone());
         let combined = MinHashScrambleScheme::combined(seg, 0xdef);

@@ -256,8 +256,7 @@ fn run_scheme(
 
 fn main() {
     let chunks = cli::parse_chunks(std::env::args().skip(1), USAGE);
-    // Worker threads: auto. Every attack is bit-identical at any count.
-    let params = harness::co_params().threads(0);
+    let params = harness::co_params();
     let ctx = harness::key_context();
 
     eprintln!("tournament: generating pair (~{chunks} chunks per backup)...");

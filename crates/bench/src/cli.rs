@@ -9,9 +9,6 @@ pub struct CommonArgs {
     pub seed: Option<u64>,
     /// Emit machine-readable CSV instead of the aligned table.
     pub csv: bool,
-    /// Worker threads for the parallel pipeline stages (1 = sequential,
-    /// 0 = auto-detect; results are bit-identical at any value).
-    pub threads: usize,
 }
 
 impl Default for CommonArgs {
@@ -20,13 +17,12 @@ impl Default for CommonArgs {
             scale: 1.0,
             seed: None,
             csv: false,
-            threads: 1,
         }
     }
 }
 
-/// Parses `--scale <f64>`, `--seed <u64>`, `--threads <usize>` and `--csv`
-/// from an argument iterator; unknown flags abort with a usage message.
+/// Parses `--scale <f64>`, `--seed <u64>` and `--csv` from an argument
+/// iterator; unknown flags abort with a usage message.
 ///
 /// # Panics
 ///
@@ -44,9 +40,6 @@ pub fn parse(mut it: impl Iterator<Item = String>, usage: &str) -> CommonArgs {
                 }
             }
             "--seed" => out.seed = Some(flag_value(&mut it, usage, "--seed", "an integer")),
-            "--threads" => {
-                out.threads = flag_value(&mut it, usage, "--threads", "an integer (0 = auto)");
-            }
             "--csv" => out.csv = true,
             "--help" | "-h" => {
                 println!("{usage}");
@@ -126,19 +119,14 @@ mod tests {
         assert!((a.scale - 1.0).abs() < 1e-12);
         assert_eq!(a.seed, None);
         assert!(!a.csv);
-        assert_eq!(a.threads, 1);
     }
 
     #[test]
     fn parses_all_flags() {
-        let a = parse(
-            args(&["--scale", "0.5", "--seed", "7", "--csv", "--threads", "8"]),
-            "u",
-        );
+        let a = parse(args(&["--scale", "0.5", "--seed", "7", "--csv"]), "u");
         assert!((a.scale - 0.5).abs() < 1e-12);
         assert_eq!(a.seed, Some(7));
         assert!(a.csv);
-        assert_eq!(a.threads, 8);
     }
 
     #[test]
@@ -146,11 +134,5 @@ mod tests {
         assert_eq!(parse_chunks(args(&[]), "u"), 1_000_000);
         assert_eq!(parse_chunks(args(&["--quick"]), "u"), QUICK_CHUNKS);
         assert_eq!(parse_chunks(args(&["--chunks", "123"]), "u"), 123);
-    }
-
-    #[test]
-    fn threads_zero_means_auto() {
-        let a = parse(args(&["--threads", "0"]), "u");
-        assert_eq!(a.threads, 0);
     }
 }

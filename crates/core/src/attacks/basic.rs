@@ -16,7 +16,6 @@ use freqdedup_trace::Backup;
 use crate::dense::DenseStats;
 use crate::freq_analysis::{freq_analysis_dense, TiePolicy};
 use crate::metrics::Inference;
-use crate::par::ParConfig;
 
 /// Classical frequency analysis (Algorithm 1).
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,15 +33,8 @@ impl BasicAttack {
     /// layer.
     #[must_use]
     pub fn run(&self, cipher: &Backup, plain_aux: &Backup) -> Inference {
-        self.run_par(cipher, plain_aux, ParConfig::sequential())
-    }
-
-    /// [`Self::run`] with the counting passes sharded across worker
-    /// threads; output is bit-identical at every thread count.
-    #[must_use]
-    pub fn run_par(&self, cipher: &Backup, plain_aux: &Backup, par: ParConfig) -> Inference {
-        let sc = DenseStats::frequencies_only_par(cipher, par);
-        let sm = DenseStats::frequencies_only_par(plain_aux, par);
+        let sc = DenseStats::frequencies_only(cipher);
+        let sm = DenseStats::frequencies_only(plain_aux);
         self.run_with_stats(&sc, &sm)
     }
 

@@ -16,13 +16,11 @@
 //! * `w` — capacity bound of the inferred set `G` (memory guard).
 //!
 //! The attack runs on the dense-id/CSR layer of [`crate::dense`]: `COUNT`
-//! interns fingerprints to contiguous `u32` ids and builds the neighbour
-//! tables with one sort per side, and the crawl walks contiguous CSR rows.
-//! [`LocalityParams::threads`] shards the `COUNT` phase across worker
-//! threads (via [`crate::par`]); the crawl stays sequential, and inference
-//! is bit-identical at every thread count. The crawl revisits hot
-//! plaintexts often, so it ranks each auxiliary neighbour row at most once
-//! and reuses the prefix of that ranking a later step needs.
+//! interns fingerprints to contiguous `u32` ids and buckets each side's
+//! neighbour table by row with a counting sort, and the crawl walks
+//! contiguous CSR rows. The crawl revisits hot plaintexts often, so it
+//! ranks each auxiliary neighbour row at most once and reuses the prefix
+//! of that ranking a later step needs.
 //! `tests/attack_equivalence.rs` checks the crawl against a
 //! fingerprint-keyed reference.
 
@@ -35,7 +33,6 @@ use crate::freq_analysis::{
     freq_analysis_dense, freq_analysis_sized_dense, top_k_dense, DensePair, TiePolicy,
 };
 use crate::metrics::Inference;
-use crate::par::ParConfig;
 
 /// Tunable parameters of the locality-based attack.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,10 +53,6 @@ pub struct LocalityParams {
     /// Neighbour-table tie-break policy (see [`TiePolicy`]), applied when
     /// rows are ranked — the state an attack runs on is built without it.
     pub tie_policy: TiePolicy,
-    /// Worker threads for the `COUNT` phase (`0` = auto-detect, `1` =
-    /// sequential). The crawl itself is inherently sequential; inference
-    /// output is bit-identical at every thread count.
-    pub threads: usize,
 }
 
 impl LocalityParams {
@@ -72,7 +65,6 @@ impl LocalityParams {
             w,
             size_aware: false,
             tie_policy: TiePolicy::StreamOrder,
-            threads: 1,
         }
     }
 
@@ -97,19 +89,6 @@ impl LocalityParams {
     pub fn tie_policy(mut self, policy: TiePolicy) -> Self {
         self.tie_policy = policy;
         self
-    }
-
-    /// Sets the `COUNT` worker-thread count (builder style; `0` = auto).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The [`ParConfig`] this parameter set selects.
-    #[must_use]
-    pub fn par_config(&self) -> ParConfig {
-        ParConfig::with_threads(self.threads)
     }
 }
 
@@ -142,9 +121,8 @@ impl LocalityAttack {
     /// ciphertext/plaintext rank matches.
     #[must_use]
     pub fn run_ciphertext_only(&self, cipher: &Backup, plain_aux: &Backup) -> Inference {
-        let par = self.params.par_config();
-        let sc = DenseStats::full_par(cipher, par);
-        let sm = DenseStats::full_par(plain_aux, par);
+        let sc = DenseStats::full(cipher);
+        let sm = DenseStats::full(plain_aux);
         self.run_ciphertext_only_with_stats(&sc, &sm)
     }
 
@@ -167,9 +145,8 @@ impl LocalityAttack {
         plain_aux: &Backup,
         leaked: &[(Fingerprint, Fingerprint)],
     ) -> Inference {
-        let par = self.params.par_config();
-        let sc = DenseStats::full_par(cipher, par);
-        let sm = DenseStats::full_par(plain_aux, par);
+        let sc = DenseStats::full(cipher);
+        let sm = DenseStats::full(plain_aux);
         self.run_known_plaintext_with_stats(&sc, &sm, leaked)
     }
 

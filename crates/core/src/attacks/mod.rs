@@ -48,8 +48,7 @@ impl std::fmt::Display for AttackKind {
 }
 
 /// Runs `kind` in ciphertext-only mode with the given locality parameters
-/// (`u`, `v`, `w` are ignored by the basic attack; `threads` applies to
-/// every kind's counting phase).
+/// (`u`, `v`, `w` are ignored by the basic attack).
 #[must_use]
 pub fn run_ciphertext_only(
     kind: AttackKind,
@@ -58,9 +57,7 @@ pub fn run_ciphertext_only(
     params: &locality::LocalityParams,
 ) -> Inference {
     match kind {
-        AttackKind::Basic => {
-            basic::BasicAttack::new().run_par(cipher, plain_aux, params.par_config())
-        }
+        AttackKind::Basic => basic::BasicAttack::new().run(cipher, plain_aux),
         AttackKind::Locality => locality::LocalityAttack::new(params.clone().size_aware(false))
             .run_ciphertext_only(cipher, plain_aux),
         AttackKind::Advanced => {
@@ -124,9 +121,8 @@ pub fn run_ciphertext_only_both_policies(
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> [(TiePolicy, Inference); 2] {
-    let par = params.par_config();
-    let sc = DenseStats::full_par(cipher, par);
-    let sm = DenseStats::full_par(plain_aux, par);
+    let sc = DenseStats::full(cipher);
+    let sm = DenseStats::full(plain_aux);
     run_ciphertext_only_with_stats_both_policies(kind, &sc, &sm, params)
 }
 
@@ -150,7 +146,7 @@ pub fn run_ciphertext_only_series(
         }
         cipher.to_dense()
     };
-    let sm = DenseStats::full_par(plain_aux, params.par_config());
+    let sm = DenseStats::full(plain_aux);
     run_ciphertext_only_with_stats(kind, &sc, &sm, params)
 }
 
@@ -167,7 +163,7 @@ pub fn run_ciphertext_only_streaming(
     params: &locality::LocalityParams,
 ) -> Inference {
     let sc = cipher.to_dense();
-    let sm = DenseStats::full_par(plain_aux, params.par_config());
+    let sm = DenseStats::full(plain_aux);
     run_ciphertext_only_with_stats(kind, &sc, &sm, params)
 }
 
@@ -182,9 +178,7 @@ pub fn run_known_plaintext(
     params: &locality::LocalityParams,
 ) -> Inference {
     match kind {
-        AttackKind::Basic => {
-            basic::BasicAttack::new().run_par(cipher, plain_aux, params.par_config())
-        }
+        AttackKind::Basic => basic::BasicAttack::new().run(cipher, plain_aux),
         AttackKind::Locality => locality::LocalityAttack::new(params.clone().size_aware(false))
             .run_known_plaintext(cipher, plain_aux, leaked),
         AttackKind::Advanced => advanced::AdvancedAttack::new(params.clone())

@@ -1,5 +1,5 @@
-//! Dense chunk-ID interning, CSR co-occurrence tables and the one `COUNT`
-//! kernel — the data layer every attack runs on.
+//! Dense chunk-ID interning, CSR co-occurrence tables and `COUNT` — the
+//! data layer every attack runs on.
 //!
 //! `COUNT` (Algorithms 1–3) yields the frequency table `F` and the
 //! neighbour tables `L`/`R` of a chunk stream. Here they are three flat
@@ -15,17 +15,20 @@
 //! * [`DenseStats`] — the frequency array indexed by id plus the two CSR
 //!   tables: the one state the attacks crawl, batch or streaming.
 //!
-//! **One kernel, two sinks.** Every adjacency of a stream is an event
-//! (`adjacency_event_at`): a packed `(chunk ≪ 32 | neighbour)` key plus its
-//! stream position. The kernel (`aggregate`) sorts events and hands a sink
-//! one aggregated entry per distinct key, in key order: the run length as
-//! its count and, because the position is part of the sort key, the run's
-//! first — minimum, first-seen — position as its order. Batch `COUNT`
-//! ([`DenseStats::full_par`]) sinks straight into the `CsrWriter`, the only
-//! code that lays out a CSR table; the streaming fold
-//! ([`crate::streaming::IncrementalStats::commit`]) sinks each commit into
-//! a segment run, and its flatten writes the merged segments through the
-//! same `CsrWriter`.
+//! **One event source, two builds.** Every adjacency of a stream is an
+//! event (`adjacency_event_at`): a row chunk, its neighbour and the stream
+//! position. Batch `COUNT` ([`DenseStats::full`]) buckets one backup's
+//! events by row with a counting sort — row ids are dense `u32`s below
+//! the interner's length — then sorts each row's `(neighbour, position)`
+//! words and writes the runs straight into the table. The streaming fold
+//! ([`crate::streaming::IncrementalStats::commit`]) works over the
+//! series' global id space, where a counting array would cost O(ids) per
+//! commit, so it sorts each commit's `(chunk ≪ 32 | neighbour, position)`
+//! events instead (`aggregate`) into a segment run; its flatten writes the
+//! merged segments through the `CsrWriter`. Both sort the position below
+//! the neighbour, so an entry's count is its run length and its order the
+//! run's first — minimum, first-seen — position: both lay out the same
+//! table for the same stream.
 //!
 //! **Tie-break equivalence.** The ranking order — higher count, then
 //! earlier first-seen position, then smaller fingerprint — resolves its
@@ -39,8 +42,6 @@
 
 use freqdedup_trace::{Backup, Fingerprint};
 use rustc_hash::FxHashMap;
-
-use crate::par::{self, ParConfig};
 
 /// A dense chunk id: index into the interner's fingerprint/size tables.
 pub type ChunkId = u32;
@@ -147,7 +148,8 @@ pub struct DenseEntry {
 
 /// One aggregated adjacency: the packed `(chunk ≪ 32 | neighbour)` key with
 /// its occurrence count and first-seen (minimum) stream order — what the
-/// kernel emits, a streaming segment stores, and [`CsrWriter`] lays out.
+/// fold's kernel emits, a streaming segment stores, and [`CsrWriter`] lays
+/// out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AdjEntry {
     /// Packed `(row chunk ≪ 32 | neighbour)` sort key.
@@ -186,41 +188,57 @@ impl CooccurrenceCsr {
         }
     }
 
-    /// Batch `COUNT` of one neighbour table: the stream's adjacency events
-    /// through [`aggregate`] into a [`CsrWriter`].
+    /// Batch `COUNT` of one neighbour table, as a counting sort on the row
+    /// id, in three passes over the stream's adjacency events:
     ///
-    /// With more than one worker, one sequential O(n) pass buckets the
-    /// events by the **chunk-id range** their row chunk falls in, and the
-    /// kernel runs on every bucket in parallel. The sort key leads with the
-    /// row chunk, so the per-range runs, concatenated in range order, are
-    /// exactly the one sorted run a single bucket yields: the table is
-    /// bit-identical at any thread count.
-    fn build(num_ids: usize, ids: &[ChunkId], side: Side, threads: usize) -> Self {
-        let events = (1..ids.len()).map(|i| adjacency_event_at(ids, i, side, 0));
-        let mut csr = CsrWriter::new(num_ids, ids.len().saturating_sub(1));
-        let ranges = par::shard_ranges(num_ids, threads.max(1));
-        if ranges.len() <= 1 {
-            aggregate(&mut events.collect::<Vec<_>>(), |e| csr.push(e));
-            return csr.finish();
+    /// 1. count the events of each row; a prefix sum turns the counts into
+    ///    each row's first slot;
+    /// 2. scatter each event into its row's next slot as one packed
+    ///    `(neighbour ≪ 32 | position)` word, in stream order;
+    /// 3. sort each row and run-length it into [`DenseEntry`]s, rewriting
+    ///    `offsets` from event slots to entries.
+    ///
+    /// The position is the low word, so each neighbour's run leads with
+    /// its first-seen position: the table equals what [`aggregate`] lays
+    /// out through a [`CsrWriter`] for the same events.
+    fn build(num_ids: usize, ids: &[ChunkId], side: Side) -> Self {
+        let events = || (1..ids.len()).map(|i| adjacency_event_at(ids, i, side, 0));
+        // Row `x`'s count lands at `offsets[x + 2]`, so after the prefix sum
+        // `offsets[x + 1]` is row `x`'s first slot; the scatter advances it
+        // to the row's end, which is row `x + 1`'s first slot.
+        let mut offsets = vec![0u32; num_ids + 2];
+        for (key, _) in events() {
+            offsets[(key >> 32) as usize + 2] += 1;
         }
-        // Each shard: its bucket of events, then its aggregated run.
-        // `starts` is small (≤ threads entries), so the partition_point
-        // probe stays in L1.
-        let starts: Vec<u64> = ranges.iter().map(|r| r.start as u64).collect();
-        let mut shards = vec![(Vec::new(), Vec::new()); starts.len()];
-        for (key, order) in events {
-            let shard = starts.partition_point(|&s| s <= key >> 32) - 1;
-            shards[shard].0.push((key, order));
+        for k in 2..offsets.len() {
+            offsets[k] += offsets[k - 1];
         }
-        par::par_for_each_mut(threads, &mut shards, |_, (events, run)| {
-            let mut events = std::mem::take(events);
-            run.reserve_exact(events.len());
-            aggregate(&mut events, |e| run.push(e));
-        });
-        for e in shards.into_iter().flat_map(|(_, run)| run) {
-            csr.push(e);
+        let mut slots = vec![0u64; ids.len().saturating_sub(1)];
+        for (key, order) in events() {
+            let next = &mut offsets[(key >> 32) as usize + 1];
+            // `key << 32` drops the row and lifts the neighbour.
+            slots[*next as usize] = (key << 32) | u64::from(order);
+            *next += 1;
         }
-        csr.finish()
+        offsets.pop();
+        let mut entries = Vec::with_capacity(slots.len());
+        let mut start = 0;
+        for x in 0..num_ids {
+            let end = offsets[x + 1] as usize;
+            let row = &mut slots[start..end];
+            row.sort_unstable();
+            for run in row.chunk_by(|a, b| a >> 32 == b >> 32) {
+                entries.push(DenseEntry {
+                    id: (run[0] >> 32) as u32,
+                    count: run.len() as u32,
+                    order: run[0] as u32,
+                });
+            }
+            offsets[x + 1] = entries.len() as u32;
+            start = end;
+        }
+        entries.shrink_to_fit();
+        CooccurrenceCsr { offsets, entries }
     }
 
     /// The aggregated neighbour row of chunk `id` (empty slice if the chunk
@@ -246,10 +264,8 @@ impl CooccurrenceCsr {
 }
 
 /// Lays a table out from aggregated entries arriving in strictly
-/// increasing key order — from the kernel in a batch build, from the
-/// segment merge in the streaming flatten. The only code that builds a
-/// [`CooccurrenceCsr`]: each entry is written once, into arrays allocated
-/// up front.
+/// increasing key order — the streaming flatten's segment merge. Each
+/// entry is written once, into arrays allocated up front.
 pub(crate) struct CsrWriter {
     offsets: Vec<u32>,
     entries: Vec<DenseEntry>,
@@ -316,8 +332,8 @@ pub(crate) fn adjacency_event_at(ids: &[ChunkId], i: usize, side: Side, base: us
     )
 }
 
-/// The `COUNT` kernel: sorts adjacency events and run-length-aggregates
-/// them, handing `emit` one [`AdjEntry`] per distinct key, in key order.
+/// The streaming fold's `COUNT` kernel: sorts one commit's adjacency
+/// events and run-length-aggregates them, handing `emit` one [`AdjEntry`] per distinct key, in key order.
 /// The position is part of the sort key, so each run leads with its
 /// minimum — first-seen — position, which becomes the entry's order.
 pub(crate) fn aggregate(events: &mut [(u64, u32)], mut emit: impl FnMut(AdjEntry)) {
@@ -356,20 +372,11 @@ impl DenseStats {
     /// cheap path): interning plus a single counting pass, no CSR build.
     #[must_use]
     pub fn frequencies_only(backup: &Backup) -> Self {
-        Self::frequencies_only_par(backup, ParConfig::sequential())
-    }
-
-    /// [`Self::frequencies_only`] with the counting pass sharded across
-    /// worker threads (per-shard count arrays over contiguous stream
-    /// ranges, summed elementwise in shard order — bit-identical output at
-    /// any thread count).
-    #[must_use]
-    pub fn frequencies_only_par(backup: &Backup, par: ParConfig) -> Self {
         let mut interner = ChunkInterner::new();
         let ids = interner.intern_stream(backup);
         let unique = interner.len();
         DenseStats {
-            freq: count_ids_par(&ids, unique, par.resolve()),
+            freq: count_ids(&ids, unique),
             left: CooccurrenceCsr::empty(unique),
             right: CooccurrenceCsr::empty(unique),
             interner,
@@ -380,7 +387,15 @@ impl DenseStats {
     /// and both CSR neighbour tables.
     #[must_use]
     pub fn full(backup: &Backup) -> Self {
-        Self::full_par(backup, ParConfig::sequential())
+        let mut interner = ChunkInterner::new();
+        let ids = interner.intern_stream(backup);
+        let unique = interner.len();
+        DenseStats {
+            freq: count_ids(&ids, unique),
+            left: CooccurrenceCsr::build(unique, &ids, Side::Left),
+            right: CooccurrenceCsr::build(unique, &ids, Side::Right),
+            interner,
+        }
     }
 
     /// Forwarder to [`Self::full`] for `benchmark/`, which calls this name
@@ -389,29 +404,6 @@ impl DenseStats {
     #[must_use]
     pub fn full_with_policy(backup: &Backup, _policy: crate::freq_analysis::TiePolicy) -> Self {
         Self::full(backup)
-    }
-
-    /// [`Self::full`] with the frequency pass and both neighbour-table
-    /// builds sharded across worker threads.
-    ///
-    /// Interning stays sequential — id assignment is first-seen order, an
-    /// inherently serial definition — but it is one hash pass; the sorts
-    /// dominate at scale. Frequencies shard by contiguous stream range and
-    /// merge by elementwise sum; the neighbour tables shard by chunk-id
-    /// range, so every structure is bit-identical at any thread count.
-    /// `par` resolving to 1 spawns nothing: one sort per side.
-    #[must_use]
-    pub fn full_par(backup: &Backup, par: ParConfig) -> Self {
-        let threads = par.resolve();
-        let mut interner = ChunkInterner::new();
-        let ids = interner.intern_stream(backup);
-        let unique = interner.len();
-        DenseStats {
-            freq: count_ids_par(&ids, unique, threads),
-            left: CooccurrenceCsr::build(unique, &ids, Side::Left, threads),
-            right: CooccurrenceCsr::build(unique, &ids, Side::Right, threads),
-            interner,
-        }
     }
 
     /// Number of unique chunks counted.
@@ -450,27 +442,6 @@ fn count_ids(ids: &[ChunkId], unique: usize) -> Vec<u32> {
         freq[id as usize] += 1;
     }
     freq
-}
-
-/// [`count_ids`] sharded over contiguous stream ranges; per-shard count
-/// arrays are summed elementwise in shard order (addition is commutative,
-/// so the result is the sequential count exactly).
-fn count_ids_par(ids: &[ChunkId], unique: usize, threads: usize) -> Vec<u32> {
-    if threads <= 1 {
-        return count_ids(ids, unique);
-    }
-    par::par_fold(
-        threads,
-        ids.len(),
-        |range| count_ids(&ids[range], unique),
-        |mut acc, shard| {
-            for (a, s) in acc.iter_mut().zip(&shard) {
-                *a += s;
-            }
-            acc
-        },
-        vec![0u32; unique],
-    )
 }
 
 #[cfg(test)]
@@ -583,40 +554,6 @@ mod tests {
         assert_eq!(s.left.num_entries(), 0);
         assert_eq!(s.right.num_entries(), 0);
         assert_eq!(s.left.num_rows(), 2);
-    }
-
-    #[test]
-    fn parallel_count_matches_sequential() {
-        // A skewed stream with heavy duplication: ties, shared
-        // neighbourhoods, and ids spanning several shard ranges.
-        let fps: Vec<u64> = (0..500u64).map(|i| (i * i) % 37).collect();
-        let b = backup(&fps);
-        let seq = DenseStats::full(&b);
-        for t in [1usize, 2, 3, 8, 64] {
-            let par = DenseStats::full_par(&b, ParConfig::with_threads(t));
-            assert_eq!(par, seq, "threads {t}");
-        }
-    }
-
-    #[test]
-    fn parallel_frequencies_match_sequential() {
-        let fps: Vec<u64> = (0..300u64).map(|i| i % 23).collect();
-        let b = backup(&fps);
-        let seq = DenseStats::frequencies_only(&b);
-        for t in [2usize, 8] {
-            let par = DenseStats::frequencies_only_par(&b, ParConfig::with_threads(t));
-            assert_eq!(par, seq, "threads {t}");
-        }
-    }
-
-    #[test]
-    fn parallel_count_handles_degenerate_backups() {
-        for fps in [&[][..], &[42][..], &[7, 7, 7][..]] {
-            let b = backup(fps);
-            let seq = DenseStats::full(&b);
-            let par = DenseStats::full_par(&b, ParConfig::with_threads(8));
-            assert_eq!(par, seq);
-        }
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!
 //! Every attack crawls one state, [`DenseStats`]: the frequency table `F`
 //! and the neighbour tables `L`/`R` of `COUNT`, over interned `u32` ids in
-//! CSR form ([`dense`]). One sort-and-aggregate kernel builds it — straight
-//! from one backup in a batch `COUNT`, or commit by commit over a series
-//! of backups in the running [`IncrementalStats`] ([`streaming`]), whose
-//! flatten is the same table. [`freq_analysis`] ranks its rows under a
+//! CSR form ([`dense`]). A batch `COUNT` builds it straight from one
+//! backup, bucketing each side's adjacencies by row with a counting sort;
+//! the running [`IncrementalStats`] ([`streaming`]) folds it commit by
+//! commit over a series of backups, sorting each commit's adjacencies, and
+//! its flatten is the same table. [`freq_analysis`] ranks its rows under a
 //! [`TiePolicy`].
 //!
 //! # Defenses
@@ -102,5 +103,4 @@ pub use defense::{DefenseError, DefenseScheme, KeyContext};
 pub use dense::{ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats};
 pub use freq_analysis::TiePolicy;
 pub use metrics::{Inference, InferenceReport};
-pub use par::ParConfig;
 pub use streaming::{CommitReceipt, IncrementalStats};

@@ -8,8 +8,9 @@
 //!
 //! * [`IncrementalStats::commit`] — the only fold. It interns the backup
 //!   against the running interner, adds its counts to the frequency array,
-//!   and runs its adjacency events through the same kernel as batch
-//!   `COUNT`, one aggregated run per side.
+//!   and sorts its adjacency events into one aggregated run per side (the
+//!   comparison-sort kernel: batch `COUNT`'s counting sort would size an
+//!   array by the series' ids on every commit).
 //! * [`SegmentedCsr`] — a neighbour table as a stack of sorted, aggregated
 //!   segments (the logarithmic method): each commit *appends* its run as a
 //!   new segment, and a merge-stack invariant (a segment is merged into
@@ -239,7 +240,7 @@ impl IncrementalStats {
     /// chunks are interned (first-seen ids are the interner's next ones),
     /// counted straight into the frequency array, and each side's
     /// within-backup adjacency events — at global positions offset by the
-    /// chunks committed before — are aggregated by the `COUNT` kernel into
+    /// chunks committed before — are aggregated by the fold's kernel into
     /// one run appended as a new segment.
     pub fn commit(&mut self, backup: &Backup) -> CommitReceipt {
         let known = self.interner.len();
@@ -474,8 +475,8 @@ mod tests {
 
     #[test]
     fn one_commit_equals_batch_count() {
-        // The two sinks of the kernel agree: a single commit, flattened,
-        // is the batch `COUNT` of that backup.
+        // The fold's sort and batch `COUNT`'s counting sort agree: a
+        // single commit, flattened, is the batch `COUNT` of that backup.
         for b in &tape() {
             let mut inc = IncrementalStats::default();
             inc.commit(b);

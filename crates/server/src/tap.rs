@@ -323,7 +323,7 @@ impl AdversaryTap {
         params: &LocalityParams,
     ) -> [(TiePolicy, Inference); 2] {
         let sc = self.streaming.stats().to_dense();
-        let sm = DenseStats::full_par(plain_aux, params.par_config());
+        let sm = DenseStats::full(plain_aux);
         attacks::run_ciphertext_only_with_stats_both_policies(kind, &sc, &sm, params)
     }
 

@@ -2,23 +2,27 @@
 //! crawls it, against the fingerprint-keyed reference in
 //! `tests/support/reference.rs`.
 //!
-//! The engine (`freqdedup::core`) interns fingerprints to dense ids, runs
-//! one sort-and-aggregate kernel into CSR tables — in a batch build over
-//! one backup, or per commit in the streaming fold over a series — and
-//! crawls the flat tables. The reference counts into one `HashMap` per
-//! table and crawls those. Tie-break order — (count desc, first-seen order
+//! The engine (`freqdedup::core`) interns fingerprints to dense ids,
+//! builds CSR tables — by a counting sort on the row in a batch build over
+//! one backup, or by sorting each commit's events in the streaming fold
+//! over a series — and crawls the flat tables. The reference counts into
+//! one `HashMap` per table and crawls those. Tie-break order — (count desc, first-seen order
 //! asc, fingerprint asc) — must agree **bit-for-bit**, because §4.1's tie
 //! sensitivity means a single reordered tie can swing the inference rate
 //! by an order of magnitude.
 //!
-//! The properties run on random tie-heavy streams and tapes over
-//! `threads ∈ {1, 2, 8}`, random commit splits (a tape is a series of
-//! backups of random lengths), compaction at random commit points, both
-//! `TiePolicy` variants, both attack modes (ciphertext-only and
-//! known-plaintext) and plain and size-classified analysis. The paper's
+//! The properties run on random tie-heavy streams and tapes, random commit
+//! splits (a tape is a series of backups of random lengths), compaction at
+//! random commit points, both `TiePolicy` variants, both attack modes
+//! (ciphertext-only and known-plaintext) and plain and size-classified
+//! analysis. The paper's
 //! worked example (§4.2) is one fixed case; a hot plaintext revisited
 //! through many split ciphertexts, which exercises the crawl's memo of
-//! ranked auxiliary rows, is another.
+//! ranked auxiliary rows, is another. Three fixed cases aim at the batch
+//! build's counting sort: a hub row of more than 2^16 events (rows of up to
+//! 20 take the standard library's stable insertion sort, so only a long
+//! row shows a sort that is not on the whole `(neighbour, position)`
+//! word), chunks with no row on one side, and 0- and 1-chunk streams.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -28,13 +32,12 @@ use std::collections::HashMap;
 use freqdedup::core::attacks::locality::{LocalityAttack, LocalityParams};
 use freqdedup::core::attacks::{self, AttackKind};
 use freqdedup::core::freq_analysis::{rank_dense, top_k_dense};
-use freqdedup::core::{DenseStats, IncrementalStats, Inference, ParConfig, TiePolicy};
+use freqdedup::core::{DenseStats, IncrementalStats, Inference, TiePolicy};
 use freqdedup::mle::trace_enc::DeterministicTraceEncryptor;
 use freqdedup::trace::{Backup, ChunkRecord, Fingerprint};
 use proptest::prelude::*;
 use reference::{ChunkStats, FreqTable};
 
-const THREADS: [usize; 3] = [1, 2, 8];
 const POLICIES: [TiePolicy; 2] = [TiePolicy::StreamOrder, TiePolicy::KeyOrder];
 
 /// Builds a backup whose chunk sizes vary with the fingerprint, so the
@@ -124,20 +127,16 @@ fn leaks(cipher: &Backup, plain: &Backup, step: usize) -> Vec<(Fingerprint, Fing
 }
 
 proptest! {
-    /// Batch `COUNT` equals the reference at every thread count — the
-    /// full build and the frequency-only one.
+    /// Batch `COUNT` equals the reference — the full build and the
+    /// frequency-only one.
     #[test]
     fn count_tables_identical(fps in fp_stream()) {
         let b = backup("t", &fps);
-        let tape = std::slice::from_ref(&b);
+        assert_count_matches(&DenseStats::full(&b), std::slice::from_ref(&b), "full");
+        let dense = ChunkStats::from_dense(&DenseStats::frequencies_only(&b));
         let freq_only = ChunkStats::frequencies_only(&b);
-        for t in THREADS {
-            let par = ParConfig::with_threads(t);
-            assert_count_matches(&DenseStats::full_par(&b, par), tape, &format!("threads {t}"));
-            let dense = ChunkStats::from_dense(&DenseStats::frequencies_only_par(&b, par));
-            prop_assert_eq!(&dense.freq, &freq_only.freq, "threads {}", t);
-            prop_assert_eq!(&dense.sizes, &freq_only.sizes, "threads {}", t);
-        }
+        prop_assert_eq!(&dense.freq, &freq_only.freq);
+        prop_assert_eq!(&dense.sizes, &freq_only.sizes);
     }
 
     /// The folded series — compaction interleaved at random commit points
@@ -192,8 +191,8 @@ proptest! {
     }
 
     /// Ciphertext-only mode over one backup: every attack kind, from a
-    /// batch `COUNT` at every thread count and from a one-commit fold,
-    /// infers exactly the reference's mapping under both policies.
+    /// batch `COUNT` and from a one-commit fold, infers exactly the
+    /// reference's mapping under both policies.
     #[test]
     fn ciphertext_only_identical(
         fps in fp_stream(),
@@ -210,19 +209,16 @@ proptest! {
             let sm = ChunkStats::full(&plain, policy);
             for kind in AttackKind::ALL {
                 let expected = sorted_pairs(&reference::ciphertext_only(kind, &params, &sc, &sm));
-                for t in THREADS {
-                    let params = params.clone().threads(t);
-                    for (engine, state) in [
-                        (attacks::run_ciphertext_only(kind, &observed.backup, &plain, &params), "batch"),
-                        (attacks::run_ciphertext_only_streaming(kind, &streamed, &plain, &params), "fold"),
-                    ] {
-                        prop_assert_eq!(
-                            &sorted_pairs(&engine),
-                            &expected,
-                            "{} {:?} threads {} {}",
-                            kind, policy, t, state
-                        );
-                    }
+                for (engine, state) in [
+                    (attacks::run_ciphertext_only(kind, &observed.backup, &plain, &params), "batch"),
+                    (attacks::run_ciphertext_only_streaming(kind, &streamed, &plain, &params), "fold"),
+                ] {
+                    prop_assert_eq!(
+                        &sorted_pairs(&engine),
+                        &expected,
+                        "{} {:?} {}",
+                        kind, policy, state
+                    );
                 }
             }
         }
@@ -230,8 +226,8 @@ proptest! {
 
     /// Known-plaintext mode over one backup: leaked seeds (including a
     /// pair absent from both sides) expand to the reference's inference
-    /// set for both crawls, both policies and every thread count. Also
-    /// exercises the `w` queue bound.
+    /// set for both crawls and both policies, from a batch `COUNT` and from
+    /// a one-commit fold. Also exercises the `w` queue bound.
     #[test]
     fn known_plaintext_identical(
         fps in fp_stream(),
@@ -255,26 +251,18 @@ proptest! {
                 let fold = LocalityAttack::new(params.clone())
                     .run_known_plaintext_with_stats(&streamed.to_dense(), &sm_dense, &leaked);
                 prop_assert_eq!(&sorted_pairs(&fold), &expected, "{} {:?} fold", kind, policy);
-                for t in THREADS {
-                    let engine = attacks::run_known_plaintext(
-                        kind, &observed.backup, &plain, &leaked, &params.clone().threads(t),
-                    );
-                    prop_assert_eq!(
-                        &sorted_pairs(&engine),
-                        &expected,
-                        "{} {:?} threads {}",
-                        kind, policy, t
-                    );
-                }
+                let batch =
+                    attacks::run_known_plaintext(kind, &observed.backup, &plain, &leaked, &params);
+                prop_assert_eq!(&sorted_pairs(&batch), &expected, "{} {:?} batch", kind, policy);
             }
         }
     }
 
     /// Known-plaintext mode over a series: leaked seeds crawled over the
     /// folded tape expand to the reference's inference set over the
-    /// reference series `COUNT`, at every thread count and both policies.
+    /// reference series `COUNT`, under both policies.
     #[test]
-    fn known_plaintext_inference_thread_and_policy_invariant(
+    fn known_plaintext_inference_policy_invariant(
         fps in tape_strategy(),
         leak_every in 1usize..10,
     ) {
@@ -289,7 +277,7 @@ proptest! {
         for b in &tape {
             inc.commit(b);
         }
-        let sc_dense = inc.to_dense();
+        let (sc_dense, sm_dense) = (inc.to_dense(), DenseStats::full(&aux));
         for policy in POLICIES {
             let sc = ChunkStats::series(&tape, policy);
             let sm = ChunkStats::full(&aux, policy);
@@ -298,17 +286,9 @@ proptest! {
                     .tie_policy(policy)
                     .size_aware(kind == AttackKind::Advanced);
                 let expected = sorted_pairs(&reference::known_plaintext(&params, &sc, &sm, &leaked));
-                for t in THREADS {
-                    let sm_dense = DenseStats::full_par(&aux, ParConfig::with_threads(t));
-                    let engine = LocalityAttack::new(params.clone().threads(t))
-                        .run_known_plaintext_with_stats(&sc_dense, &sm_dense, &leaked);
-                    prop_assert_eq!(
-                        &sorted_pairs(&engine),
-                        &expected,
-                        "{} threads {} policy {:?}",
-                        kind, t, policy
-                    );
-                }
+                let engine = LocalityAttack::new(params)
+                    .run_known_plaintext_with_stats(&sc_dense, &sm_dense, &leaked);
+                prop_assert_eq!(&sorted_pairs(&engine), &expected, "{} policy {:?}", kind, policy);
             }
         }
     }
@@ -349,10 +329,9 @@ proptest! {
     /// Ciphertext-only inference over a series — the running fold with
     /// compaction interleaved, and `run_ciphertext_only_series` over the
     /// prefix — equals the reference over the reference series `COUNT`
-    /// after every commit: all three attack kinds, both tie policies,
-    /// every thread count.
+    /// after every commit: all three attack kinds, both tie policies.
     #[test]
-    fn ciphertext_only_inference_thread_and_policy_invariant(
+    fn ciphertext_only_inference_policy_invariant(
         fps in tape_strategy(),
         aux_fps in prop::collection::vec(1u64..60, 1..120),
         compact_mask in prop::collection::vec(any::<bool>(), 8..9),
@@ -372,19 +351,16 @@ proptest! {
                 for kind in AttackKind::ALL {
                     let expected =
                         sorted_pairs(&reference::ciphertext_only(kind, &params, &sc, &sm));
-                    for t in THREADS {
-                        let params = params.clone().threads(t);
-                        for (engine, state) in [
-                            (attacks::run_ciphertext_only_streaming(kind, &inc, &aux, &params), "running"),
-                            (attacks::run_ciphertext_only_series(kind, &tape[..=i], &aux, &params), "series"),
-                        ] {
-                            prop_assert_eq!(
-                                &sorted_pairs(&engine),
-                                &expected,
-                                "{} prefix {} threads {} policy {:?} {}",
-                                kind, i, t, policy, state
-                            );
-                        }
+                    for (engine, state) in [
+                        (attacks::run_ciphertext_only_streaming(kind, &inc, &aux, &params), "running"),
+                        (attacks::run_ciphertext_only_series(kind, &tape[..=i], &aux, &params), "series"),
+                    ] {
+                        prop_assert_eq!(
+                            &sorted_pairs(&engine),
+                            &expected,
+                            "{} prefix {} policy {:?} {}",
+                            kind, i, policy, state
+                        );
                     }
                 }
             }
@@ -396,7 +372,7 @@ proptest! {
 /// M4⟩, C = ⟨C1 C2 C5 C2 C1 C2 C3 C4 C2 C3 C4 C4⟩ where Ci encrypts Mi and
 /// C5 is new. The engine's `COUNT` gives the paper's neighbour sets and
 /// equals the reference's, and with u = v = 1 both crawls recover C1..C4
-/// — but not C5 — at every thread count.
+/// — but not C5.
 #[test]
 fn paper_worked_example() {
     let aux = backup("m", &[1, 2, 1, 2, 3, 4, 2, 3, 4]);
@@ -440,15 +416,8 @@ fn paper_worked_example() {
         );
     }
     assert_eq!(expected.plain_of(Fingerprint(105)), None);
-    for t in [1usize, 2, 8, 64] {
-        let engine =
-            LocalityAttack::new(params.clone().threads(t)).run_ciphertext_only(&cipher, &aux);
-        assert_eq!(
-            sorted_pairs(&engine),
-            sorted_pairs(&expected),
-            "threads {t}"
-        );
-    }
+    let engine = LocalityAttack::new(params).run_ciphertext_only(&cipher, &aux);
+    assert_eq!(sorted_pairs(&engine), sorted_pairs(&expected));
 }
 
 /// Two fixed shapes the crawls walk far on: hot chunks adjoining a chain
@@ -644,5 +613,76 @@ fn revisited_hot_plaintext_matches_reference() {
             assert_eq!(sorted_pairs(&batch), expected, "{mode} {policy:?} batch");
             assert_eq!(sorted_pairs(&fold), expected, "{mode} {policy:?} fold");
         }
+    }
+}
+
+/// A hub whose rows hold more than 2^16 events: `H` alternates with 3 001
+/// neighbours drawn by a multiplicative walk, so each neighbour recurs
+/// about 23 times at scattered positions on both sides of `H`. A row this
+/// long is sorted by the standard library's unstable quicksort, which keeps
+/// each neighbour's first-seen position at the head of its run only if the
+/// position is part of the sort key.
+#[test]
+fn hub_row_longer_than_u16_matches_reference() {
+    const H: u64 = 1;
+    const ROUNDS: u64 = 70_000;
+    let fps: Vec<u64> = (0..ROUNDS)
+        .flat_map(|k| [H, 2 + (k * 7919) % 3001])
+        .collect();
+    let tape = vec![backup("hub", &fps)];
+    let dense = DenseStats::full(&tape[0]);
+    let h = dense.interner.get(Fingerprint(H)).unwrap();
+    for (csr, side) in [(&dense.left, "left"), (&dense.right, "right")] {
+        let row = csr.row(h);
+        let events: u32 = row.iter().map(|e| e.count).sum();
+        assert!(events > 1 << 16, "{side}: {events} events");
+        assert_eq!(row.len(), 3001, "{side}: every neighbour recurs");
+    }
+    assert_count_matches(&dense, &tape, "hub");
+    let mut inc = IncrementalStats::default();
+    inc.commit(&tape[0]);
+    assert_eq!(inc.to_dense(), dense, "fold");
+}
+
+/// Chunks without a row on one side: chunk 10 is seen only first, so it
+/// has no left row, and chunk 40 only last, so it has no right row. They
+/// hold the smallest and the largest id, the two ends of the offsets.
+#[test]
+fn one_sided_rows_match_reference() {
+    for fps in [&[10, 20, 30, 20, 30, 40][..], &[10, 40]] {
+        let tape = vec![backup("one-sided", fps)];
+        let dense = DenseStats::full(&tape[0]);
+        let (first, last) = (
+            dense.interner.get(Fingerprint(10)).unwrap(),
+            dense.interner.get(Fingerprint(40)).unwrap(),
+        );
+        assert_eq!(
+            (first, last as usize),
+            (0, dense.unique_chunks() - 1),
+            "{fps:?}"
+        );
+        assert!(dense.left.row(first).is_empty(), "{fps:?}");
+        assert!(dense.right.row(last).is_empty(), "{fps:?}");
+        assert!(!dense.right.row(first).is_empty(), "{fps:?}");
+        assert!(!dense.left.row(last).is_empty(), "{fps:?}");
+        assert_count_matches(&dense, &tape, &format!("{fps:?}"));
+    }
+}
+
+/// A 0-chunk and a 1-chunk stream: no adjacency events at all, a table of
+/// one empty row or none, and the fold agrees.
+#[test]
+fn empty_and_single_chunk_streams_match_reference() {
+    for fps in [&[][..], &[42]] {
+        let tape = vec![backup("tiny", fps)];
+        let dense = DenseStats::full(&tape[0]);
+        assert_eq!(dense.unique_chunks(), fps.len());
+        for csr in [&dense.left, &dense.right] {
+            assert_eq!((csr.num_rows(), csr.num_entries()), (fps.len(), 0));
+        }
+        assert_count_matches(&dense, &tape, &format!("{fps:?}"));
+        let mut inc = IncrementalStats::default();
+        inc.commit(&tape[0]);
+        assert_eq!(inc.to_dense(), dense, "{fps:?}");
     }
 }

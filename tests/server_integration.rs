@@ -1465,6 +1465,93 @@ fn resume_fences_a_running_session_and_adopts_its_progress() {
     done(&dir);
 }
 
+/// A content-mode upload through a proxy that cuts the connection after
+/// the server has acked at least one payload batch: the resilient client
+/// reconnects, RESUMEs, skips the acked batches, re-sends the rest with
+/// their payloads, and commits. The restore returns every payload byte for
+/// byte, and the store counts each chunk once.
+#[test]
+fn resumable_payload_upload_survives_a_cut_after_acked_batches() {
+    use freqdedup::server::client::{ResilientClient, RetryOptions};
+    use freqdedup::server::fault::{FaultPlan, FaultProxy, FaultSpec, NetFault};
+    use std::time::Duration;
+
+    const BATCH: usize = 40;
+    let backup = Backup::from_chunks(
+        "payload-resume",
+        (0..400u64)
+            .map(|i| freqdedup::trace::ChunkRecord::new(7000 + i % 300, 48 + (i % 5) as u32 * 16))
+            .collect(),
+    );
+    let batches = backup.chunks.len().div_ceil(BATCH) as u64;
+    // Frames per direction: HELLO, RESUME, one per batch, COMMIT. Replies
+    // 2..2 + batches are the PUT acks.
+    let frames = batches + 3;
+    let first_cut = |spec: FaultSpec, conn: u64, direction: u64| {
+        let mut plan = FaultPlan::for_connection(spec, conn, direction);
+        (0..frames).find(|_| plan.next_event(64) == NetFault::Reset)
+    };
+    // A schedule that cuts the first connection while relaying a PUT ack
+    // from the server (so at least one batch was ingested before the cut)
+    // and never cuts a request nor the second connection.
+    let spec = (0..100_000u64)
+        .map(|seed| FaultSpec::quiet(seed).resets(100))
+        .find(|&spec| {
+            matches!(first_cut(spec, 0, 1), Some(j) if (2..2 + batches).contains(&j))
+                && first_cut(spec, 0, 0).is_none()
+                && first_cut(spec, 1, 0).is_none()
+                && first_cut(spec, 1, 1).is_none()
+        })
+        .expect("a seed with one cut after an acked batch");
+
+    let dir = test_dir("payload-resume");
+    let (addr, handle) = start(ServerConfig {
+        engine: small_engine(),
+        log_file: Some(dir.join("server.log")),
+        ..ServerConfig::default()
+    });
+    let proxy = FaultProxy::start(addr, spec).unwrap();
+    let opts = RetryOptions {
+        max_attempts: 4,
+        base_backoff: Duration::from_millis(2),
+        max_backoff: Duration::from_millis(20),
+        op_timeout: Duration::from_secs(5),
+        batch: BATCH,
+    };
+    let mut rc = ResilientClient::new(proxy.local_addr().to_string(), "payload-resume", opts);
+    let payload_of = |r: &freqdedup::trace::ChunkRecord| synthetic_payload(r.fp, r.size);
+    assert_eq!(
+        rc.upload_commit_payloads(&backup, &payload_of, 21).unwrap(),
+        400
+    );
+    let report = rc.report().clone();
+    assert_eq!(
+        proxy
+            .counts()
+            .resets
+            .load(std::sync::atomic::Ordering::SeqCst),
+        1
+    );
+    proxy.stop();
+    assert_eq!((report.connects, report.retries), (2, 1), "{report:?}");
+    assert!(
+        (1..batches).contains(&report.batches_skipped),
+        "the acked batches were skipped, the rest re-sent: {report:?}"
+    );
+
+    let mut c = Client::connect(addr, "verify").unwrap();
+    let restored = c.restore(&backup.label).unwrap();
+    assert_eq!(restored.backup.chunks, backup.chunks);
+    let expected: Vec<Vec<u8>> = backup.chunks.iter().map(payload_of).collect();
+    assert_eq!(restored.payloads, Some(expected), "payloads byte-identical");
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.logical_chunks, 400, "each chunk counted once");
+    assert_eq!(stats.unique_chunks, 300);
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+    done(&dir);
+}
+
 /// The service never waits on the adversary: while another thread sits
 /// inside `TapView::with_tap`, a client's COMMIT is acked and RESTORE,
 /// STATS and RESUME are answered, each within a 2 s deadline. Once the
