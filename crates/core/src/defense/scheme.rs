@@ -9,9 +9,7 @@
 //! `defense_contract` integration suite:
 //!
 //! * **Deterministic** — `encrypt_backup` is a pure function of
-//!   `(self, plain, ctx)`; [`DefenseScheme::encrypt_backup_par`] is
-//!   bit-identical to it at every thread count, like every other
-//!   parallel stage in this workspace.
+//!   `(self, plain, ctx)`.
 //! * **Lossless** — the returned [`GroundTruth`] resolves every output
 //!   ciphertext to its plaintext, chunk sizes are preserved, and the
 //!   output is a per-backup permutation-with-renaming of the input
@@ -32,7 +30,6 @@ use std::fmt;
 use freqdedup_crypto::hmac::HmacKey;
 use freqdedup_crypto::kdf;
 use freqdedup_mle::trace_enc::{DeterministicTraceEncryptor, EncryptedBackup, GroundTruth};
-use freqdedup_trace::par::ParConfig;
 use freqdedup_trace::{Backup, BackupSeries, Fingerprint};
 
 /// Key material shared by every defense scheme: the system-wide MLE
@@ -143,20 +140,6 @@ pub trait DefenseScheme: fmt::Debug + Send + Sync {
     /// ground truth. Must be deterministic in `(self, plain, ctx)`.
     fn encrypt_backup(&self, plain: &Backup, ctx: &KeyContext) -> EncryptedBackup;
 
-    /// [`Self::encrypt_backup`] with the work optionally sharded across
-    /// worker threads. The output must be **bit-identical** to the
-    /// sequential path at every thread count; the default simply runs
-    /// sequentially, which satisfies the contract trivially.
-    fn encrypt_backup_par(
-        &self,
-        plain: &Backup,
-        ctx: &KeyContext,
-        par: ParConfig,
-    ) -> EncryptedBackup {
-        let _ = par;
-        self.encrypt_backup(plain, ctx)
-    }
-
     /// Encrypts a whole series, merging the per-backup ground truths.
     /// Schemes whose splitting decisions depend on cross-backup state
     /// (TED's occurrence counters, smoothing's global histogram) override
@@ -217,15 +200,6 @@ impl DefenseScheme for NoDefense {
         DeterministicTraceEncryptor::new(ctx.secret()).encrypt_backup(plain)
     }
 
-    fn encrypt_backup_par(
-        &self,
-        plain: &Backup,
-        ctx: &KeyContext,
-        par: ParConfig,
-    ) -> EncryptedBackup {
-        DeterministicTraceEncryptor::new(ctx.secret()).encrypt_backup_par(plain, par)
-    }
-
     fn blowup_budget(&self) -> Option<f64> {
         Some(1.0)
     }
@@ -259,17 +233,6 @@ mod tests {
         let direct = DeterministicTraceEncryptor::new(b"secret").encrypt_backup(&plain);
         assert_eq!(via_trait.backup, direct.backup);
         assert_eq!(via_trait.truth.len(), direct.truth.len());
-    }
-
-    #[test]
-    fn no_defense_par_is_bit_identical() {
-        let plain = stream(10_000, 9);
-        let ctx = KeyContext::new(b"secret", 0);
-        let seq = NoDefense.encrypt_backup(&plain, &ctx);
-        for threads in [1usize, 2, 8] {
-            let par = NoDefense.encrypt_backup_par(&plain, &ctx, ParConfig::with_threads(threads));
-            assert_eq!(seq.backup, par.backup);
-        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 
 use freqdedup_crypto::hmac::HmacKey;
-use freqdedup_trace::par::{self, ParConfig};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
 /// The secret mapping from ciphertext fingerprints back to the plaintext
@@ -159,47 +158,6 @@ impl DeterministicTraceEncryptor {
         }
         EncryptedBackup { backup: out, truth }
     }
-
-    /// [`Self::encrypt_backup`] with the HMAC work sharded across worker
-    /// threads.
-    ///
-    /// The chunk stream is split into contiguous index shards; each worker
-    /// encrypts its shard with a private per-shard memo (a fingerprint
-    /// repeated across shards is re-hashed once per shard — deterministic
-    /// encryption makes every computation of `F(secret, M)` equal, so the
-    /// merged stream and ground truth are **bit-identical** to the
-    /// sequential output at any thread count). Shard outputs are merged in
-    /// index order on the calling thread.
-    #[must_use]
-    pub fn encrypt_backup_par(&self, plain: &Backup, par: ParConfig) -> EncryptedBackup {
-        let threads = par.resolve();
-        if threads <= 1 {
-            return self.encrypt_backup(plain);
-        }
-        let shards = par::par_shards(threads, plain.chunks.len(), |_, range| {
-            let mut memo: HashMap<Fingerprint, Fingerprint> = HashMap::new();
-            let records: Vec<ChunkRecord> = plain.chunks[range]
-                .iter()
-                .map(|rec| {
-                    let cipher = *memo
-                        .entry(rec.fp)
-                        .or_insert_with(|| self.encrypt_fp(rec.fp));
-                    ChunkRecord::new(cipher, rec.size)
-                })
-                .collect();
-            (records, memo)
-        });
-        // Each shard's memo holds exactly its first sightings.
-        let mut truth = GroundTruth::new();
-        let mut out = Backup::new(plain.label.clone());
-        for (records, memo) in shards {
-            for (m, c) in memo {
-                truth.record(c, m);
-            }
-            out.chunks.extend(records);
-        }
-        EncryptedBackup { backup: out, truth }
-    }
 }
 
 #[cfg(test)]
@@ -295,39 +253,6 @@ mod tests {
         let out = enc.encrypt_backup(&plain);
         assert_eq!(out.backup.chunks[0].size, 4096);
         assert_eq!(out.backup.chunks[1].size, 777);
-    }
-
-    #[test]
-    fn parallel_encryption_identical_to_sequential() {
-        // Duplicates deliberately straddle shard boundaries: each shard's
-        // private memo re-derives the same deterministic ciphertext.
-        let fps: Vec<u64> = (0..200u64).map(|i| i % 17).collect();
-        let plain = Backup::from_chunks(
-            "t",
-            fps.iter()
-                .map(|&f| ChunkRecord::new(f, 100 + f as u32))
-                .collect(),
-        );
-        let enc = DeterministicTraceEncryptor::new(b"k");
-        let seq = enc.encrypt_backup(&plain);
-        for threads in [1usize, 2, 3, 8] {
-            let par = enc.encrypt_backup_par(&plain, ParConfig::with_threads(threads));
-            assert_eq!(par.backup.chunks, seq.backup.chunks, "threads {threads}");
-            assert_eq!(par.backup.label, seq.backup.label);
-            let mut pt: Vec<_> = par.truth.iter().collect();
-            let mut st: Vec<_> = seq.truth.iter().collect();
-            pt.sort_unstable();
-            st.sort_unstable();
-            assert_eq!(pt, st, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_encryption_of_empty_backup() {
-        let enc = DeterministicTraceEncryptor::new(b"k");
-        let out = enc.encrypt_backup_par(&backup(&[]), ParConfig::with_threads(8));
-        assert!(out.backup.chunks.is_empty());
-        assert!(out.truth.is_empty());
     }
 
     #[test]

@@ -606,7 +606,7 @@ impl Default for RetryOptions {
 }
 
 /// What a [`ResilientClient`] did to get its operations through
-/// (diagnostics; drives the `--faults` bench section).
+/// (diagnostics; the `fault_overhead` bench binary reports it).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceReport {
     /// Operation attempts (first try + retries).

@@ -16,7 +16,9 @@
 //!   (optionally durable via the PR 4 persistence layer) behind an accept
 //!   loop and N session workers, with graceful drain-and-checkpoint
 //!   shutdown;
-//! * [`session`] — the per-connection protocol state machine;
+//! * [`session`] — the protocol as one socket-free state machine (a
+//!   session answers each message into any `std::io::Write` sink), and
+//!   the per-connection TCP shell that drives it;
 //! * [`client`] — the client library: batched, pipelined uploads and
 //!   verified restore, plus [`client::ResilientClient`] — deadlines,
 //!   seeded-backoff reconnects, and resumable exactly-once commits;

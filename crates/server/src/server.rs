@@ -6,7 +6,8 @@
 //! * the **acceptor** polls a non-blocking [`TcpListener`] and feeds
 //!   accepted connections into a [`JobQueue`];
 //! * `workers` **session workers** drain the queue, each running the
-//!   [`crate::session`] state machine for one connection at a time;
+//!   [`crate::session`] shell, and the state machine inside it, for one
+//!   connection at a time;
 //! * all of them are scoped threads under
 //!   [`crate::pool::run_bounded`] — no detached threads, panics
 //!   propagate, and [`Server::run`] returns only after a full drain.
@@ -24,6 +25,12 @@
 //! replays it and releases every store backup it does not hold live —
 //! such a backup was never acknowledged. The adversary tap folds it
 //! after the acks, when sessions idle or end, never before one.
+//!
+//! **No socket below the listener:** `Shared::open` builds the engine,
+//! catalog and tap, and releases the unacked backups, and `Shared::close`
+//! saves the tap's cache and closes the engine; [`Server::bind`] is
+//! `Shared::open` plus a listener, so the session's tests drive the same
+//! state with no port.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -32,7 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use freqdedup_store::container::PayloadMode;
 use freqdedup_store::engine::DedupConfig;
 use freqdedup_store::persist::{FsyncPolicy, PersistError};
 use freqdedup_store::sharded::ShardedDedupEngine;
@@ -173,22 +179,16 @@ impl From<TraceIoError> for ServeError {
     }
 }
 
-/// The engine slot sessions share: the engine itself plus the service's
-/// payload-mode commitment (all-payload or all-metadata, decided by the
-/// first PUT and enforced thereafter — also across restarts).
-#[derive(Debug)]
-pub(crate) struct EngineSlot {
-    pub engine: Option<ShardedDedupEngine>,
-    pub payload_mode: Option<bool>,
-}
-
 /// State shared between the acceptor, the session workers and
 /// [`ShutdownHandle`]s.
 #[derive(Debug)]
 pub(crate) struct Shared {
-    pub slot: Mutex<EngineSlot>,
-    /// Lock order: tap, catalog, engine slot (a session takes the tap
-    /// only when idle, and never waits for it).
+    /// The engine; `None` once [`Shared::close`] has closed it. Its
+    /// payload mode (all-payload or all-metadata) is fixed by the first
+    /// chunk a PUT stores and enforced thereafter, also across restarts.
+    pub engine: Mutex<Option<ShardedDedupEngine>>,
+    /// Lock order: tap, catalog, engine (a session takes the tap only
+    /// when idle, and never waits for it).
     pub catalog: Mutex<Catalog>,
     pub tap: Mutex<AdversaryTap>,
     /// Resumable uploads by client name.
@@ -201,10 +201,78 @@ pub(crate) struct Shared {
     /// cache save at shutdown, a session worker surviving a handler
     /// panic.
     pub tap_warnings: AtomicU64,
+    /// Where `tap.fqis` is saved at close, and the store's fsync policy
+    /// for it.
+    stream_path: Option<(PathBuf, FsyncPolicy)>,
     log: Option<Mutex<std::fs::File>>,
 }
 
 impl Shared {
+    /// Opens (or recovers) the backing engine, catalog and tap, and
+    /// releases every store backup the catalog does not hold live.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Persist`] when the store directory or its
+    /// `catalog.log` fails to open or recover, [`ServeError::Tap`] when a
+    /// pre-catalog `tap.fqdt` is corrupt, [`ServeError::Io`] when the log
+    /// file cannot be opened.
+    pub fn open(config: &ServerConfig) -> Result<Shared, ServeError> {
+        let mut engine = ShardedDedupEngine::open(config.engine.clone(), config.shards)?;
+        let persist = config.engine.persist.as_ref();
+        let stream_path = persist.map(|p| (p.dir.join(STREAM_FILE), p.fsync));
+        let catalog = persist.map_or_else(|| Ok(Catalog::default()), Catalog::open)?;
+        let tap = (stream_path.as_ref()).map_or_else(AdversaryTap::default, |(path, _)| {
+            AdversaryTap::open(path, &catalog)
+        });
+        let log = match &config.log_file {
+            Some(path) => Some(Mutex::new(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)?,
+            )),
+            None => None,
+        };
+        // A store backup the catalog does not hold live was never acked: a
+        // crash came between the store's commit and the catalog append, or
+        // before a retired manifest's release.
+        let unacked: Vec<u64> = engine
+            .committed_backups()
+            .into_iter()
+            .map(|(id, _)| id)
+            .filter(|&id| !catalog.is_live(id))
+            .collect();
+        for &id in &unacked {
+            let _ = engine.delete_backup(id);
+        }
+        let (commits, warnings) = (catalog.commits(), catalog.warnings() + tap.warnings());
+        let shared = Shared {
+            engine: Mutex::new(Some(engine)),
+            catalog: Mutex::new(catalog),
+            tap: Mutex::new(tap),
+            uploads: Mutex::new(HashMap::new()),
+            upload_released: Condvar::new(),
+            stop: AtomicBool::new(false),
+            sessions_served: AtomicU64::new(0),
+            tap_warnings: AtomicU64::new(warnings),
+            stream_path,
+            log,
+        };
+        shared.log(&format!(
+            "open: {} shards, {commits} committed manifests, {} unacked released, {warnings} tap warnings",
+            config.shards,
+            unacked.len(),
+        ));
+        Ok(shared)
+    }
+
+    /// Runs `f` on the engine under its lock.
+    pub fn with_engine<R>(&self, f: impl FnOnce(&mut ShardedDedupEngine) -> R) -> R {
+        let mut engine = lock_unpoisoned(&self.engine);
+        f(engine.as_mut().expect("engine open while serving"))
+    }
+
     /// Appends one line to the service log (best-effort).
     pub fn log(&self, line: &str) {
         if let Some(file) = &self.log {
@@ -229,12 +297,7 @@ impl Shared {
     /// Aggregate service counters (engine stats + session/commit totals).
     pub fn stats(&self) -> ServerStats {
         let committed_backups = lock_unpoisoned(&self.catalog).commits();
-        let slot = lock_unpoisoned(&self.slot);
-        let s = slot
-            .engine
-            .as_ref()
-            .map(ShardedDedupEngine::stats)
-            .unwrap_or_default();
+        let s = self.with_engine(|engine| engine.stats());
         ServerStats {
             logical_chunks: s.logical_chunks,
             logical_bytes: s.logical_bytes,
@@ -248,6 +311,32 @@ impl Shared {
             sessions_served: self.sessions_served.load(Ordering::SeqCst),
             tap_warnings: self.tap_warnings.load(Ordering::SeqCst),
         }
+    }
+
+    /// Saves the caught-up tap as its `tap.fqis` cache, then checkpoints
+    /// and closes the engine. The catalog is already durable; a failed
+    /// save keeps the old cache, costs the next open a longer fold, never
+    /// data, and does not skip the close.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Persist`] when the engine's final checkpoint fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the engine is already closed.
+    pub fn close(&self) -> Result<(), ServeError> {
+        if let Some((path, fsync)) = &self.stream_path {
+            let mut tap = lock_unpoisoned(&self.tap);
+            tap.catch_up(&self.catalog);
+            if let Err(e) = tap.streaming().save(path, *fsync) {
+                self.tap_warnings.fetch_add(1, Ordering::SeqCst);
+                self.log(&format!("shutdown: tap.fqis save failed ({e})"));
+            }
+        }
+        let engine = lock_unpoisoned(&self.engine).take();
+        engine.expect("engine open until close").close()?;
+        Ok(())
     }
 }
 
@@ -280,9 +369,6 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     workers: usize,
-    /// Where `tap.fqis` is saved at shutdown, and the store's fsync
-    /// policy for it.
-    stream_path: Option<(PathBuf, FsyncPolicy)>,
 }
 
 /// A read handle on a running server's adversary tap, for observing the
@@ -320,70 +406,18 @@ impl Server {
     /// pre-catalog `tap.fqdt` is corrupt, [`ServeError::Io`] when the
     /// socket cannot be bound.
     pub fn bind(config: ServerConfig) -> Result<Server, ServeError> {
-        let mut engine = ShardedDedupEngine::open(config.engine.clone(), config.shards)?;
-        // Re-derive the payload-mode commitment from recovered containers
-        // so a restarted service keeps rejecting mixed-mode uploads.
-        let payload_mode = engine
-            .shards()
-            .iter()
-            .find_map(|shard| shard.containers().mode())
-            .map(|mode| mode == PayloadMode::Payload);
-        let persist = config.engine.persist.as_ref();
-        let stream_path = persist.map(|p| (p.dir.join(STREAM_FILE), p.fsync));
-        let catalog = persist.map_or_else(|| Ok(Catalog::default()), Catalog::open)?;
-        let tap = (stream_path.as_ref()).map_or_else(AdversaryTap::default, |(path, _)| {
-            AdversaryTap::open(path, &catalog)
-        });
-        let log = match &config.log_file {
-            Some(path) => Some(Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            )),
-            None => None,
-        };
+        let shared = Shared::open(&config)?;
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
-        // A store backup the catalog does not hold live was never acked: a
-        // crash came between the store's commit and the catalog append, or
-        // before a retired manifest's release.
-        let unacked: Vec<u64> = engine
-            .committed_backups()
-            .into_iter()
-            .map(|(id, _)| id)
-            .filter(|&id| !catalog.is_live(id))
-            .collect();
-        for &id in &unacked {
-            let _ = engine.delete_backup(id);
-        }
-        let (commits, warnings) = (catalog.commits(), catalog.warnings() + tap.warnings());
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(EngineSlot {
-                engine: Some(engine),
-                payload_mode,
-            }),
-            catalog: Mutex::new(catalog),
-            tap: Mutex::new(tap),
-            uploads: Mutex::new(HashMap::new()),
-            upload_released: Condvar::new(),
-            stop: AtomicBool::new(false),
-            sessions_served: AtomicU64::new(0),
-            tap_warnings: AtomicU64::new(warnings),
-            log,
-        });
+        let workers = config.workers.max(1);
         shared.log(&format!(
-            "serve: bound {} ({} workers, {} shards, {commits} committed manifests, {} unacked released, {warnings} tap warnings)",
-            listener.local_addr()?,
-            config.workers.max(1),
-            config.shards,
-            unacked.len(),
+            "serve: bound {} ({workers} workers)",
+            listener.local_addr()?
         ));
         Ok(Server {
             listener,
-            shared,
-            workers: config.workers.max(1),
-            stream_path,
+            shared: Arc::new(shared),
+            workers,
         })
     }
 
@@ -466,29 +500,14 @@ impl Server {
         }
 
         // Drained: every accepted session has finished. Take the final
-        // numbers, then checkpoint + close (graceful shutdown makes the
-        // final state durable so a restart never needs crash recovery).
+        // numbers, then save the tap and checkpoint + close (graceful
+        // shutdown makes the final state durable so a restart never needs
+        // crash recovery).
         let summary = ServeSummary {
             sessions: shared.sessions_served.load(Ordering::SeqCst),
             stats: shared.stats(),
         };
-        // The catalog is already durable. The running attack state is
-        // caught up and saved as its cache; a failed save keeps the old one
-        // and costs the next bind a longer fold, never data, and must not
-        // skip the close.
-        if let Some((path, fsync)) = &self.stream_path {
-            let mut tap = lock_unpoisoned(&shared.tap);
-            tap.catch_up(&shared.catalog);
-            if let Err(e) = tap.streaming().save(path, *fsync) {
-                shared.tap_warnings.fetch_add(1, Ordering::SeqCst);
-                shared.log(&format!("shutdown: tap.fqis save failed ({e})"));
-            }
-        }
-        let engine = lock_unpoisoned(&shared.slot)
-            .engine
-            .take()
-            .expect("engine present until run() ends");
-        engine.close()?;
+        shared.close()?;
         shared.log(&format!(
             "shutdown: {} sessions, {} commits, {} unique chunks",
             summary.sessions, summary.stats.committed_backups, summary.stats.unique_chunks

@@ -24,6 +24,7 @@
 use freqdedup_trace::par::{self, ParConfig};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
+use crate::container::PayloadMode;
 use crate::engine::{ChunkLookup, ChunkOutcome, DedupConfig, DedupEngine};
 use crate::lifecycle::{DeleteReport, GcReport, LifecycleError, RekeyReport, RetentionPolicy};
 use crate::persist::{self, MetaKind, PersistConfig, PersistError, StoreMeta};
@@ -319,6 +320,15 @@ impl ShardedDedupEngine {
             .map(DedupEngine::epoch)
             .max()
             .unwrap_or(0)
+    }
+
+    /// The store's payload mode: the first shard's fixed
+    /// [`ContainerStore::mode`](crate::container::ContainerStore::mode),
+    /// or `None` before any shard stored a chunk. Every shard is fed the
+    /// one mode its service accepts, so the first `Some` speaks for all.
+    #[must_use]
+    pub fn payload_mode(&self) -> Option<PayloadMode> {
+        self.engines.iter().find_map(|e| e.containers().mode())
     }
 
     /// Deduplication counters merged across shards.

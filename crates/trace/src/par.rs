@@ -1,25 +1,25 @@
 //! Deterministic sharded parallel execution primitives.
 //!
-//! Every parallel stage in the workspace — dense `COUNT` and the CSR
-//! neighbour-table build in `freqdedup-core`, batch trace encryption in
-//! `freqdedup-mle`, sharded ingest in `freqdedup-store` — is built on the
-//! helpers in this module. They share one discipline that makes parallel
-//! output **bit-identical** to sequential output at any thread count:
+//! Every parallel stage in the workspace — the sharded chunker in
+//! `freqdedup-chunking`, sharded ingest in `freqdedup-store`, the client's
+//! span encryption and the server's worker pool in `freqdedup-server` — is
+//! built on the helpers in this module. They share one discipline that
+//! makes parallel output **bit-identical** to sequential output at any
+//! thread count:
 //!
 //! 1. work is split into *contiguous index shards* ([`shard_ranges`]);
 //! 2. each shard is processed independently on a scoped worker thread
 //!    ([`std::thread::scope`] — no detached threads, no channels, no
 //!    shared mutable state);
 //! 3. shard results are merged **in shard-index order** on the calling
-//!    thread ([`par_shards`], [`par_map`], [`par_fold`]).
+//!    thread ([`par_shards`], [`par_map`]).
 //!
 //! Because the merge order is the shard order and shard boundaries are a
 //! pure function of `(len, shards)`, the only way thread count can leak
 //! into a result is if the *per-shard computation itself* is
-//! boundary-sensitive. Callers that fold across shard boundaries (e.g.
-//! the CSR build) must therefore shard on a key that makes per-shard
-//! results concatenable — see `freqdedup_core::dense` for the worked
-//! argument.
+//! boundary-sensitive: a caller must shard on a key that makes per-shard
+//! results concatenable (the chunker, for one, re-chunks each seam until
+//! it meets a cut of the next shard).
 //!
 //! The module lives in `freqdedup-trace` (the workspace's base crate) so
 //! that `mle` and `store` — which `core` depends on — can use it without a
@@ -161,20 +161,6 @@ where
     out
 }
 
-/// Folds the shards of `0..len`: `shard(range)` produces one accumulator
-/// per shard in parallel, then `merge` combines them **in shard-index
-/// order** starting from `init`.
-pub fn par_fold<A, F, M>(threads: usize, len: usize, shard: F, merge: M, init: A) -> A
-where
-    A: Send,
-    F: Fn(Range<usize>) -> A + Sync,
-    M: FnMut(A, A) -> A,
-{
-    par_shards(threads, len, |_, range| shard(range))
-        .into_iter()
-        .fold(init, merge)
-}
-
 /// Runs `work(index, &mut item)` for every item, at most `threads`
 /// concurrently (items are grouped into contiguous index runs, one scoped
 /// worker per run).
@@ -277,21 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn par_fold_deterministic_merge() {
-        let data: Vec<u64> = (1..=100).collect();
-        for threads in [1usize, 2, 4, 16] {
-            let sum = par_fold(
-                threads,
-                data.len(),
-                |range| data[range].iter().sum::<u64>(),
-                |a, b| a + b,
-                0u64,
-            );
-            assert_eq!(sum, 5050);
-        }
-    }
-
-    #[test]
     fn par_for_each_mut_touches_every_item_once() {
         for threads in [1usize, 2, 4, 9] {
             let mut items = vec![0u64; 33];
@@ -305,7 +276,6 @@ mod tests {
     fn empty_inputs_are_no_ops() {
         let out: Vec<u32> = par_map(4, &[] as &[u32], |&x| x);
         assert!(out.is_empty());
-        assert_eq!(par_fold(4, 0, |_| 1u32, |a, b| a + b, 0), 0);
         let mut empty: [u8; 0] = [];
         par_for_each_mut(4, &mut empty, |_, _| unreachable!());
     }
