@@ -176,7 +176,8 @@ impl LocalityAttack {
     /// Plain analysis pairs the cipher row's top `take = min(v, |yc|, |ym|)`
     /// with the first `take` of the auxiliary row's memoised top `v`: the
     /// rank order is strict within a side, so that prefix *is* the row's top
-    /// `take`, as [`freq_analysis_dense`] would rank it.
+    /// `take`, as [`freq_analysis_dense`] would rank it. A one-entry row
+    /// (most rows of an FSL stream) is its own top 1 and is not ranked.
     fn run_from_seed_dense(
         &self,
         sc: &DenseStats,
@@ -197,11 +198,12 @@ impl LocalityAttack {
 
         let (v, policy) = (self.params.v, self.params.tie_policy);
         let (fps_c, fps_m) = (sc.interner.fingerprints(), sm.interner.fingerprints());
-        // Per side, each auxiliary row's top `min(v, |row|)` ids, ranked on
-        // the first visit: `start[m]` indexes `ids` (`u32::MAX` = not yet).
-        // A step reads on from `start[m]`; the zip stops at the cipher's `take`.
+        // Per side, each multi-entry auxiliary row's top `min(v, |row|)` ids,
+        // ranked on the first visit: `start[m]` indexes `ids` (`u32::MAX` = not
+        // yet). A step reads on from `start[m]`; the zip stops at the cipher's `take`.
         let memo = || (vec![u32::MAX; sm.unique_chunks()], Vec::<ChunkId>::new());
         let (mut left, mut right) = (memo(), memo());
+        let mut top_c: Vec<ChunkId> = Vec::new();
         while let Some((c, m)) = g.pop_front() {
             for (csr_c, csr_m, (start, ids)) in [
                 (&sc.left, &sm.left, &mut left),
@@ -212,19 +214,7 @@ impl LocalityAttack {
                 if take == 0 {
                     continue;
                 }
-                let pairs = if self.params.size_aware {
-                    freq_analysis_sized_dense(yc, ym, v, sc, sm, policy)
-                } else {
-                    if start[m as usize] == u32::MAX {
-                        start[m as usize] = ids.len() as u32;
-                        let top = top_k_dense(ym, v.min(ym.len()), fps_m, policy);
-                        ids.extend(top.iter().map(|e| e.id));
-                    }
-                    let rm = &ids[start[m as usize] as usize..];
-                    let rc = top_k_dense(yc, take, fps_c, policy);
-                    rc.iter().zip(rm).map(|(e, &m2)| (e.id, m2)).collect()
-                };
-                for (c2, m2) in pairs {
+                let mut infer = |c2: ChunkId, m2: ChunkId| {
                     if inferred[c2 as usize] == UNINFERRED {
                         inferred[c2 as usize] = m2;
                         total += 1;
@@ -232,6 +222,32 @@ impl LocalityAttack {
                             g.push_back((c2, m2));
                         }
                     }
+                };
+                if self.params.size_aware {
+                    for (c2, m2) in freq_analysis_sized_dense(yc, ym, v, sc, sm, policy) {
+                        infer(c2, m2);
+                    }
+                    continue;
+                }
+                let rm: &[ChunkId] = if let [e] = ym {
+                    std::slice::from_ref(&e.id)
+                } else {
+                    if start[m as usize] == u32::MAX {
+                        start[m as usize] = ids.len() as u32;
+                        let top = top_k_dense(ym, v.min(ym.len()), fps_m, policy);
+                        ids.extend(top.iter().map(|e| e.id));
+                    }
+                    &ids[start[m as usize] as usize..]
+                };
+                let rc: &[ChunkId] = if let [e] = yc {
+                    std::slice::from_ref(&e.id)
+                } else {
+                    top_c.clear();
+                    top_c.extend(top_k_dense(yc, take, fps_c, policy).iter().map(|e| e.id));
+                    &top_c
+                };
+                for (&c2, &m2) in rc.iter().zip(rm) {
+                    infer(c2, m2);
                 }
             }
         }

@@ -6,9 +6,10 @@
 //! structures:
 //!
 //! * [`ChunkInterner`] — one pass over the stream maps each fingerprint to
-//!   a contiguous `u32` id (first-seen order), backed by the vendored
-//!   FxHash hasher. Fingerprints are outputs of a cryptographic hash, so
-//!   the fast multiply-rotate mix loses nothing.
+//!   a contiguous `u32` id (first-seen order) through an id-slot table:
+//!   linear probing over 4-byte slots that hold ids, keys compared through
+//!   the id→fingerprint table, home slots from a multiplier drawn per
+//!   interner (fingerprints are client-chosen; DESIGN §1).
 //! * [`CooccurrenceCsr`] — the left/right neighbour tables as CSR
 //!   (compressed sparse row) arrays of [`DenseEntry`] rows: no per-chunk
 //!   maps, and each crawl step reads one contiguous row.
@@ -40,22 +41,53 @@
 //! `tests/attack_equivalence.rs` checks all of this against a
 //! fingerprint-keyed reference `COUNT` that shares no code with this one.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+
 use freqdedup_trace::{Backup, Fingerprint};
-use rustc_hash::FxHashMap;
 
 /// A dense chunk id: index into the interner's fingerprint/size tables.
 pub type ChunkId = u32;
 
+/// An empty slot of the interner's table, so no id may reach it.
+const FREE: ChunkId = u32::MAX;
+
 /// Maps 64-bit fingerprints to contiguous `u32` ids in first-seen order.
+///
+/// An id-slot table: linear probing over a power-of-two array of ids at
+/// load ≤ ½, keys compared through `fps[id]`, the home slot the top bits of
+/// `fp × mul` for a random odd `mul` per interner, since clients choose
+/// fingerprints (DESIGN §1). Equality ignores the table and `mul`.
 ///
 /// Also records each unique chunk's observed size (first observation wins;
 /// sizes are deterministic per content, so every observation is equal).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct ChunkInterner {
-    map: FxHashMap<Fingerprint, ChunkId>,
+    slots: Vec<ChunkId>,
+    mul: u64,
     fps: Vec<Fingerprint>,
     sizes: Vec<u32>,
 }
+
+impl Default for ChunkInterner {
+    fn default() -> Self {
+        ChunkInterner {
+            // At least two slots, so `find`'s shift stays below 64.
+            slots: vec![FREE; 16],
+            mul: RandomState::new().hash_one(0u64) | 1,
+            fps: Vec::new(),
+            sizes: Vec::new(),
+        }
+    }
+}
+
+impl PartialEq for ChunkInterner {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.fps, &self.sizes) == (&other.fps, &other.sizes)
+    }
+}
+
+impl Eq for ChunkInterner {}
 
 impl ChunkInterner {
     /// Creates an empty interner.
@@ -69,31 +101,74 @@ impl ChunkInterner {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u32::MAX` unique chunks are interned.
+    /// Panics if more than `u32::MAX - 1` unique chunks are interned.
     pub fn intern(&mut self, fp: Fingerprint, size: u32) -> ChunkId {
-        if let Some(&id) = self.map.get(&fp) {
+        if let Some(id) = self.get(fp) {
             return id;
         }
-        let id = u32::try_from(self.fps.len()).expect("more than u32::MAX unique chunks");
-        self.map.insert(fp, id);
+        self.reserve(1);
+        self.intern_reserved(fp, size)
+    }
+
+    /// Interns a backup's chunk stream, returning it as dense ids.
+    pub(crate) fn intern_stream(&mut self, backup: &Backup) -> Vec<ChunkId> {
+        self.reserve(backup.len());
+        backup
+            .chunks
+            .iter()
+            .map(|rec| self.intern_reserved(rec.fp, rec.size))
+            .collect()
+    }
+
+    /// [`Self::intern`] once [`Self::reserve`] has made room for the id.
+    #[inline]
+    fn intern_reserved(&mut self, fp: Fingerprint, size: u32) -> ChunkId {
+        let slot = self.find(fp);
+        if self.slots[slot] != FREE {
+            return self.slots[slot];
+        }
+        assert!(self.fps.len() < FREE as usize, "u32 ids exhausted");
+        let id = self.fps.len() as ChunkId;
+        self.slots[slot] = id;
         self.fps.push(fp);
         self.sizes.push(size);
         id
     }
 
-    /// Interns a backup's chunk stream, returning it as dense ids.
-    pub(crate) fn intern_stream(&mut self, backup: &Backup) -> Vec<ChunkId> {
-        backup
-            .chunks
-            .iter()
-            .map(|rec| self.intern(rec.fp, rec.size))
-            .collect()
-    }
-
     /// The id of `fp`, if it has been interned.
     #[must_use]
     pub fn get(&self, fp: Fingerprint) -> Option<ChunkId> {
-        self.map.get(&fp).copied()
+        Some(self.slots[self.find(fp)]).filter(|&id| id != FREE)
+    }
+
+    /// The slot holding `fp`, or the free slot that ends its probe.
+    #[inline]
+    fn find(&self, fp: Fingerprint) -> usize {
+        let mask = self.slots.len() - 1;
+        let shift = u64::BITS - self.slots.len().trailing_zeros();
+        let mut slot = (fp.0.wrapping_mul(self.mul) >> shift) as usize;
+        loop {
+            let id = self.slots[slot];
+            if id == FREE || self.fps[id as usize] == fp {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Makes room for `additional` new ids at load ≤ ½, re-inserting ids
+    /// `0..len` if the table grows; the id tables are reserved as well.
+    fn reserve(&mut self, additional: usize) {
+        self.fps.reserve(additional);
+        self.sizes.reserve(additional);
+        let need = 2 * (self.fps.len() + additional);
+        if need > self.slots.len() {
+            self.slots = vec![FREE; need.next_power_of_two()];
+            for (id, &fp) in self.fps.iter().enumerate() {
+                let slot = self.find(fp);
+                self.slots[slot] = id as ChunkId;
+            }
+        }
     }
 
     /// Number of unique chunks interned.
@@ -476,6 +551,95 @@ mod tests {
         it.intern(fp(1), 100);
         it.intern(fp(1), 200);
         assert_eq!(it.size(0), 100);
+    }
+
+    /// An interner over an 8-slot table whose home slot is the top three
+    /// bits of the fingerprint itself, so tests can choose collisions.
+    fn chosen_slots() -> ChunkInterner {
+        ChunkInterner {
+            slots: vec![FREE; 8],
+            mul: 1,
+            fps: Vec::new(),
+            sizes: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn interner_probe_wraps_past_the_last_slot() {
+        // All four share home slot 7, the last: three of them must wrap.
+        let home7 = |k: u64| fp((7 << 61) | k);
+        let mut it = chosen_slots();
+        for k in 0..4 {
+            assert_eq!(it.intern(home7(k), 1), k as u32);
+        }
+        for k in 0..4 {
+            assert_eq!(it.get(home7(k)), Some(k as u32));
+            assert_eq!(it.intern(home7(k), 9), k as u32);
+        }
+        assert_eq!(it.slots, [1, 2, 3, FREE, FREE, FREE, FREE, 0]);
+        assert_eq!(it.get(home7(4)), None);
+        // A fifth id would pass load ½: the table doubles and re-inserts.
+        assert_eq!(it.intern(fp(5), 1), 4);
+        assert_eq!(it.slots.len(), 16);
+        for k in 0..4 {
+            assert_eq!(it.get(home7(k)), Some(k as u32));
+        }
+        assert_eq!(it.get(fp(5)), Some(4));
+        assert_eq!(it.size(0), 1);
+    }
+
+    #[test]
+    fn interner_grows_through_many_doublings() {
+        let mut it = ChunkInterner::new();
+        let key = |i: u64| fp(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xa5a5);
+        let mut doublings = 0;
+        for i in 0..100_000u64 {
+            let before = it.slots.len();
+            assert_eq!(it.intern(key(i), i as u32), i as u32);
+            // An earlier key re-interns to its first-seen id.
+            assert_eq!(it.intern(key(i / 2), 0), (i / 2) as u32);
+            doublings += usize::from(it.slots.len() > before);
+        }
+        assert!(doublings >= 10, "{doublings} doublings");
+        assert!(2 * it.len() <= it.slots.len());
+        for i in 0..100_000u64 {
+            assert_eq!(it.get(key(i)), Some(i as u32));
+            assert_eq!(it.fingerprint(i as u32), key(i));
+            assert_eq!(it.size(i as u32), i as u32);
+        }
+        assert_eq!(it.get(key(100_000)), None);
+    }
+
+    #[test]
+    fn empty_interner_finds_nothing() {
+        assert_eq!(ChunkInterner::new().get(fp(0)), None);
+        assert_eq!(chosen_slots().get(fp(u64::MAX)), None);
+        assert!(ChunkInterner::new().is_empty());
+    }
+
+    #[test]
+    fn batch_and_folded_interners_agree_across_table_sizes() {
+        use crate::streaming::IncrementalStats;
+        let fps: Vec<u64> = (0..1000u64).map(|i| (i * 7919) % 311).collect();
+        let batch = DenseStats::full(&backup(&fps));
+        // Several commits intern into tables grown commit by commit.
+        let mut folded = IncrementalStats::default();
+        for part in fps.chunks(97) {
+            folded.commit(&backup(part));
+        }
+        let dense = folded.to_dense();
+        assert_ne!(dense.interner.slots.len(), batch.interner.slots.len());
+        assert_eq!(dense.interner, batch.interner);
+        assert_eq!(dense.freq, batch.freq);
+        // A restored one-commit fold re-interns id by id into a table of
+        // its own size and multiplier, and still equals the batch build.
+        let mut one = IncrementalStats::default();
+        one.commit(&backup(&fps));
+        let mut blob = Vec::new();
+        one.write_to(&mut blob).unwrap();
+        let restored = IncrementalStats::read_from(&blob[..]).unwrap().to_dense();
+        assert_ne!(restored.interner.slots.len(), batch.interner.slots.len());
+        assert_eq!(restored, batch);
     }
 
     #[test]

@@ -150,6 +150,11 @@ pub fn freq_analysis_sized_dense(
     if x == 0 || yc.is_empty() || ym.is_empty() {
         return Vec::new();
     }
+    // One entry per side is one class per side: paired if they agree.
+    if let ([c], [m]) = (yc, ym) {
+        let same = sc.blocks_of(c.id) == sm.blocks_of(m.id);
+        return if same { vec![(c.id, m.id)] } else { Vec::new() };
+    }
     let bc = classify_dense(yc, sc);
     let bm = classify_dense(ym, sm);
     let mut pairs = Vec::new();

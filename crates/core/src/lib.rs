@@ -28,13 +28,15 @@
 //! # Data layer
 //!
 //! Every attack crawls one state, [`DenseStats`]: the frequency table `F`
-//! and the neighbour tables `L`/`R` of `COUNT`, over interned `u32` ids in
-//! CSR form ([`dense`]). A batch `COUNT` builds it straight from one
-//! backup, bucketing each side's adjacencies by row with a counting sort;
-//! the running [`IncrementalStats`] ([`streaming`]) folds it commit by
-//! commit over a series of backups, sorting each commit's adjacencies, and
-//! its flatten is the same table. [`freq_analysis`] ranks its rows under a
-//! [`TiePolicy`].
+//! and the neighbour tables `L`/`R` of `COUNT`, over `u32` ids in CSR form
+//! ([`dense`]). A batch `COUNT` builds it straight from one backup,
+//! bucketing each side's adjacencies by row with a counting sort; the
+//! running [`IncrementalStats`] ([`streaming`]) folds it commit by commit
+//! over a series of backups, sorting each commit's adjacencies, and its
+//! flatten is the same table. Both assign first-seen ids through a
+//! [`ChunkInterner`], an open-addressed id-slot table whose home slots
+//! come from a per-interner secret multiplier, because clients choose the
+//! fingerprints. [`freq_analysis`] ranks the rows under a [`TiePolicy`].
 //!
 //! # Defenses
 //!
